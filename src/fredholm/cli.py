@@ -464,7 +464,7 @@ def run_example(name: str, sweep_layers: Optional[int] = None,
     return bundle
 
 
-def run_compare_fd(nr: int, nt: int, tol: float = 1e-10,
+def run_compare_fd(nr: int, nt: int,
                    boundary_text: str = "1 + cos(2*phi)",
                    exact_text: Optional[str] = "1 + r^2*cos(2*phi)",
                    deterministic: bool = True) -> ReportBundle:
@@ -478,7 +478,7 @@ def run_compare_fd(nr: int, nt: int, tol: float = 1e-10,
     exact = (_compile_expr({"exact": exact_text}, "exact", ("r", "phi"))
              if exact_text else None)
     started = time.perf_counter()
-    sol = solve_fd(boundary, nr, nt, tol=tol)
+    sol = solve_fd(boundary, nr, nt)
     elapsed = time.perf_counter() - started
 
     radii = sol.radii
@@ -512,8 +512,7 @@ def run_compare_fd(nr: int, nt: int, tol: float = 1e-10,
     meta = {
         "boundary": boundary_text,
         "exact": exact_text,
-        "nr": nr, "nt": nt, "tol": tol,
-        "iterations": sol.iterations,
+        "nr": nr, "nt": nt,
         "final_residual": sol.residual,
         "max_err": max_err,
         "mean_err": mean_err,
@@ -604,8 +603,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="run the finite-difference disc reference")
     sp.add_argument("--nr", type=int, default=100, help="radial cells")
     sp.add_argument("--nt", type=int, default=100, help="angular cells")
-    sp.add_argument("--tol", type=float, default=1e-10,
-                    help="relative residual target")
     sp.add_argument("--boundary", default="1 + cos(2*phi)",
                     help="Dirichlet data, expression in phi")
     sp.add_argument("--exact", default="1 + r^2*cos(2*phi)",
@@ -660,7 +657,7 @@ def main(argv=None) -> int:
             bundle.metadata["example"] = args.name
             write_report(bundle, args.format, args.out, out)
         elif args.command == "compare-fd":
-            bundle = run_compare_fd(args.nr, args.nt, tol=args.tol,
+            bundle = run_compare_fd(args.nr, args.nt,
                                     boundary_text=args.boundary,
                                     exact_text=args.exact or None,
                                     deterministic=args.deterministic)

@@ -48,7 +48,7 @@ class DivergenceError(NumericalError):
 
 
 class SingularSystemError(NumericalError):
-    """Dense solve hit a singular or numerically singular matrix."""
+    """Direct solve hit a singular or numerically singular matrix."""
 
 
 class ConvergenceError(NumericalError):

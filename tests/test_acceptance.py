@@ -192,7 +192,7 @@ def test_criterion_09_fd_reference(capsys):
     _report(capsys, 9, ok,
             f"FD reference: constant data exact ({flat_dev:.1e}), error "
             f"ratio 100->200 {ratio:.2f} in [3, 5] "
-            f"(2000x2000 left to the CLI benchmark, reported not asserted)")
+            f"(2000x2000 asserted in test_fdref.test_fine_grids_second_order)")
 
 
 def test_criterion_10_expression_language(capsys):

@@ -118,9 +118,9 @@ def test_run_example_rejects_unknown_names_and_overrides():
 
 
 def test_run_compare_fd_metadata():
-    bundle = run_compare_fd(16, 16, tol=1e-8)
+    bundle = run_compare_fd(16, 16)
     assert bundle.kind == "fd_reference"
-    assert bundle.metadata["iterations"] > 0
+    assert bundle.metadata["final_residual"] <= 1e-10
     assert bundle.metadata["max_err"] is not None
     assert bundle.rows[0][0] == 0.0
 
@@ -230,7 +230,7 @@ def test_main_sweep_flag(tmp_path, capsys):
 
 
 def test_main_compare_fd_small(capsys):
-    assert main(["compare-fd", "--nr", "16", "--nt", "16", "--tol", "1e-8",
+    assert main(["compare-fd", "--nr", "16", "--nt", "16",
                  "--deterministic"]) == 0
     out = capsys.readouterr().out
     assert "# max_err =" in out
