@@ -11,10 +11,10 @@ from .errors import (BoundUnavailableError, ConvergenceError, DivergenceError,
                      NumericalError, SingularSystemError,
                      UnboundVariableError, ValidationError)
 from .exprlang import compile_fn, evaluate, free_vars, parse, render
-from .grid import Grid1D, nearest_index, uniform_grid
-from .operator import (DiscreteOperator, FieProblem, KMSchedule,
-                       apply_km_step, discretize, estimate_contraction,
-                       estimate_derivative_bound, residual_norm)
+from .grid import Grid1D, uniform_grid
+from .operator import (DiscreteOperator, FieProblem, KMSchedule, discretize,
+                       estimate_contraction, estimate_derivative_bound,
+                       residual_norm)
 from .network import (ErrorBudget, FixedPointNet, SolutionField,
                       budget_from_operator, build_network, dense_solve,
                       error_bound, forward, km_error_estimate, layer_sweep,
@@ -23,9 +23,9 @@ from .nonlinear import (IterationTrace, NonlinearProblem, evaluate_nonlinear,
                         linearized_source, solve_nonlinear)
 from .bvp import BvpSpec, bvp_to_fie, ode_residual, recover_solution
 from .laplace import (BoundaryDensity, DiscBoundaryProblem, PotentialField,
-                      boundary_project, build_bie, evaluate_potential,
-                      polar_double_layer_kernel, solve_density)
-from .fd import FieldStats, PolarGrid, compare_fields, solve_fd
+                      build_bie, evaluate_potential, polar_double_layer_kernel,
+                      solve_density)
+from .fd import PolarGrid, solve_fd
 from .registry import EXAMPLES, ExampleSpec, example_names, get_example
 from .report import ReportBundle, render_csv, render_json, write_report
 from .cli import main, run_compare_fd, run_config, run_example
@@ -37,10 +37,9 @@ __all__ = [
     "DomainError", "ExprSyntaxError", "FredholmError", "NumericalError",
     "SingularSystemError", "UnboundVariableError", "ValidationError",
     "compile_fn", "evaluate", "free_vars", "parse", "render",
-    "Grid1D", "nearest_index", "uniform_grid",
-    "DiscreteOperator", "FieProblem", "KMSchedule", "apply_km_step",
-    "discretize", "estimate_contraction", "estimate_derivative_bound",
-    "residual_norm",
+    "Grid1D", "uniform_grid",
+    "DiscreteOperator", "FieProblem", "KMSchedule", "discretize",
+    "estimate_contraction", "estimate_derivative_bound", "residual_norm",
     "ErrorBudget", "FixedPointNet", "SolutionField", "budget_from_operator",
     "build_network", "dense_solve", "error_bound", "forward",
     "km_error_estimate", "layer_sweep", "plan_layers", "query",
@@ -48,9 +47,9 @@ __all__ = [
     "linearized_source", "solve_nonlinear",
     "BvpSpec", "bvp_to_fie", "ode_residual", "recover_solution",
     "BoundaryDensity", "DiscBoundaryProblem", "PotentialField",
-    "boundary_project", "build_bie", "evaluate_potential",
+    "build_bie", "evaluate_potential",
     "polar_double_layer_kernel", "solve_density",
-    "FieldStats", "PolarGrid", "compare_fields", "solve_fd",
+    "PolarGrid", "solve_fd",
     "EXAMPLES", "ExampleSpec", "example_names", "get_example",
     "ReportBundle", "render_csv", "render_json", "write_report",
     "main", "run_compare_fd", "run_config", "run_example",

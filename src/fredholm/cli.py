@@ -25,7 +25,7 @@ from .laplace import (BoundaryDensity, DiscBoundaryProblem, build_bie,
 from .network import (budget_from_operator, build_network, error_bound,
                       forward, km_error_estimate, layer_sweep, query)
 from .nonlinear import NonlinearProblem, evaluate_nonlinear, solve_nonlinear
-from .operator import (FieProblem, KMSchedule, discretize,
+from .operator import (DiscreteOperator, FieProblem, KMSchedule, discretize,
                        estimate_contraction)
 from .registry import EXAMPLES, example_names, get_example
 from .report import ReportBundle, write_report
@@ -33,23 +33,34 @@ from .fd import solve_fd
 
 __all__ = ["main", "run_config", "run_example", "run_compare_fd"]
 
+# Per kind: config keys, then each expression key with its parameters
+# (compiled in this order) and the parameters of the optional "exact".
 _KINDS = {
     "linear_fie": {
         "required": {"kernel", "source", "domain", "grid_n", "layers"},
         "optional": {"grid_scheme", "kappa", "queries", "exact"},
+        "exprs": (("kernel", ("x", "z")), ("source", ("x",))),
+        "exact": ("x",),
     },
     "nonlinear_fie": {
         "required": {"kernel", "source", "nonlinearity", "domain", "grid_n",
                      "layers", "outer_iterations"},
         "optional": {"grid_scheme", "kappa", "queries", "exact"},
+        "exprs": (("kernel", ("x", "z")), ("source", ("x",)),
+                  ("nonlinearity", ("u",))),
+        "exact": ("x",),
     },
     "bvp": {
         "required": {"g", "h", "alpha", "beta", "grid_n", "layers"},
         "optional": {"grid_scheme", "kappa", "queries", "exact"},
+        "exprs": (("g", ("x",)), ("h", ("x",))),
+        "exact": ("x",),
     },
     "laplace_disc": {
         "required": {"boundary", "theta_n", "layers"},
         "optional": {"kappa", "queries", "exact"},
+        "exprs": (("boundary", ("phi",)),),
+        "exact": ("r", "phi"),
     },
 }
 
@@ -93,13 +104,18 @@ def _compile_expr(config: dict, key: str, params) -> Callable:
     return exprlang.compile_fn(tree, params)
 
 
-def _opt_exact(config: dict, params,
-               override: Optional[Callable]) -> Optional[Callable]:
-    if override is not None:
-        return override
-    if "exact" in config:
-        return _compile_expr(config, "exact", params)
-    return None
+def _compile_all(config: dict,
+                 exact_override: Optional[Callable]) -> Dict[str, Callable]:
+    """Compile every expression key of the config's kind.  ``exact`` maps
+    to the override when one is given, else to the compiled config entry,
+    else to None."""
+    spec = _KINDS[config["kind"]]
+    fns = {key: _compile_expr(config, key, params)
+           for key, params in spec["exprs"]}
+    if exact_override is None and "exact" in config:
+        exact_override = _compile_expr(config, "exact", spec["exact"])
+    fns["exact"] = exact_override
+    return fns
 
 
 def _as_float(config: dict, key: str) -> float:
@@ -218,9 +234,8 @@ def _base_metadata(config: dict, deterministic: bool) -> dict:
 
 def _run_linear(config: dict, exact_override, sweep_layers, deterministic):
     a, b = _domain(config)
-    kernel = _compile_expr(config, "kernel", ("x", "z"))
-    source = _compile_expr(config, "source", ("x",))
-    exact = _opt_exact(config, ("x",), exact_override)
+    fn = _compile_all(config, exact_override)
+    exact = fn["exact"]
     n = _as_pos_int(config, "grid_n")
     layers = _as_pos_int(config, "layers")
     scheme = config.get("grid_scheme", "left")
@@ -228,14 +243,14 @@ def _run_linear(config: dict, exact_override, sweep_layers, deterministic):
 
     started = time.perf_counter()
     grid = uniform_grid(a, b, n, scheme=scheme)
-    problem = FieProblem(kernel=kernel, source=source, a=a, b=b)
+    problem = FieProblem(kernel=fn["kernel"], source=fn["source"], a=a, b=b)
     op = discretize(problem, grid)
-    q_est = estimate_contraction(op)
+    budget = budget_from_operator(op)
+    q_est = budget.q
     schedule = _schedule(config, q_est, default_kappa=1.0)
     net = build_network(op, layers, schedule)
     field = forward(net)
     vals = query(net, field, pts)
-    budget = budget_from_operator(op)
     contractive = q_est < 1.0
     sweep = (layer_sweep(op, schedule, sweep_layers, exact, pts)
              if sweep_layers else None)
@@ -259,15 +274,14 @@ def _run_linear(config: dict, exact_override, sweep_layers, deterministic):
     return ReportBundle(kind="linear_fie",
                         columns=("x", "value", "exact", "abs_err"),
                         rows=_rows_1d(pts, vals, exact),
-                        sweep=sweep, metadata=meta)
+                        sweep=sweep, metadata=meta,
+                        sweep_column="max_update" if exact is None
+                        else "max_err")
 
 
 def _run_nonlinear(config: dict, exact_override, sweep_layers, deterministic):
     a, b = _domain(config)
-    kernel = _compile_expr(config, "kernel", ("x", "z"))
-    source = _compile_expr(config, "source", ("x",))
-    nonlinearity = _compile_expr(config, "nonlinearity", ("u",))
-    exact = _opt_exact(config, ("x",), exact_override)
+    fn = _compile_all(config, exact_override)
     n = _as_pos_int(config, "grid_n")
     layers = _as_pos_int(config, "layers")
     outer = _as_pos_int(config, "outer_iterations")
@@ -276,14 +290,17 @@ def _run_nonlinear(config: dict, exact_override, sweep_layers, deterministic):
 
     started = time.perf_counter()
     grid = uniform_grid(a, b, n, scheme=scheme)
-    problem = NonlinearProblem(kernel=kernel, source=source,
-                               nonlinearity=nonlinearity, a=a, b=b)
+    problem = NonlinearProblem(kernel=fn["kernel"], source=fn["source"],
+                               nonlinearity=fn["nonlinearity"], a=a, b=b)
     base = discretize(problem.linear_problem(), grid)
     q_est = estimate_contraction(base)
     schedule = _schedule(config, q_est, default_kappa=1.0)
     field, trace = solve_nonlinear(problem, grid, layers, schedule, outer)
     vals = evaluate_nonlinear(problem, base, field, pts)
-    sweep = (layer_sweep(base, schedule, sweep_layers)
+    # the sweep runs the last outer pass's linear operator
+    last = DiscreteOperator(grid=grid, matrix=base.matrix,
+                            source=trace.sources[-1], problem=base.problem)
+    sweep = (layer_sweep(last, schedule, sweep_layers)
              if sweep_layers else None)
     elapsed = time.perf_counter() - started
 
@@ -302,14 +319,12 @@ def _run_nonlinear(config: dict, exact_override, sweep_layers, deterministic):
         meta["runtime_seconds"] = elapsed
     return ReportBundle(kind="nonlinear_fie",
                         columns=("x", "value", "exact", "abs_err"),
-                        rows=_rows_1d(pts, vals, exact),
-                        sweep=sweep, metadata=meta)
+                        rows=_rows_1d(pts, vals, fn["exact"]),
+                        sweep=sweep, metadata=meta, sweep_column="max_update")
 
 
 def _run_bvp(config: dict, exact_override, sweep_layers, deterministic):
-    g = _compile_expr(config, "g", ("x",))
-    h = _compile_expr(config, "h", ("x",))
-    exact = _opt_exact(config, ("x",), exact_override)
+    fn = _compile_all(config, exact_override)
     alpha = _as_float(config, "alpha")
     beta = _as_float(config, "beta")
     n = _as_pos_int(config, "grid_n")
@@ -318,7 +333,7 @@ def _run_bvp(config: dict, exact_override, sweep_layers, deterministic):
     pts = _queries_1d(config, 0.0, 1.0)
 
     started = time.perf_counter()
-    spec = BvpSpec(g=g, h=h, alpha=alpha, beta=beta)
+    spec = BvpSpec(g=fn["g"], h=fn["h"], alpha=alpha, beta=beta)
     fie = bvp_to_fie(spec)
     grid = uniform_grid(0.0, 1.0, n, scheme=scheme)
     op = discretize(fie, grid)
@@ -351,20 +366,20 @@ def _run_bvp(config: dict, exact_override, sweep_layers, deterministic):
         meta["runtime_seconds"] = elapsed
     return ReportBundle(kind="bvp",
                         columns=("x", "value", "exact", "abs_err"),
-                        rows=_rows_1d(pts, y, exact),
-                        sweep=sweep, metadata=meta)
+                        rows=_rows_1d(pts, y, fn["exact"]),
+                        sweep=sweep, metadata=meta, sweep_column="max_update")
 
 
 def _run_laplace(config: dict, exact_override, sweep_layers, deterministic):
-    boundary = _compile_expr(config, "boundary", ("phi",))
-    exact = _opt_exact(config, ("r", "phi"), exact_override)
+    fn = _compile_all(config, exact_override)
+    exact = fn["exact"]
     theta_n = _as_pos_int(config, "theta_n")
     layers = _as_pos_int(config, "layers")
     pairs = _queries_polar(config)
 
     started = time.perf_counter()
     schedule = _schedule(config, 1.0, default_kappa=0.5)
-    problem = DiscBoundaryProblem(boundary=boundary, theta_n=theta_n,
+    problem = DiscBoundaryProblem(boundary=fn["boundary"], theta_n=theta_n,
                                   layers=layers, schedule=schedule)
     op = build_bie(problem)
     q_est = estimate_contraction(op)
@@ -397,7 +412,8 @@ def _run_laplace(config: dict, exact_override, sweep_layers, deterministic):
         meta["runtime_seconds"] = elapsed
     return ReportBundle(kind="laplace_disc",
                         columns=("r", "phi", "value", "exact", "abs_err"),
-                        rows=rows, sweep=sweep, metadata=meta)
+                        rows=rows, sweep=sweep, metadata=meta,
+                        sweep_column="max_update")
 
 
 _RUNNERS = {
@@ -421,28 +437,28 @@ def run_config(config: dict, exact_override: Optional[Callable] = None,
     return runner(config, exact_override, sweep_layers, deterministic)
 
 
-def _apply_overrides(config: dict, args) -> dict:
-    config = dict(config)
-    kind = config.get("kind")
-    if getattr(args, "grid", None) is not None:
-        config["theta_n" if kind == "laplace_disc" else "grid_n"] = args.grid
-    if getattr(args, "layers", None) is not None:
-        config["layers"] = args.layers
-    if getattr(args, "kappa", None) is not None:
-        config["kappa"] = args.kappa
-    if getattr(args, "scheme", None) is not None:
+def _overrides(kind, args) -> dict:
+    """Config keys set by the command-line flags for a config of ``kind``."""
+    out = {}
+    if args.grid is not None:
+        out["theta_n" if kind == "laplace_disc" else "grid_n"] = args.grid
+    if args.layers is not None:
+        out["layers"] = args.layers
+    if args.kappa is not None:
+        out["kappa"] = args.kappa
+    if args.scheme is not None:
         if kind == "laplace_disc":
             raise ValidationError(
                 "--scheme does not apply to laplace_disc (fixed periodic "
                 "grid)")
-        config["grid_scheme"] = args.scheme
-    if getattr(args, "queries", None) is not None:
+        out["grid_scheme"] = args.scheme
+    if args.queries is not None:
         if kind == "laplace_disc":
             raise ValidationError(
                 "--queries override is start:stop:count and does not apply "
                 "to laplace_disc; set queries in the config")
-        config["queries"] = args.queries
-    return config
+        out["queries"] = args.queries
+    return out
 
 
 def run_example(name: str, sweep_layers: Optional[int] = None,
@@ -526,21 +542,9 @@ def run_compare_fd(nr: int, nt: int,
 
 def _selftest(stream) -> int:
     for name in example_names():
-        spec = get_example(name)
-        _check_schema(spec.config)
-        kind = spec.config["kind"]
-        params = {"linear_fie": [("kernel", ("x", "z")), ("source", ("x",))],
-                  "nonlinear_fie": [("kernel", ("x", "z")),
-                                    ("source", ("x",)),
-                                    ("nonlinearity", ("u",))],
-                  "bvp": [("g", ("x",)), ("h", ("x",))],
-                  "laplace_disc": [("boundary", ("phi",))]}[kind]
-        for key, names in params:
-            _compile_expr(spec.config, key, names)
-        if "exact" in spec.config:
-            _compile_expr(spec.config,
-                          "exact",
-                          ("r", "phi") if kind == "laplace_disc" else ("x",))
+        config = get_example(name).config
+        _check_schema(config)
+        _compile_all(config, None)
     smoke = run_config({
         "kind": "linear_fie",
         "kernel": "1/e", "source": "e^x", "domain": [0.0, 1.0],
@@ -637,7 +641,8 @@ def main(argv=None) -> int:
     out = sys.stdout
     try:
         if args.command == "solve":
-            config = _apply_overrides(_load_config(args.config_path), args)
+            config = _load_config(args.config_path)
+            config.update(_overrides(config.get("kind"), args))
             bundle = run_config(config, sweep_layers=args.sweep,
                                 deterministic=args.deterministic)
             write_report(bundle, args.format, args.out, out)
@@ -649,12 +654,10 @@ def main(argv=None) -> int:
             if not args.name:
                 raise ValidationError(
                     "example name required (or use --list)")
-            spec = get_example(args.name)
-            config = _apply_overrides(spec.config, args)
-            bundle = run_config(config, exact_override=spec.exact_fn,
-                                sweep_layers=args.sweep,
-                                deterministic=args.deterministic)
-            bundle.metadata["example"] = args.name
+            kind = get_example(args.name).config["kind"]
+            bundle = run_example(args.name, sweep_layers=args.sweep,
+                                 deterministic=args.deterministic,
+                                 overrides=_overrides(kind, args))
             write_report(bundle, args.format, args.out, out)
         elif args.command == "compare-fd":
             bundle = run_compare_fd(args.nr, args.nt,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import SingularSystemError, ValidationError
 
-__all__ = ["PolarGrid", "solve_fd", "compare_fields", "FieldStats"]
+__all__ = ["PolarGrid", "solve_fd"]
 
 # Largest (nr - 1) * nt accepted.  The solve peaks near 80 bytes per node,
 # so the cap keeps one run under about 1.3 GiB.
@@ -150,26 +150,3 @@ def solve_fd(boundary_f, nr: int, nt: int) -> PolarGrid:
     return PolarGrid(nr=nr, nt=nt, values=values, center=center,
                      boundary_values=f, iterations=0, residual=residual)
 
-
-@dataclass(frozen=True)
-class FieldStats:
-    """Elementwise comparison summary of two same-shape fields."""
-
-    max_abs: float
-    mean_abs: float
-    argmax: tuple
-
-
-def compare_fields(a, b) -> FieldStats:
-    """Exact elementwise difference statistics; shapes must match."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValidationError(
-            f"field shapes {a.shape} and {b.shape} do not match")
-    diff = np.abs(a - b)
-    flat = int(np.argmax(diff)) if diff.size else 0
-    return FieldStats(
-        max_abs=float(diff.max()) if diff.size else 0.0,
-        mean_abs=float(diff.mean()) if diff.size else 0.0,
-        argmax=tuple(np.unravel_index(flat, a.shape)) if diff.size else ())

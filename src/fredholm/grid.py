@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["Grid1D", "uniform_grid", "nearest_index"]
+__all__ = ["Grid1D", "uniform_grid"]
 
 _SCHEMES = ("left", "midpoint", "closed")
 _TOPOLOGIES = ("interval", "periodic")
@@ -76,31 +76,3 @@ def uniform_grid(a, b, n, scheme="left", topology="interval"):
     return Grid1D(a=a, b=b, n=n, scheme=scheme, topology=topology,
                   nodes=nodes, spacing=dz)
 
-
-def nearest_index(grid, x):
-    """Index of the grid node closest to x, with ties broken toward the
-    smaller index.  Returns (index, distance); on periodic grids the
-    distance wraps around the circumference."""
-    nodes = grid.nodes
-    if grid.topology == "periodic":
-        period = grid.length
-        x = grid.a + (x - grid.a) % period
-
-        def dist(i):
-            d = abs(x - nodes[i])
-            return min(d, period - d)
-    else:
-        if x < grid.a or x > grid.b:
-            raise ValidationError(
-                f"x={x} outside grid interval [{grid.a}, {grid.b}]")
-
-        def dist(i):
-            return abs(x - nodes[i])
-
-    # locate the bracketing pair, then compare; ties pick the smaller index
-    j = int(np.searchsorted(nodes, x))
-    candidates = {max(j - 1, 0), min(j, grid.n - 1)}
-    if grid.topology == "periodic":
-        candidates |= {0, grid.n - 1}   # wrap-around may win
-    best = min(sorted(candidates), key=lambda i: (dist(i), i))
-    return best, dist(best)

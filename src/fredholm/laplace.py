@@ -35,7 +35,7 @@ from .operator import DiscreteOperator, FieProblem, KMSchedule, discretize
 __all__ = [
     "DiscBoundaryProblem", "BoundaryDensity", "PotentialField",
     "polar_double_layer_kernel", "build_bie", "solve_density",
-    "boundary_project", "evaluate_potential",
+    "evaluate_potential",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -157,22 +157,6 @@ def _interp_density(density: BoundaryDensity, phi: np.ndarray) -> np.ndarray:
     th_ext = np.append(th, TWO_PI)
     mu_ext = np.append(density.values, density.values[0])
     return np.interp(phi, th_ext, mu_ext)
-
-
-def boundary_project(density: BoundaryDensity, x: float,
-                     y: float) -> Tuple[float, float]:
-    """Radial projection of a Cartesian point in the disc.
-
-    Returns (phi*, mu*): the projection angle in [0, 2 pi) and the
-    interpolated density there.  The origin projects to phi* = 0 by
-    convention; the potential is projection-independent there.
-    """
-    if x * x + y * y > 1.0 + 1e-12:
-        raise ValidationError(f"point ({x}, {y}) outside the unit disc")
-    phi = 0.0 if x == 0.0 and y == 0.0 else float(np.mod(np.arctan2(y, x),
-                                                         TWO_PI))
-    mu = float(_interp_density(density, np.asarray([phi]))[0])
-    return phi, mu
 
 
 def evaluate_potential(density: BoundaryDensity,

@@ -6,7 +6,13 @@ An M-layer network over a discrete operator (A, g) emits
     h_m = W_m h_{m-1} + kappa_m * g,    W_m = kappa_m A + (1 - kappa_m) I
 
 for m = 2..M, which is exactly M damped steps started from zero.  Weights
-and biases are assembled from the kernel matrix; nothing is trained.  A
+and biases are closed-form functions of the kernel matrix; nothing is
+trained.  They are applied implicitly as
+
+    h_m = kappa_m (A h_{m-1}) + (1 - kappa_m) h_{m-1} + kappa_m g,
+
+so W_m is never stored and the network costs one N x N block (A itself)
+whatever its depth and however many distinct relaxations it uses.  A
 final evaluation layer applies one undamped step at arbitrary points,
 
     f(x) = g(x) + sum_j K(x, z_j) h_M[j] dz,
@@ -33,7 +39,7 @@ __all__ = [
     "SolutionField", "FixedPointNet", "ErrorBudget",
     "build_network", "forward", "query", "dense_solve",
     "budget_from_operator", "error_bound", "plan_layers",
-    "km_error_estimate", "layer_sweep",
+    "km_error_estimate", "layer_sweep", "evaluation_layer",
 ]
 
 
@@ -56,10 +62,12 @@ class SolutionField:
 class FixedPointNet:
     """Explicit-weight network equivalent to M damped fixed-point steps.
 
-    Immutable after construction.  For a constant relaxation the single
-    hidden weight matrix is shared by all layers, and for kappa = 1 it is
-    the operator matrix itself, so memory stays one N x N block plus two
-    N-vectors no matter how deep the network is.
+    A validated record of the operator, the depth and the relaxation
+    schedule.  Layer m's weight W_m = kappa_m A + (1 - kappa_m) I and bias
+    kappa_m g are applied implicitly by ``forward`` and never stored, so
+    memory stays the operator's one N x N block plus a few N-vectors no
+    matter how deep the network is or how many distinct relaxations its
+    schedule holds.
     """
 
     def __init__(self, op: DiscreteOperator, layers: int, schedule: KMSchedule):
@@ -72,45 +80,6 @@ class FixedPointNet:
         self.op = op
         self.layers = int(layers)
         self.schedule = schedule
-        self._weights = {}
-        self._biases = {}
-        if schedule.is_constant():
-            self._weight_for(schedule.constant)
-
-    def _weight_for(self, kappa: float) -> np.ndarray:
-        w = self._weights.get(kappa)
-        if w is None:
-            if kappa == 1.0:
-                w = self.op.matrix
-            else:
-                w = kappa * self.op.matrix
-                idx = np.arange(self.op.n)
-                w[idx, idx] += 1.0 - kappa
-                w.setflags(write=False)
-            self._weights[kappa] = w
-        return w
-
-    def weight(self, m: int) -> np.ndarray:
-        """Hidden weight matrix of layer m (2-based; layer 1 has none)."""
-        if not 2 <= m <= self.layers:
-            raise ValidationError(f"layer {m} has no hidden weight")
-        return self._weight_for(self.schedule.at(m))
-
-    def bias(self, m: int) -> np.ndarray:
-        """Bias vector kappa_m * g of layer m (1-based)."""
-        if not 1 <= m <= self.layers:
-            raise ValidationError(f"layer {m} outside 1..{self.layers}")
-        kappa = self.schedule.at(m)
-        b = self._biases.get(kappa)
-        if b is None:
-            b = kappa * self.op.source
-            b.setflags(write=False)
-            self._biases[kappa] = b
-        return b
-
-    @property
-    def first_layer_output(self) -> np.ndarray:
-        return self.bias(1)
 
     def __repr__(self):
         return (f"FixedPointNet(n={self.op.n}, layers={self.layers}, "
@@ -126,24 +95,54 @@ def build_network(op: DiscreteOperator, layers: int,
 def forward(net: FixedPointNet, keep_history: bool = False) -> SolutionField:
     """Run all hidden layers and return the final grid iterate.
 
+    Layer m applies W_m implicitly: kappa (A h) + (1 - kappa) h + kappa g.
     Raises DivergenceError the moment any layer produces a non-finite
     value, naming the layer; that is the signature of iterating an
     expansive operator undamped.
     """
-    op = net.op
-    h = net.bias(1).copy()
-    if not np.all(np.isfinite(h)):
-        raise DivergenceError("non-finite values at layer 1")
-    history: List[np.ndarray] = [h] if keep_history else []
+    a, g = net.op.matrix, net.op.source
+    h = net.schedule.at(1) * g
+    history: List[np.ndarray] = []
     with np.errstate(all="ignore"):
-        for m in range(2, net.layers + 1):
-            h = net.weight(m) @ h + net.bias(m)
+        for m in range(1, net.layers + 1):
+            if m > 1:
+                kappa = net.schedule.at(m)
+                h = kappa * (a @ h) + (1.0 - kappa) * h + kappa * g
             if not np.all(np.isfinite(h)):
                 raise DivergenceError(f"non-finite values at layer {m}")
             if keep_history:
                 history.append(h)
-    return SolutionField(grid=op.grid, values=h,
+    return SolutionField(grid=net.op.grid, values=h,
                          history=tuple(history) if keep_history else None)
+
+
+def evaluation_layer(problem, grid: Grid1D, points: Sequence[float],
+                     values: np.ndarray) -> np.ndarray:
+    """The evaluation layer g(x) + sum_j K(x, z_j) dz values[j] at points x.
+
+    ``problem`` supplies the ``kernel`` and ``source`` callables.  Interval
+    grids reject points outside [a, b]; periodic ones wrap them.  ``values``
+    may be one grid field (N,) or a stack of fields (N, k), giving (P,) or
+    (P, k).  The result is not checked for finiteness; callers raise their
+    own error for that.
+    """
+    pts = np.asarray(points, dtype=float).ravel()
+    if grid.topology == "periodic":
+        pts = grid.a + np.mod(pts - grid.a, grid.length)
+    else:
+        bad = (pts < grid.a) | (pts > grid.b) | ~np.isfinite(pts)
+        if bad.any():
+            raise ValidationError(
+                f"query point {pts[np.argmax(bad)]!r} outside "
+                f"[{grid.a}, {grid.b}]")
+    rows = np.asarray(problem.kernel(pts[:, None], grid.nodes[None, :]),
+                      dtype=float)
+    rows = np.broadcast_to(rows, (pts.size, grid.n)) * grid.spacing
+    g_pts = np.broadcast_to(np.asarray(problem.source(pts), dtype=float),
+                            pts.shape)
+    if np.ndim(values) == 2:
+        g_pts = g_pts[:, None]
+    return g_pts + rows @ values
 
 
 def query(net: FixedPointNet, field: SolutionField,
@@ -164,22 +163,7 @@ def query(net: FixedPointNet, field: SolutionField,
         raise ValidationError(
             f"field of size {field.values.shape} does not match grid of "
             f"size {op.n}")
-    pts = np.asarray(points, dtype=float).ravel()
-    grid = op.grid
-    if grid.topology == "periodic":
-        pts = grid.a + np.mod(pts - grid.a, grid.length)
-    else:
-        bad = (pts < grid.a) | (pts > grid.b) | ~np.isfinite(pts)
-        if bad.any():
-            raise ValidationError(
-                f"query point {pts[np.argmax(bad)]!r} outside "
-                f"[{grid.a}, {grid.b}]")
-    rows = np.asarray(op.problem.kernel(pts[:, None], grid.nodes[None, :]),
-                      dtype=float)
-    rows = np.broadcast_to(rows, (pts.size, op.n)) * grid.spacing
-    g_pts = np.broadcast_to(
-        np.asarray(op.problem.source(pts), dtype=float), pts.shape)
-    out = g_pts + rows @ field.values
+    out = evaluation_layer(op.problem, op.grid, points, field.values)
     if not np.all(np.isfinite(out)):
         raise DivergenceError("non-finite value in query evaluation")
     return out
@@ -329,37 +313,23 @@ def layer_sweep(op: DiscreteOperator, schedule: KMSchedule, max_layers: int,
     For each m = 1..max_layers the m-layer iterate is composed with the
     evaluation layer at ``points`` (grid nodes by default) and compared
     with ``exact``; without an exact solution the sup-norm update
-    ||h_m - h_(m-1)|| is tabulated instead.  The iterate is built
-    incrementally, so the sweep costs one forward pass overall.
+    ||h_m - h_(m-1)|| is tabulated instead.  Every depth comes from the
+    history of one forward pass.
     """
     if max_layers < 1:
         raise ValidationError(f"max_layers {max_layers} must be >= 1")
-    net = build_network(op, max_layers, schedule)
-    if exact is not None:
-        if op.problem is None:
-            raise ValidationError(
-                "error sweep needs the continuous problem for evaluation")
+    if exact is not None and op.problem is None:
+        raise ValidationError(
+            "error sweep needs the continuous problem for evaluation")
+    field = forward(build_network(op, max_layers, schedule), keep_history=True)
+    history = np.stack(field.history, axis=1)
+    if exact is None:
+        sizes = np.max(np.abs(np.diff(history, axis=1, prepend=0.0)), axis=0)
+    else:
         pts = np.asarray(op.grid.nodes if points is None else points,
                          dtype=float).ravel()
-        rows = np.asarray(op.problem.kernel(pts[:, None],
-                                            op.grid.nodes[None, :]),
-                          dtype=float)
-        rows = np.broadcast_to(rows, (pts.size, op.n)) * op.grid.spacing
-        g_pts = np.broadcast_to(np.asarray(op.problem.source(pts), dtype=float),
-                                pts.shape)
-        target = np.asarray(exact(pts), dtype=float)
-    table: List[Tuple[int, float]] = []
-    h_prev = np.zeros(op.n)
-    h = net.bias(1).copy()
-    with np.errstate(all="ignore"):
-        for m in range(1, max_layers + 1):
-            if m > 1:
-                h_prev, h = h, net.weight(m) @ h + net.bias(m)
-            if not np.all(np.isfinite(h)):
-                raise DivergenceError(f"non-finite values at layer {m}")
-            if exact is not None:
-                vals = g_pts + rows @ h
-                table.append((m, float(np.max(np.abs(vals - target)))))
-            else:
-                table.append((m, float(np.max(np.abs(h - h_prev)))))
-    return table
+        target = np.broadcast_to(np.asarray(exact(pts), dtype=float),
+                                 pts.shape)
+        vals = evaluation_layer(op.problem, op.grid, pts, history)
+        sizes = np.max(np.abs(vals - target[:, None]), axis=0)
+    return [(m, float(size)) for m, size in enumerate(sizes, start=1)]

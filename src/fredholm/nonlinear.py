@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .grid import Grid1D
-from .network import SolutionField, build_network, forward
+from .network import (SolutionField, build_network, evaluation_layer,
+                      forward)
 from .operator import DiscreteOperator, FieProblem, KMSchedule, discretize
 
 __all__ = [
@@ -143,22 +144,11 @@ def evaluate_nonlinear(problem: NonlinearProblem, base: DiscreteOperator,
     """Evaluate the solved field off-grid through the full nonlinear map:
     u(x) = g(x) + sum_j K(x, z_j) G(f(z_j)) dz.
 
-    Interval queries must stay inside [a, b].
+    Interval queries must stay inside [a, b]; periodic grids wrap them.
     """
-    pts = np.asarray(points, dtype=float).ravel()
-    grid = base.grid
-    bad = (pts < grid.a) | (pts > grid.b) | ~np.isfinite(pts)
-    if bad.any():
-        raise ValidationError(
-            f"query point {pts[np.argmax(bad)]!r} outside [{grid.a}, {grid.b}]")
     gu = _apply_nonlinearity(problem, np.asarray(field.values, dtype=float),
                              "in off-grid evaluation")
-    rows = np.asarray(problem.kernel(pts[:, None], grid.nodes[None, :]),
-                      dtype=float)
-    rows = np.broadcast_to(rows, (pts.size, base.n)) * grid.spacing
-    g_pts = np.broadcast_to(np.asarray(problem.source(pts), dtype=float),
-                            pts.shape)
-    out = g_pts + rows @ gu
+    out = evaluation_layer(problem, base.grid, points, gu)
     if not np.all(np.isfinite(out)):
         raise DomainError("non-finite value in off-grid evaluation")
     return out

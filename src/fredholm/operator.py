@@ -27,7 +27,7 @@ from .grid import Grid1D
 
 __all__ = [
     "FieProblem", "DiscreteOperator", "KMSchedule",
-    "discretize", "apply_km_step", "estimate_contraction",
+    "discretize", "estimate_contraction",
     "residual_norm", "estimate_derivative_bound",
 ]
 
@@ -38,14 +38,13 @@ class FieProblem:
 
     ``kernel(x, z)`` and ``source(x)`` are callables that broadcast over
     numpy arrays (compiled expressions and plain numpy lambdas both
-    qualify).  ``contraction_hint`` may carry a known analytic q.
+    qualify).
     """
 
     kernel: Callable
     source: Callable
     a: float
     b: float
-    contraction_hint: Optional[float] = None
 
     def __post_init__(self):
         if not (np.isfinite(self.a) and np.isfinite(self.b) and self.a < self.b):
@@ -156,16 +155,6 @@ def discretize(problem: FieProblem, grid: Grid1D) -> DiscreteOperator:
         raise DomainError(f"non-finite source sample at node z[{i}]={z[i]!r}")
     return DiscreteOperator(grid=grid, matrix=np.ascontiguousarray(a),
                             source=g.copy(), problem=problem)
-
-
-def apply_km_step(op: DiscreteOperator, f: np.ndarray, kappa: float) -> np.ndarray:
-    """One damped fixed-point step: kappa*(g + A f) + (1-kappa)*f."""
-    if not (0.0 < kappa <= 1.0):
-        raise ValidationError(f"kappa={kappa} outside (0, 1]")
-    f = np.asarray(f, dtype=float)
-    if f.shape != (op.n,):
-        raise ValidationError(f"field shape {f.shape} != ({op.n},)")
-    return kappa * (op.source + op.matrix @ f) + (1.0 - kappa) * f
 
 
 def estimate_contraction(op: DiscreteOperator) -> float:

@@ -1,8 +1,10 @@
 """Result tables and their CSV/JSON serialization.
 
 A ReportBundle holds one solution table (query point, value, optional
-exact value and absolute error), an optional depth-sweep table and a
-metadata mapping.  Rendering is fully deterministic: floats print with 17
+exact value and absolute error), an optional depth-sweep table whose
+second column is named by what it holds (``max_err`` against an exact
+solution, ``max_update`` for the sup-norm layer update) and a metadata
+mapping.  Rendering is fully deterministic: floats print with 17
 significant digits (lossless for doubles), metadata keys are sorted, and
 missing oracle cells are left empty.
 """
@@ -27,6 +29,7 @@ class ReportBundle:
     rows: List[Tuple]
     sweep: Optional[List[Tuple[int, float]]] = None
     metadata: Dict[str, Any] = field(default_factory=dict)
+    sweep_column: str = "max_err"
 
     def max_abs_err(self) -> Optional[float]:
         """Largest abs_err cell, or None when no oracle column is filled."""
@@ -74,7 +77,7 @@ def render_csv(bundle: ReportBundle) -> str:
         lines.append(",".join(_fmt(v) for v in row))
     if bundle.sweep is not None:
         lines.append("")
-        lines.append("layers,max_err")
+        lines.append(f"layers,{bundle.sweep_column}")
         for m, err in bundle.sweep:
             lines.append(f"{_fmt(int(m))},{_fmt(float(err))}")
     return "\n".join(lines) + "\n"
@@ -107,7 +110,7 @@ def render_json(bundle: ReportBundle) -> str:
             "rows": [[_jsonable(v) for v in row] for row in bundle.rows],
         },
         "sweep": None if bundle.sweep is None else {
-            "columns": ["layers", "max_err"],
+            "columns": ["layers", bundle.sweep_column],
             "rows": [[int(m), float(e)] for m, e in bundle.sweep],
         },
     }

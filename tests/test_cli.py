@@ -9,7 +9,12 @@ import pytest
 
 from fredholm.cli import main, run_compare_fd, run_config, run_example
 from fredholm.errors import ValidationError
-from fredholm.registry import example_names
+from fredholm.exprlang import compile_fn, parse
+from fredholm.grid import uniform_grid
+from fredholm.network import layer_sweep
+from fredholm.nonlinear import NonlinearProblem, solve_nonlinear
+from fredholm.operator import DiscreteOperator, KMSchedule, discretize
+from fredholm.registry import example_names, get_example
 
 LINEAR_CONFIG = {
     "kind": "linear_fie",
@@ -227,6 +232,40 @@ def test_main_sweep_flag(tmp_path, capsys):
     assert main(["solve", path, "--sweep", "5"]) == 0
     out = capsys.readouterr().out
     assert "layers,max_err" in out
+
+
+def test_sweep_column_names_what_it_holds(capsys):
+    # ex1 has an oracle, so its sweep holds errors; nl2's holds update norms
+    assert main(["example", "ex1", "--sweep", "3", "--deterministic"]) == 0
+    assert "\nlayers,max_err\n" in capsys.readouterr().out
+    assert main(["example", "nl2", "--sweep", "3", "--deterministic"]) == 0
+    out = capsys.readouterr().out
+    assert "\nlayers,max_update\n" in out and "max_err" not in out
+    assert main(["example", "nl2", "--sweep", "3", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["sweep"]["columns"] == ["layers", "max_update"]
+
+
+def test_nonlinear_sweep_runs_last_outer_pass():
+    bundle = run_example("nl2", sweep_layers=4)
+    spec = get_example("nl2").config
+
+    def fn(key, params):
+        return compile_fn(parse(spec[key]), params)
+
+    problem = NonlinearProblem(kernel=fn("kernel", ("x", "z")),
+                               source=fn("source", ("x",)),
+                               nonlinearity=fn("nonlinearity", ("u",)),
+                               a=spec["domain"][0], b=spec["domain"][1])
+    grid = uniform_grid(*spec["domain"], spec["grid_n"])
+    schedule = KMSchedule(spec.get("kappa", 1.0), contractive=True)
+    _, trace = solve_nonlinear(problem, grid, spec["layers"], schedule,
+                               spec["outer_iterations"])
+    base = discretize(problem.linear_problem(), grid)
+    last = DiscreteOperator(grid=grid, matrix=base.matrix,
+                            source=trace.sources[-1])
+    assert bundle.sweep == layer_sweep(last, schedule, 4)
+    assert bundle.sweep != layer_sweep(base, schedule, 4)
 
 
 def test_main_compare_fd_small(capsys):

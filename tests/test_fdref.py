@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 from fredholm import fd
 from fredholm.cli import main
 from fredholm.errors import ValidationError
-from fredholm.fd import MAX_NODES, FieldStats, compare_fields, solve_fd
+from fredholm.fd import MAX_NODES, solve_fd
 
 
 def _cos2(t):
@@ -190,22 +190,6 @@ def test_oversized_grid_refused_before_data_is_evaluated(capsys):
 def test_non_finite_boundary_rejected():
     with pytest.raises(ValidationError):
         solve_fd(lambda t: np.where(t == 0.0, np.inf, 1.0), 16, 16)
-
-
-def test_compare_fields_stats():
-    a = np.zeros((3, 4))
-    b = np.zeros((3, 4))
-    b[1, 2] = 0.5
-    stats = compare_fields(a, b)
-    assert stats == FieldStats(max_abs=0.5, mean_abs=0.5 / 12.0,
-                               argmax=(1, 2))
-    same = compare_fields(a, a)
-    assert same.max_abs == 0.0 and same.mean_abs == 0.0
-
-
-def test_compare_fields_shape_mismatch():
-    with pytest.raises(ValidationError):
-        compare_fields(np.zeros(3), np.zeros(4))
 
 
 def test_solution_arrays_read_only():

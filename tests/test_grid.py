@@ -1,4 +1,4 @@
-"""Quadrature grids: node placement, validation, nearest-node lookup."""
+"""Quadrature grids: node placement and validation."""
 
 import math
 
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fredholm.errors import ValidationError
-from fredholm.grid import nearest_index, uniform_grid
+from fredholm.grid import uniform_grid
 
 
 def test_left_scheme_nodes():
@@ -58,43 +58,6 @@ def test_nodes_are_read_only():
         g.nodes[0] = 5.0
 
 
-def test_nearest_index_interval():
-    g = uniform_grid(0.0, 1.0, 4, scheme="left")
-    idx, dist = nearest_index(g, 0.3)
-    assert idx == 1 and dist == pytest.approx(0.05)
-    idx, dist = nearest_index(g, 0.25)
-    assert idx == 1 and dist == 0.0
-    # tie exactly between nodes 0 and 1 resolves to the smaller index
-    idx, dist = nearest_index(g, 0.125)
-    assert idx == 0 and dist == pytest.approx(0.125)
-    # past the last left node but inside [a, b]
-    idx, _ = nearest_index(g, 1.0)
-    assert idx == 3
-
-
-def test_nearest_index_rejects_outside_interval():
-    g = uniform_grid(0.0, 1.0, 4)
-    with pytest.raises(ValidationError):
-        nearest_index(g, 1.5)
-    with pytest.raises(ValidationError):
-        nearest_index(g, -0.1)
-
-
-def test_nearest_index_periodic_wrap():
-    g = uniform_grid(0.0, 2.0 * math.pi, 8, scheme="left", topology="periodic")
-    idx, dist = nearest_index(g, 2.0 * math.pi - 0.01)
-    assert idx == 0 and dist == pytest.approx(0.01)
-    idx, dist = nearest_index(g, -math.pi / 4.0)
-    assert idx == 7 and dist == pytest.approx(0.0, abs=1e-12)
-
-
-def test_nearest_index_periodic_tie():
-    g = uniform_grid(0.0, 1.0, 2, scheme="left", topology="periodic")
-    # x = 0.75 is 0.25 from node 1 and 0.25 from node 0 across the wrap
-    idx, dist = nearest_index(g, 0.75)
-    assert idx == 0 and dist == pytest.approx(0.25)
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.floats(-10.0, 10.0), st.floats(0.1, 10.0), st.integers(1, 400),
        st.sampled_from(["left", "midpoint"]))
@@ -107,13 +70,3 @@ def test_uniform_spacing_property(a, width, n, scheme):
         assert np.allclose(np.diff(g.nodes), g.spacing, rtol=1e-9, atol=1e-15)
     assert math.isclose(g.spacing * n, width, rel_tol=1e-9)
 
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(2, 50), st.floats(0.0, 1.0))
-def test_nearest_index_is_argmin(n, x):
-    g = uniform_grid(0.0, 1.0, n, scheme="left")
-    idx, dist = nearest_index(g, x)
-    dists = np.abs(g.nodes - x)
-    assert math.isclose(dist, float(dists.min()), abs_tol=1e-15)
-    # np.argmin picks the first minimum, matching the tie convention
-    assert idx == int(np.argmin(dists))

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from fredholm.errors import DomainError, ValidationError
-from fredholm.laplace import (BoundaryDensity, DiscBoundaryProblem,
-                              boundary_project, build_bie,
+from fredholm.laplace import (BoundaryDensity, DiscBoundaryProblem, build_bie,
                               evaluate_potential, polar_double_layer_kernel,
                               solve_density)
 from fredholm.network import build_network, forward
@@ -161,35 +160,6 @@ def test_potential_is_harmonic_probe():
         lap = (u_at(x + h, y) + u_at(x - h, y) + u_at(x, y + h)
                + u_at(x, y - h) - 4.0 * u_at(x, y)) / h ** 2
         assert abs(lap) < 1e-8
-
-
-def test_boundary_project_on_node_and_midway():
-    grid_problem = DiscBoundaryProblem(boundary=lambda t: np.ones(np.shape(t)),
-                                       theta_n=4, layers=1,
-                                       schedule=KMSchedule(0.5))
-    den = BoundaryDensity(grid=grid_problem.grid,
-                          values=np.array([0.0, 1.0, 2.0, 3.0]))
-    phi, mu = boundary_project(den, 0.5, 0.0)
-    assert phi == 0.0 and mu == 0.0
-    phi, mu = boundary_project(den, 0.5, 0.5)
-    assert phi == pytest.approx(math.pi / 4.0, rel=1e-15)
-    assert mu == pytest.approx(0.5, rel=1e-12)
-    # wrap-around segment between the last node and 2 pi
-    phi, mu = boundary_project(den, math.cos(15.0 * math.pi / 8.0),
-                               math.sin(15.0 * math.pi / 8.0))
-    assert mu == pytest.approx(0.75, rel=1e-9)
-
-
-def test_boundary_project_origin_and_outside():
-    den = BoundaryDensity(
-        grid=DiscBoundaryProblem(boundary=lambda t: np.ones(np.shape(t)),
-                                 theta_n=8, layers=1,
-                                 schedule=KMSchedule(0.5)).grid,
-        values=np.arange(8.0))
-    phi, mu = boundary_project(den, 0.0, 0.0)
-    assert phi == 0.0 and mu == 0.0
-    with pytest.raises(ValidationError):
-        boundary_project(den, 1.2, 0.0)
 
 
 def test_evaluate_potential_validation():

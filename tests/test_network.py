@@ -1,6 +1,7 @@
 """Layered network assembly, forward equivalence, budgets and planning."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,53 +14,22 @@ from fredholm.network import (ErrorBudget, budget_from_operator, build_network,
                               km_error_estimate, layer_sweep, plan_layers,
                               query)
 from fredholm.operator import (DiscreteOperator, FieProblem, KMSchedule,
-                               apply_km_step, discretize, estimate_contraction)
+                               discretize, estimate_contraction)
+
+
+def _km_step(op, f, kappa):
+    return kappa * (op.source + op.matrix @ f) + (1.0 - kappa) * f
 
 
 def _iterate(op, schedule, layers):
     h = schedule.at(1) * op.source
     for m in range(2, layers + 1):
-        h = apply_km_step(op, h, schedule.at(m))
+        h = _km_step(op, h, schedule.at(m))
     return h
 
 
 # ---------------------------------------------------------------------------
 # assembly
-
-def test_undamped_weight_shares_operator_matrix(const_kernel_factory):
-    op = const_kernel_factory(n=32, scheme="left")
-    net = build_network(op, 5, KMSchedule(1.0, contractive=True))
-    assert net.weight(2) is op.matrix
-    assert net.weight(5) is op.matrix
-    assert np.array_equal(net.bias(3), op.source)
-    assert np.array_equal(net.first_layer_output, op.source)
-
-
-def test_damped_weight_is_relaxed_matrix(const_kernel_factory):
-    op = const_kernel_factory(n=16, scheme="left")
-    kappa = 0.7
-    net = build_network(op, 4, KMSchedule(kappa))
-    w = net.weight(2)
-    assert w is net.weight(4)
-    expected = kappa * op.matrix + (1.0 - kappa) * np.eye(op.n)
-    assert np.allclose(w, expected, rtol=0, atol=1e-15)
-    assert np.array_equal(net.bias(2), kappa * op.source)
-    with pytest.raises(ValueError):
-        w[0, 0] = 0.0
-
-
-def test_layer_indexing_contract(const_kernel_factory):
-    op = const_kernel_factory(n=8, scheme="left")
-    net = build_network(op, 3, KMSchedule(0.5))
-    with pytest.raises(ValidationError):
-        net.weight(1)
-    with pytest.raises(ValidationError):
-        net.weight(4)
-    with pytest.raises(ValidationError):
-        net.bias(0)
-    with pytest.raises(ValidationError):
-        net.bias(4)
-
 
 def test_network_rejects_bad_depth(const_kernel_factory):
     op = const_kernel_factory(n=8, scheme="left")
@@ -121,6 +91,20 @@ def test_forward_update_sizes_contract(const_kernel_factory):
         assert b <= q * a * (1.0 + 1e-9)
 
 
+def test_forward_never_stores_a_weight_matrix(separable_kernel_factory):
+    # 15 distinct relaxations would mean 14 N x N weights if W_m were built
+    op = separable_kernel_factory(n=2000)
+    schedule = KMSchedule(list(np.linspace(0.5, 0.95, 15)))
+    net = build_network(op, 15, schedule)
+    tracemalloc.start()
+    try:
+        forward(net)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < op.matrix.nbytes
+
+
 def test_forward_divergence_names_layer():
     problem = FieProblem(kernel=lambda x, z: 1e8, source=lambda x: 1.0,
                          a=0.0, b=1.0)
@@ -150,7 +134,7 @@ def test_query_at_nodes_is_one_extra_step(const_kernel_factory):
     field = forward(net)
     # fresh kernel rows at the nodes rebuild the matrix rows bit for bit
     assert np.array_equal(query(net, field, op.grid.nodes),
-                          apply_km_step(op, field.values, 1.0))
+                          _km_step(op, field.values, 1.0))
 
 
 def test_query_accuracy_const_kernel(const_kernel_factory):

@@ -8,10 +8,9 @@ import pytest
 from fredholm.errors import DomainError, ValidationError
 from fredholm.grid import uniform_grid
 from fredholm.operator import (DiscreteOperator, FieProblem, KMSchedule,
-                               apply_km_step, discretize,
-                               estimate_contraction,
+                               discretize, estimate_contraction,
                                estimate_derivative_bound, residual_norm)
-from fredholm.network import dense_solve
+from fredholm.network import build_network, dense_solve, forward
 
 
 def _two_node_op():
@@ -19,6 +18,10 @@ def _two_node_op():
     return DiscreteOperator(grid=grid,
                             matrix=np.array([[0.1, 0.2], [0.3, 0.4]]),
                             source=np.array([1.0, 1.0]))
+
+
+def _km_step(op, f, kappa):
+    return kappa * (op.source + op.matrix @ f) + (1.0 - kappa) * f
 
 
 def test_constant_kernel_entries_are_weighted_samples(const_kernel_factory):
@@ -44,7 +47,7 @@ def test_zero_kernel_step_returns_source():
     op = discretize(problem, uniform_grid(0.0, 2.0, 20))
     assert np.all(op.matrix == 0.0)
     f = np.linspace(-1.0, 1.0, 20)
-    assert np.allclose(apply_km_step(op, f, 1.0), op.source, rtol=0, atol=0)
+    assert np.allclose(_km_step(op, f, 1.0), op.source, rtol=0, atol=0)
 
 
 def test_discretize_reports_bad_source_node():
@@ -66,27 +69,18 @@ def test_discretize_reports_bad_kernel_pair():
 
 
 def test_km_step_two_node_damped():
+    # layer 1 gives g = (1, 1); the damped layer 2 is one KM step from it
     op = _two_node_op()
-    out = apply_km_step(op, np.array([1.0, 1.0]), 0.5)
+    out = forward(build_network(op, 2, KMSchedule([1.0, 0.5]))).values
     assert np.allclose(out, [1.15, 1.35], rtol=0, atol=1e-14)
 
 
 def test_km_step_undamped_is_plain_iteration():
     op = _two_node_op()
-    f = np.array([2.0, -1.0])
-    assert np.array_equal(apply_km_step(op, f, 1.0),
-                          op.source + op.matrix @ f)
-
-
-@pytest.mark.parametrize("kappa", [0.0, -0.5, 1.5, float("nan")])
-def test_km_step_rejects_bad_kappa(kappa):
-    with pytest.raises(ValidationError):
-        apply_km_step(_two_node_op(), np.array([1.0, 1.0]), kappa)
-
-
-def test_km_step_rejects_bad_shape():
-    with pytest.raises(ValidationError):
-        apply_km_step(_two_node_op(), np.array([1.0, 1.0, 1.0]), 1.0)
+    net = build_network(op, 3, KMSchedule(1.0, contractive=True))
+    h = forward(net, keep_history=True).history
+    for prev, cur in zip(h, h[1:]):
+        assert np.array_equal(cur, op.source + op.matrix @ prev)
 
 
 def test_contraction_estimate_const_kernel(const_kernel_factory):
@@ -164,7 +158,7 @@ def test_dense_fixed_point_is_km_idempotent(const_kernel_factory):
     field, _ = dense_solve(op)
     scale = float(np.max(np.abs(field.values)))
     for kappa in (1.0, 0.3):
-        stepped = apply_km_step(op, field.values, kappa)
+        stepped = _km_step(op, field.values, kappa)
         assert np.max(np.abs(stepped - field.values)) <= 1e-12 * scale
 
 
@@ -177,8 +171,8 @@ def test_km_step_is_lipschitz_with_estimated_constant(const_kernel_factory):
         f2 = rng.normal(size=op.n)
         for kappa in (1.0, 0.5):
             lip = kappa * q + (1.0 - kappa)
-            lhs = np.max(np.abs(apply_km_step(op, f1, kappa)
-                                - apply_km_step(op, f2, kappa)))
+            lhs = np.max(np.abs(_km_step(op, f1, kappa)
+                                - _km_step(op, f2, kappa)))
             rhs = lip * np.max(np.abs(f1 - f2))
             assert lhs <= rhs * (1.0 + 1e-12) + 1e-15
 
