@@ -12,7 +12,8 @@ import argparse
 import json
 import sys
 import time
-from typing import Callable, Dict, Optional
+from dataclasses import replace
+from typing import Callable, Dict, NamedTuple, Optional
 
 import numpy as np
 
@@ -33,38 +34,14 @@ from .fd import solve_fd
 
 __all__ = ["main", "run_config", "run_example", "run_compare_fd"]
 
-# Per kind: config keys, then each expression key with its parameters
-# (compiled in this order) and the parameters of the optional "exact".
-_KINDS = {
-    "linear_fie": {
-        "required": {"kernel", "source", "domain", "grid_n", "layers"},
-        "optional": {"grid_scheme", "kappa", "queries", "exact"},
-        "exprs": (("kernel", ("x", "z")), ("source", ("x",))),
-        "exact": ("x",),
-    },
-    "nonlinear_fie": {
-        "required": {"kernel", "source", "nonlinearity", "domain", "grid_n",
-                     "layers", "outer_iterations"},
-        "optional": {"grid_scheme", "kappa", "queries", "exact"},
-        "exprs": (("kernel", ("x", "z")), ("source", ("x",)),
-                  ("nonlinearity", ("u",))),
-        "exact": ("x",),
-    },
-    "bvp": {
-        "required": {"g", "h", "alpha", "beta", "grid_n", "layers"},
-        "optional": {"grid_scheme", "kappa", "queries", "exact"},
-        "exprs": (("g", ("x",)), ("h", ("x",))),
-        "exact": ("x",),
-    },
-    "laplace_disc": {
-        "required": {"boundary", "theta_n", "layers"},
-        "optional": {"kappa", "queries", "exact"},
-        "exprs": (("boundary", ("phi",)),),
-        "exact": ("r", "phi"),
-    },
-}
-
 _DEFAULT_POLAR_QUERIES = {"r": "0:1:11", "phi": f"0:{2.0 * np.pi!r}:17"}
+
+# Cap on the dense cells of one run: N^2 for the kernel matrix, P * N for
+# the evaluation rows at P query points and S * max(N, P) for a sweep of
+# depth S.  A cell peaks at about four doubles under tracemalloc (ex1/ex2
+# hold four N x N blocks in estimate_derivative_bound, laplace_disc four
+# P x N blocks in evaluate_potential): a ~1.5 GiB budget, N <= 7071.
+_MAX_CELLS = 50_000_000
 
 
 def _fail(key: str, reason: str):
@@ -74,9 +51,7 @@ def _fail(key: str, reason: str):
 def _check_schema(config: dict):
     kind = config.get("kind")
     if kind not in _KINDS:
-        raise ValidationError(
-            f"config key 'kind': must be one of {sorted(_KINDS)}, "
-            f"got {kind!r}")
+        _fail("kind", f"must be one of {sorted(_KINDS)}, got {kind!r}")
     spec = _KINDS[kind]
     keys = set(config) - {"kind"}
     missing = spec["required"] - keys
@@ -118,9 +93,13 @@ def _compile_all(config: dict,
     return fns
 
 
+def _is_number(v) -> bool:
+    return not isinstance(v, bool) and isinstance(v, (int, float))
+
+
 def _as_float(config: dict, key: str) -> float:
     v = config[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if not _is_number(v):
         _fail(key, f"must be a number, got {v!r}")
     if not np.isfinite(v):
         _fail(key, f"must be finite, got {v!r}")
@@ -137,8 +116,7 @@ def _as_pos_int(config: dict, key: str) -> int:
 def _domain(config: dict):
     dom = config["domain"]
     if (not isinstance(dom, (list, tuple)) or len(dom) != 2
-            or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                   for v in dom)):
+            or not all(map(_is_number, dom))):
         _fail("domain", f"must be a [a, b] number pair, got {dom!r}")
     a, b = float(dom[0]), float(dom[1])
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
@@ -146,7 +124,8 @@ def _domain(config: dict):
     return a, b
 
 
-def _parse_linspace(text: str, key: str) -> np.ndarray:
+def _parse_linspace(text: str, key: str):
+    """(start, stop, count) of a start:stop:count range, validated."""
     parts = text.split(":")
     if len(parts) != 3:
         _fail(key, f"range {text!r} must look like start:stop:count")
@@ -156,285 +135,276 @@ def _parse_linspace(text: str, key: str) -> np.ndarray:
         _fail(key, f"cannot parse range {text!r}")
     if not (np.isfinite(a) and np.isfinite(b)) or a > b or n < 1:
         _fail(key, f"range {text!r} needs finite start <= stop and count >= 1")
-    return np.linspace(a, b, n)
+    return a, b, n
 
 
-def _queries_1d(config: dict, a: float, b: float) -> np.ndarray:
+def _queries_1d(config: dict):
+    """Query count, then a maker of the points on the grid's [a, b]; the
+    footprint guard sees the count before anything is allocated."""
     q = config.get("queries")
     if q is None:
-        return np.linspace(a, b, 101)
+        return 101, lambda grid: np.linspace(grid.a, grid.b, 101)
     if isinstance(q, str):
-        return _parse_linspace(q, "queries")
+        a, b, count = _parse_linspace(q, "queries")
+        return count, lambda grid: np.linspace(a, b, count)
     if isinstance(q, (list, tuple)):
-        try:
-            return np.asarray([float(v) for v in q])
-        except (TypeError, ValueError):
-            _fail("queries", f"list entries must be numbers, got {q!r}")
+        if not q or not all(map(_is_number, q)):
+            _fail("queries", f"list must hold one or more numbers, got {q!r}")
+        return len(q), lambda grid: np.asarray([float(v) for v in q])
     _fail("queries", f"must be a start:stop:count string or a number list, "
                      f"got {q!r}")
 
 
-def _queries_polar(config: dict) -> np.ndarray:
+def _queries_polar(config: dict):
+    """Query count, then a maker of the (r, phi) pairs."""
     q = config.get("queries", _DEFAULT_POLAR_QUERIES)
     if isinstance(q, dict):
-        unknown = set(q) - {"r", "phi"}
-        if unknown or set(q) != {"r", "phi"}:
+        if set(q) != {"r", "phi"}:
             _fail("queries", "polar lattice needs exactly the keys r and phi")
         if not isinstance(q["r"], str) or not isinstance(q["phi"], str):
             _fail("queries", "lattice ranges must be start:stop:count strings")
         rs = _parse_linspace(q["r"], "queries.r")
         phis = _parse_linspace(q["phi"], "queries.phi")
-        return np.asarray([(r, p) for r in rs for p in phis])
+        return rs[2] * phis[2], lambda grid: np.asarray(
+            [(r, p) for r in np.linspace(*rs) for p in np.linspace(*phis)])
     if isinstance(q, (list, tuple)):
+        if not q:
+            _fail("queries", "pair list must not be empty")
         pairs = []
         for item in q:
             if (not isinstance(item, (list, tuple)) or len(item) != 2
-                    or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                           for v in item)):
+                    or not all(map(_is_number, item))):
                 _fail("queries", f"entries must be [r, phi] pairs, got {item!r}")
             pairs.append((float(item[0]), float(item[1])))
-        return np.asarray(pairs)
+        return len(pairs), lambda grid: np.asarray(pairs)
     _fail("queries", f"must be an r/phi lattice or a pair list, got {q!r}")
 
 
-def _schedule(config: dict, q_est: float, default_kappa: float) -> KMSchedule:
+def _schedule(config: dict, contractive: bool,
+              default_kappa: float) -> KMSchedule:
     kappa = config.get("kappa", default_kappa)
     if isinstance(kappa, (list, tuple)):
-        if any(isinstance(v, bool) or not isinstance(v, (int, float))
-               for v in kappa):
+        if not all(map(_is_number, kappa)):
             _fail("kappa", f"sequence entries must be numbers, got {kappa!r}")
         values = [float(v) for v in kappa]
-    elif isinstance(kappa, bool) or not isinstance(kappa, (int, float)):
+    elif not _is_number(kappa):
         _fail("kappa", f"must be a number or number list, got {kappa!r}")
     else:
         values = float(kappa)
     try:
-        return KMSchedule(values, contractive=q_est < 1.0)
+        return KMSchedule(values, contractive=contractive)
     except ValidationError as exc:
         _fail("kappa", str(exc))
 
 
-def _rows_1d(pts: np.ndarray, vals: np.ndarray,
-             exact: Optional[Callable]):
-    if exact is None:
-        return [(float(x), float(v), None, None)
-                for x, v in zip(pts, vals)]
-    ex = np.broadcast_to(np.asarray(exact(pts), dtype=float), pts.shape)
-    return [(float(x), float(v), float(e), float(abs(v - e)))
-            for x, v, e in zip(pts, vals, ex)]
+def _rows(points, values, exact=None):
+    """Solution rows (point..., value, exact, abs_err) from the point
+    columns; without exact values the last two cells are None."""
+    exact = [None] * len(values) if exact is None else map(float, exact)
+    return [(*map(float, p), v, e, None if e is None else abs(v - e))
+            for *p, v, e in zip(*points, map(float, values), exact)]
 
 
-def _base_metadata(config: dict, deterministic: bool) -> dict:
-    return {
-        "config": config,
-        "deterministic": bool(deterministic),
-        "runtime_seconds": None,
-    }
+class _Setup(NamedTuple):
+    """A kind's part of the pipeline, built by its ``_KINDS`` entry."""
+
+    op: DiscreteOperator  # what the hidden layers iterate
+    q_est: float
+    contractive: bool     # whether kappa = 1 makes a valid KM schedule
+    readout: Callable     # (net, field, points) -> (columns, values, meta)
+    solve: Optional[Callable] = None  # replaces forward: -> (field, sweep op)
+    oracle: bool = False  # the sweep measures errors against "exact"
 
 
-def _run_linear(config: dict, exact_override, sweep_layers, deterministic):
+def _grid(config: dict, a: float, b: float, n: int):
+    return uniform_grid(a, b, n, scheme=config.get("grid_scheme", "left"))
+
+
+def _linear_fie(config, fn, n) -> _Setup:
     a, b = _domain(config)
-    fn = _compile_all(config, exact_override)
-    exact = fn["exact"]
-    n = _as_pos_int(config, "grid_n")
-    layers = _as_pos_int(config, "layers")
-    scheme = config.get("grid_scheme", "left")
-    pts = _queries_1d(config, a, b)
-
-    started = time.perf_counter()
-    grid = uniform_grid(a, b, n, scheme=scheme)
     problem = FieProblem(kernel=fn["kernel"], source=fn["source"], a=a, b=b)
-    op = discretize(problem, grid)
+    op = discretize(problem, _grid(config, a, b, n))
     budget = budget_from_operator(op)
-    q_est = budget.q
-    schedule = _schedule(config, q_est, default_kappa=1.0)
-    net = build_network(op, layers, schedule)
-    field = forward(net)
-    vals = query(net, field, pts)
-    contractive = q_est < 1.0
-    sweep = (layer_sweep(op, schedule, sweep_layers, exact, pts)
-             if sweep_layers else None)
-    elapsed = time.perf_counter() - started
+    contractive = budget.q < 1.0
 
-    meta = _base_metadata(config, deterministic)
-    meta.update({
-        "grid_n": n, "scheme": scheme, "layers": layers,
-        "grid_iterations": layers - 1,
-        "kappa": config.get("kappa", 1.0),
-        "km_schedule_valid": schedule.valid_km,
-        "q_est": q_est,
-        "residual": budget.residual,
-        "derivative_bound": budget.derivative_bound,
-        "error_bound": error_bound(budget, layers) if contractive else None,
-        "km_estimate": (km_error_estimate(budget, schedule, layers)
-                        if contractive else None),
-    })
-    if not deterministic:
-        meta["runtime_seconds"] = elapsed
-    return ReportBundle(kind="linear_fie",
-                        columns=("x", "value", "exact", "abs_err"),
-                        rows=_rows_1d(pts, vals, exact),
-                        sweep=sweep, metadata=meta,
-                        sweep_column="max_update" if exact is None
-                        else "max_err")
+    def readout(net, field, pts):
+        return (pts,), query(net, field, pts), {
+            "residual": budget.residual,
+            "derivative_bound": budget.derivative_bound,
+            "error_bound": (error_bound(budget, net.layers) if contractive
+                            else None),
+            "km_estimate": (km_error_estimate(budget, net.schedule,
+                                              net.layers)
+                            if contractive else None),
+        }
+
+    return _Setup(op, budget.q, contractive, readout, oracle=True)
 
 
-def _run_nonlinear(config: dict, exact_override, sweep_layers, deterministic):
+def _nonlinear_fie(config, fn, n) -> _Setup:
     a, b = _domain(config)
-    fn = _compile_all(config, exact_override)
-    n = _as_pos_int(config, "grid_n")
-    layers = _as_pos_int(config, "layers")
     outer = _as_pos_int(config, "outer_iterations")
-    scheme = config.get("grid_scheme", "left")
-    pts = _queries_1d(config, a, b)
-
-    started = time.perf_counter()
-    grid = uniform_grid(a, b, n, scheme=scheme)
     problem = NonlinearProblem(kernel=fn["kernel"], source=fn["source"],
                                nonlinearity=fn["nonlinearity"], a=a, b=b)
-    base = discretize(problem.linear_problem(), grid)
+    base = discretize(problem.linear_problem(), _grid(config, a, b, n))
     q_est = estimate_contraction(base)
-    schedule = _schedule(config, q_est, default_kappa=1.0)
-    field, trace = solve_nonlinear(problem, grid, layers, schedule, outer)
-    vals = evaluate_nonlinear(problem, base, field, pts)
-    # the sweep runs the last outer pass's linear operator
-    last = DiscreteOperator(grid=grid, matrix=base.matrix,
-                            source=trace.sources[-1], problem=base.problem)
-    sweep = (layer_sweep(last, schedule, sweep_layers)
-             if sweep_layers else None)
-    elapsed = time.perf_counter() - started
+    deltas = []
 
-    meta = _base_metadata(config, deterministic)
-    meta.update({
-        "grid_n": n, "scheme": scheme, "layers": layers,
-        "grid_iterations": layers - 1,
-        "kappa": config.get("kappa", 1.0),
-        "km_schedule_valid": schedule.valid_km,
-        "q_est": q_est,
-        "outer_iterations": outer,
-        "outer_deltas": [float(d) for d in trace.deltas],
-        "final_delta": float(trace.deltas[-1]) if trace.deltas else None,
-    })
-    if not deterministic:
-        meta["runtime_seconds"] = elapsed
-    return ReportBundle(kind="nonlinear_fie",
-                        columns=("x", "value", "exact", "abs_err"),
-                        rows=_rows_1d(pts, vals, fn["exact"]),
-                        sweep=sweep, metadata=meta, sweep_column="max_update")
+    def solve(net):
+        field, trace = solve_nonlinear(problem, base, net.layers,
+                                       net.schedule, outer)
+        deltas.extend(float(d) for d in trace.deltas)
+        # the sweep runs the last outer pass's linear operator
+        return field, replace(base, source=trace.sources[-1])
+
+    def readout(net, field, pts):
+        return (pts,), evaluate_nonlinear(problem, base, field, pts), {
+            "outer_iterations": outer,
+            "outer_deltas": deltas,
+            "final_delta": deltas[-1] if deltas else None,
+        }
+
+    return _Setup(base, q_est, q_est < 1.0, readout, solve=solve)
 
 
-def _run_bvp(config: dict, exact_override, sweep_layers, deterministic):
-    fn = _compile_all(config, exact_override)
+def _bvp(config, fn, n) -> _Setup:
     alpha = _as_float(config, "alpha")
     beta = _as_float(config, "beta")
-    n = _as_pos_int(config, "grid_n")
-    layers = _as_pos_int(config, "layers")
-    scheme = config.get("grid_scheme", "left")
-    pts = _queries_1d(config, 0.0, 1.0)
-
-    started = time.perf_counter()
     spec = BvpSpec(g=fn["g"], h=fn["h"], alpha=alpha, beta=beta)
-    fie = bvp_to_fie(spec)
-    grid = uniform_grid(0.0, 1.0, n, scheme=scheme)
-    op = discretize(fie, grid)
+    op = discretize(bvp_to_fie(spec), _grid(config, 0.0, 1.0, n))
     q_est = estimate_contraction(op)
-    schedule = _schedule(config, q_est, default_kappa=1.0)
-    net = build_network(op, layers, schedule)
-    field = forward(net)
-    y = recover_solution(net, field, spec, pts)
-    try:
-        residual = ode_residual(spec, pts, y)
-    except ValidationError:
-        residual = None
-    sweep = (layer_sweep(op, schedule, sweep_layers)
-             if sweep_layers else None)
-    elapsed = time.perf_counter() - started
 
-    meta = _base_metadata(config, deterministic)
-    meta.update({
-        "grid_n": n, "scheme": scheme, "layers": layers,
-        "grid_iterations": layers - 1,
-        "kappa": config.get("kappa", 1.0),
-        "km_schedule_valid": schedule.valid_km,
-        "q_est": q_est,
-        "contraction_warning": (None if q_est < 1.0 else
-                                f"q_est={q_est:.6g} >= 1; no a priori bound"),
-        "ode_residual": residual,
-        "alpha": alpha, "beta": beta,
-    })
-    if not deterministic:
-        meta["runtime_seconds"] = elapsed
-    return ReportBundle(kind="bvp",
-                        columns=("x", "value", "exact", "abs_err"),
-                        rows=_rows_1d(pts, y, fn["exact"]),
-                        sweep=sweep, metadata=meta, sweep_column="max_update")
+    def readout(net, field, pts):
+        y = recover_solution(net, field, spec, pts)
+        try:
+            residual = ode_residual(spec, pts, y)
+        except ValidationError:
+            residual = None
+        return (pts,), y, {
+            "contraction_warning": (
+                None if q_est < 1.0 else
+                f"q_est={q_est:.6g} >= 1; no a priori bound"),
+            "ode_residual": residual,
+            "alpha": alpha, "beta": beta,
+        }
+
+    return _Setup(op, q_est, q_est < 1.0, readout)
 
 
-def _run_laplace(config: dict, exact_override, sweep_layers, deterministic):
-    fn = _compile_all(config, exact_override)
-    exact = fn["exact"]
-    theta_n = _as_pos_int(config, "theta_n")
-    layers = _as_pos_int(config, "layers")
-    pairs = _queries_polar(config)
+def _laplace_disc(config, fn, n) -> _Setup:
+    op = build_bie(DiscBoundaryProblem(boundary=fn["boundary"], theta_n=n))
 
-    started = time.perf_counter()
-    schedule = _schedule(config, 1.0, default_kappa=0.5)
-    problem = DiscBoundaryProblem(boundary=fn["boundary"], theta_n=theta_n,
-                                  layers=layers, schedule=schedule)
-    op = build_bie(problem)
-    q_est = estimate_contraction(op)
-    net = build_network(op, layers, schedule)
-    field = forward(net)
-    density = BoundaryDensity(grid=op.grid, values=field.values.copy())
-    pot = evaluate_potential(density, pairs)
-    sweep = (layer_sweep(op, schedule, sweep_layers)
-             if sweep_layers else None)
-    elapsed = time.perf_counter() - started
+    def readout(net, field, pairs):
+        density = BoundaryDensity(grid=op.grid, values=field.values.copy())
+        pot = evaluate_potential(density, pairs)
+        return (pot.r, pot.phi), pot.values, {
+            "density_mean": float(np.mean(density.values)),
+            "projected_potential": density.mean_weighted,
+        }
 
-    if exact is None:
-        rows = [(float(r), float(p), float(v), None, None)
-                for r, p, v in zip(pot.r, pot.phi, pot.values)]
-    else:
-        ex = np.asarray(exact(pot.r, pot.phi), dtype=float)
-        rows = [(float(r), float(p), float(v), float(e), float(abs(v - e)))
-                for r, p, v, e in zip(pot.r, pot.phi, pot.values, ex)]
-    meta = _base_metadata(config, deterministic)
-    meta.update({
-        "theta_n": theta_n, "layers": layers,
-        "grid_iterations": layers - 1,
-        "kappa": config.get("kappa", 0.5),
-        "km_schedule_valid": schedule.valid_km,
-        "q_est": q_est,
-        "density_mean": float(np.mean(density.values)),
-        "projected_potential": density.mean_weighted,
-    })
-    if not deterministic:
-        meta["runtime_seconds"] = elapsed
-    return ReportBundle(kind="laplace_disc",
-                        columns=("r", "phi", "value", "exact", "abs_err"),
-                        rows=rows, sweep=sweep, metadata=meta,
-                        sweep_column="max_update")
+    # The BIE operator is non-expansive, never a strict contraction, even
+    # where q_est rounds a hair below 1: kappa = 1 is no valid KM schedule.
+    return _Setup(op, estimate_contraction(op), False, readout)
 
 
-_RUNNERS = {
-    "linear_fie": _run_linear,
-    "nonlinear_fie": _run_nonlinear,
-    "bvp": _run_bvp,
-    "laplace_disc": _run_laplace,
+# Per kind: config keys, then each expression key with its parameters
+# (compiled in this order) and those of the optional "exact", which name
+# the point columns; then the grid-size key, the default kappa, the query
+# parser and the setup that builds the kind's part of the pipeline.
+_KINDS = {
+    "linear_fie": {
+        "required": {"kernel", "source", "domain", "grid_n", "layers"},
+        "optional": {"grid_scheme", "kappa", "queries", "exact"},
+        "exprs": (("kernel", ("x", "z")), ("source", ("x",))),
+        "exact": ("x",),
+        "size": "grid_n", "kappa": 1.0,
+        "queries": _queries_1d, "setup": _linear_fie,
+    },
+    "nonlinear_fie": {
+        "required": {"kernel", "source", "nonlinearity", "domain", "grid_n",
+                     "layers", "outer_iterations"},
+        "optional": {"grid_scheme", "kappa", "queries", "exact"},
+        "exprs": (("kernel", ("x", "z")), ("source", ("x",)),
+                  ("nonlinearity", ("u",))),
+        "exact": ("x",),
+        "size": "grid_n", "kappa": 1.0,
+        "queries": _queries_1d, "setup": _nonlinear_fie,
+    },
+    "bvp": {
+        "required": {"g", "h", "alpha", "beta", "grid_n", "layers"},
+        "optional": {"grid_scheme", "kappa", "queries", "exact"},
+        "exprs": (("g", ("x",)), ("h", ("x",))),
+        "exact": ("x",),
+        "size": "grid_n", "kappa": 1.0,
+        "queries": _queries_1d, "setup": _bvp,
+    },
+    "laplace_disc": {
+        "required": {"boundary", "theta_n", "layers"},
+        "optional": {"kappa", "queries", "exact"},
+        "exprs": (("boundary", ("phi",)),),
+        "exact": ("r", "phi"),
+        "size": "theta_n", "kappa": 0.5,
+        "queries": _queries_polar, "setup": _laplace_disc,
+    },
 }
 
 
 def run_config(config: dict, exact_override: Optional[Callable] = None,
                sweep_layers: Optional[int] = None,
                deterministic: bool = True) -> ReportBundle:
-    """Validate a config mapping and run the matching pipeline."""
+    """Validate a config mapping and run the one solve pipeline: footprint
+    guard, the kind's setup, query points, schedule, network, forward pass
+    (the outer loop for nonlinear_fie), the kind's readout, depth sweep."""
     if not isinstance(config, dict):
         raise ValidationError("config must be a JSON object")
     _check_schema(config)
     if sweep_layers is not None and sweep_layers < 1:
         raise ValidationError(f"sweep depth {sweep_layers} must be >= 1")
-    runner = _RUNNERS[config["kind"]]
-    return runner(config, exact_override, sweep_layers, deterministic)
+    spec = _KINDS[config["kind"]]
+    fn = _compile_all(config, exact_override)
+    n = _as_pos_int(config, spec["size"])
+    layers = _as_pos_int(config, "layers")
+    count, make_points = spec["queries"](config)
+    cells = n * n + count * n + (sweep_layers or 0) * max(n, count)
+    if cells > _MAX_CELLS:
+        raise ValidationError(
+            f"grid {n}, {count} query points and sweep {sweep_layers or 0} "
+            f"need {cells:.3g} dense cells, over the cap of {_MAX_CELLS:.3g}")
+
+    started = time.perf_counter()
+    setup = spec["setup"](config, fn, n)
+    pts = make_points(setup.op.grid)
+    schedule = _schedule(config, setup.contractive, spec["kappa"])
+    net = build_network(setup.op, layers, schedule)
+    field, sweep_op = (setup.solve(net) if setup.solve
+                       else (forward(net), setup.op))
+    columns, values, kind_meta = setup.readout(net, field, pts)
+    oracle = fn["exact"] if setup.oracle else None
+    sweep = (layer_sweep(sweep_op, schedule, sweep_layers, oracle, pts)
+             if sweep_layers else None)
+    elapsed = time.perf_counter() - started
+
+    exact = None if fn["exact"] is None else np.broadcast_to(
+        np.asarray(fn["exact"](*columns), dtype=float), values.shape)
+    meta = {
+        "config": config,
+        "deterministic": bool(deterministic),
+        "runtime_seconds": None if deterministic else elapsed,
+        spec["size"]: n, "layers": layers,
+        "grid_iterations": layers - 1,
+        "kappa": config.get("kappa", spec["kappa"]),
+        "km_schedule_valid": schedule.valid_km,
+        "q_est": setup.q_est,
+        **kind_meta,
+    }
+    if "grid_scheme" in spec["optional"]:
+        meta["scheme"] = config.get("grid_scheme", "left")
+    return ReportBundle(kind=config["kind"],
+                        columns=(*spec["exact"], "value", "exact", "abs_err"),
+                        rows=_rows(columns, values, exact),
+                        sweep=sweep, metadata=meta,
+                        sweep_column="max_update" if oracle is None
+                        else "max_err")
 
 
 def _overrides(kind, args) -> dict:
@@ -497,11 +467,10 @@ def run_compare_fd(nr: int, nt: int,
     sol = solve_fd(boundary, nr, nt)
     elapsed = time.perf_counter() - started
 
-    radii = sol.radii
-    theta = sol.theta
     max_err = mean_err = center_err = None
     if exact is not None:
-        ex = np.asarray(exact(radii[:, None], theta[None, :]), dtype=float)
+        ex = np.broadcast_to(np.asarray(exact(sol.radii[:, None], sol.theta),
+                                        dtype=float), sol.values.shape)
         diff = np.abs(sol.values - ex)
         center_exact = float(np.asarray(exact(0.0, 0.0), dtype=float))
         center_err = abs(sol.center - center_exact)
@@ -510,20 +479,13 @@ def run_compare_fd(nr: int, nt: int,
 
     stride_r = max(1, (nr - 1) // 20)
     stride_t = max(1, nt // 20)
-    rows = []
-    if exact is not None:
-        rows.append((0.0, 0.0, sol.center, center_exact, center_err))
-    else:
-        rows.append((0.0, 0.0, sol.center, None, None))
-    for i in range(0, nr - 1, stride_r):
-        for j in range(0, nt, stride_t):
-            v = float(sol.values[i, j])
-            if exact is not None:
-                e = float(ex[i, j])
-                rows.append((float(radii[i]), float(theta[j]), v, e,
-                             abs(v - e)))
-            else:
-                rows.append((float(radii[i]), float(theta[j]), v, None, None))
+    rr, tt = np.meshgrid(sol.radii[::stride_r], sol.theta[::stride_t],
+                         indexing="ij")
+    lattice = (slice(None, None, stride_r), slice(None, None, stride_t))
+    rows = _rows((np.append(0.0, rr), np.append(0.0, tt)),
+                 np.append(sol.center, sol.values[lattice]),
+                 None if exact is None
+                 else np.append(center_exact, ex[lattice]))
 
     meta = {
         "boundary": boundary_text,
@@ -640,12 +602,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out = sys.stdout
     try:
+        if args.command == "selftest":
+            return _selftest(out)
         if args.command == "solve":
             config = _load_config(args.config_path)
             config.update(_overrides(config.get("kind"), args))
             bundle = run_config(config, sweep_layers=args.sweep,
                                 deterministic=args.deterministic)
-            write_report(bundle, args.format, args.out, out)
         elif args.command == "example":
             if args.list_examples:
                 for name in example_names():
@@ -658,19 +621,13 @@ def main(argv=None) -> int:
             bundle = run_example(args.name, sweep_layers=args.sweep,
                                  deterministic=args.deterministic,
                                  overrides=_overrides(kind, args))
-            write_report(bundle, args.format, args.out, out)
-        elif args.command == "compare-fd":
+        else:
             bundle = run_compare_fd(args.nr, args.nt,
                                     boundary_text=args.boundary,
                                     exact_text=args.exact or None,
                                     deterministic=args.deterministic)
-            write_report(bundle, args.format, args.out, out)
-        elif args.command == "selftest":
-            return _selftest(out)
-    except ValidationError as exc:
+        write_report(bundle, args.format, args.out, out)
+    except (ValidationError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ValidationError) else 3
     return 0

@@ -29,13 +29,11 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .grid import Grid1D, uniform_grid
-from .network import build_network, forward
-from .operator import DiscreteOperator, FieProblem, KMSchedule, discretize
+from .operator import DiscreteOperator, FieProblem, discretize
 
 __all__ = [
     "DiscBoundaryProblem", "BoundaryDensity", "PotentialField",
-    "polar_double_layer_kernel", "build_bie", "solve_density",
-    "evaluate_potential",
+    "polar_double_layer_kernel", "build_bie", "evaluate_potential",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -65,18 +63,14 @@ def polar_double_layer_kernel(r, phi, theta):
 
 @dataclass(frozen=True, eq=False)
 class DiscBoundaryProblem:
-    """Dirichlet data f(phi) on the unit circle plus solver settings."""
+    """Dirichlet data f(phi) on the unit circle, sampled on theta_n nodes."""
 
     boundary: Callable
     theta_n: int
-    layers: int
-    schedule: KMSchedule
 
     def __post_init__(self):
         if self.theta_n < 2:
             raise ValidationError(f"theta_n {self.theta_n} must be >= 2")
-        if self.layers < 1:
-            raise ValidationError(f"layers {self.layers} must be >= 1")
         object.__setattr__(
             self, "grid",
             uniform_grid(0.0, TWO_PI, self.theta_n, scheme="left",
@@ -140,14 +134,6 @@ def build_bie(problem: DiscBoundaryProblem) -> DiscreteOperator:
 
     fie = FieProblem(kernel=kernel, source=source, a=0.0, b=TWO_PI)
     return discretize(fie, problem.grid)
-
-
-def solve_density(problem: DiscBoundaryProblem) -> BoundaryDensity:
-    """Forward pass of the layered network for the density mu."""
-    op = build_bie(problem)
-    net = build_network(op, problem.layers, problem.schedule)
-    field = forward(net)
-    return BoundaryDensity(grid=op.grid, values=field.values.copy())
 
 
 def _interp_density(density: BoundaryDensity, phi: np.ndarray) -> np.ndarray:

@@ -7,21 +7,20 @@ forming the linear equation
     f = g_n + I K f,    g_n = g + I K (G(f_prev) - f_prev),
 
 solves it with the layered network, then rebuilds the source from the new
-iterate.  The kernel matrix is discretized once and shared by every pass.
+iterate.  Every pass shares the kernel matrix the caller discretized once.
 With G(u) = u the correction vanishes and the loop reproduces the linear
 solve exactly, pass after pass.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .grid import Grid1D
 from .network import (SolutionField, build_network, evaluation_layer,
                       forward)
-from .operator import DiscreteOperator, FieProblem, KMSchedule, discretize
+from .operator import DiscreteOperator, FieProblem, KMSchedule
 
 __all__ = [
     "NonlinearProblem", "IterationTrace",
@@ -98,13 +97,15 @@ def linearized_source(problem: NonlinearProblem, base: DiscreteOperator,
     return base.source + base.matrix @ (gu - prev)
 
 
-def solve_nonlinear(problem: NonlinearProblem, grid: Grid1D, layers: int,
-                    schedule: KMSchedule, outer_iterations: int,
+def solve_nonlinear(problem: NonlinearProblem, base: DiscreteOperator,
+                    layers: int, schedule: KMSchedule, outer_iterations: int,
                     delta_tol: Optional[float] = None
                     ) -> Tuple[SolutionField, IterationTrace]:
     """Run the outer loop: passes n = 0..outer_iterations, one linear
     network solve each.
 
+    ``base`` is the discretization of the problem's linear part; pass 0
+    solves it as is and later passes swap in the linearized source.
     ``delta_tol`` optionally stops early once the sup-norm change between
     passes drops below it; by default the full budget runs.  Divergence
     (non-finite layer values) and nonlinearity domain violations raise.
@@ -112,12 +113,10 @@ def solve_nonlinear(problem: NonlinearProblem, grid: Grid1D, layers: int,
     if outer_iterations < 1:
         raise ValidationError(
             f"outer_iterations {outer_iterations} must be >= 1")
-    base = discretize(problem.linear_problem(), grid)
     current = base
     sources = [base.source]
     deltas = []
     prev = None
-    field = None
     for n in range(outer_iterations + 1):
         net = build_network(current, layers, schedule)
         field = forward(net)
@@ -125,14 +124,12 @@ def solve_nonlinear(problem: NonlinearProblem, grid: Grid1D, layers: int,
         if prev is not None:
             deltas.append(float(np.max(np.abs(vals - prev))))
             if delta_tol is not None and deltas[-1] < delta_tol:
-                prev = vals
                 break
         prev = vals
         if n < outer_iterations:
             g_next = linearized_source(problem, base, vals)
             sources.append(g_next)
-            current = DiscreteOperator(grid=grid, matrix=base.matrix,
-                                       source=g_next, problem=base.problem)
+            current = replace(base, source=g_next)
     trace = IterationTrace(outer_iterations=outer_iterations,
                            deltas=tuple(deltas),
                            sources=tuple(sources))

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from fredholm import cli
 from fredholm.cli import main, run_compare_fd, run_config, run_example
 from fredholm.errors import ValidationError
 from fredholm.exprlang import compile_fn, parse
@@ -72,6 +73,9 @@ def test_run_config_runtime_reported_when_not_deterministic():
     (lambda c: c.update(domain=[1.0, 0.0]), "domain"),
     (lambda c: c.update(domain=[0.0]), "domain"),
     (lambda c: c.update(queries="0:1"), "start:stop:count"),
+    (lambda c: c.update(queries=[]), "queries"),
+    (lambda c: c.update(queries=[True, 0.5]), "queries"),
+    (lambda c: c.update(queries=["0.25", "1e-1"]), "queries"),
     (lambda c: c.update(kappa=2.0), "kappa"),
     (lambda c: c.update(kappa="big"), "kappa"),
     (lambda c: c.update(grid_scheme="gauss"), "scheme"),
@@ -82,6 +86,37 @@ def test_run_config_validation_messages(mutate, fragment):
     with pytest.raises(ValidationError) as exc:
         run_config(config)
     assert fragment in str(exc.value)
+
+
+_META_COMMON = {"config", "deterministic", "runtime_seconds", "example",
+                "layers", "grid_iterations", "kappa", "km_schedule_valid",
+                "q_est"}
+_META_1D = _META_COMMON | {"grid_n", "scheme"}
+_COLUMNS_1D = ("x", "value", "exact", "abs_err")
+_REPORT_CONTRACT = {
+    "linear_fie": (_META_1D | {"residual", "derivative_bound", "error_bound",
+                               "km_estimate"}, _COLUMNS_1D, "max_err"),
+    "nonlinear_fie": (_META_1D | {"outer_iterations", "outer_deltas",
+                                  "final_delta"}, _COLUMNS_1D, "max_update"),
+    "bvp": (_META_1D | {"contraction_warning", "ode_residual", "alpha",
+                        "beta"}, _COLUMNS_1D, "max_update"),
+    "laplace_disc": (_META_COMMON | {"theta_n", "density_mean",
+                                     "projected_potential"},
+                     ("r", "phi", "value", "exact", "abs_err"), "max_update"),
+}
+
+
+@pytest.mark.parametrize("name", example_names())
+def test_report_contract_per_kind(name):
+    meta_keys, columns, sweep_column = _REPORT_CONTRACT[
+        get_example(name).config["kind"]]
+    for sweep in (None, 2):
+        bundle = run_example(name, sweep_layers=sweep)
+        assert set(bundle.metadata) == meta_keys
+        assert bundle.columns == columns
+        assert all(len(row) == len(columns) for row in bundle.rows)
+        assert bundle.sweep_column == sweep_column
+        assert (bundle.sweep is None) == (sweep is None)
 
 
 def test_run_config_exact_optional():
@@ -120,6 +155,59 @@ def test_run_example_rejects_unknown_names_and_overrides():
     assert "ex1" in str(exc.value)
     with pytest.raises(ValidationError):
         run_example("ex1", overrides={"theta_n": 100})
+
+
+class _Allocated(Exception):
+    """Raised in place of the first dense allocation of a run."""
+
+
+def _refuse_allocation(monkeypatch):
+    def allocate(*args, **kwargs):
+        raise _Allocated
+
+    for name in ("discretize", "build_bie"):
+        monkeypatch.setattr(cli, name, allocate)
+
+
+@pytest.mark.parametrize("config,sweep", [
+    (dict(LINEAR_CONFIG, grid_n=7072), None),
+    (dict(LINEAR_CONFIG, queries="0:1:250001"), None),
+    (dict(LINEAR_CONFIG, queries=[0.5] * 250001), None),
+    (LINEAR_CONFIG, 10 ** 12),
+    (dict(get_example("nl3").config, grid_n=10 ** 6), None),
+    (dict(get_example("bvp_p").config, grid_n=10 ** 5), 3),
+    (dict(get_example("laplace_disc").config, theta_n=10 ** 5), None),
+    (dict(get_example("laplace_disc").config,
+          queries={"r": "0:1:10000", "phi": "0:6:10000"}), None),
+])
+def test_footprint_guard_refuses_before_allocation(monkeypatch, config,
+                                                   sweep):
+    _refuse_allocation(monkeypatch)
+    with pytest.raises(ValidationError) as exc:
+        run_config(config, sweep_layers=sweep)
+    assert "dense cells" in str(exc.value)
+
+
+@pytest.mark.parametrize("queries", [[], [[0.5]], [[True, 0.0]],
+                                     {"r": "0:1:3"}])
+def test_polar_query_validation_before_allocation(monkeypatch, queries):
+    _refuse_allocation(monkeypatch)
+    config = dict(get_example("laplace_disc").config, queries=queries)
+    with pytest.raises(ValidationError) as exc:
+        run_config(config)
+    assert "'queries'" in str(exc.value)
+
+
+def test_footprint_guard_cap_edge(monkeypatch, capsys):
+    _refuse_allocation(monkeypatch)
+    # 7070^2 + 7070 cells fit under the 50e6 cap, 7071^2 + 7071 do not
+    with pytest.raises(_Allocated):
+        run_config(dict(LINEAR_CONFIG, grid_n=7070, queries=[0.5]))
+    with pytest.raises(ValidationError):
+        run_config(dict(LINEAR_CONFIG, grid_n=7071, queries=[0.5]))
+    assert main(["example", "ex1", "--grid", "7072"]) == 2
+    assert main(["example", "ex2", "--sweep", "10000000000"]) == 2
+    assert "dense cells" in capsys.readouterr().err
 
 
 def test_run_compare_fd_metadata():
@@ -259,13 +347,33 @@ def test_nonlinear_sweep_runs_last_outer_pass():
                                a=spec["domain"][0], b=spec["domain"][1])
     grid = uniform_grid(*spec["domain"], spec["grid_n"])
     schedule = KMSchedule(spec.get("kappa", 1.0), contractive=True)
-    _, trace = solve_nonlinear(problem, grid, spec["layers"], schedule,
-                               spec["outer_iterations"])
     base = discretize(problem.linear_problem(), grid)
+    _, trace = solve_nonlinear(problem, base, spec["layers"], schedule,
+                               spec["outer_iterations"])
     last = DiscreteOperator(grid=grid, matrix=base.matrix,
                             source=trace.sources[-1])
     assert bundle.sweep == layer_sweep(last, schedule, 4)
     assert bundle.sweep != layer_sweep(base, schedule, 4)
+
+
+@pytest.mark.parametrize("theta_n", [7, 3001])
+def test_laplace_undamped_schedule_is_never_valid(theta_n):
+    # q_est rounds to just below 1 here, but the BIE operator is only
+    # non-expansive, so kappa = 1 must not pass as a valid KM schedule
+    bundle = run_example("laplace_disc",
+                         overrides={"kappa": 1.0, "theta_n": theta_n})
+    assert bundle.metadata["q_est"] < 1.0
+    assert bundle.metadata["km_schedule_valid"] is False
+
+
+def test_constant_exact_broadcasts_over_the_table():
+    # an exact expression without variables evaluates to one number
+    bundle = run_example("laplace_disc", overrides={"theta_n": 64,
+                                                    "exact": "1"})
+    assert all(row[3] == 1.0 for row in bundle.rows)
+    bundle = run_compare_fd(8, 8, exact_text="1")
+    assert all(row[3] == 1.0 for row in bundle.rows)
+    assert bundle.metadata["max_err"] == max(row[4] for row in bundle.rows)
 
 
 def test_main_compare_fd_small(capsys):

@@ -7,19 +7,22 @@ import pytest
 
 from fredholm.errors import DomainError, ValidationError
 from fredholm.laplace import (BoundaryDensity, DiscBoundaryProblem, build_bie,
-                              evaluate_potential, polar_double_layer_kernel,
-                              solve_density)
+                              evaluate_potential, polar_double_layer_kernel)
 from fredholm.network import build_network, forward
 from fredholm.operator import KMSchedule, estimate_contraction
 
 TWO_PI = 2.0 * math.pi
 
 
+def _solve_density(boundary, n, layers):
+    """The density through build_bie, the network and its forward pass."""
+    op = build_bie(DiscBoundaryProblem(boundary=boundary, theta_n=n))
+    field = forward(build_network(op, layers, KMSchedule(2.0 / 3.0)))
+    return BoundaryDensity(grid=op.grid, values=field.values.copy())
+
+
 def _density(n=2000, layers=15):
-    problem = DiscBoundaryProblem(
-        boundary=lambda t: 1.0 + 2.0 * np.cos(2.0 * t),
-        theta_n=n, layers=layers, schedule=KMSchedule(2.0 / 3.0))
-    return solve_density(problem)
+    return _solve_density(lambda t: 1.0 + 2.0 * np.cos(2.0 * t), n, layers)
 
 
 def test_kernel_spot_values():
@@ -51,13 +54,11 @@ def test_kernel_broadcasts():
 
 
 def test_bie_matrix_is_constant():
-    problem = DiscBoundaryProblem(boundary=lambda t: np.cos(t), theta_n=4,
-                                  layers=2, schedule=KMSchedule(0.5))
+    problem = DiscBoundaryProblem(boundary=lambda t: np.cos(t), theta_n=4)
     op = build_bie(problem)
     assert np.allclose(op.matrix, -0.25, rtol=1e-14, atol=0)
     big = build_bie(DiscBoundaryProblem(boundary=lambda t: np.cos(t),
-                                        theta_n=2000, layers=2,
-                                        schedule=KMSchedule(0.5)))
+                                        theta_n=2000))
     assert np.allclose(big.matrix, -0.0005, rtol=1e-13, atol=0)
     # the row sums make the operator non-expansive but not a contraction
     assert estimate_contraction(big) == pytest.approx(1.0, rel=1e-12)
@@ -65,8 +66,7 @@ def test_bie_matrix_is_constant():
 
 def test_bie_source_doubles_boundary_data():
     problem = DiscBoundaryProblem(
-        boundary=lambda t: 1.0 + 2.0 * np.cos(2.0 * t),
-        theta_n=8, layers=2, schedule=KMSchedule(0.5))
+        boundary=lambda t: 1.0 + 2.0 * np.cos(2.0 * t), theta_n=8)
     op = build_bie(problem)
     assert op.source[0] == 6.0
     th = op.grid.nodes
@@ -81,33 +81,25 @@ def test_density_matches_harmonic_law():
 
 
 def test_density_constant_data():
-    problem = DiscBoundaryProblem(boundary=lambda t: np.full(np.shape(t), 0.7),
-                                  theta_n=500, layers=20,
-                                  schedule=KMSchedule(2.0 / 3.0))
-    den = solve_density(problem)
+    den = _solve_density(lambda t: np.full(np.shape(t), 0.7), 500, 20)
     assert np.allclose(den.values, 0.7, rtol=0, atol=1e-8)
 
 
 def test_density_zero_data_is_exactly_zero():
-    problem = DiscBoundaryProblem(boundary=lambda t: np.zeros(np.shape(t)),
-                                  theta_n=64, layers=10,
-                                  schedule=KMSchedule(2.0 / 3.0))
-    den = solve_density(problem)
+    den = _solve_density(lambda t: np.zeros(np.shape(t)), 64, 10)
     assert np.array_equal(den.values, np.zeros(64))
 
 
 def test_mean_weighted_projected_term():
     grid_problem = DiscBoundaryProblem(boundary=lambda t: np.ones(np.shape(t)),
-                                       theta_n=64, layers=1,
-                                       schedule=KMSchedule(0.5))
+                                       theta_n=64)
     den = BoundaryDensity(grid=grid_problem.grid, values=np.ones(64))
     assert den.mean_weighted == pytest.approx(0.5, rel=1e-12)
 
 
 def test_unit_density_gives_unit_potential_exactly():
     problem = DiscBoundaryProblem(boundary=lambda t: np.ones(np.shape(t)),
-                                  theta_n=64, layers=1,
-                                  schedule=KMSchedule(0.5))
+                                  theta_n=64)
     den = BoundaryDensity(grid=problem.grid, values=np.ones(64))
     pot = evaluate_potential(den, [(0.3, 1.1), (0.0, 0.0), (1.0, 2.0),
                                    (0.999, 4.0)])
@@ -174,8 +166,7 @@ def test_evaluate_potential_validation():
 
 def test_density_container_validation():
     grid = DiscBoundaryProblem(boundary=lambda t: np.ones(np.shape(t)),
-                               theta_n=8, layers=1,
-                               schedule=KMSchedule(0.5)).grid
+                               theta_n=8).grid
     with pytest.raises(ValidationError):
         BoundaryDensity(grid=grid, values=np.ones(5))
     with pytest.raises(ValidationError):
@@ -184,8 +175,4 @@ def test_density_container_validation():
 
 def test_problem_validation():
     with pytest.raises(ValidationError):
-        DiscBoundaryProblem(boundary=lambda t: t, theta_n=1, layers=5,
-                            schedule=KMSchedule(0.5))
-    with pytest.raises(ValidationError):
-        DiscBoundaryProblem(boundary=lambda t: t, theta_n=16, layers=0,
-                            schedule=KMSchedule(0.5))
+        DiscBoundaryProblem(boundary=lambda t: t, theta_n=1)

@@ -156,8 +156,8 @@ def test_query_rejects_outside_interval(const_kernel_factory):
 
 
 def test_query_wraps_periodic_angles(bie_factory):
-    problem, op = bie_factory(n=64)
-    net = build_network(op, 12, problem.schedule)
+    schedule, op = bie_factory(n=64)
+    net = build_network(op, 12, schedule)
     field = forward(net)
     lhs = query(net, field, [-0.1])
     rhs = query(net, field, [2.0 * np.pi - 0.1])

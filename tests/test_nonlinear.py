@@ -74,7 +74,7 @@ def test_identity_nonlinearity_reduces_to_linear_solve():
     schedule = KMSchedule(1.0, contractive=True)
     linear = forward(build_network(base, 5, schedule))
     for outer in (1, 2, 3):
-        field, trace = solve_nonlinear(problem, grid, 5, schedule, outer)
+        field, trace = solve_nonlinear(problem, base, 5, schedule, outer)
         assert np.array_equal(field.values, linear.values)
         assert trace.deltas == (0.0,) * outer
         assert len(trace.sources) == outer + 1
@@ -83,7 +83,8 @@ def test_identity_nonlinearity_reduces_to_linear_solve():
 
 def test_delta_tol_stops_early():
     problem, grid = _identity_problem()
-    field, trace = solve_nonlinear(problem, grid, 5,
+    base = discretize(problem.linear_problem(), grid)
+    field, trace = solve_nonlinear(problem, base, 5,
                                    KMSchedule(1.0, contractive=True),
                                    outer_iterations=6, delta_tol=1e-30)
     assert len(trace.deltas) == 1
@@ -92,8 +93,9 @@ def test_delta_tol_stops_early():
 
 def test_outer_iteration_count_validated():
     problem, grid = _identity_problem()
+    base = discretize(problem.linear_problem(), grid)
     with pytest.raises(ValidationError):
-        solve_nonlinear(problem, grid, 5, KMSchedule(1.0, contractive=True), 0)
+        solve_nonlinear(problem, base, 5, KMSchedule(1.0, contractive=True), 0)
 
 
 def test_outer_deltas_shrink_monotonically():
@@ -103,7 +105,8 @@ def test_outer_deltas_shrink_monotonically():
         - 5.0 * math.pi ** 2 / 144.0,
         nonlinearity=lambda u: u + u * u, a=0.0, b=math.pi)
     grid = uniform_grid(0.0, math.pi, 200, scheme="left")
-    _, trace = solve_nonlinear(problem, grid, 7,
+    base = discretize(problem.linear_problem(), grid)
+    _, trace = solve_nonlinear(problem, base, 7,
                                KMSchedule(1.0, contractive=True), 7)
     assert len(trace.deltas) == 7
     floor = 1e-13
@@ -114,9 +117,9 @@ def test_outer_deltas_shrink_monotonically():
 
 def test_final_iterate_is_consistent_fixed_point():
     problem, grid = _log_problem()
-    field, trace = solve_nonlinear(problem, grid, 7,
-                                   KMSchedule(1.0, contractive=True), 5)
     base = discretize(problem.linear_problem(), grid)
+    field, trace = solve_nonlinear(problem, base, 7,
+                                   KMSchedule(1.0, contractive=True), 5)
     mapped = base.source + base.matrix @ (field.values ** 2)
     drift = float(np.max(np.abs(mapped - field.values)))
     assert drift <= max(trace.deltas[-1], 1e-13) * 10.0 + 1e-10
@@ -127,9 +130,10 @@ def test_nonlinearity_domain_violation_names_node():
         kernel=lambda x, z: 0.1,
         source=lambda x: np.full(np.shape(x), -1.0),
         nonlinearity=lambda u: np.sqrt(u), a=0.0, b=1.0)
-    grid = uniform_grid(0.0, 1.0, 10, scheme="left")
+    base = discretize(problem.linear_problem(),
+                      uniform_grid(0.0, 1.0, 10, scheme="left"))
     with pytest.raises(DomainError) as exc:
-        solve_nonlinear(problem, grid, 4, KMSchedule(1.0, contractive=True), 3)
+        solve_nonlinear(problem, base, 4, KMSchedule(1.0, contractive=True), 3)
     assert "node" in str(exc.value)
     assert "source update" in str(exc.value)
 
