@@ -38,10 +38,13 @@ _DEFAULT_POLAR_QUERIES = {"r": "0:1:11", "phi": f"0:{2.0 * np.pi!r}:17"}
 
 # Cap on the dense cells of one run: N^2 for the kernel matrix, P * N for
 # the evaluation rows at P query points and S * max(N, P) for a sweep of
-# depth S.  A cell peaks at about four doubles under tracemalloc (ex1/ex2
-# hold four N x N blocks in estimate_derivative_bound, laplace_disc four
-# P x N blocks in evaluate_potential): a ~1.5 GiB budget, N <= 7071.
+# depth S.  A cell peaks at about four doubles under tracemalloc (four P x N
+# blocks in laplace_disc's evaluate_potential; the kernel matrix and its
+# error budget take ~1.2 N x N blocks): a ~1.5 GiB budget, N <= 7071.
 _MAX_CELLS = 50_000_000
+# Cap on the multiply-adds of one run, (M - 1) N^2 per solve and outer pass
+# plus S N (N + P) for a sweep: ~10 minutes at the 1.5e9/s measured on a core.
+_MAX_WORK = 900_000_000_000
 
 
 def _fail(key: str, reason: str):
@@ -180,8 +183,7 @@ def _queries_polar(config: dict):
     _fail("queries", f"must be an r/phi lattice or a pair list, got {q!r}")
 
 
-def _schedule(config: dict, contractive: bool,
-              default_kappa: float) -> KMSchedule:
+def _kappa(config: dict, default_kappa: float):
     kappa = config.get("kappa", default_kappa)
     if isinstance(kappa, (list, tuple)):
         if not all(map(_is_number, kappa)):
@@ -192,9 +194,10 @@ def _schedule(config: dict, contractive: bool,
     else:
         values = float(kappa)
     try:
-        return KMSchedule(values, contractive=contractive)
+        KMSchedule(values)
     except ValidationError as exc:
         _fail("kappa", str(exc))
+    return values
 
 
 def _rows(points, values, exact=None):
@@ -205,6 +208,18 @@ def _rows(points, values, exact=None):
             for *p, v, e in zip(*points, map(float, values), exact)]
 
 
+def _forward(net, depth) -> tuple:
+    """The solved field and, for a sweep of ``depth`` layers, one holding
+    their history, both from one forward pass."""
+    if not depth:
+        return forward(net), None
+    deep = forward(build_network(net.op, max(net.layers, depth), net.schedule),
+                   keep_history=True)
+    h = deep.history
+    return (replace(deep, values=h[net.layers - 1], history=None),
+            replace(deep, values=h[depth - 1], history=h[:depth]))
+
+
 class _Setup(NamedTuple):
     """A kind's part of the pipeline, built by its ``_KINDS`` entry."""
 
@@ -212,7 +227,7 @@ class _Setup(NamedTuple):
     q_est: float
     contractive: bool     # whether kappa = 1 makes a valid KM schedule
     readout: Callable     # (net, field, points) -> (columns, values, meta)
-    solve: Optional[Callable] = None  # replaces forward: -> (field, sweep op)
+    solve: Callable = _forward  # (net, sweep depth) -> (field, sweep field)
     oracle: bool = False  # the sweep measures errors against "exact"
 
 
@@ -250,12 +265,15 @@ def _nonlinear_fie(config, fn, n) -> _Setup:
     q_est = estimate_contraction(base)
     deltas = []
 
-    def solve(net):
+    def solve(net, depth):
         field, trace = solve_nonlinear(problem, base, net.layers,
                                        net.schedule, outer)
         deltas.extend(float(d) for d in trace.deltas)
-        # the sweep runs the last outer pass's linear operator
-        return field, replace(base, source=trace.sources[-1])
+        if depth:  # the sweep runs the last outer pass's linear operator
+            last = replace(base, source=trace.sources[-1])
+            return field, forward(build_network(last, depth, net.schedule),
+                                  keep_history=True)
+        return field, None
 
     def readout(net, field, pts):
         return (pts,), evaluate_nonlinear(problem, base, field, pts), {
@@ -352,8 +370,8 @@ _KINDS = {
 def run_config(config: dict, exact_override: Optional[Callable] = None,
                sweep_layers: Optional[int] = None,
                deterministic: bool = True) -> ReportBundle:
-    """Validate a config mapping and run the one solve pipeline: footprint
-    guard, the kind's setup, query points, schedule, network, forward pass
+    """Validate a config mapping and run the one solve pipeline: resource
+    guards, the kind's setup, query points, schedule, network, forward pass
     (the outer loop for nonlinear_fie), the kind's readout, depth sweep."""
     if not isinstance(config, dict):
         raise ValidationError("config must be a JSON object")
@@ -364,24 +382,32 @@ def run_config(config: dict, exact_override: Optional[Callable] = None,
     fn = _compile_all(config, exact_override)
     n = _as_pos_int(config, spec["size"])
     layers = _as_pos_int(config, "layers")
+    outer = (_as_pos_int(config, "outer_iterations")
+             if "outer_iterations" in config else 0)
     count, make_points = spec["queries"](config)
-    cells = n * n + count * n + (sweep_layers or 0) * max(n, count)
+    kappa = _kappa(config, spec["kappa"])  # range-checked before any setup
+    sweep_n = sweep_layers or 0
+    cells = n * n + count * n + sweep_n * max(n, count)
     if cells > _MAX_CELLS:
         raise ValidationError(
-            f"grid {n}, {count} query points and sweep {sweep_layers or 0} "
+            f"grid {n}, {count} query points and sweep {sweep_n} "
             f"need {cells:.3g} dense cells, over the cap of {_MAX_CELLS:.3g}")
+    work = (layers - 1) * (outer + 1) * n * n + sweep_n * n * (n + count)
+    if work > _MAX_WORK:
+        raise ValidationError(
+            f"{layers} layers, {outer} outer iterations and sweep {sweep_n} "
+            f"on grid {n} need {work:.3g} multiply-adds, over the cap of "
+            f"{_MAX_WORK:.3g}")
 
     started = time.perf_counter()
     setup = spec["setup"](config, fn, n)
     pts = make_points(setup.op.grid)
-    schedule = _schedule(config, setup.contractive, spec["kappa"])
+    schedule = KMSchedule(kappa, contractive=setup.contractive)
     net = build_network(setup.op, layers, schedule)
-    field, sweep_op = (setup.solve(net) if setup.solve
-                       else (forward(net), setup.op))
+    field, deep = setup.solve(net, sweep_layers)
     columns, values, kind_meta = setup.readout(net, field, pts)
     oracle = fn["exact"] if setup.oracle else None
-    sweep = (layer_sweep(sweep_op, schedule, sweep_layers, oracle, pts)
-             if sweep_layers else None)
+    sweep = layer_sweep(setup.op, deep, oracle, pts) if deep else None
     elapsed = time.perf_counter() - started
 
     exact = None if fn["exact"] is None else np.broadcast_to(

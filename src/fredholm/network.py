@@ -304,24 +304,22 @@ def km_error_estimate(budget: ErrorBudget, schedule: KMSchedule,
     return (math.exp(s) / s) * budget.residual * math.exp(-s * v)
 
 
-def layer_sweep(op: DiscreteOperator, schedule: KMSchedule, max_layers: int,
+def layer_sweep(op: DiscreteOperator, field: SolutionField,
                 exact: Optional[Callable] = None,
                 points: Optional[Sequence[float]] = None
                 ) -> List[Tuple[int, float]]:
     """Error (or update size) as a function of depth.
 
-    For each m = 1..max_layers the m-layer iterate is composed with the
-    evaluation layer at ``points`` (grid nodes by default) and compared
-    with ``exact``; without an exact solution the sup-norm update
-    ||h_m - h_(m-1)|| is tabulated instead.  Every depth comes from the
-    history of one forward pass.
+    Tabulates the history ``forward(..., keep_history=True)`` left in
+    ``field``: each m-layer iterate is composed with the evaluation layer
+    at ``points`` (grid nodes by default) and compared with ``exact``;
+    without it the sup-norm update ||h_m - h_(m-1)|| is tabulated.
     """
-    if max_layers < 1:
-        raise ValidationError(f"max_layers {max_layers} must be >= 1")
+    if not field.history:
+        raise ValidationError("sweep needs a field with its layer history")
     if exact is not None and op.problem is None:
         raise ValidationError(
             "error sweep needs the continuous problem for evaluation")
-    field = forward(build_network(op, max_layers, schedule), keep_history=True)
     history = np.stack(field.history, axis=1)
     if exact is None:
         sizes = np.max(np.abs(np.diff(history, axis=1, prepend=0.0)), axis=0)

@@ -31,6 +31,10 @@ __all__ = [
     "residual_norm", "estimate_derivative_bound",
 ]
 
+# Rows per block when the kernel fills the matrix and when the matrix is
+# scanned: no other N x N array is allocated, and row arithmetic is unchanged.
+_BLOCK = 32
+
 
 @dataclass(frozen=True)
 class FieProblem:
@@ -138,23 +142,25 @@ def discretize(problem: FieProblem, grid: Grid1D) -> DiscreteOperator:
     matrix[i, j] = K(z_i, z_j) * dz and source[i] = g(z_i).  Every sample
     must be finite; the first offending node (pair) is reported otherwise.
     """
-    z = grid.nodes
-    kmat = np.asarray(problem.kernel(z[:, None], z[None, :]), dtype=float)
-    kmat = np.broadcast_to(kmat, (grid.n, grid.n))
-    a = kmat * grid.spacing
-    g = np.broadcast_to(np.asarray(problem.source(z), dtype=float), (grid.n,))
-    bad = ~np.isfinite(a)
-    if bad.any():
-        i, j = np.unravel_index(int(np.argmax(bad)), a.shape)
-        raise DomainError(
-            f"non-finite kernel sample at nodes (z[{i}]={z[i]!r}, "
-            f"z[{j}]={z[j]!r})")
+    z, n = grid.nodes, grid.n
+    a = np.empty((n, n))
+    for lo in range(0, n, _BLOCK):
+        k = np.asarray(problem.kernel(z[lo:lo + _BLOCK, None], z[None, :]),
+                       dtype=float)
+        # out= rather than *= on k: a plain callable may return its input
+        block = np.multiply(k, grid.spacing, out=a[lo:lo + _BLOCK])
+        bad = ~np.isfinite(block)
+        if bad.any():
+            i, j = np.argwhere(bad)[0] + (lo, 0)
+            raise DomainError(
+                f"non-finite kernel sample at nodes (z[{i}]={z[i]!r}, "
+                f"z[{j}]={z[j]!r})")
+    g = np.broadcast_to(np.asarray(problem.source(z), dtype=float), (n,))
     bad = ~np.isfinite(g)
     if bad.any():
         i = int(np.argmax(bad))
         raise DomainError(f"non-finite source sample at node z[{i}]={z[i]!r}")
-    return DiscreteOperator(grid=grid, matrix=np.ascontiguousarray(a),
-                            source=g.copy(), problem=problem)
+    return DiscreteOperator(grid, a, g.copy(), problem)
 
 
 def estimate_contraction(op: DiscreteOperator) -> float:
@@ -165,7 +171,10 @@ def estimate_contraction(op: DiscreteOperator) -> float:
     values can exceed 1 slightly for operators that are non-expansive in
     the continuum, purely through quadrature.
     """
-    return float(np.max(np.sum(np.abs(op.matrix), axis=1)))
+    buf = np.empty((min(_BLOCK, op.n), op.n))
+    blocks = np.split(op.matrix, range(_BLOCK, op.n, _BLOCK))
+    return float(np.max([np.abs(rows, out=buf[:len(rows)]).sum(axis=1).max()
+                         for rows in blocks]))
 
 
 def residual_norm(op: DiscreteOperator) -> float:
@@ -184,7 +193,14 @@ def estimate_derivative_bound(op: DiscreteOperator) -> float:
     if op.n < 3:
         raise ValidationError("derivative estimate needs at least 3 nodes")
     dz = op.grid.spacing
-    # matrix/dz restores K(z_i, z_j); columns scale with g(z_j)
-    prod = (op.matrix / dz) * op.source[None, :]
-    diff = np.abs(prod[:, 2:] - prod[:, :-2]) / (2.0 * dz)
-    return float(np.max(diff))
+    prod = np.empty((min(_BLOCK, op.n), op.n))
+    diff = np.empty((len(prod), op.n - 2))
+    peaks = []
+    for rows in np.split(op.matrix, range(_BLOCK, op.n, _BLOCK)):
+        p, d = prod[:len(rows)], diff[:len(rows)]
+        # matrix/dz restores K(z_i, z_j); columns scale with g(z_j)
+        np.multiply(np.divide(rows, dz, out=p), op.source, out=p)
+        np.subtract(p[:, 2:], p[:, :-2], out=d)
+        peaks += [d.max(), -d.min()]
+    # rounding is monotone, so dividing the max equals the max of quotients
+    return float(np.max(peaks)) / (2.0 * dz)

@@ -12,9 +12,10 @@ from fredholm.cli import main, run_compare_fd, run_config, run_example
 from fredholm.errors import ValidationError
 from fredholm.exprlang import compile_fn, parse
 from fredholm.grid import uniform_grid
-from fredholm.network import layer_sweep
+from fredholm.network import build_network, forward, layer_sweep
 from fredholm.nonlinear import NonlinearProblem, solve_nonlinear
-from fredholm.operator import DiscreteOperator, KMSchedule, discretize
+from fredholm.operator import (DiscreteOperator, FieProblem, KMSchedule,
+                               discretize)
 from fredholm.registry import example_names, get_example
 
 LINEAR_CONFIG = {
@@ -210,6 +211,80 @@ def test_footprint_guard_cap_edge(monkeypatch, capsys):
     assert "dense cells" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kappa,message", [
+    (2.0, "kappa=2.0 outside (0, 1]"),
+    ("big", "must be a number or number list, got 'big'"),
+    ([0.5, 1.5], "kappa sequence (0.5, 1.5) leaves (0, 1]"),
+    ([], "empty kappa sequence"),
+], ids=["above_one", "string", "sequence", "empty"])
+def test_bad_kappa_refused_before_allocation(monkeypatch, kappa, message):
+    _refuse_allocation(monkeypatch)
+    for name in ("ex2", "laplace_disc"):
+        with pytest.raises(ValidationError) as exc:
+            run_example(name, overrides={"kappa": kappa})
+        assert str(exc.value) == f"config key 'kappa': {message}"
+    if isinstance(kappa, float):
+        assert main(["example", "ex2", "--kappa", str(kappa)]) == 2
+
+
+def test_work_guard_refuses_before_allocation(monkeypatch, capsys):
+    _refuse_allocation(monkeypatch)
+    cap = cli._MAX_WORK
+    # one node: layers - 1 multiply-adds, one cell below the cap, at the
+    # cap, one cell over
+    one_node = dict(LINEAR_CONFIG, grid_n=1, grid_scheme="left",
+                    queries=[0.5])
+    for layers, outcome in ((cap, _Allocated), (cap + 1, _Allocated),
+                            (cap + 2, ValidationError)):
+        with pytest.raises(outcome):
+            run_config(dict(one_node, layers=layers))
+    # 900001 layers on 1000 nodes are exactly the cap; a sweep adds to it
+    at_cap = dict(LINEAR_CONFIG, grid_n=1000, layers=900_001, queries=[0.5])
+    with pytest.raises(_Allocated):
+        run_config(at_cap)
+    with pytest.raises(ValidationError) as exc:
+        run_config(at_cap, sweep_layers=1)
+    assert "multiply-adds" in str(exc.value)
+    # every outer pass of a nonlinear run is one more network solve
+    nl3 = get_example("nl3").config
+    with pytest.raises(_Allocated):
+        run_config(dict(nl3, outer_iterations=11_110))
+    with pytest.raises(ValidationError):
+        run_config(dict(nl3, outer_iterations=11_111))
+    assert main(["example", "ex1", "--layers", "10000000"]) == 2
+    assert "multiply-adds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sweep", [3, 8, 12])
+def test_sweep_shares_the_forward_pass(monkeypatch, sweep):
+    calls = []
+
+    def spy(net, keep_history=False):
+        calls.append((net.layers, keep_history))
+        return forward(net, keep_history)
+
+    monkeypatch.setattr(cli, "forward", spy)
+    bundle = run_config(LINEAR_CONFIG, sweep_layers=sweep)
+    assert calls == [(max(LINEAR_CONFIG["layers"], sweep), True)]
+    assert bundle.rows == run_config(LINEAR_CONFIG).rows
+
+    def fn(key, params):
+        return compile_fn(parse(LINEAR_CONFIG[key]), params)
+
+    op = discretize(FieProblem(kernel=fn("kernel", ("x", "z")),
+                               source=fn("source", ("x",)), a=0.0, b=1.0),
+                    uniform_grid(0.0, 1.0, LINEAR_CONFIG["grid_n"],
+                                 scheme="closed"))
+    net = build_network(op, sweep, KMSchedule(1.0, contractive=True))
+    assert bundle.sweep == layer_sweep(op, forward(net, keep_history=True),
+                                       fn("exact", ("x",)),
+                                       np.linspace(0.0, 1.0, 21))
+    for name in ("bvp_p", "laplace_disc"):
+        calls.clear()
+        run_example(name, sweep_layers=sweep)
+        assert len(calls) == 1
+
+
 def test_run_compare_fd_metadata():
     bundle = run_compare_fd(16, 16)
     assert bundle.kind == "fd_reference"
@@ -352,8 +427,13 @@ def test_nonlinear_sweep_runs_last_outer_pass():
                                spec["outer_iterations"])
     last = DiscreteOperator(grid=grid, matrix=base.matrix,
                             source=trace.sources[-1])
-    assert bundle.sweep == layer_sweep(last, schedule, 4)
-    assert bundle.sweep != layer_sweep(base, schedule, 4)
+
+    def sweep(op):
+        net = build_network(op, 4, schedule)
+        return layer_sweep(op, forward(net, keep_history=True))
+
+    assert bundle.sweep == sweep(last)
+    assert bundle.sweep != sweep(base)
 
 
 @pytest.mark.parametrize("theta_n", [7, 3001])

@@ -21,6 +21,11 @@ def _km_step(op, f, kappa):
     return kappa * (op.source + op.matrix @ f) + (1.0 - kappa) * f
 
 
+def _sweep(op, schedule, depth, exact=None):
+    field = forward(build_network(op, depth, schedule), keep_history=True)
+    return layer_sweep(op, field, exact)
+
+
 def _iterate(op, schedule, layers):
     h = schedule.at(1) * op.source
     for m in range(2, layers + 1):
@@ -103,6 +108,21 @@ def test_forward_never_stores_a_weight_matrix(separable_kernel_factory):
     finally:
         tracemalloc.stop()
     assert peak < op.matrix.nbytes
+
+
+def test_operator_and_budget_stay_near_one_matrix():
+    # the matrix is the one N x N block; dense formulas would hold four
+    n = 2000
+    problem = FieProblem(kernel=lambda x, z: np.sin(x) * np.cos(z),
+                         source=lambda x: np.sin(x), a=0.0, b=np.pi / 2.0)
+    grid = uniform_grid(0.0, np.pi / 2.0, n)
+    tracemalloc.start()
+    try:
+        budget_from_operator(discretize(problem, grid))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * n * n * 8
 
 
 def test_forward_divergence_names_layer():
@@ -346,8 +366,8 @@ def test_km_estimate_uses_partial_sums():
 
 def test_layer_sweep_error_mode(const_kernel_factory):
     op = const_kernel_factory(n=400, scheme="left")
-    table = layer_sweep(op, KMSchedule(1.0, contractive=True), 12,
-                        exact=lambda x: np.exp(x) + 1.0)
+    table = _sweep(op, KMSchedule(1.0, contractive=True), 12,
+                   exact=lambda x: np.exp(x) + 1.0)
     assert [m for m, _ in table] == list(range(1, 13))
     errs = [e for _, e in table]
     assert all(b < a for a, b in zip(errs, errs[1:]))
@@ -360,7 +380,7 @@ def test_layer_sweep_error_mode(const_kernel_factory):
 def test_layer_sweep_delta_mode_ratios(const_kernel_factory):
     op = const_kernel_factory(n=400, scheme="left")
     q = estimate_contraction(op)
-    table = layer_sweep(op, KMSchedule(1.0, contractive=True), 12)
+    table = _sweep(op, KMSchedule(1.0, contractive=True), 12)
     deltas = [e for _, e in table]
     # the constant kernel has rank one, so updates decay by exactly q
     for a, b in zip(deltas[2:], deltas[3:]):
@@ -371,19 +391,20 @@ def test_layer_sweep_zero_kernel():
     problem = FieProblem(kernel=lambda x, z: 0.0, source=lambda x: np.exp(x),
                          a=0.0, b=1.0)
     op = discretize(problem, uniform_grid(0.0, 1.0, 30))
-    table = layer_sweep(op, KMSchedule(1.0, contractive=True), 5,
-                        exact=lambda x: np.exp(x))
+    table = _sweep(op, KMSchedule(1.0, contractive=True), 5,
+                   exact=lambda x: np.exp(x))
     assert all(e == 0.0 for _, e in table)
-    deltas = layer_sweep(op, KMSchedule(1.0, contractive=True), 5)
+    deltas = _sweep(op, KMSchedule(1.0, contractive=True), 5)
     assert deltas[0][1] > 0.0
     assert all(e == 0.0 for _, e in deltas[1:])
 
 
 def test_layer_sweep_validation(const_kernel_factory):
     op = const_kernel_factory(n=16, scheme="left")
-    with pytest.raises(ValidationError):
-        layer_sweep(op, KMSchedule(1.0, contractive=True), 0)
+    net = build_network(op, 3, KMSchedule(1.0, contractive=True))
+    with pytest.raises(ValidationError, match="layer history"):
+        layer_sweep(op, forward(net))
     bare = DiscreteOperator(grid=op.grid, matrix=np.zeros((16, 16)),
                             source=np.ones(16))
-    with pytest.raises(ValidationError):
-        layer_sweep(bare, KMSchedule(0.5), 3, exact=lambda x: x)
+    with pytest.raises(ValidationError, match="continuous problem"):
+        _sweep(bare, KMSchedule(0.5), 3, exact=lambda x: x)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from fredholm.errors import DomainError, ValidationError
+from fredholm.exprlang import compile_fn, parse
 from fredholm.grid import uniform_grid
-from fredholm.operator import (DiscreteOperator, FieProblem, KMSchedule,
-                               discretize, estimate_contraction,
+from fredholm.operator import (_BLOCK, DiscreteOperator, FieProblem,
+                               KMSchedule, discretize, estimate_contraction,
                                estimate_derivative_bound, residual_norm)
 from fredholm.network import build_network, dense_solve, forward
 
@@ -66,6 +67,92 @@ def test_discretize_reports_bad_kernel_pair():
     with pytest.raises(DomainError) as exc:
         discretize(problem, uniform_grid(0.0, 1.0, 8, scheme="left"))
     assert "kernel sample at nodes (z[0]" in str(exc.value)
+
+
+# Dense reference formulas: the whole N x N matrix at once, as the blocked
+# kernels computed it before; every result must match them bit for bit.
+
+def _dense_discretize(problem, grid):
+    z = grid.nodes
+    kmat = np.asarray(problem.kernel(z[:, None], z[None, :]), dtype=float)
+    kmat = np.broadcast_to(kmat, (grid.n, grid.n))
+    a = kmat * grid.spacing
+    g = np.broadcast_to(np.asarray(problem.source(z), dtype=float), (grid.n,))
+    bad = ~np.isfinite(a)
+    if bad.any():
+        i, j = np.unravel_index(int(np.argmax(bad)), a.shape)
+        raise DomainError(
+            f"non-finite kernel sample at nodes (z[{i}]={z[i]!r}, "
+            f"z[{j}]={z[j]!r})")
+    bad = ~np.isfinite(g)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"non-finite source sample at node z[{i}]={z[i]!r}")
+    return DiscreteOperator(grid=grid, matrix=np.ascontiguousarray(a),
+                            source=g.copy(), problem=problem)
+
+
+def _dense_contraction(op):
+    return float(np.max(np.sum(np.abs(op.matrix), axis=1)))
+
+
+def _dense_derivative_bound(op):
+    dz = op.grid.spacing
+    prod = (op.matrix / dz) * op.source[None, :]
+    diff = np.abs(prod[:, 2:] - prod[:, :-2]) / (2.0 * dz)
+    return float(np.max(diff))
+
+
+_KERNELS = {
+    "constant": lambda x, z: 1.0 / np.e,
+    "compiled_constant": compile_fn(parse("1/e"), ("x", "z")),
+    "broadcast_constant": lambda x, z: np.broadcast_to(
+        -1.0 / (2.0 * np.pi), np.broadcast_shapes(np.shape(x), np.shape(z))),
+    "separable": lambda x, z: np.sin(x) * np.cos(z),
+    "nonsymmetric": lambda x, z: np.exp(x - 2.0 * z) + x * z ** 2,
+    # hands back the caller's own node array
+    "aliasing": lambda x, z: z,
+}
+
+
+@pytest.mark.parametrize("n", [3, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                               2 * _BLOCK + 1, 2001])
+@pytest.mark.parametrize("scheme", ["left", "midpoint", "closed"])
+@pytest.mark.parametrize("kernel", sorted(_KERNELS))
+def test_blocked_kernels_match_dense_reference(kernel, scheme, n):
+    problem = FieProblem(kernel=_KERNELS[kernel],
+                         source=lambda x: np.cos(3.0 * x) + x, a=0.0, b=1.3)
+    grid = uniform_grid(0.0, 1.3, n, scheme=scheme)
+    nodes = grid.nodes.copy()
+    op, ref = discretize(problem, grid), _dense_discretize(problem, grid)
+    assert np.array_equal(grid.nodes, nodes)
+    assert np.array_equal(op.matrix, ref.matrix)
+    assert np.array_equal(op.source, ref.source)
+    assert estimate_contraction(op) == _dense_contraction(ref)
+    assert estimate_derivative_bound(op) == _dense_derivative_bound(ref)
+
+
+def test_bad_kernel_pair_in_a_later_block():
+    grid = uniform_grid(0.0, 1.0, 2 * _BLOCK + 1)
+    z = grid.nodes
+    row, col = _BLOCK + 3, 5
+
+    def kernel(x, zz):
+        bad = ((x == z[row]) & (zz >= z[col])) | (x > z[row + 2])
+        return np.where(bad, np.inf, 1.0)
+
+    # the source is bad too, but kernel samples are checked first
+    problem = FieProblem(kernel=kernel,
+                         source=lambda x: np.where(x == 0.0, np.nan, 1.0),
+                         a=0.0, b=1.0)
+    messages = []
+    for build in (discretize, _dense_discretize):
+        with pytest.raises(DomainError) as exc:
+            build(problem, grid)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert f"kernel sample at nodes (z[{row}]" in messages[0]
+    assert f"z[{col}]=" in messages[0]
 
 
 def test_km_step_two_node_damped():
