@@ -42,8 +42,8 @@ _DEFAULT_POLAR_QUERIES = {"r": "0:1:11", "phi": f"0:{2.0 * np.pi!r}:17"}
 # blocks in laplace_disc's evaluate_potential; the kernel matrix and its
 # error budget take ~1.2 N x N blocks): a ~1.5 GiB budget, N <= 7071.
 _MAX_CELLS = 50_000_000
-# Cap on the multiply-adds of one run, (M - 1) N^2 per solve and outer pass
-# plus S N (N + P) for a sweep: ~10 minutes at the 1.5e9/s measured on a core.
+# Cap on the multiply-adds of one run, N^2 per matvec of its forward passes
+# plus S N P for a sweep: ~10 minutes at the 1.5e9/s measured on a core.
 _MAX_WORK = 900_000_000_000
 
 
@@ -183,7 +183,7 @@ def _queries_polar(config: dict):
     _fail("queries", f"must be an r/phi lattice or a pair list, got {q!r}")
 
 
-def _kappa(config: dict, default_kappa: float):
+def _schedule(config: dict, default_kappa: float) -> KMSchedule:
     kappa = config.get("kappa", default_kappa)
     if isinstance(kappa, (list, tuple)):
         if not all(map(_is_number, kappa)):
@@ -194,10 +194,9 @@ def _kappa(config: dict, default_kappa: float):
     else:
         values = float(kappa)
     try:
-        KMSchedule(values)
+        return KMSchedule(values)
     except ValidationError as exc:
         _fail("kappa", str(exc))
-    return values
 
 
 def _rows(points, values, exact=None):
@@ -210,14 +209,15 @@ def _rows(points, values, exact=None):
 
 def _forward(net, depth) -> tuple:
     """The solved field and, for a sweep of ``depth`` layers, one holding
-    their history, both from one forward pass."""
+    their history, both from one forward pass that keeps only those."""
     if not depth:
         return forward(net), None
     deep = forward(build_network(net.op, max(net.layers, depth), net.schedule),
-                   keep_history=True)
+                   keep_history=depth)
     h = deep.history
-    return (replace(deep, values=h[net.layers - 1], history=None),
-            replace(deep, values=h[depth - 1], history=h[:depth]))
+    field = h[net.layers - 1] if net.layers <= depth else deep.values
+    return (replace(deep, values=field, history=None),
+            replace(deep, values=h[-1]))
 
 
 class _Setup(NamedTuple):
@@ -258,7 +258,7 @@ def _linear_fie(config, fn, n) -> _Setup:
 
 def _nonlinear_fie(config, fn, n) -> _Setup:
     a, b = _domain(config)
-    outer = _as_pos_int(config, "outer_iterations")
+    outer = config["outer_iterations"]  # validated by run_config
     problem = NonlinearProblem(kernel=fn["kernel"], source=fn["source"],
                                nonlinearity=fn["nonlinearity"], a=a, b=b)
     base = discretize(problem.linear_problem(), _grid(config, a, b, n))
@@ -385,14 +385,18 @@ def run_config(config: dict, exact_override: Optional[Callable] = None,
     outer = (_as_pos_int(config, "outer_iterations")
              if "outer_iterations" in config else 0)
     count, make_points = spec["queries"](config)
-    kappa = _kappa(config, spec["kappa"])  # range-checked before any setup
+    schedule = _schedule(config, spec["kappa"])  # checked before any setup
     sweep_n = sweep_layers or 0
     cells = n * n + count * n + sweep_n * max(n, count)
     if cells > _MAX_CELLS:
         raise ValidationError(
             f"grid {n}, {count} query points and sweep {sweep_n} "
             f"need {cells:.3g} dense cells, over the cap of {_MAX_CELLS:.3g}")
-    work = (layers - 1) * (outer + 1) * n * n + sweep_n * n * (n + count)
+    # nonlinear_fie sweeps in a depth-S pass of its own; the other kinds
+    # read the sweep from the solve's one pass, of depth max(layers, S)
+    matvecs = ((layers - 1) * (outer + 1) + max(sweep_n - 1, 0) if outer
+               else max(layers, sweep_n) - 1)
+    work = matvecs * n * n + sweep_n * n * count
     if work > _MAX_WORK:
         raise ValidationError(
             f"{layers} layers, {outer} outer iterations and sweep {sweep_n} "
@@ -402,7 +406,6 @@ def run_config(config: dict, exact_override: Optional[Callable] = None,
     started = time.perf_counter()
     setup = spec["setup"](config, fn, n)
     pts = make_points(setup.op.grid)
-    schedule = KMSchedule(kappa, contractive=setup.contractive)
     net = build_network(setup.op, layers, schedule)
     field, deep = setup.solve(net, sweep_layers)
     columns, values, kind_meta = setup.readout(net, field, pts)
@@ -419,7 +422,7 @@ def run_config(config: dict, exact_override: Optional[Callable] = None,
         spec["size"]: n, "layers": layers,
         "grid_iterations": layers - 1,
         "kappa": config.get("kappa", spec["kappa"]),
-        "km_schedule_valid": schedule.valid_km,
+        "km_schedule_valid": schedule.valid_km or setup.contractive,
         "q_est": setup.q_est,
         **kind_meta,
     }

@@ -25,7 +25,7 @@ exponential estimate available to damped schedules.
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -92,8 +92,11 @@ def build_network(op: DiscreteOperator, layers: int,
     return FixedPointNet(op, layers, schedule)
 
 
-def forward(net: FixedPointNet, keep_history: bool = False) -> SolutionField:
-    """Run all hidden layers and return the final grid iterate.
+def forward(net: FixedPointNet,
+            keep_history: Union[bool, int] = False) -> SolutionField:
+    """Run all hidden layers and return the final grid iterate, with the
+    iterate of every layer (``keep_history=True``) or of the first k
+    (``keep_history=k``) as its history.
 
     Layer m applies W_m implicitly: kappa (A h) + (1 - kappa) h + kappa g.
     Raises DivergenceError the moment any layer produces a non-finite
@@ -102,6 +105,7 @@ def forward(net: FixedPointNet, keep_history: bool = False) -> SolutionField:
     """
     a, g = net.op.matrix, net.op.source
     h = net.schedule.at(1) * g
+    keep = net.layers if keep_history is True else keep_history
     history: List[np.ndarray] = []
     with np.errstate(all="ignore"):
         for m in range(1, net.layers + 1):
@@ -110,10 +114,10 @@ def forward(net: FixedPointNet, keep_history: bool = False) -> SolutionField:
                 h = kappa * (a @ h) + (1.0 - kappa) * h + kappa * g
             if not np.all(np.isfinite(h)):
                 raise DivergenceError(f"non-finite values at layer {m}")
-            if keep_history:
+            if m <= keep:
                 history.append(h)
     return SolutionField(grid=net.op.grid, values=h,
-                         history=tuple(history) if keep_history else None)
+                         history=tuple(history) if keep else None)
 
 
 def evaluation_layer(problem, grid: Grid1D, points: Sequence[float],

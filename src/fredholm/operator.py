@@ -140,13 +140,17 @@ def discretize(problem: FieProblem, grid: Grid1D) -> DiscreteOperator:
     """Sample kernel and source on the grid.
 
     matrix[i, j] = K(z_i, z_j) * dz and source[i] = g(z_i).  Every sample
-    must be finite; the first offending node (pair) is reported otherwise.
+    must be finite and the kernel defined at every node pair; the first
+    offending node (pair) is reported otherwise.
     """
     z, n = grid.nodes, grid.n
     a = np.empty((n, n))
     for lo in range(0, n, _BLOCK):
-        k = np.asarray(problem.kernel(z[lo:lo + _BLOCK, None], z[None, :]),
-                       dtype=float)
+        try:
+            k = np.asarray(problem.kernel(z[lo:lo + _BLOCK, None],
+                                          z[None, :]), dtype=float)
+        except DomainError as exc:
+            raise _undefined_pair(problem.kernel, z, lo) or exc
         # out= rather than *= on k: a plain callable may return its input
         block = np.multiply(k, grid.spacing, out=a[lo:lo + _BLOCK])
         bad = ~np.isfinite(block)
@@ -161,6 +165,23 @@ def discretize(problem: FieProblem, grid: Grid1D) -> DiscreteOperator:
         i = int(np.argmax(bad))
         raise DomainError(f"non-finite source sample at node z[{i}]={z[i]!r}")
     return DiscreteOperator(grid, a, g.copy(), problem)
+
+
+def _undefined_pair(kernel, z, lo) -> Optional[DomainError]:
+    """The kernel's DomainError at the first node pair, row-major in the
+    block from row ``lo``, that it fails on alone, renamed after that pair:
+    the kernel's own message indexes whatever array failed."""
+    def error(i, cols):
+        try:
+            kernel(z[i:i + 1, None], z[None, cols])
+        except DomainError as exc:
+            return exc
+    for i in range(lo, len(z))[:_BLOCK]:
+        for j in range(len(z)) if error(i, slice(None)) else ():
+            exc = error(i, slice(j, j + 1))
+            if exc:
+                return DomainError(f"kernel undefined at nodes (z[{i}]="
+                                   f"{z[i]!r}, z[{j}]={z[j]!r}): {exc}")
 
 
 def estimate_contraction(op: DiscreteOperator) -> float:

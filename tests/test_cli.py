@@ -238,21 +238,44 @@ def test_work_guard_refuses_before_allocation(monkeypatch, capsys):
                             (cap + 2, ValidationError)):
         with pytest.raises(outcome):
             run_config(dict(one_node, layers=layers))
-    # 900001 layers on 1000 nodes are exactly the cap; a sweep adds to it
-    at_cap = dict(LINEAR_CONFIG, grid_n=1000, layers=900_001, queries=[0.5])
+    # 900000 layers on 1000 nodes leave 1e6 below the cap: a sweep no
+    # deeper than the solve shares its matvecs and adds only S * N * P for
+    # its evaluation at the P = 1 query point
+    near_cap = dict(LINEAR_CONFIG, grid_n=1000, layers=900_000,
+                    queries=[0.5])
     with pytest.raises(_Allocated):
-        run_config(at_cap)
+        run_config(near_cap, sweep_layers=1000)
     with pytest.raises(ValidationError) as exc:
-        run_config(at_cap, sweep_layers=1)
+        run_config(near_cap, sweep_layers=1001)
     assert "multiply-adds" in str(exc.value)
-    # every outer pass of a nonlinear run is one more network solve
+    # every outer pass of a nonlinear run is one more network solve, and
+    # its sweep one more pass of S - 1 matvecs
     nl3 = get_example("nl3").config
     with pytest.raises(_Allocated):
-        run_config(dict(nl3, outer_iterations=11_110))
+        run_config(dict(nl3, outer_iterations=11_110), sweep_layers=1)
+    with pytest.raises(ValidationError):
+        run_config(dict(nl3, outer_iterations=11_110), sweep_layers=2)
     with pytest.raises(ValidationError):
         run_config(dict(nl3, outer_iterations=11_111))
     assert main(["example", "ex1", "--layers", "10000000"]) == 2
     assert "multiply-adds" in capsys.readouterr().err
+
+
+def test_shallow_sweep_keeps_only_its_iterates(monkeypatch):
+    # the pass runs all 400 layers of the solve but holds two iterates
+    fields = []
+
+    def spy(net, keep_history=False):
+        fields.append(forward(net, keep_history))
+        return fields[-1]
+
+    monkeypatch.setattr(cli, "forward", spy)
+    config = dict(LINEAR_CONFIG, layers=400)
+    bundle = run_config(config, sweep_layers=2)
+    assert [len(f.history) for f in fields] == [2]
+    assert bundle.rows == run_config(config).rows
+    # the first two iterates do not depend on the depth of the solve
+    assert bundle.sweep == run_config(LINEAR_CONFIG, sweep_layers=2).sweep
 
 
 @pytest.mark.parametrize("sweep", [3, 8, 12])
@@ -265,7 +288,7 @@ def test_sweep_shares_the_forward_pass(monkeypatch, sweep):
 
     monkeypatch.setattr(cli, "forward", spy)
     bundle = run_config(LINEAR_CONFIG, sweep_layers=sweep)
-    assert calls == [(max(LINEAR_CONFIG["layers"], sweep), True)]
+    assert calls == [(max(LINEAR_CONFIG["layers"], sweep), sweep)]
     assert bundle.rows == run_config(LINEAR_CONFIG).rows
 
     def fn(key, params):

@@ -75,6 +75,19 @@ def test_forward_history(const_kernel_factory):
         field.values[0] = 0.0
 
 
+def test_forward_keeps_the_first_k_iterates(const_kernel_factory):
+    op = const_kernel_factory(n=16, scheme="left")
+    net = build_network(op, 6, KMSchedule(0.7))
+    full = forward(net, keep_history=True)
+    for k in (1, 4, 6, 9):
+        field = forward(net, keep_history=k)
+        assert len(field.history) == min(k, 6)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(field.history, full.history))
+        assert np.array_equal(field.values, full.values)
+    assert forward(net, keep_history=0).history is None
+
+
 def test_forward_zero_kernel_is_source_every_depth():
     problem = FieProblem(kernel=lambda x, z: 0.0, source=lambda x: np.sin(x),
                          a=0.0, b=1.0)

@@ -155,6 +155,24 @@ def test_bad_kernel_pair_in_a_later_block():
     assert f"z[{col}]=" in messages[0]
 
 
+def test_undefined_kernel_pair_in_a_later_block():
+    # the kernel's own index would be relative to the failing block
+    grid = uniform_grid(0.0, 1.0, 200, scheme="closed")
+    z = grid.nodes
+    for text, (i, j), reason in (
+            ("sqrt(0.5 - x)", (100, 0), "sqrt"),
+            ("sqrt(1.2 - x - z)", (40, 199), "sqrt"),
+            # the first pair in row-major order, not the first failing term
+            ("sqrt(0.8 - z) + log(x - 0.3)", (0, 0), "log")):
+        problem = FieProblem(kernel=compile_fn(parse(text), ("x", "z")),
+                             source=lambda x: np.nan, a=0.0, b=1.0)
+        with pytest.raises(DomainError) as exc:
+            discretize(problem, grid)
+        assert str(exc.value).startswith(
+            f"kernel undefined at nodes (z[{i}]={z[i]!r}, z[{j}]={z[j]!r}): "
+            f"{reason} of")
+
+
 def test_km_step_two_node_damped():
     # layer 1 gives g = (1, 1); the damped layer 2 is one KM step from it
     op = _two_node_op()
