@@ -38,9 +38,10 @@ _DEFAULT_POLAR_QUERIES = {"r": "0:1:11", "phi": f"0:{2.0 * np.pi!r}:17"}
 
 # Cap on the dense cells of one run: N^2 for the kernel matrix, P * N for
 # the evaluation rows at P query points and S * max(N, P) for a sweep of
-# depth S.  A cell peaks at about four doubles under tracemalloc (four P x N
-# blocks in laplace_disc's evaluate_potential; the kernel matrix and its
-# error budget take ~1.2 N x N blocks): a ~1.5 GiB budget, N <= 7071.
+# depth S.  A cell peaks at about two doubles under tracemalloc (the 1-D
+# kinds' evaluation rows and their scaled copy; the kernel matrix and its
+# error budget take ~1.2 N x N blocks, and laplace_disc's evaluate_potential
+# two 32-row blocks whatever P is): a ~760 MiB budget, N <= 7071.
 _MAX_CELLS = 50_000_000
 # Cap on the multiply-adds of one run, N^2 per matvec of its forward passes
 # plus S N P for a sweep: ~10 minutes at the 1.5e9/s measured on a core.

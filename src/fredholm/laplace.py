@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .grid import Grid1D, uniform_grid
-from .operator import DiscreteOperator, FieProblem, discretize
+from .operator import _BLOCK, DiscreteOperator, FieProblem, discretize
 
 __all__ = [
     "DiscBoundaryProblem", "BoundaryDensity", "PotentialField",
@@ -53,12 +53,26 @@ def polar_double_layer_kernel(r, phi, theta):
     if np.any((r < 0.0) | (r > 1.0) | ~np.isfinite(r)):
         raise ValidationError("radius outside [0, 1]")
     c = np.cos(theta - phi)
-    den = 1.0 - 2.0 * r * c + r * r
+    shape = np.broadcast_shapes(r.shape, c.shape)
+    # [()] turns the 0-d result of scalar arguments into a scalar
+    return _kernel_over_cos(r, np.broadcast_to(c, shape).copy(),
+                            np.empty(shape))[()]
+
+
+def _kernel_over_cos(r, c, den):
+    """Overwrite c = cos(theta - phi) with the kernel at radii r (which
+    broadcast against c); den is scratch of c's shape."""
+    np.multiply(2.0 * r, c, out=den)
+    np.subtract(1.0, den, out=den)
+    np.add(den, r * r, out=den)
     if np.any(den == 0.0):
         raise DomainError(
             "kernel evaluated exactly at its boundary singularity "
             "(r=1, theta=phi); use the limit value 1/(4 pi)")
-    return (1.0 - r * c) / (TWO_PI * den)
+    np.multiply(r, c, out=c)
+    np.subtract(1.0, c, out=c)
+    np.multiply(TWO_PI, den, out=den)
+    return np.divide(c, den, out=c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,13 +188,25 @@ def evaluate_potential(density: BoundaryDensity,
     dth = density.grid.spacing
     mu = density.values
     values = 0.5 * mu_star + p_star
-    interior = r < 1.0
-    if interior.any():
-        ri = r[interior, None]
-        ki = polar_double_layer_kernel(ri, phi[interior, None],
-                                       th[None, :])
-        diff = mu[None, :] - mu_star[interior, None]
-        values[interior] += (diff * (ki - 1.0 / (2.0 * TWO_PI))).sum(axis=1) * dth
+    # Interior rows in blocks, sorted by angle: the kernel sees the angle
+    # only through cos(theta - phi), so each block takes one cosine row
+    # per distinct angle.  Each row's arithmetic and pairwise sum are the
+    # full P x N formula's, so the blocking does not change a result.
+    interior = np.flatnonzero(r < 1.0)
+    order = interior[np.argsort(phi[interior], kind="stable")]
+    rows = np.empty((2, min(_BLOCK, len(order)), len(th)))
+    for lo in range(0, len(order), _BLOCK):
+        idx = order[lo:lo + _BLOCK]
+        c, scratch = rows[:, :len(idx)]
+        angles, which = np.unique(phi[idx], return_inverse=True)
+        cos_rows = np.subtract(th, angles[:, None], out=scratch[:len(angles)])
+        np.cos(cos_rows, out=cos_rows)
+        # indices are in range; "clip" lets take write into c unbuffered
+        np.take(cos_rows, which, axis=0, out=c, mode="clip")
+        k = _kernel_over_cos(r[idx, None], c, scratch)
+        np.subtract(k, 1.0 / (2.0 * TWO_PI), out=k)
+        diff = np.subtract(mu, mu_star[idx, None], out=scratch)
+        values[idx] += np.multiply(diff, k, out=k).sum(axis=1) * dth
     if not np.all(np.isfinite(values)):
         raise DomainError("non-finite potential value")
     return PotentialField(r=r, phi=phi, values=values,

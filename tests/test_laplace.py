@@ -1,10 +1,12 @@
 """Boundary integral equation on the unit disc and potential evaluation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fredholm.cli import run_example
 from fredholm.errors import DomainError, ValidationError
 from fredholm.laplace import (BoundaryDensity, DiscBoundaryProblem, build_bie,
                               evaluate_potential, polar_double_layer_kernel)
@@ -176,3 +178,89 @@ def test_density_container_validation():
 def test_problem_validation():
     with pytest.raises(ValidationError):
         DiscBoundaryProblem(boundary=lambda t: t, theta_n=1)
+
+
+def _random_density(n, seed=0):
+    grid = DiscBoundaryProblem(boundary=np.cos, theta_n=n).grid
+    values = np.random.default_rng(seed).uniform(-2.0, 2.0, n)
+    return BoundaryDensity(grid=grid, values=values)
+
+
+def _dense_potential(density, queries):
+    """The smoothed sum over full P x N arrays: the reference that the
+    blocked scan in evaluate_potential must match bit for bit."""
+    q = np.asarray(queries, dtype=float)
+    r, phi = q[:, 0], np.mod(q[:, 1], TWO_PI)
+    th, mu = density.grid.nodes, density.values
+    mu_star = np.interp(np.where(r == 0.0, 0.0, phi), np.append(th, TWO_PI),
+                        np.append(mu, mu[0]))
+    values = 0.5 * mu_star + density.mean_weighted
+    inner = r < 1.0
+    ri = r[inner, None]
+    c = np.cos(th[None, :] - phi[inner, None])
+    k = (1.0 - ri * c) / (TWO_PI * (1.0 - 2.0 * ri * c + ri * ri))
+    diff = mu[None, :] - mu_star[inner, None]
+    values[inner] += ((diff * (k - 1.0 / (2.0 * TWO_PI))).sum(axis=1)
+                      * density.grid.spacing)
+    return values
+
+
+def _query_sets():
+    rng = np.random.default_rng(7)
+    lattice = [(r, p) for r in np.linspace(0.0, 1.0, 21)
+               for p in np.linspace(0.0, TWO_PI, 41)]
+    distinct = np.column_stack([rng.uniform(0.0, 1.0, 861),
+                                rng.permutation(np.linspace(-9.0, 9.0, 861))])
+    # the same angle many times, and angles equal only after wrapping
+    wrapped = [(rr, p) for rr in (0.2, 0.5, 0.9, 0.999)
+               for p in (0.0, TWO_PI, -math.pi, math.pi, 1.0, 1.0,
+                         1.0 + TWO_PI, -TWO_PI, 3.0 * math.pi)]
+    mixed = np.column_stack([np.tile([0.0, 0.3, 1.0, 0.95, 1.0, 0.0], 12),
+                             rng.uniform(-4.0, 4.0, 72)])
+    sets = {"lattice": lattice, "distinct": distinct, "wrapped": wrapped,
+            "mixed": mixed}
+    for p in (1, 31, 32, 33, 65):
+        sets[f"P{p}"] = np.column_stack([rng.uniform(0.0, 1.0, p),
+                                         rng.uniform(0.0, TWO_PI, p)])
+    return sets
+
+
+@pytest.mark.parametrize("theta_n", [64, 2000])
+@pytest.mark.parametrize("name", sorted(_query_sets()))
+def test_blocked_potential_matches_dense_reference(theta_n, name):
+    den = _random_density(theta_n)
+    queries = _query_sets()[name]
+    pot = evaluate_potential(den, queries)
+    assert np.array_equal(pot.values, _dense_potential(den, queries))
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_potential_scan_holds_a_few_row_blocks():
+    # a P x N formula would hold about four P x N blocks
+    p, n = 861, 2000
+    den = _random_density(n)
+    queries = np.column_stack([np.random.default_rng(3).uniform(0, 1, p),
+                               np.linspace(0.0, 20.0, p)])
+    assert _peak_bytes(lambda: evaluate_potential(den, queries)) <= (
+        0.1 * p * n * 8)
+    # the whole example stays within the kernel matrix's own budget
+    assert _peak_bytes(lambda: run_example("laplace_disc")) <= 1.25 * n * n * 8
+
+
+def test_singular_query_in_a_later_block_raises():
+    den = _random_density(64)
+    th5 = float(den.grid.nodes[5])
+    # 40 smaller angles put it in the second block of the angle order
+    queries = [(0.5, p) for p in np.linspace(0.0, th5, 40, endpoint=False)]
+    queries.append((float(np.nextafter(1.0, 0.0)), th5))
+    with pytest.raises(DomainError, match="kernel evaluated exactly at its "
+                                          "boundary singularity"):
+        evaluate_potential(den, queries)
