@@ -38,10 +38,12 @@ _DEFAULT_POLAR_QUERIES = {"r": "0:1:11", "phi": f"0:{2.0 * np.pi!r}:17"}
 
 # Cap on the dense cells of one run: N^2 for the kernel matrix, P * N for
 # the evaluation rows at P query points and S * max(N, P) for a sweep of
-# depth S.  A cell peaks at about two doubles under tracemalloc (the 1-D
-# kinds' evaluation rows and their scaled copy; the kernel matrix and its
-# error budget take ~1.2 N x N blocks, and laplace_disc's evaluate_potential
-# two 32-row blocks whatever P is): a ~760 MiB budget, N <= 7071.
+# depth S.  Under tracemalloc an N x N cell peaks at ~1.2 doubles (the
+# matrix and its error budget, built and scanned in 32-row blocks) and an
+# S x N sweep cell at 2.1-3.9.  Every kind evaluates its rows 32 at a time,
+# so no P x N array is held; what grows with P is ~150 B per query point
+# (its P-vectors and report row).  At 1.2 doubles the cap is ~460 MiB and
+# allows N <= 7071.
 _MAX_CELLS = 50_000_000
 # Cap on the multiply-adds of one run, N^2 per matvec of its forward passes
 # plus S N P for a sweep: ~10 minutes at the 1.5e9/s measured on a core.

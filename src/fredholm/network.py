@@ -29,11 +29,12 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import (BoundUnavailableError, DivergenceError,
+from .errors import (BoundUnavailableError, DivergenceError, DomainError,
                      SingularSystemError, ValidationError)
 from .grid import Grid1D
-from .operator import (DiscreteOperator, KMSchedule, estimate_contraction,
-                       estimate_derivative_bound, residual_norm)
+from .operator import (_BLOCK, DiscreteOperator, KMSchedule, _undefined_pair,
+                       estimate_contraction, estimate_derivative_bound,
+                       residual_norm)
 
 __all__ = [
     "SolutionField", "FixedPointNet", "ErrorBudget",
@@ -127,8 +128,10 @@ def evaluation_layer(problem, grid: Grid1D, points: Sequence[float],
     ``problem`` supplies the ``kernel`` and ``source`` callables.  Interval
     grids reject points outside [a, b]; periodic ones wrap them.  ``values``
     may be one grid field (N,) or a stack of fields (N, k), giving (P,) or
-    (P, k).  The result is not checked for finiteness; callers raise their
-    own error for that.
+    (P, k).  The points are scanned in blocks of ``_BLOCK`` rows, so no
+    P x N kernel rows are held; a kernel undefined at some pair names the
+    query point and node.  The result is not checked for finiteness;
+    callers raise their own error for that.
     """
     pts = np.asarray(points, dtype=float).ravel()
     if grid.topology == "periodic":
@@ -137,16 +140,23 @@ def evaluation_layer(problem, grid: Grid1D, points: Sequence[float],
         bad = (pts < grid.a) | (pts > grid.b) | ~np.isfinite(pts)
         if bad.any():
             raise ValidationError(
-                f"query point {pts[np.argmax(bad)]!r} outside "
+                f"query point {float(pts[np.argmax(bad)])!r} outside "
                 f"[{grid.a}, {grid.b}]")
-    rows = np.asarray(problem.kernel(pts[:, None], grid.nodes[None, :]),
-                      dtype=float)
-    rows = np.broadcast_to(rows, (pts.size, grid.n)) * grid.spacing
+    z = grid.nodes
+    out = np.empty(pts.shape + np.shape(values)[1:])
+    rows = np.empty((min(_BLOCK, pts.size), grid.n))
+    for lo in range(0, pts.size, _BLOCK):
+        x = pts[lo:lo + _BLOCK, None]
+        try:
+            k = np.asarray(problem.kernel(x, z[None, :]), dtype=float)
+        except DomainError as exc:
+            raise _undefined_pair(problem.kernel, pts, z, lo) or exc
+        np.matmul(np.multiply(k, grid.spacing, out=rows[:len(x)]), values,
+                  out=out[lo:lo + _BLOCK])
     g_pts = np.broadcast_to(np.asarray(problem.source(pts), dtype=float),
                             pts.shape)
-    if np.ndim(values) == 2:
-        g_pts = g_pts[:, None]
-    return g_pts + rows @ values
+    out += g_pts[:, None] if out.ndim == 2 else g_pts
+    return out
 
 
 def query(net: FixedPointNet, field: SolutionField,

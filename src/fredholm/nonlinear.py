@@ -78,7 +78,7 @@ def _apply_nonlinearity(problem: NonlinearProblem, values: np.ndarray,
         i = int(np.argmax(bad))
         raise DomainError(
             f"nonlinearity left its domain {where} at node {i} "
-            f"(iterate value {values[i]!r})")
+            f"(iterate value {float(values[i])!r})")
     return gu
 
 

@@ -31,8 +31,9 @@ __all__ = [
     "residual_norm", "estimate_derivative_bound",
 ]
 
-# Rows per block when the kernel fills the matrix and when the matrix is
-# scanned: no other N x N array is allocated, and row arithmetic is unchanged.
+# Rows per block when the kernel fills the matrix, when the matrix is scanned
+# and when the evaluation layers build their kernel rows: no other N x N or
+# P x N array is allocated, and row arithmetic is unchanged.
 _BLOCK = 32
 
 
@@ -150,38 +151,42 @@ def discretize(problem: FieProblem, grid: Grid1D) -> DiscreteOperator:
             k = np.asarray(problem.kernel(z[lo:lo + _BLOCK, None],
                                           z[None, :]), dtype=float)
         except DomainError as exc:
-            raise _undefined_pair(problem.kernel, z, lo) or exc
+            raise _undefined_pair(problem.kernel, z, z, lo) or exc
         # out= rather than *= on k: a plain callable may return its input
         block = np.multiply(k, grid.spacing, out=a[lo:lo + _BLOCK])
         bad = ~np.isfinite(block)
         if bad.any():
             i, j = np.argwhere(bad)[0] + (lo, 0)
             raise DomainError(
-                f"non-finite kernel sample at nodes (z[{i}]={z[i]!r}, "
-                f"z[{j}]={z[j]!r})")
+                f"non-finite kernel sample at nodes (z[{i}]={float(z[i])!r}, "
+                f"z[{j}]={float(z[j])!r})")
     g = np.broadcast_to(np.asarray(problem.source(z), dtype=float), (n,))
     bad = ~np.isfinite(g)
     if bad.any():
         i = int(np.argmax(bad))
-        raise DomainError(f"non-finite source sample at node z[{i}]={z[i]!r}")
+        raise DomainError(
+            f"non-finite source sample at node z[{i}]={float(z[i])!r}")
     return DiscreteOperator(grid, a, g.copy(), problem)
 
 
-def _undefined_pair(kernel, z, lo) -> Optional[DomainError]:
-    """The kernel's DomainError at the first node pair, row-major in the
-    block from row ``lo``, that it fails on alone, renamed after that pair:
-    the kernel's own message indexes whatever array failed."""
+def _undefined_pair(kernel, x, z, lo) -> Optional[DomainError]:
+    """The kernel's DomainError at the first pair (x[i], z[j]), row-major in
+    the block from row ``lo``, that it fails on alone, renamed after that
+    pair: the kernel's own message indexes whatever array failed.  Rows
+    that are the nodes themselves are named as nodes, others as queries."""
     def error(i, cols):
         try:
-            kernel(z[i:i + 1, None], z[None, cols])
+            kernel(x[i:i + 1, None], z[None, cols])
         except DomainError as exc:
             return exc
-    for i in range(lo, len(z))[:_BLOCK]:
+    at, name = ("nodes", "z") if x is z else ("query point and node", "x")
+    for i in range(lo, len(x))[:_BLOCK]:
         for j in range(len(z)) if error(i, slice(None)) else ():
             exc = error(i, slice(j, j + 1))
             if exc:
-                return DomainError(f"kernel undefined at nodes (z[{i}]="
-                                   f"{z[i]!r}, z[{j}]={z[j]!r}): {exc}")
+                return DomainError(
+                    f"kernel undefined at {at} ({name}[{i}]={float(x[i])!r}, "
+                    f"z[{j}]={float(z[j])!r}): {exc}")
 
 
 def estimate_contraction(op: DiscreteOperator) -> float:

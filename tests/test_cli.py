@@ -3,17 +3,20 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fredholm import cli
 from fredholm.cli import main, run_compare_fd, run_config, run_example
-from fredholm.errors import ValidationError
+from fredholm.errors import DomainError, ValidationError
 from fredholm.exprlang import compile_fn, parse
 from fredholm.grid import uniform_grid
-from fredholm.network import build_network, forward, layer_sweep
-from fredholm.nonlinear import NonlinearProblem, solve_nonlinear
+from fredholm.network import (build_network, evaluation_layer, forward,
+                              layer_sweep)
+from fredholm.nonlinear import (NonlinearProblem, linearized_source,
+                                solve_nonlinear)
 from fredholm.operator import (DiscreteOperator, FieProblem, KMSchedule,
                                discretize)
 from fredholm.registry import example_names, get_example
@@ -306,6 +309,71 @@ def test_sweep_shares_the_forward_pass(monkeypatch, sweep):
         calls.clear()
         run_example(name, sweep_layers=sweep)
         assert len(calls) == 1
+
+
+def test_evaluation_rows_stay_within_a_block():
+    # 8400 x 400 kernel rows and their scaled copy held at once peaked at
+    # 55.8 MiB; 32-row blocks hold ~100 KiB of them
+    config = dict(LINEAR_CONFIG, kernel="exp(-(x-z)^2)", source="1",
+                  grid_n=400, queries="0:1:8400")
+    del config["exact"]
+    tracemalloc.start()
+    try:
+        run_config(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
+
+
+# the left grid keeps z - x + 1 > 0 on its nodes; the query x = 1 meets z = 0
+_LOG_KERNEL_CONFIG = dict(LINEAR_CONFIG, kernel="log(z - x + 1)", source="1",
+                          grid_n=100, grid_scheme="left", queries="0:1:101")
+del _LOG_KERNEL_CONFIG["exact"]
+
+
+def test_undefined_kernel_names_the_query_point_and_node():
+    # a block-relative flat index (10000 over the full rows) names nothing
+    with pytest.raises(DomainError) as exc:
+        run_config(_LOG_KERNEL_CONFIG)
+    assert str(exc.value).startswith(
+        "kernel undefined at query point and node (x[100]=1.0, z[0]=0.0): "
+        "log of")
+
+
+def test_error_texts_print_plain_floats():
+    grid = uniform_grid(0.0, 1.0, 8, scheme="left")
+
+    def one(*xs):
+        return 1.0
+
+    def nan_at_zero(*xs):
+        return np.where(sum(xs) == 0.0, np.nan, 1.0)
+
+    base = discretize(FieProblem(kernel=one, source=one, a=0.0, b=1.0), grid)
+    nonlinear = NonlinearProblem(kernel=one, source=one, a=0.0, b=1.0,
+                                 nonlinearity=lambda u: np.sqrt(u))
+    cases = [
+        (lambda: discretize(FieProblem(kernel=nan_at_zero, source=one,
+                                       a=0.0, b=1.0), grid),
+         "(z[0]=0.0, z[0]=0.0)"),
+        (lambda: discretize(FieProblem(kernel=one, source=nan_at_zero,
+                                       a=0.0, b=1.0), grid),
+         "node z[0]=0.0"),
+        (lambda: run_config(dict(_LOG_KERNEL_CONFIG, grid_scheme="closed")),
+         "(z[99]=1.0, z[0]=0.0)"),
+        (lambda: run_config(_LOG_KERNEL_CONFIG), "(x[100]=1.0, z[0]=0.0)"),
+        (lambda: evaluation_layer(base.problem, grid, [1.5], np.ones(8)),
+         "query point 1.5 outside"),
+        (lambda: linearized_source(nonlinear, base, -np.ones(8)),
+         "(iterate value -1.0)"),
+    ]
+    for call, text in cases:
+        with np.errstate(invalid="ignore"), \
+                pytest.raises((DomainError, ValidationError)) as exc:
+            call()
+        assert text in str(exc.value)
+        assert "np.float64(" not in str(exc.value)
 
 
 def test_run_compare_fd_metadata():

@@ -10,11 +10,11 @@ from fredholm.errors import (BoundUnavailableError, DivergenceError,
                              SingularSystemError, ValidationError)
 from fredholm.grid import uniform_grid
 from fredholm.network import (ErrorBudget, budget_from_operator, build_network,
-                              dense_solve, error_bound, forward,
-                              km_error_estimate, layer_sweep, plan_layers,
-                              query)
-from fredholm.operator import (DiscreteOperator, FieProblem, KMSchedule,
-                               discretize, estimate_contraction)
+                              dense_solve, error_bound, evaluation_layer,
+                              forward, km_error_estimate, layer_sweep,
+                              plan_layers, query)
+from fredholm.operator import (_BLOCK, DiscreteOperator, FieProblem,
+                               KMSchedule, discretize, estimate_contraction)
 
 
 def _km_step(op, f, kappa):
@@ -214,6 +214,50 @@ def test_query_rejects_mismatched_field(const_kernel_factory):
                                   KMSchedule(1.0, contractive=True)))
     with pytest.raises(ValidationError):
         query(net, other, [0.5])
+
+
+# ---------------------------------------------------------------------------
+# evaluation layer
+
+def _full_rows_layer(problem, grid, points, values):
+    """The evaluation layer through all P x N kernel rows at once, as it was
+    computed before the points were scanned in row blocks."""
+    pts = np.asarray(points, dtype=float).ravel()
+    if grid.topology == "periodic":
+        pts = grid.a + np.mod(pts - grid.a, grid.length)
+    rows = np.asarray(problem.kernel(pts[:, None], grid.nodes[None, :]),
+                      dtype=float)
+    rows = np.broadcast_to(rows, (pts.size, grid.n)) * grid.spacing
+    g = np.broadcast_to(np.asarray(problem.source(pts), dtype=float),
+                        pts.shape)
+    return (g[:, None] if np.ndim(values) == 2 else g) + rows @ values
+
+
+@pytest.mark.parametrize("p", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 201])
+@pytest.mark.parametrize("topology", ["interval", "periodic"])
+def test_blocked_evaluation_layer_matches_full_rows(topology, p):
+    b = 2.0 * np.pi if topology == "periodic" else 1.3
+    # positive kernel, source and iterates: no cancellation in the sums
+    problem = FieProblem(kernel=lambda x, z: 0.1 * np.exp(-(x - z) ** 2),
+                         source=lambda x: 1.0 + np.sin(x) ** 2, a=0.0, b=b)
+    grid = uniform_grid(0.0, b, 400, topology=topology)
+    # periodic points outside [0, b) wrap
+    pts = (np.linspace(-1.0, b + 1.0, p) if topology == "periodic"
+           else np.linspace(0.0, b, p))
+    field = forward(build_network(discretize(problem, grid), 15,
+                                  KMSchedule(0.5)), keep_history=True)
+    got = evaluation_layer(problem, grid, pts, field.values)
+    assert got.shape == (p,)
+    # one field is a gemv: each row's dot product is the same in any block
+    assert np.array_equal(got, _full_rows_layer(problem, grid, pts,
+                                                field.values))
+    # a stack of fields is a gemm, which a 32-row block may round apart
+    history = np.stack(field.history, axis=1)
+    got = evaluation_layer(problem, grid, pts, history)
+    assert got.shape == (p, 15)
+    np.testing.assert_allclose(
+        got, _full_rows_layer(problem, grid, pts, history), rtol=1e-14,
+        atol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -82,12 +82,13 @@ def _dense_discretize(problem, grid):
     if bad.any():
         i, j = np.unravel_index(int(np.argmax(bad)), a.shape)
         raise DomainError(
-            f"non-finite kernel sample at nodes (z[{i}]={z[i]!r}, "
-            f"z[{j}]={z[j]!r})")
+            f"non-finite kernel sample at nodes (z[{i}]={float(z[i])!r}, "
+            f"z[{j}]={float(z[j])!r})")
     bad = ~np.isfinite(g)
     if bad.any():
         i = int(np.argmax(bad))
-        raise DomainError(f"non-finite source sample at node z[{i}]={z[i]!r}")
+        raise DomainError(
+            f"non-finite source sample at node z[{i}]={float(z[i])!r}")
     return DiscreteOperator(grid=grid, matrix=np.ascontiguousarray(a),
                             source=g.copy(), problem=problem)
 
@@ -169,8 +170,8 @@ def test_undefined_kernel_pair_in_a_later_block():
         with pytest.raises(DomainError) as exc:
             discretize(problem, grid)
         assert str(exc.value).startswith(
-            f"kernel undefined at nodes (z[{i}]={z[i]!r}, z[{j}]={z[j]!r}): "
-            f"{reason} of")
+            f"kernel undefined at nodes (z[{i}]={float(z[i])!r}, "
+            f"z[{j}]={float(z[j])!r}): {reason} of")
 
 
 def test_km_step_two_node_damped():
