@@ -23,7 +23,7 @@ from .nonlinear import (IterationTrace, NonlinearProblem, evaluate_nonlinear,
                         linearized_source, solve_nonlinear)
 from .bvp import BvpSpec, bvp_to_fie, ode_residual, recover_solution
 from .laplace import (BoundaryDensity, DiscBoundaryProblem, PotentialField,
-                      build_bie, evaluate_potential, polar_double_layer_kernel)
+                      build_bie, evaluate_potential)
 from .fd import PolarGrid, solve_fd
 from .registry import EXAMPLES, ExampleSpec, example_names, get_example
 from .report import ReportBundle, render_csv, render_json, write_report
@@ -47,7 +47,6 @@ __all__ = [
     "BvpSpec", "bvp_to_fie", "ode_residual", "recover_solution",
     "BoundaryDensity", "DiscBoundaryProblem", "PotentialField",
     "build_bie", "evaluate_potential",
-    "polar_double_layer_kernel",
     "PolarGrid", "solve_fd",
     "EXAMPLES", "ExampleSpec", "example_names", "get_example",
     "ReportBundle", "render_csv", "render_json", "write_report",

@@ -52,8 +52,11 @@ def bvp_to_fie(spec: BvpSpec) -> FieProblem:
     def kernel(x, t):
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
-        tri = np.where(t <= x, t * (1.0 - x), x * (1.0 - t))
-        return tri * np.asarray(g(x), dtype=float)
+        # min(x, t) (1 - max(x, t)) is both branches of the triangle
+        tri = np.minimum(x, t)
+        tri *= 1.0 - np.maximum(x, t)
+        tri *= np.asarray(g(x), dtype=float)
+        return tri
 
     def source(x):
         x = np.asarray(x, dtype=float)

@@ -36,13 +36,14 @@ __all__ = ["main", "run_config", "run_example", "run_compare_fd"]
 
 _DEFAULT_POLAR_QUERIES = {"r": "0:1:11", "phi": f"0:{2.0 * np.pi!r}:17"}
 
-# Cap on the dense cells of one run: N^2 for the kernel matrix, P * N for
-# the evaluation rows at P query points and S * max(N, P) for a sweep of
-# depth S.  Under tracemalloc an N x N cell peaks at ~1.2 doubles (the
-# matrix and its error budget, built and scanned in 32-row blocks) and an
-# S x N sweep cell at 2.1-3.9.  Every kind evaluates its rows 32 at a time,
-# so no P x N array is held; what grows with P is ~150 B per query point
-# (its P-vectors and report row).  At 1.2 doubles the cap is ~460 MiB and
+# Cap on the dense cells of one run: N^2 for the kernel matrix,
+# P * max(N, 16) for P query points and S * max(N, P) for a sweep of depth
+# S.  Under tracemalloc an N x N cell peaks at ~1.2 doubles (the matrix and
+# its error budget, built and scanned in 32-row blocks) and an S x N sweep
+# cell at ~1.0 (update sizes, the history itself) or 2.1 (errors).  Every
+# kind evaluates its rows 32 at a time, so no P x N array is held; a query
+# point costs ~150 B whatever N is (its P-vectors and report row), which
+# the floor of 16 cells charges.  At 1.2 doubles the cap is ~460 MiB and
 # allows N <= 7071.
 _MAX_CELLS = 50_000_000
 # Cap on the multiply-adds of one run, N^2 per matvec of its forward passes
@@ -273,7 +274,7 @@ def _nonlinear_fie(config, fn, n) -> _Setup:
                                        net.schedule, outer)
         deltas.extend(float(d) for d in trace.deltas)
         if depth:  # the sweep runs the last outer pass's linear operator
-            last = replace(base, source=trace.sources[-1])
+            last = replace(base, source=trace.source)
             return field, forward(build_network(last, depth, net.schedule),
                                   keep_history=True)
         return field, None
@@ -390,7 +391,7 @@ def run_config(config: dict, exact_override: Optional[Callable] = None,
     count, make_points = spec["queries"](config)
     schedule = _schedule(config, spec["kappa"])  # checked before any setup
     sweep_n = sweep_layers or 0
-    cells = n * n + count * n + sweep_n * max(n, count)
+    cells = n * n + count * max(n, 16) + sweep_n * max(n, count)
     if cells > _MAX_CELLS:
         raise ValidationError(
             f"grid {n}, {count} query points and sweep {sweep_n} "

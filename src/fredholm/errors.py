@@ -22,7 +22,6 @@ class ExprSyntaxError(ValidationError):
     def __init__(self, message, offset):
         super().__init__(f"{message} at offset {offset}")
         self.offset = offset
-        self.bare_message = message
 
 
 class UnboundVariableError(ValidationError):

@@ -22,6 +22,7 @@ producing NaN or inf.  ``evaluate`` walks the tree with scalars;
 
 import math
 import re
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,105 +42,47 @@ _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
 # ---------------------------------------------------------------------------
-# AST nodes.  Plain tuples of fields with structural equality.
+# AST nodes: immutable records with structural equality.
 
+@dataclass(frozen=True, slots=True)
 class Num:
-    __slots__ = ("value",)
+    value: float
 
-    def __init__(self, value):
-        self.value = float(value)
-
-    def __eq__(self, other):
-        return type(other) is Num and (
-            self.value == other.value
-            or (math.isnan(self.value) and math.isnan(other.value)))
-
-    def __hash__(self):
-        return hash(("Num", self.value))
-
-    def __repr__(self):
-        return f"Num({self.value!r})"
+    def __post_init__(self):
+        object.__setattr__(self, "value", float(self.value))
 
 
+@dataclass(frozen=True, slots=True)
 class Var:
-    __slots__ = ("name",)
-
-    def __init__(self, name):
-        self.name = name
-
-    def __eq__(self, other):
-        return type(other) is Var and self.name == other.name
-
-    def __hash__(self):
-        return hash(("Var", self.name))
-
-    def __repr__(self):
-        return f"Var({self.name!r})"
+    name: str
 
 
+@dataclass(frozen=True, slots=True)
 class Neg:
-    __slots__ = ("child",)
-
-    def __init__(self, child):
-        self.child = child
-
-    def __eq__(self, other):
-        return type(other) is Neg and self.child == other.child
-
-    def __hash__(self):
-        return hash(("Neg", self.child))
-
-    def __repr__(self):
-        return f"Neg({self.child!r})"
+    child: object
 
 
+@dataclass(frozen=True, slots=True)
 class BinOp:
-    __slots__ = ("op", "left", "right")
-
-    def __init__(self, op, left, right):
-        self.op = op
-        self.left = left
-        self.right = right
-
-    def __eq__(self, other):
-        return (type(other) is BinOp and self.op == other.op
-                and self.left == other.left and self.right == other.right)
-
-    def __hash__(self):
-        return hash(("BinOp", self.op, self.left, self.right))
-
-    def __repr__(self):
-        return f"BinOp({self.op!r}, {self.left!r}, {self.right!r})"
+    op: str
+    left: object
+    right: object
 
 
+@dataclass(frozen=True, slots=True)
 class Call:
-    __slots__ = ("func", "arg")
-
-    def __init__(self, func, arg):
-        self.func = func
-        self.arg = arg
-
-    def __eq__(self, other):
-        return (type(other) is Call and self.func == other.func
-                and self.arg == other.arg)
-
-    def __hash__(self):
-        return hash(("Call", self.func, self.arg))
-
-    def __repr__(self):
-        return f"Call({self.func!r}, {self.arg!r})"
+    func: str
+    arg: object
 
 
 # ---------------------------------------------------------------------------
 # Tokenizer.
 
+@dataclass(slots=True)
 class _Token:
-    __slots__ = ("kind", "text", "offset")
-
-    def __init__(self, kind, text, offset):
-        self.kind = kind      # 'num' | 'name' | 'op' | 'end'
-        self.text = text
-        self.offset = offset
+    kind: str      # 'num' | 'name' | 'op' | 'end'
+    text: str
+    offset: int
 
 
 def _tokenize(text):

@@ -48,10 +48,6 @@ class PolarGrid:
         self.boundary_values.setflags(write=False)
 
     @property
-    def spacing_r(self) -> float:
-        return 1.0 / self.nr
-
-    @property
     def spacing_theta(self) -> float:
         return 2.0 * np.pi / self.nt
 

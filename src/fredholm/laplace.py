@@ -11,8 +11,13 @@ layered network solves for mu; the harmonic potential is then
 
     u(x) = I mu(theta) k(r, phi, theta) dtheta
 
-with the polar kernel k below.  Near the boundary that integrand peaks
-sharply, so evaluation uses the smoothed rearrangement
+with the polar kernel
+
+    k(r, phi, theta) = (1 - r c) / (2 pi (1 - 2 r c + r^2)),
+    c = cos(theta - phi).
+
+Near the boundary that integrand peaks sharply, so evaluation uses the
+smoothed rearrangement
 
     u = sum_j (mu_j - mu*) [k - 1/(4 pi)] dtheta + mu*/2 + P*,
 
@@ -33,35 +38,15 @@ from .operator import _BLOCK, DiscreteOperator, FieProblem, discretize
 
 __all__ = [
     "DiscBoundaryProblem", "BoundaryDensity", "PotentialField",
-    "polar_double_layer_kernel", "build_bie", "evaluate_potential",
+    "build_bie", "evaluate_potential",
 ]
 
 TWO_PI = 2.0 * np.pi
 
 
-def polar_double_layer_kernel(r, phi, theta):
-    """Double-layer kernel of the unit circle in polar form:
-    (1 - r cos(theta - phi)) / (2 pi (1 - 2 r cos(theta - phi) + r^2)).
-
-    Finite for 0 <= r < 1; on the boundary it equals 1/(4 pi) except at
-    theta = phi where the expression is 0/0 and callers must use the
-    limit value 1/(4 pi) themselves.  Broadcasts over array arguments.
-    """
-    r = np.asarray(r, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if np.any((r < 0.0) | (r > 1.0) | ~np.isfinite(r)):
-        raise ValidationError("radius outside [0, 1]")
-    c = np.cos(theta - phi)
-    shape = np.broadcast_shapes(r.shape, c.shape)
-    # [()] turns the 0-d result of scalar arguments into a scalar
-    return _kernel_over_cos(r, np.broadcast_to(c, shape).copy(),
-                            np.empty(shape))[()]
-
-
 def _kernel_over_cos(r, c, den):
-    """Overwrite c = cos(theta - phi) with the kernel at radii r (which
-    broadcast against c); den is scratch of c's shape."""
+    """Overwrite c = cos(theta - phi) with the kernel k at radii r < 1
+    (which broadcast against c); den is scratch of c's shape."""
     np.multiply(2.0 * r, c, out=den)
     np.subtract(1.0, den, out=den)
     np.add(den, r * r, out=den)
@@ -115,18 +100,15 @@ class BoundaryDensity:
 
 @dataclass(frozen=True, eq=False)
 class PotentialField:
-    """Potential values at polar query points, with the boundary
-    projection data used by the smoothed evaluation."""
+    """Potential values at polar query points (r, phi), phi wrapped to
+    [0, 2 pi)."""
 
     r: np.ndarray
     phi: np.ndarray
     values: np.ndarray
-    phi_star: np.ndarray
-    mu_star: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.r, self.phi, self.values, self.phi_star,
-                    self.mu_star):
+        for arr in (self.r, self.phi, self.values):
             arr.setflags(write=False)
 
 
@@ -209,5 +191,4 @@ def evaluate_potential(density: BoundaryDensity,
         values[idx] += np.multiply(diff, k, out=k).sum(axis=1) * dth
     if not np.all(np.isfinite(values)):
         raise DomainError("non-finite potential value")
-    return PotentialField(r=r, phi=phi, values=values,
-                          phi_star=phi_star, mu_star=mu_star)
+    return PotentialField(r=r, phi=phi, values=values)

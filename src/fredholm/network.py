@@ -24,7 +24,7 @@ exponential estimate available to damped schedules.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -221,8 +221,6 @@ class ErrorBudget:
     b: float
     n: int
     residual: float
-    target_eps: Optional[float] = None
-    planned_layers: Optional[int] = None
 
     def __post_init__(self):
         vals = (self.q, self.derivative_bound, self.residual)
@@ -244,23 +242,13 @@ class ErrorBudget:
         return self.quadrature_term + self.residual
 
 
-def budget_from_operator(op: DiscreteOperator,
-                         target_eps: Optional[float] = None) -> ErrorBudget:
-    """Measure q, the derivative bound and the residual on the operator.
-
-    When a target accuracy is given and the operator contracts, the
-    matching layer plan is attached.
-    """
-    budget = ErrorBudget(
+def budget_from_operator(op: DiscreteOperator) -> ErrorBudget:
+    """Measure q, the derivative bound and the residual on the operator."""
+    return ErrorBudget(
         q=estimate_contraction(op),
         derivative_bound=estimate_derivative_bound(op),
         a=op.grid.a, b=op.grid.b, n=op.grid.n,
         residual=residual_norm(op))
-    if target_eps is not None:
-        planned = plan_layers(budget, target_eps) if budget.q < 1.0 else None
-        budget = replace(budget, target_eps=float(target_eps),
-                         planned_layers=planned)
-    return budget
 
 
 def _require_contraction(budget: ErrorBudget):
@@ -327,21 +315,23 @@ def layer_sweep(op: DiscreteOperator, field: SolutionField,
     Tabulates the history ``forward(..., keep_history=True)`` left in
     ``field``: each m-layer iterate is composed with the evaluation layer
     at ``points`` (grid nodes by default) and compared with ``exact``;
-    without it the sup-norm update ||h_m - h_(m-1)|| is tabulated.
+    without it the sup-norm update ||h_m - h_(m-1)|| is tabulated, one
+    pair of iterates at a time.
     """
     if not field.history:
         raise ValidationError("sweep needs a field with its layer history")
     if exact is not None and op.problem is None:
         raise ValidationError(
             "error sweep needs the continuous problem for evaluation")
-    history = np.stack(field.history, axis=1)
+    h = field.history
     if exact is None:
-        sizes = np.max(np.abs(np.diff(history, axis=1, prepend=0.0)), axis=0)
+        sizes = [np.max(np.abs(b - a)) for a, b in zip((0.0,) + h, h)]
     else:
         pts = np.asarray(op.grid.nodes if points is None else points,
                          dtype=float).ravel()
         target = np.broadcast_to(np.asarray(exact(pts), dtype=float),
                                  pts.shape)
-        vals = evaluation_layer(op.problem, op.grid, pts, history)
+        vals = evaluation_layer(op.problem, op.grid, pts,
+                                np.stack(h, axis=1))
         sizes = np.max(np.abs(vals - target[:, None]), axis=0)
     return [(m, float(size)) for m, size in enumerate(sizes, start=1)]

@@ -55,17 +55,16 @@ class NonlinearProblem:
 @dataclass(frozen=True, eq=False)
 class IterationTrace:
     """Record of the outer loop: consecutive-iterate sup-norm deltas and
-    the source vector used by every pass."""
+    the source vector of the last pass."""
 
     outer_iterations: int
     deltas: Tuple[float, ...]
-    sources: Tuple[np.ndarray, ...]
+    source: np.ndarray
 
     def __post_init__(self):
         if any(not (np.isfinite(d) and d >= 0.0) for d in self.deltas):
             raise ValidationError(f"invalid deltas {self.deltas}")
-        for s in self.sources:
-            s.setflags(write=False)
+        self.source.setflags(write=False)
 
 
 def _apply_nonlinearity(problem: NonlinearProblem, values: np.ndarray,
@@ -114,7 +113,6 @@ def solve_nonlinear(problem: NonlinearProblem, base: DiscreteOperator,
         raise ValidationError(
             f"outer_iterations {outer_iterations} must be >= 1")
     current = base
-    sources = [base.source]
     deltas = []
     prev = None
     for n in range(outer_iterations + 1):
@@ -127,12 +125,10 @@ def solve_nonlinear(problem: NonlinearProblem, base: DiscreteOperator,
                 break
         prev = vals
         if n < outer_iterations:
-            g_next = linearized_source(problem, base, vals)
-            sources.append(g_next)
-            current = replace(base, source=g_next)
+            current = replace(
+                base, source=linearized_source(problem, base, vals))
     trace = IterationTrace(outer_iterations=outer_iterations,
-                           deltas=tuple(deltas),
-                           sources=tuple(sources))
+                           deltas=tuple(deltas), source=current.source)
     return field, trace
 
 

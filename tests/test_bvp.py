@@ -8,8 +8,8 @@ import pytest
 from fredholm.bvp import BvpSpec, bvp_to_fie, ode_residual, recover_solution
 from fredholm.errors import DomainError, ValidationError
 from fredholm.grid import uniform_grid
-from fredholm.network import build_network, forward
-from fredholm.operator import KMSchedule, discretize
+from fredholm.network import build_network, evaluation_layer, forward
+from fredholm.operator import FieProblem, KMSchedule, discretize
 from fredholm.registry import airy_like_solution
 
 
@@ -40,6 +40,26 @@ def test_kernel_is_triangular_product():
     assert float(k(0.3, 0.8)) == pytest.approx(0.3 * 0.2 * 2.3, rel=1e-15)
     # both branches agree on the diagonal
     assert float(k(0.4, 0.4)) == pytest.approx(0.4 * 0.6 * 2.4, rel=1e-15)
+
+
+@pytest.mark.parametrize("p", [1, 31, 32, 33, 201])
+def test_kernel_matches_branch_form_bitwise(p):
+    g = _as_arr(lambda x: np.exp(x) - 1.7)
+    fie = bvp_to_fie(BvpSpec(g=g, h=_as_arr(np.zeros_like),
+                             alpha=0.0, beta=1.0))
+
+    def branches(x, t):
+        return np.where(t <= x, t * (1.0 - x), x * (1.0 - t)) * g(x)
+
+    grid = uniform_grid(0.0, 1.0, 97, scheme="closed")
+    op = discretize(fie, grid)
+    ref = FieProblem(kernel=branches, source=fie.source, a=0.0, b=1.0)
+    assert np.array_equal(op.matrix, discretize(ref, grid).matrix)
+    pts = np.random.default_rng(p).uniform(0.0, 1.0, p)
+    pts[0] = grid.nodes[p % grid.n]  # a query on a node meets the diagonal
+    values = np.random.default_rng(0).standard_normal(grid.n)
+    assert np.array_equal(evaluation_layer(fie, grid, pts, values),
+                          evaluation_layer(ref, grid, pts, values))
 
 
 def test_kernel_continuous_across_diagonal():

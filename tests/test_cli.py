@@ -214,6 +214,21 @@ def test_footprint_guard_cap_edge(monkeypatch, capsys):
     assert "dense cells" in capsys.readouterr().err
 
 
+def test_footprint_guard_charges_each_query_point(monkeypatch):
+    def setup(*args):
+        raise _Allocated
+
+    monkeypatch.setitem(cli._KINDS["linear_fie"], "setup", setup)
+    # on 3 nodes a query point costs 16 cells, not 3: 9 + 16 P against 50e6
+    coarse = dict(LINEAR_CONFIG, grid_n=3)
+    with pytest.raises(_Allocated):
+        run_config(dict(coarse, queries="0:1:3124999"))
+    with pytest.raises(ValidationError, match="dense cells"):
+        run_config(dict(coarse, queries="0:1:3125000"))
+    with pytest.raises(ValidationError, match="dense cells"):
+        run_config(dict(coarse, queries="0:1:16600000"))
+
+
 @pytest.mark.parametrize("kappa,message", [
     (2.0, "kappa=2.0 outside (0, 1]"),
     ("big", "must be a number or number list, got 'big'"),
@@ -517,7 +532,7 @@ def test_nonlinear_sweep_runs_last_outer_pass():
     _, trace = solve_nonlinear(problem, base, spec["layers"], schedule,
                                spec["outer_iterations"])
     last = DiscreteOperator(grid=grid, matrix=base.matrix,
-                            source=trace.sources[-1])
+                            source=trace.source)
 
     def sweep(op):
         net = build_network(op, 4, schedule)

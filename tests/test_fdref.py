@@ -162,7 +162,6 @@ def test_deterministic_repeat():
 def test_grid_properties():
     sol = solve_fd(_cos2, 16, 8)
     assert sol.values.shape == (15, 8)
-    assert sol.spacing_r == pytest.approx(1.0 / 16.0)
     assert sol.spacing_theta == pytest.approx(np.pi / 4.0)
     assert sol.radii[0] == pytest.approx(1.0 / 16.0)
     assert sol.theta[-1] == pytest.approx(2.0 * np.pi - np.pi / 4.0)

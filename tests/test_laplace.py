@@ -9,7 +9,7 @@ import pytest
 from fredholm.cli import run_example
 from fredholm.errors import DomainError, ValidationError
 from fredholm.laplace import (BoundaryDensity, DiscBoundaryProblem, build_bie,
-                              evaluate_potential, polar_double_layer_kernel)
+                              evaluate_potential)
 from fredholm.network import build_network, forward
 from fredholm.operator import KMSchedule, estimate_contraction
 
@@ -25,34 +25,6 @@ def _solve_density(boundary, n, layers):
 
 def _density(n=2000, layers=15):
     return _solve_density(lambda t: 1.0 + 2.0 * np.cos(2.0 * t), n, layers)
-
-
-def test_kernel_spot_values():
-    k = polar_double_layer_kernel
-    assert float(k(0.0, 0.0, 1.3)) == pytest.approx(1.0 / TWO_PI, rel=1e-15)
-    assert float(k(1.0, 0.0, math.pi)) == pytest.approx(1.0 / (2.0 * TWO_PI),
-                                                        rel=1e-14)
-    assert float(k(0.5, 0.0, 0.0)) == pytest.approx(1.0 / math.pi, rel=1e-14)
-
-
-def test_kernel_boundary_singularity():
-    with pytest.raises(DomainError):
-        polar_double_layer_kernel(1.0, 0.7, 0.7)
-
-
-def test_kernel_radius_validated():
-    with pytest.raises(ValidationError):
-        polar_double_layer_kernel(1.2, 0.0, 0.0)
-    with pytest.raises(ValidationError):
-        polar_double_layer_kernel(-0.1, 0.0, 0.0)
-
-
-def test_kernel_broadcasts():
-    r = np.array([[0.0], [0.5]])
-    th = np.array([0.0, 1.0, 2.0])
-    out = polar_double_layer_kernel(r, 0.0, th)
-    assert out.shape == (2, 3)
-    assert np.allclose(out[0], 1.0 / TWO_PI)
 
 
 def test_bie_matrix_is_constant():
@@ -120,7 +92,6 @@ def test_origin_projection_independent_of_angle():
     a = evaluate_potential(den, [(0.0, 0.0)])
     b = evaluate_potential(den, [(0.0, 2.5)])
     assert a.values[0] == b.values[0]
-    assert a.phi_star[0] == 0.0 and b.phi_star[0] == 0.0
 
 
 def test_boundary_identity_half_density_plus_projection():
@@ -137,7 +108,6 @@ def test_boundary_queries_use_degenerate_branch():
     pot = evaluate_potential(den, [(1.0, th0)])
     expected = 0.5 * den.values[17] + den.mean_weighted
     assert float(pot.values[0]) == pytest.approx(expected, rel=1e-13)
-    assert float(pot.mu_star[0]) == pytest.approx(den.values[17], rel=1e-13)
 
 
 def test_potential_is_harmonic_probe():

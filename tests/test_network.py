@@ -381,18 +381,6 @@ def test_plan_layers_degenerate_and_invalid():
                                 n=1, residual=0.5), 1e-3)
 
 
-def test_budget_from_operator_attaches_plan(const_kernel_factory,
-                                            separable_kernel_factory):
-    budget = budget_from_operator(const_kernel_factory(n=2000, scheme="closed"),
-                                  target_eps=1e-6)
-    assert budget.target_eps == 1e-6
-    assert budget.planned_layers == 14
-    # a non-contracting estimate leaves the plan empty
-    loose = budget_from_operator(separable_kernel_factory(n=200),
-                                 target_eps=1e-6)
-    assert loose.q > 1.0 and loose.planned_layers is None
-
-
 def test_km_estimate_formula():
     b = _analytic_budget()
     s = 1.0 - b.q
@@ -454,6 +442,23 @@ def test_layer_sweep_zero_kernel():
     deltas = _sweep(op, KMSchedule(1.0, contractive=True), 5)
     assert deltas[0][1] > 0.0
     assert all(e == 0.0 for _, e in deltas[1:])
+
+
+def test_layer_sweep_update_mode_holds_no_stack(const_kernel_factory):
+    # update norms come pairwise from the history, with no S x N copy
+    op = const_kernel_factory(n=2000, scheme="left")
+    field = forward(build_network(op, 200, KMSchedule(0.5)),
+                    keep_history=True)
+    stacked = np.stack(field.history, axis=1)
+    expected = np.max(np.abs(np.diff(stacked, axis=1, prepend=0.0)), axis=0)
+    tracemalloc.start()
+    try:
+        table = layer_sweep(op, field)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [e for _, e in table] == expected.tolist()
+    assert peak < 4 * op.n * 8 + 65536
 
 
 def test_layer_sweep_validation(const_kernel_factory):

@@ -77,8 +77,7 @@ def test_identity_nonlinearity_reduces_to_linear_solve():
         field, trace = solve_nonlinear(problem, base, 5, schedule, outer)
         assert np.array_equal(field.values, linear.values)
         assert trace.deltas == (0.0,) * outer
-        assert len(trace.sources) == outer + 1
-        assert np.array_equal(trace.sources[0], base.source)
+        assert np.array_equal(trace.source, base.source)
 
 
 def test_delta_tol_stops_early():
@@ -88,7 +87,6 @@ def test_delta_tol_stops_early():
                                    KMSchedule(1.0, contractive=True),
                                    outer_iterations=6, delta_tol=1e-30)
     assert len(trace.deltas) == 1
-    assert len(trace.sources) == 2
 
 
 def test_outer_iteration_count_validated():
@@ -176,11 +174,11 @@ def test_evaluate_nonlinear_domain_violation():
 
 def test_trace_validation():
     with pytest.raises(ValidationError):
-        IterationTrace(outer_iterations=1, deltas=(-1.0,), sources=())
+        IterationTrace(outer_iterations=1, deltas=(-1.0,), source=np.ones(3))
     trace = IterationTrace(outer_iterations=1, deltas=(0.5,),
-                           sources=(np.ones(3),))
+                           source=np.ones(3))
     with pytest.raises(ValueError):
-        trace.sources[0][0] = 2.0
+        trace.source[0] = 2.0
 
 
 def test_problem_domain_validated():
