@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .network import FixedPointNet, SolutionField, query
-from .operator import FieProblem
+from .operator import FieProblem, _sample
 
 __all__ = ["BvpSpec", "bvp_to_fie", "recover_solution", "ode_residual"]
 
@@ -82,9 +82,9 @@ def recover_solution(net: FixedPointNet, field: SolutionField, spec: BvpSpec,
         return np.zeros(0)
     if np.any(~np.isfinite(pts) | (pts < 0.0) | (pts > 1.0)):
         raise ValidationError("recovery points must lie in [0, 1]")
+    gq = _sample(spec.g, pts, "g undefined at query point x[{i}]={v!r}")
+    hq = _sample(spec.h, pts, "h undefined at query point x[{i}]={v!r}")
     u = query(net, field, pts)
-    gq = np.broadcast_to(np.asarray(spec.g(pts), dtype=float), pts.shape)
-    hq = np.broadcast_to(np.asarray(spec.h(pts), dtype=float), pts.shape)
     g_grid = np.asarray(spec.g(net.op.grid.nodes), dtype=float)
     floor = TOL_G * float(np.max(np.abs(g_grid)))
 

@@ -26,8 +26,8 @@ from .laplace import (BoundaryDensity, DiscBoundaryProblem, build_bie,
 from .network import (budget_from_operator, build_network, error_bound,
                       forward, km_error_estimate, layer_sweep, query)
 from .nonlinear import NonlinearProblem, evaluate_nonlinear, solve_nonlinear
-from .operator import (DiscreteOperator, FieProblem, KMSchedule, discretize,
-                       estimate_contraction)
+from .operator import (DiscreteOperator, FieProblem, KMSchedule, _sample,
+                       discretize, estimate_contraction)
 from .registry import EXAMPLES, example_names, get_example
 from .report import ReportBundle, write_report
 from .fd import solve_fd
@@ -76,14 +76,9 @@ def _compile_expr(config: dict, key: str, params) -> Callable:
     if not isinstance(text, str):
         _fail(key, f"must be an expression string, got {type(text).__name__}")
     try:
-        tree = exprlang.parse(text)
+        return exprlang.compile_fn(exprlang.parse(text), params)
     except ValidationError as exc:
         _fail(key, str(exc))
-    extra = exprlang.free_vars(tree) - set(params)
-    if extra:
-        _fail(key, f"unexpected variable(s) {sorted(extra)}; "
-                   f"allowed: {list(params)}")
-    return exprlang.compile_fn(tree, params)
 
 
 def _compile_all(config: dict,
@@ -391,6 +386,11 @@ def run_config(config: dict, exact_override: Optional[Callable] = None,
     count, make_points = spec["queries"](config)
     schedule = _schedule(config, spec["kappa"])  # checked before any setup
     sweep_n = sweep_layers or 0
+    depth = max(layers, sweep_n)
+    if schedule.sequence and len(schedule.sequence) < depth:
+        needs = "the sweep needs" if sweep_n > layers else "the run has"
+        _fail("kappa", f"sequence has {len(schedule.sequence)} values, but "
+                       f"{needs} {depth} layers")
     cells = n * n + count * max(n, 16) + sweep_n * max(n, count)
     if cells > _MAX_CELLS:
         raise ValidationError(
@@ -399,7 +399,7 @@ def run_config(config: dict, exact_override: Optional[Callable] = None,
     # nonlinear_fie sweeps in a depth-S pass of its own; the other kinds
     # read the sweep from the solve's one pass, of depth max(layers, S)
     matvecs = ((layers - 1) * (outer + 1) + max(sweep_n - 1, 0) if outer
-               else max(layers, sweep_n) - 1)
+               else depth - 1)
     work = matvecs * n * n + sweep_n * n * count
     if work > _MAX_WORK:
         raise ValidationError(
@@ -413,12 +413,16 @@ def run_config(config: dict, exact_override: Optional[Callable] = None,
     net = build_network(setup.op, layers, schedule)
     field, deep = setup.solve(net, sweep_layers)
     columns, values, kind_meta = setup.readout(net, field, pts)
+    # before the sweep, whose error mode evaluates it again; laplace_disc's
+    # exact takes (r, phi) pairs, which the locator does not name
+    exact = None if fn["exact"] is None else (
+        _sample(fn["exact"], columns[0],
+                "exact undefined at query point x[{i}]={v!r}")
+        if len(columns) == 1 else np.broadcast_to(
+            np.asarray(fn["exact"](*columns), dtype=float), values.shape))
     oracle = fn["exact"] if setup.oracle else None
     sweep = layer_sweep(setup.op, deep, oracle, pts) if deep else None
     elapsed = time.perf_counter() - started
-
-    exact = None if fn["exact"] is None else np.broadcast_to(
-        np.asarray(fn["exact"](*columns), dtype=float), values.shape)
     meta = {
         "config": config,
         "deterministic": bool(deterministic),
@@ -470,12 +474,7 @@ def run_example(name: str, sweep_layers: Optional[int] = None,
     """Run a registry entry, optionally with overriding config keys."""
     spec = get_example(name)
     config = dict(spec.config)
-    if overrides:
-        unknown = set(overrides) - (_KINDS[config["kind"]]["required"]
-                                    | _KINDS[config["kind"]]["optional"])
-        if unknown:
-            raise ValidationError(f"unknown override keys {sorted(unknown)}")
-        config.update(overrides)
+    config.update(overrides or {})
     bundle = run_config(config, exact_override=spec.exact_fn,
                         sweep_layers=sweep_layers,
                         deterministic=deterministic)

@@ -16,8 +16,9 @@ the natural log).  Anything else is a free variable.
 Evaluation is strict about domains: log of a non-positive value, sqrt of a
 negative value, 0 raised to a negative power, a negative base raised to a
 non-integer power, and division by zero all raise DomainError rather than
-producing NaN or inf.  ``evaluate`` walks the tree with scalars;
-``compile_fn`` builds a numpy-vectorized callable with the same semantics.
+producing NaN or inf, with a message that names the offending value.
+``compile_fn`` builds a numpy-vectorized callable and is the one
+interpreter of the tree; ``evaluate`` runs it on scalar bindings.
 """
 
 import math
@@ -229,80 +230,32 @@ def free_vars(expr):
     return out
 
 
-def _scalar_pow(a, b):
-    if a == 0.0 and b < 0.0:
-        raise DomainError("zero raised to a negative power")
-    if a < 0.0 and b != math.floor(b):
-        raise DomainError("negative base raised to a non-integer power")
-    return math.pow(a, b)
-
-
-def evaluate(expr, env=None):
-    """Evaluate an AST with scalar bindings.  Pure and deterministic:
-    the same tree and bindings always produce the same float."""
-    env = env or {}
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Var):
-        try:
-            return float(env[expr.name])
-        except KeyError:
-            raise UnboundVariableError(
-                f"no binding for variable {expr.name!r}") from None
-    if isinstance(expr, Neg):
-        return -evaluate(expr.child, env)
-    if isinstance(expr, BinOp):
-        a = evaluate(expr.left, env)
-        b = evaluate(expr.right, env)
-        if expr.op == "+":
-            return a + b
-        if expr.op == "-":
-            return a - b
-        if expr.op == "*":
-            return a * b
-        if expr.op == "/":
-            if b == 0.0:
-                raise DomainError("division by zero")
-            return a / b
-        return _scalar_pow(a, b)
-    # Call
-    v = evaluate(expr.arg, env)
-    if expr.func == "log":
-        if v <= 0.0:
-            raise DomainError(f"log of non-positive value {v!r}")
-        return math.log(v)
-    if expr.func == "sqrt":
-        if v < 0.0:
-            raise DomainError(f"sqrt of negative value {v!r}")
-        return math.sqrt(v)
-    return getattr(math, expr.func)(v) if expr.func != "abs" else abs(v)
-
-
-def _first_bad(mask):
-    return int(np.argmax(mask))
+def _first(a, bad):
+    """The value of ``a``, broadcast to ``bad``, at the first true entry of
+    ``bad``: the operand a DomainError names."""
+    return float(np.broadcast_to(a, bad.shape).flat[np.argmax(bad)])
 
 
 def _vec_log(a):
     a = np.asarray(a)
-    if np.any(a <= 0.0):
-        raise DomainError(
-            f"log of non-positive value (first flat index {_first_bad(a <= 0.0)})")
+    bad = a <= 0.0
+    if np.any(bad):
+        raise DomainError(f"log of non-positive value {_first(a, bad)!r}")
     return np.log(a)
 
 
 def _vec_sqrt(a):
     a = np.asarray(a)
-    if np.any(a < 0.0):
-        raise DomainError(
-            f"sqrt of negative value (first flat index {_first_bad(a < 0.0)})")
+    bad = a < 0.0
+    if np.any(bad):
+        raise DomainError(f"sqrt of negative value {_first(a, bad)!r}")
     return np.sqrt(a)
 
 
 def _vec_div(a, b):
     b = np.asarray(b)
     if np.any(b == 0.0):
-        raise DomainError(
-            f"division by zero (first flat index {_first_bad(b == 0.0)})")
+        raise DomainError("division by zero")
     return a / b
 
 
@@ -312,11 +265,11 @@ def _vec_pow(a, b):
     bad = (a == 0.0) & (b < 0.0)
     if np.any(bad):
         raise DomainError(
-            f"zero raised to a negative power (first flat index {_first_bad(bad)})")
+            f"zero raised to a negative power {_first(b, bad)!r}")
     bad = (a < 0.0) & (b != np.floor(b))
     if np.any(bad):
-        raise DomainError("negative base raised to a non-integer power "
-                          f"(first flat index {_first_bad(bad)})")
+        raise DomainError(f"negative base {_first(a, bad)!r} raised to a "
+                          f"non-integer power {_first(b, bad)!r}")
     return np.power(a, b)
 
 
@@ -330,14 +283,15 @@ def compile_fn(expr, params):
     """Compile an AST into a numpy-broadcasting callable f(*arrays).
 
     ``params`` fixes the positional argument order.  Free variables must be
-    a subset of params.  Domain violations raise DomainError exactly as the
-    scalar evaluator does; results are never silently NaN or inf.
+    a subset of params.  Domain violations raise DomainError naming the
+    first offending value, never a silent NaN or inf; an overflow (exp of
+    a large value) still gives inf.
     """
     params = tuple(params)
-    missing = free_vars(expr) - set(params)
-    if missing:
-        raise UnboundVariableError(
-            f"expression uses {sorted(missing)} not in parameters {params}")
+    extra = free_vars(expr) - set(params)
+    if extra:
+        raise UnboundVariableError(f"unexpected variable(s) {sorted(extra)}; "
+                                   f"allowed: {list(params)}")
 
     def build(node):
         if isinstance(node, Num):
@@ -372,6 +326,14 @@ def compile_fn(expr, params):
 
     call.params = params
     return call
+
+
+def evaluate(expr, env=None):
+    """Evaluate an AST at scalar bindings: ``compile_fn`` run on floats.
+    Pure and deterministic: the same tree and bindings always produce the
+    same float."""
+    env = env or {}
+    return float(compile_fn(expr, env)(*map(float, env.values())))
 
 
 def render(expr):

@@ -32,9 +32,9 @@ import numpy as np
 from .errors import (BoundUnavailableError, DivergenceError, DomainError,
                      SingularSystemError, ValidationError)
 from .grid import Grid1D
-from .operator import (_BLOCK, DiscreteOperator, KMSchedule, _undefined_pair,
-                       estimate_contraction, estimate_derivative_bound,
-                       residual_norm)
+from .operator import (_BLOCK, DiscreteOperator, KMSchedule, _sample,
+                       _undefined_pair, estimate_contraction,
+                       estimate_derivative_bound, residual_norm)
 
 __all__ = [
     "SolutionField", "FixedPointNet", "ErrorBudget",
@@ -153,8 +153,8 @@ def evaluation_layer(problem, grid: Grid1D, points: Sequence[float],
             raise _undefined_pair(problem.kernel, pts, z, lo) or exc
         np.matmul(np.multiply(k, grid.spacing, out=rows[:len(x)]), values,
                   out=out[lo:lo + _BLOCK])
-    g_pts = np.broadcast_to(np.asarray(problem.source(pts), dtype=float),
-                            pts.shape)
+    g_pts = _sample(problem.source, pts,
+                    "source undefined at query point x[{i}]={v!r}")
     out += g_pts[:, None] if out.ndim == 2 else g_pts
     return out
 

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError, ValidationError
 from .network import (SolutionField, build_network, evaluation_layer,
                       forward)
-from .operator import DiscreteOperator, FieProblem, KMSchedule
+from .operator import DiscreteOperator, FieProblem, KMSchedule, _sample
 
 __all__ = [
     "NonlinearProblem", "IterationTrace",
@@ -69,15 +69,14 @@ class IterationTrace:
 
 def _apply_nonlinearity(problem: NonlinearProblem, values: np.ndarray,
                         where: str) -> np.ndarray:
+    at = (f"nonlinearity left its domain {where} at node {{i}} "
+          "(iterate value {v!r})")
     with np.errstate(all="ignore"):
-        gu = np.asarray(problem.nonlinearity(values), dtype=float)
-    gu = np.broadcast_to(gu, values.shape)
+        gu = _sample(problem.nonlinearity, values, at)
     bad = ~np.isfinite(gu)
     if bad.any():
         i = int(np.argmax(bad))
-        raise DomainError(
-            f"nonlinearity left its domain {where} at node {i} "
-            f"(iterate value {float(values[i])!r})")
+        raise DomainError(at.format(i=i, v=float(values[i])))
     return gu
 
 

@@ -160,7 +160,7 @@ def discretize(problem: FieProblem, grid: Grid1D) -> DiscreteOperator:
             raise DomainError(
                 f"non-finite kernel sample at nodes (z[{i}]={float(z[i])!r}, "
                 f"z[{j}]={float(z[j])!r})")
-    g = np.broadcast_to(np.asarray(problem.source(z), dtype=float), (n,))
+    g = _sample(problem.source, z, "source undefined at node z[{i}]={v!r}")
     bad = ~np.isfinite(g)
     if bad.any():
         i = int(np.argmax(bad))
@@ -169,24 +169,46 @@ def discretize(problem: FieProblem, grid: Grid1D) -> DiscreteOperator:
     return DiscreteOperator(grid, a, g.copy(), problem)
 
 
-def _undefined_pair(kernel, x, z, lo) -> Optional[DomainError]:
-    """The kernel's DomainError at the first pair (x[i], z[j]), row-major in
-    the block from row ``lo``, that it fails on alone, renamed after that
-    pair: the kernel's own message indexes whatever array failed.  Rows
-    that are the nodes themselves are named as nodes, others as queries."""
-    def error(i, cols):
+def _sample(fn, x, at) -> np.ndarray:
+    """``fn`` at the points ``x``, as floats of their shape.  A DomainError
+    is renamed after the first point where ``fn`` fails alone, by the
+    format ``at`` of its index ``i`` and value ``v``."""
+    try:
+        return np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape)
+    except DomainError as exc:
+        raise _undefined_pair(fn, x, at=at) or exc
+
+
+def _undefined_pair(fn, x, z=None, lo=0, at=None) -> Optional[DomainError]:
+    """``fn``'s DomainError at the first point where it fails alone,
+    renamed after that point: ``fn``'s own message names none.  A kernel
+    (``z`` given) is tried on the pairs (x[i], z[j]), row-major in the
+    block from row ``lo``; rows that are the nodes themselves are named as
+    nodes, others as queries.  A one-argument ``fn`` is tried on the
+    points x[i], a block at a time, and named by ``at``, a format of the
+    index ``i`` and value ``v``."""
+    def error(*args):
         try:
-            kernel(x[i:i + 1, None], z[None, cols])
+            fn(*args)
         except DomainError as exc:
             return exc
-    at, name = ("nodes", "z") if x is z else ("query point and node", "x")
+    if z is None:
+        for b in range(lo, len(x), _BLOCK):
+            for i in range(b, min(b + _BLOCK, len(x))) if error(
+                    x[b:b + _BLOCK]) else ():
+                exc = error(x[i:i + 1])
+                if exc:
+                    return DomainError(
+                        f"{at.format(i=i, v=float(x[i]))}: {exc}")
+        return None
+    pair, name = ("nodes", "z") if x is z else ("query point and node", "x")
     for i in range(lo, len(x))[:_BLOCK]:
-        for j in range(len(z)) if error(i, slice(None)) else ():
-            exc = error(i, slice(j, j + 1))
+        for j in range(len(z)) if error(x[i:i + 1, None], z[None, :]) else ():
+            exc = error(x[i:i + 1, None], z[None, j:j + 1])
             if exc:
                 return DomainError(
-                    f"kernel undefined at {at} ({name}[{i}]={float(x[i])!r}, "
-                    f"z[{j}]={float(z[j])!r}): {exc}")
+                    f"kernel undefined at {pair} ({name}[{i}]="
+                    f"{float(x[i])!r}, z[{j}]={float(z[j])!r}): {exc}")
 
 
 def estimate_contraction(op: DiscreteOperator) -> float:

@@ -245,6 +245,20 @@ def test_bad_kappa_refused_before_allocation(monkeypatch, kappa, message):
         assert main(["example", "ex2", "--kappa", str(kappa)]) == 2
 
 
+def test_short_kappa_sequence_refused_before_allocation(monkeypatch):
+    _refuse_allocation(monkeypatch)
+    # ex2 runs 15 layers; a sweep deeper than that runs as many as it asks
+    for kappa, sweep, reason in (
+            ([0.5] * 3, None, "the run has 15 layers"),
+            ([0.5] * 15, 20, "the sweep needs 20 layers")):
+        with pytest.raises(ValidationError) as exc:
+            run_example("ex2", overrides={"kappa": kappa}, sweep_layers=sweep)
+        assert str(exc.value) == (f"config key 'kappa': sequence has "
+                                  f"{len(kappa)} values, but {reason}")
+    with pytest.raises(_Allocated):
+        run_example("ex2", overrides={"kappa": [0.5] * 15}, sweep_layers=15)
+
+
 def test_work_guard_refuses_before_allocation(monkeypatch, capsys):
     _refuse_allocation(monkeypatch)
     cap = cli._MAX_WORK
@@ -389,6 +403,39 @@ def test_error_texts_print_plain_floats():
             call()
         assert text in str(exc.value)
         assert "np.float64(" not in str(exc.value)
+
+
+_BVP_MIDPOINT = {k: v for k, v in get_example("bvp_p").config.items()
+                 if k != "queries"}
+
+
+@pytest.mark.parametrize("config,text", [
+    (dict(LINEAR_CONFIG, source="log(x)"),
+     "source undefined at node z[0]=0.0: log of non-positive value 0.0"),
+    (dict(LINEAR_CONFIG, source="log(0.5 - x)"),
+     "source undefined at node z[100]=0.5025125628140703: log of "
+     "non-positive value -0.002512562814070307"),
+    (dict(LINEAR_CONFIG, source="log(x)", grid_scheme="midpoint"),
+     "source undefined at query point x[0]=0.0: log of non-positive value "
+     "0.0"),
+    (dict(LINEAR_CONFIG, exact="log(x)"),
+     "exact undefined at query point x[0]=0.0: log of non-positive value "
+     "0.0"),
+    (dict(get_example("nl3").config, source="-1", grid_n=50),
+     "nonlinearity left its domain in the source update at node 0 "
+     "(iterate value -1.0): sqrt of negative value -1.0"),
+    (dict(_BVP_MIDPOINT, h="1/x", grid_n=50, grid_scheme="midpoint"),
+     "h undefined at query point x[0]=0.0: division by zero"),
+    (dict(get_example("laplace_disc").config, boundary="log(phi)",
+          theta_n=50),
+     "source undefined at node z[0]=0.0: log of non-positive value 0.0"),
+], ids=["source_node", "source_later_block", "source_query", "exact",
+        "nonlinearity", "bvp_h", "laplace_boundary"])
+def test_domain_errors_name_the_point(config, text):
+    # exprlang's message names only the value; the caller names the point
+    with pytest.raises(DomainError) as exc:
+        run_config(config, sweep_layers=2)
+    assert str(exc.value) == text
 
 
 def test_run_compare_fd_metadata():
