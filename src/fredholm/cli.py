@@ -19,7 +19,7 @@ import numpy as np
 
 from . import exprlang
 from .bvp import BvpSpec, bvp_to_fie, ode_residual, recover_solution
-from .errors import NumericalError, ValidationError
+from .errors import DomainError, NumericalError, ValidationError
 from .grid import uniform_grid
 from .laplace import (BoundaryDensity, DiscBoundaryProblem, build_bie,
                       evaluate_potential)
@@ -46,7 +46,7 @@ _DEFAULT_POLAR_QUERIES = {"r": "0:1:11", "phi": f"0:{2.0 * np.pi!r}:17"}
 # the floor of 16 cells charges.  At 1.2 doubles the cap is ~460 MiB and
 # allows N <= 7071.
 _MAX_CELLS = 50_000_000
-# Cap on the multiply-adds of one run, N^2 per matvec of its forward passes
+# Cap on the multiply-adds of one run, N^2 per matvec of its forward pass
 # plus S N P for a sweep: ~10 minutes at the 1.5e9/s measured on a core.
 _MAX_WORK = 900_000_000_000
 
@@ -198,6 +198,23 @@ def _schedule(config: dict, default_kappa: float) -> KMSchedule:
         _fail("kappa", str(exc))
 
 
+def _exact(exact, names, columns) -> np.ndarray:
+    """``exact`` at the query points, whose coordinate ``names`` label the
+    ``columns``; the first point where it is undefined or not finite is
+    named."""
+    pts = np.column_stack(columns)
+    at = "query point " + ", ".join(
+        f"{c}[{{i}}]={{v[{k}]!r}}" for k, c in enumerate(names))
+    with np.errstate(all="ignore"):
+        values = _sample(lambda p: exact(*p.T), pts,
+                         "exact undefined at " + at)
+    i = int(np.argmax(~np.isfinite(values)))
+    if not np.isfinite(values[i]):
+        where = at.format(i=i, v=pts[i].tolist())
+        raise DomainError(f"exact is not finite at {where}: {values[i]}")
+    return values
+
+
 def _rows(points, values, exact=None):
     """Solution rows (point..., value, exact, abs_err) from the point
     columns; without exact values the last two cells are None."""
@@ -206,16 +223,19 @@ def _rows(points, values, exact=None):
             for *p, v, e in zip(*points, map(float, values), exact)]
 
 
-def _forward(net, depth) -> tuple:
+def _forward(net, depth, run=None) -> tuple:
     """The solved field and, for a sweep of ``depth`` layers, one holding
-    their history, both from one forward pass that keeps only those."""
+    their history, both from one pass ``run(net, keep_history)`` (by
+    default ``forward``, looked up per call) that keeps only those."""
+    run = run or forward
     if not depth:
-        return forward(net), None
-    deep = forward(build_network(net.op, max(net.layers, depth), net.schedule),
-                   keep_history=depth)
+        return run(net), None
+    deep = run(build_network(net.op, max(net.layers, depth), net.schedule),
+               depth)
     h = deep.history
     field = h[net.layers - 1] if net.layers <= depth else deep.values
-    return (replace(deep, values=field, history=None),
+    return (replace(deep, values=field, history=None,
+                    deltas=deep.deltas[:net.layers]),
             replace(deep, values=h[-1]))
 
 
@@ -226,7 +246,7 @@ class _Setup(NamedTuple):
     q_est: float
     contractive: bool     # whether kappa = 1 makes a valid KM schedule
     readout: Callable     # (net, field, points) -> (columns, values, meta)
-    solve: Callable = _forward  # (net, sweep depth) -> (field, sweep field)
+    run: Optional[Callable] = None  # (net, keep_history) -> field
     oracle: bool = False  # the sweep measures errors against "exact"
 
 
@@ -257,38 +277,32 @@ def _linear_fie(config, fn, n) -> _Setup:
 
 def _nonlinear_fie(config, fn, n) -> _Setup:
     a, b = _domain(config)
-    outer = config["outer_iterations"]  # validated by run_config
     problem = NonlinearProblem(kernel=fn["kernel"], source=fn["source"],
                                nonlinearity=fn["nonlinearity"], a=a, b=b)
     base = discretize(problem.linear_problem(), _grid(config, a, b, n))
     q_est = estimate_contraction(base)
-    deltas = []
-
-    def solve(net, depth):
-        field, trace = solve_nonlinear(problem, base, net.layers,
-                                       net.schedule, outer)
-        deltas.extend(float(d) for d in trace.deltas)
-        if depth:  # the sweep runs the last outer pass's linear operator
-            last = replace(base, source=trace.source)
-            return field, forward(build_network(last, depth, net.schedule),
-                                  keep_history=True)
-        return field, None
 
     def readout(net, field, pts):
         return (pts,), evaluate_nonlinear(problem, base, field, pts), {
-            "outer_iterations": outer,
-            "outer_deltas": deltas,
-            "final_delta": deltas[-1] if deltas else None,
+            "layer_deltas": list(field.deltas),
+            "final_delta": field.deltas[-1],
         }
 
-    return _Setup(base, q_est, q_est < 1.0, readout, solve=solve)
+    def run(net, keep=False):
+        return solve_nonlinear(problem, base, net.layers, net.schedule,
+                               keep)[0]
+
+    return _Setup(base, q_est, q_est < 1.0, readout, run=run)
 
 
 def _bvp(config, fn, n) -> _Setup:
     alpha = _as_float(config, "alpha")
     beta = _as_float(config, "beta")
     spec = BvpSpec(g=fn["g"], h=fn["h"], alpha=alpha, beta=beta)
-    op = discretize(bvp_to_fie(spec), _grid(config, 0.0, 1.0, n))
+    grid = _grid(config, 0.0, 1.0, n)
+    for key in ("g", "h"):  # named here, not after the FIE they build
+        _sample(fn[key], grid.nodes, key + " undefined at node x[{i}]={v!r}")
+    op = discretize(bvp_to_fie(spec), grid)
     q_est = estimate_contraction(op)
 
     def readout(net, field, pts):
@@ -339,7 +353,7 @@ _KINDS = {
     },
     "nonlinear_fie": {
         "required": {"kernel", "source", "nonlinearity", "domain", "grid_n",
-                     "layers", "outer_iterations"},
+                     "layers"},
         "optional": {"grid_scheme", "kappa", "queries", "exact"},
         "exprs": (("kernel", ("x", "z")), ("source", ("x",)),
                   ("nonlinearity", ("u",))),
@@ -371,7 +385,8 @@ def run_config(config: dict, exact_override: Optional[Callable] = None,
                deterministic: bool = True) -> ReportBundle:
     """Validate a config mapping and run the one solve pipeline: resource
     guards, the kind's setup, query points, schedule, network, forward pass
-    (the outer loop for nonlinear_fie), the kind's readout, depth sweep."""
+    (with G as activation for nonlinear_fie), the kind's readout, depth
+    sweep."""
     if not isinstance(config, dict):
         raise ValidationError("config must be a JSON object")
     _check_schema(config)
@@ -381,8 +396,6 @@ def run_config(config: dict, exact_override: Optional[Callable] = None,
     fn = _compile_all(config, exact_override)
     n = _as_pos_int(config, spec["size"])
     layers = _as_pos_int(config, "layers")
-    outer = (_as_pos_int(config, "outer_iterations")
-             if "outer_iterations" in config else 0)
     count, make_points = spec["queries"](config)
     schedule = _schedule(config, spec["kappa"])  # checked before any setup
     sweep_n = sweep_layers or 0
@@ -396,30 +409,23 @@ def run_config(config: dict, exact_override: Optional[Callable] = None,
         raise ValidationError(
             f"grid {n}, {count} query points and sweep {sweep_n} "
             f"need {cells:.3g} dense cells, over the cap of {_MAX_CELLS:.3g}")
-    # nonlinear_fie sweeps in a depth-S pass of its own; the other kinds
-    # read the sweep from the solve's one pass, of depth max(layers, S)
-    matvecs = ((layers - 1) * (outer + 1) + max(sweep_n - 1, 0) if outer
-               else depth - 1)
-    work = matvecs * n * n + sweep_n * n * count
+    # every kind reads the sweep from the solve's one pass, of depth
+    # max(layers, S)
+    work = (depth - 1) * n * n + sweep_n * n * count
     if work > _MAX_WORK:
         raise ValidationError(
-            f"{layers} layers, {outer} outer iterations and sweep {sweep_n} "
-            f"on grid {n} need {work:.3g} multiply-adds, over the cap of "
-            f"{_MAX_WORK:.3g}")
+            f"{layers} layers and sweep {sweep_n} on grid {n} need "
+            f"{work:.3g} multiply-adds, over the cap of {_MAX_WORK:.3g}")
 
     started = time.perf_counter()
     setup = spec["setup"](config, fn, n)
     pts = make_points(setup.op.grid)
     net = build_network(setup.op, layers, schedule)
-    field, deep = setup.solve(net, sweep_layers)
+    field, deep = _forward(net, sweep_layers, setup.run)
     columns, values, kind_meta = setup.readout(net, field, pts)
-    # before the sweep, whose error mode evaluates it again; laplace_disc's
-    # exact takes (r, phi) pairs, which the locator does not name
-    exact = None if fn["exact"] is None else (
-        _sample(fn["exact"], columns[0],
-                "exact undefined at query point x[{i}]={v!r}")
-        if len(columns) == 1 else np.broadcast_to(
-            np.asarray(fn["exact"](*columns), dtype=float), values.shape))
+    # before the sweep, whose error mode evaluates it again
+    exact = (None if fn["exact"] is None
+             else _exact(fn["exact"], spec["exact"], columns))
     oracle = fn["exact"] if setup.oracle else None
     sweep = layer_sweep(setup.op, deep, oracle, pts) if deep else None
     elapsed = time.perf_counter() - started

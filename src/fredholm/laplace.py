@@ -34,7 +34,8 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .grid import Grid1D, uniform_grid
-from .operator import _BLOCK, DiscreteOperator, FieProblem, discretize
+from .operator import (_BLOCK, DiscreteOperator, FieProblem, _sample,
+                       discretize)
 
 __all__ = [
     "DiscBoundaryProblem", "BoundaryDensity", "PotentialField",
@@ -128,6 +129,8 @@ def build_bie(problem: DiscBoundaryProblem) -> DiscreteOperator:
     def source(x):
         return 2.0 * np.asarray(f(np.asarray(x, dtype=float)), dtype=float)
 
+    # named here, not after the FIE's source it builds
+    _sample(f, problem.grid.nodes, "boundary undefined at node phi[{i}]={v!r}")
     fie = FieProblem(kernel=kernel, source=source, a=0.0, b=TWO_PI)
     return discretize(fie, problem.grid)
 

@@ -1,19 +1,17 @@
 """Training-free layered realization of the damped fixed-point iteration.
 
-An M-layer network over a discrete operator (A, g) emits
+An M-layer network over a discrete operator (A, g) with activation sigma
+(the identity, or a nonlinearity G for u = g + A G(u)) emits
 
     h_1 = kappa_1 * g
-    h_m = W_m h_{m-1} + kappa_m * g,    W_m = kappa_m A + (1 - kappa_m) I
+    h_m = kappa_m (A sigma(h_{m-1})) + (1 - kappa_m) h_{m-1} + kappa_m g
 
-for m = 2..M, which is exactly M damped steps started from zero.  Weights
-and biases are closed-form functions of the kernel matrix; nothing is
-trained.  They are applied implicitly as
-
-    h_m = kappa_m (A h_{m-1}) + (1 - kappa_m) h_{m-1} + kappa_m g,
-
-so W_m is never stored and the network costs one N x N block (A itself)
-whatever its depth and however many distinct relaxations it uses.  A
-final evaluation layer applies one undamped step at arbitrary points,
+for m = 2..M, which is exactly M damped steps started from zero; with the
+identity, layer m is W_m h_{m-1} + kappa_m g, W_m = kappa_m A +
+(1 - kappa_m) I.  Weights, biases and activation are closed form; nothing
+is trained.  W_m is never stored, so the network costs one N x N block (A
+itself) whatever its depth and relaxations.  A final evaluation layer
+applies one undamped step at arbitrary points,
 
     f(x) = g(x) + sum_j K(x, z_j) h_M[j] dz,
 
@@ -47,11 +45,12 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class SolutionField:
     """Samples of the iterate on the grid, optionally with the per-layer
-    history that produced them."""
+    history that produced them, and the sup-norm update of each layer."""
 
     grid: Grid1D
     values: np.ndarray
     history: Optional[Tuple[np.ndarray, ...]] = None
+    deltas: Tuple[float, ...] = ()
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -63,15 +62,15 @@ class SolutionField:
 class FixedPointNet:
     """Explicit-weight network equivalent to M damped fixed-point steps.
 
-    A validated record of the operator, the depth and the relaxation
-    schedule.  Layer m's weight W_m = kappa_m A + (1 - kappa_m) I and bias
-    kappa_m g are applied implicitly by ``forward`` and never stored, so
-    memory stays the operator's one N x N block plus a few N-vectors no
-    matter how deep the network is or how many distinct relaxations its
-    schedule holds.
+    A validated record of the operator, the depth, the relaxation
+    schedule and the activation (None: the identity).  Layer m's weight
+    W_m = kappa_m A + (1 - kappa_m) I and bias kappa_m g are applied
+    implicitly by ``forward`` and never stored, so memory stays the
+    operator's one N x N block plus a few N-vectors at any depth.
     """
 
-    def __init__(self, op: DiscreteOperator, layers: int, schedule: KMSchedule):
+    def __init__(self, op: DiscreteOperator, layers: int, schedule: KMSchedule,
+                 activation: Optional[Callable] = None):
         if not isinstance(layers, (int, np.integer)) or layers < 1:
             raise ValidationError(f"layer count {layers!r} must be >= 1")
         if schedule.sequence is not None and len(schedule.sequence) < layers:
@@ -81,44 +80,54 @@ class FixedPointNet:
         self.op = op
         self.layers = int(layers)
         self.schedule = schedule
+        self.activation = activation
 
     def __repr__(self):
         return (f"FixedPointNet(n={self.op.n}, layers={self.layers}, "
                 f"schedule={self.schedule!r})")
 
 
-def build_network(op: DiscreteOperator, layers: int,
-                  schedule: KMSchedule) -> FixedPointNet:
-    """Assemble the network for ``layers`` damped steps of ``op``."""
-    return FixedPointNet(op, layers, schedule)
+def build_network(op: DiscreteOperator, layers: int, schedule: KMSchedule,
+                  activation: Optional[Callable] = None) -> FixedPointNet:
+    """Assemble the network for ``layers`` damped steps of ``op``, with
+    ``activation`` applied to each layer's input (None: the identity)."""
+    return FixedPointNet(op, layers, schedule, activation)
 
 
 def forward(net: FixedPointNet,
             keep_history: Union[bool, int] = False) -> SolutionField:
     """Run all hidden layers and return the final grid iterate, with the
     iterate of every layer (``keep_history=True``) or of the first k
-    (``keep_history=k``) as its history.
+    (``keep_history=k``) as its history, and the sup-norm update
+    ||h_m - h_{m-1}|| of every layer (h_0 = 0) as its deltas.
 
-    Layer m applies W_m implicitly: kappa (A h) + (1 - kappa) h + kappa g.
-    Raises DivergenceError the moment any layer produces a non-finite
-    value, naming the layer; that is the signature of iterating an
-    expansive operator undamped.
+    Layer m computes kappa (A sigma(h)) + (1 - kappa) h + kappa g, with
+    A h itself where the activation sigma is the identity.  Raises
+    DivergenceError the moment any layer produces a non-finite value,
+    naming the layer and the first and last finite updates; that is the
+    signature of iterating an expansive operator undamped.
     """
-    a, g = net.op.matrix, net.op.source
-    h = net.schedule.at(1) * g
+    a, g, act = net.op.matrix, net.op.source, net.activation
+    h, prev = net.schedule.at(1) * g, 0.0
     keep = net.layers if keep_history is True else keep_history
     history: List[np.ndarray] = []
+    deltas: List[float] = []
     with np.errstate(all="ignore"):
         for m in range(1, net.layers + 1):
             if m > 1:
-                kappa = net.schedule.at(m)
-                h = kappa * (a @ h) + (1.0 - kappa) * h + kappa * g
+                prev, kappa = h, net.schedule.at(m)
+                h = (kappa * (a @ (h if act is None else act(h)))
+                     + (1.0 - kappa) * h + kappa * g)
             if not np.all(np.isfinite(h)):
-                raise DivergenceError(f"non-finite values at layer {m}")
+                grew = (f"; its update was {deltas[0]!r} at layer 1 and "
+                        f"{deltas[-1]!r} at layer {m - 1}" if m > 2 else "")
+                raise DivergenceError(f"non-finite values at layer {m}{grew}")
+            deltas.append(float(np.max(np.abs(h - prev))))
             if m <= keep:
                 history.append(h)
     return SolutionField(grid=net.op.grid, values=h,
-                         history=tuple(history) if keep else None)
+                         history=tuple(history) if keep else None,
+                         deltas=tuple(deltas))
 
 
 def evaluation_layer(problem, grid: Grid1D, points: Sequence[float],

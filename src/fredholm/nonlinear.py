@@ -1,23 +1,22 @@
-"""Outer re-linearization loop for nonlinear integral equations.
+"""Nonlinear integral equations as one network with G as its activation.
 
 The problem is u(x) = g(x) + I K(x,z) G(u(z)) dz with a pointwise
-nonlinearity G.  Each outer pass freezes the previous iterate inside G,
-forming the linear equation
-
-    f = g_n + I K f,    g_n = g + I K (G(f_prev) - f_prev),
-
-solves it with the layered network, then rebuilds the source from the new
-iterate.  Every pass shares the kernel matrix the caller discretized once.
-With G(u) = u the correction vanishes and the loop reproduces the linear
-solve exactly, pass after pass.
+nonlinearity G.  Its discretization u = g + A G(u) has closed-form weights
+(A), bias (g) and activation (G), so ``fredholm.network`` solves it with G
+as the hidden layers' activation: h_1 = g, h_m = g + A G(h_{m-1}), which
+is Picard iteration at one matvec per layer.  Each layer checks G's
+domain at every node; with G(u) = u the network is the linear one, bit
+for bit.  The layer updates give the verdict: a last update larger than
+the first means the iteration diverges.
 """
 
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import (ConvergenceError, DivergenceError, DomainError,
+                     ValidationError)
 from .network import (SolutionField, build_network, evaluation_layer,
                       forward)
 from .operator import DiscreteOperator, FieProblem, KMSchedule, _sample
@@ -33,8 +32,8 @@ class NonlinearProblem:
     """Kernel, source, pointwise nonlinearity and domain.
 
     ``nonlinearity(u)`` must broadcast over arrays.  Whether it stays
-    Lipschitz along the iterates is the caller's lookout; the trace of
-    update sizes makes a drifting loop visible.
+    Lipschitz along the iterates is the caller's lookout; the update size
+    of each layer makes a drifting iteration visible.
     """
 
     kernel: Callable
@@ -52,19 +51,15 @@ class NonlinearProblem:
                           a=self.a, b=self.b)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class IterationTrace:
-    """Record of the outer loop: consecutive-iterate sup-norm deltas and
-    the source vector of the last pass."""
+    """The sup-norm update ||h_m - h_{m-1}|| of each layer (h_0 = 0)."""
 
-    outer_iterations: int
     deltas: Tuple[float, ...]
-    source: np.ndarray
 
     def __post_init__(self):
         if any(not (np.isfinite(d) and d >= 0.0) for d in self.deltas):
             raise ValidationError(f"invalid deltas {self.deltas}")
-        self.source.setflags(write=False)
 
 
 def _apply_nonlinearity(problem: NonlinearProblem, values: np.ndarray,
@@ -73,7 +68,9 @@ def _apply_nonlinearity(problem: NonlinearProblem, values: np.ndarray,
           "(iterate value {v!r})")
     with np.errstate(all="ignore"):
         gu = _sample(problem.nonlinearity, values, at)
-    bad = ~np.isfinite(gu)
+    # an infinite value of a finite iterate is overflow, not a domain exit:
+    # the caller's finiteness check reports it
+    bad = np.isnan(gu)
     if bad.any():
         i = int(np.argmax(bad))
         raise DomainError(at.format(i=i, v=float(values[i])))
@@ -82,11 +79,10 @@ def _apply_nonlinearity(problem: NonlinearProblem, values: np.ndarray,
 
 def linearized_source(problem: NonlinearProblem, base: DiscreteOperator,
                       prev_values: np.ndarray) -> np.ndarray:
-    """Source of the next linear pass: g + A (G(f_prev) - f_prev).
-
-    ``base`` must be the discretization of the problem's linear part, so
-    its source vector is the original g.
-    """
+    """Source g + A (G(f_prev) - f_prev) of a pass re-linearized at
+    ``f_prev``; ``base`` discretizes the problem's linear part.  Unused
+    since G became the network's activation, and kept only while
+    ``bench/spans.py`` still wraps the name."""
     prev = np.asarray(prev_values, dtype=float)
     if prev.shape != (base.n,):
         raise ValidationError(
@@ -96,39 +92,27 @@ def linearized_source(problem: NonlinearProblem, base: DiscreteOperator,
 
 
 def solve_nonlinear(problem: NonlinearProblem, base: DiscreteOperator,
-                    layers: int, schedule: KMSchedule, outer_iterations: int,
-                    delta_tol: Optional[float] = None
+                    layers: int, schedule: KMSchedule,
+                    keep_history: Union[bool, int] = False
                     ) -> Tuple[SolutionField, IterationTrace]:
-    """Run the outer loop: passes n = 0..outer_iterations, one linear
-    network solve each.
-
-    ``base`` is the discretization of the problem's linear part; pass 0
-    solves it as is and later passes swap in the linearized source.
-    ``delta_tol`` optionally stops early once the sup-norm change between
-    passes drops below it; by default the full budget runs.  Divergence
-    (non-finite layer values) and nonlinearity domain violations raise.
-    """
-    if outer_iterations < 1:
-        raise ValidationError(
-            f"outer_iterations {outer_iterations} must be >= 1")
-    current = base
-    deltas = []
-    prev = None
-    for n in range(outer_iterations + 1):
-        net = build_network(current, layers, schedule)
-        field = forward(net)
-        vals = field.values
-        if prev is not None:
-            deltas.append(float(np.max(np.abs(vals - prev))))
-            if delta_tol is not None and deltas[-1] < delta_tol:
-                break
-        prev = vals
-        if n < outer_iterations:
-            current = replace(
-                base, source=linearized_source(problem, base, vals))
-    trace = IterationTrace(outer_iterations=outer_iterations,
-                           deltas=tuple(deltas), source=current.source)
-    return field, trace
+    """Run ``layers`` layers over ``base``, the discretization of the
+    problem's linear part, with G as activation (``keep_history`` as in
+    ``forward``).  A layer where G leaves its domain names the node and
+    iterate value; a run whose last update is larger than its first, or
+    whose iterate overflows, diverges and raises ConvergenceError."""
+    net = build_network(base, layers, schedule, activation=lambda u:
+                        _apply_nonlinearity(problem, u, "in a hidden layer"))
+    try:
+        field = forward(net, keep_history)
+    except DivergenceError as exc:
+        raise ConvergenceError(
+            f"nonlinear iteration diverging: {exc}") from None
+    first, last = field.deltas[0], field.deltas[-1]
+    if last > first:
+        raise ConvergenceError(
+            f"nonlinear iteration diverging: its update grew from "
+            f"{first!r} at layer 1 to {last!r} at layer {layers}")
+    return field, IterationTrace(deltas=field.deltas)
 
 
 def evaluate_nonlinear(problem: NonlinearProblem, base: DiscreteOperator,

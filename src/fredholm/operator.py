@@ -170,11 +170,11 @@ def discretize(problem: FieProblem, grid: Grid1D) -> DiscreteOperator:
 
 
 def _sample(fn, x, at) -> np.ndarray:
-    """``fn`` at the points ``x``, as floats of their shape.  A DomainError
-    is renamed after the first point where ``fn`` fails alone, by the
-    format ``at`` of its index ``i`` and value ``v``."""
+    """``fn`` at the points ``x`` (one per row), as one float per point.  A
+    DomainError is renamed after the first point where ``fn`` fails alone,
+    by the format ``at`` of its index ``i`` and value ``v``."""
     try:
-        return np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape)
+        return np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape[:1])
     except DomainError as exc:
         raise _undefined_pair(fn, x, at=at) or exc
 
@@ -199,7 +199,7 @@ def _undefined_pair(fn, x, z=None, lo=0, at=None) -> Optional[DomainError]:
                 exc = error(x[i:i + 1])
                 if exc:
                     return DomainError(
-                        f"{at.format(i=i, v=float(x[i]))}: {exc}")
+                        f"{at.format(i=i, v=x[i].tolist())}: {exc}")
         return None
     pair, name = ("nodes", "z") if x is z else ("query point and node", "x")
     for i in range(lo, len(x))[:_BLOCK]:

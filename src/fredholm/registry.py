@@ -142,7 +142,6 @@ EXAMPLES: Dict[str, ExampleSpec] = {
             "grid_scheme": "midpoint",
             "layers": 7,
             "kappa": 1.0,
-            "outer_iterations": 5,
             "queries": "0.01:1:100",
             "exact": "log(x) + 1",
         }),
@@ -158,9 +157,8 @@ EXAMPLES: Dict[str, ExampleSpec] = {
             "domain": [0.0, math.pi],
             "grid_n": 2000,
             "grid_scheme": "left",
-            "layers": 7,
+            "layers": 20,
             "kappa": 1.0,
-            "outer_iterations": 7,
             "queries": f"0:{math.pi!r}:201",
             "exact": "sin(x) + 1",
         }),
@@ -179,7 +177,6 @@ EXAMPLES: Dict[str, ExampleSpec] = {
             "grid_scheme": "left",
             "layers": 10,
             "kappa": 1.0,
-            "outer_iterations": 10,
             "queries": "0:1:201",
             "exact": "2 - x^2",
         }),

@@ -8,17 +8,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fredholm import cli
+from fredholm import cli, nonlinear
 from fredholm.cli import main, run_compare_fd, run_config, run_example
 from fredholm.errors import DomainError, ValidationError
 from fredholm.exprlang import compile_fn, parse
 from fredholm.grid import uniform_grid
 from fredholm.network import (build_network, evaluation_layer, forward,
                               layer_sweep)
-from fredholm.nonlinear import (NonlinearProblem, linearized_source,
-                                solve_nonlinear)
-from fredholm.operator import (DiscreteOperator, FieProblem, KMSchedule,
-                               discretize)
+from fredholm.nonlinear import NonlinearProblem, linearized_source
+from fredholm.operator import FieProblem, KMSchedule, discretize
 from fredholm.registry import example_names, get_example
 
 LINEAR_CONFIG = {
@@ -100,8 +98,8 @@ _COLUMNS_1D = ("x", "value", "exact", "abs_err")
 _REPORT_CONTRACT = {
     "linear_fie": (_META_1D | {"residual", "derivative_bound", "error_bound",
                                "km_estimate"}, _COLUMNS_1D, "max_err"),
-    "nonlinear_fie": (_META_1D | {"outer_iterations", "outer_deltas",
-                                  "final_delta"}, _COLUMNS_1D, "max_update"),
+    "nonlinear_fie": (_META_1D | {"layer_deltas", "final_delta"}, _COLUMNS_1D,
+                      "max_update"),
     "bvp": (_META_1D | {"contraction_warning", "ode_residual", "alpha",
                         "beta"}, _COLUMNS_1D, "max_update"),
     "laplace_disc": (_META_COMMON | {"theta_n", "density_mean",
@@ -280,15 +278,16 @@ def test_work_guard_refuses_before_allocation(monkeypatch, capsys):
     with pytest.raises(ValidationError) as exc:
         run_config(near_cap, sweep_layers=1001)
     assert "multiply-adds" in str(exc.value)
-    # every outer pass of a nonlinear run is one more network solve, and
-    # its sweep one more pass of S - 1 matvecs
+    # a nonlinear run is one pass of layers - 1 matvecs like every kind
+    # (N^2 = 9e6 on nl3's grid), and its sweep shares that pass: it adds
+    # only S * N * P = S * 603000 for its evaluation at the 201 points
     nl3 = get_example("nl3").config
-    with pytest.raises(_Allocated):
-        run_config(dict(nl3, outer_iterations=11_110), sweep_layers=1)
-    with pytest.raises(ValidationError):
-        run_config(dict(nl3, outer_iterations=11_110), sweep_layers=2)
-    with pytest.raises(ValidationError):
-        run_config(dict(nl3, outer_iterations=11_111))
+    for layers, outcome in ((100_001, _Allocated), (100_002, ValidationError)):
+        with pytest.raises(outcome):
+            run_config(dict(nl3, layers=layers))
+    for sweep, outcome in ((14, _Allocated), (15, ValidationError)):
+        with pytest.raises(outcome):
+            run_config(dict(nl3, layers=100_000), sweep_layers=sweep)
     assert main(["example", "ex1", "--layers", "10000000"]) == 2
     assert "multiply-adds" in capsys.readouterr().err
 
@@ -421,19 +420,31 @@ _BVP_MIDPOINT = {k: v for k, v in get_example("bvp_p").config.items()
     (dict(LINEAR_CONFIG, exact="log(x)"),
      "exact undefined at query point x[0]=0.0: log of non-positive value "
      "0.0"),
+    (dict(LINEAR_CONFIG, exact="exp(1000*x)"),
+     "exact is not finite at query point x[15]=0.75: inf"),
     (dict(get_example("nl3").config, source="-1", grid_n=50),
-     "nonlinearity left its domain in the source update at node 0 "
+     "nonlinearity left its domain in a hidden layer at node 0 "
      "(iterate value -1.0): sqrt of negative value -1.0"),
     (dict(_BVP_MIDPOINT, h="1/x", grid_n=50, grid_scheme="midpoint"),
      "h undefined at query point x[0]=0.0: division by zero"),
+    (dict(_BVP_MIDPOINT, h="1/x", grid_n=50),
+     "h undefined at node x[0]=0.0: division by zero"),
     (dict(get_example("laplace_disc").config, boundary="log(phi)",
           theta_n=50),
-     "source undefined at node z[0]=0.0: log of non-positive value 0.0"),
+     "boundary undefined at node phi[0]=0.0: log of non-positive value 0.0"),
+    (dict(get_example("laplace_disc").config, exact="log(phi)", theta_n=50),
+     "exact undefined at query point r[0]=0.0, phi[0]=0.0: log of "
+     "non-positive value 0.0"),
+    (dict(get_example("laplace_disc").config, exact="exp(1000*r)",
+          theta_n=50),
+     "exact is not finite at query point r[615]=0.75, phi[615]=0.0: inf"),
 ], ids=["source_node", "source_later_block", "source_query", "exact",
-        "nonlinearity", "bvp_h", "laplace_boundary"])
+        "exact_not_finite", "nonlinearity", "bvp_h", "bvp_h_node",
+        "laplace_boundary", "laplace_exact", "laplace_exact_not_finite"])
 def test_domain_errors_name_the_point(config, text):
     # exprlang's message names only the value; the caller names the point
-    with pytest.raises(DomainError) as exc:
+    # under the config key the user wrote, and an overflow warns nothing
+    with np.errstate(all="raise"), pytest.raises(DomainError) as exc:
         run_config(config, sweep_layers=2)
     assert str(exc.value) == text
 
@@ -562,31 +573,28 @@ def test_sweep_column_names_what_it_holds(capsys):
     assert doc["sweep"]["columns"] == ["layers", "max_update"]
 
 
-def test_nonlinear_sweep_runs_last_outer_pass():
-    bundle = run_example("nl2", sweep_layers=4)
-    spec = get_example("nl2").config
+def test_nonlinear_sweep_reads_the_run_pass(monkeypatch):
+    # the sweep tabulates the first S updates of the solve's own pass,
+    # which are its layer_deltas, and costs no pass of its own
+    calls = []
 
-    def fn(key, params):
-        return compile_fn(parse(spec[key]), params)
+    def spy(net, keep_history=False):
+        calls.append((net.layers, keep_history))
+        return forward(net, keep_history)
 
-    problem = NonlinearProblem(kernel=fn("kernel", ("x", "z")),
-                               source=fn("source", ("x",)),
-                               nonlinearity=fn("nonlinearity", ("u",)),
-                               a=spec["domain"][0], b=spec["domain"][1])
-    grid = uniform_grid(*spec["domain"], spec["grid_n"])
-    schedule = KMSchedule(spec.get("kappa", 1.0), contractive=True)
-    base = discretize(problem.linear_problem(), grid)
-    _, trace = solve_nonlinear(problem, base, spec["layers"], schedule,
-                               spec["outer_iterations"])
-    last = DiscreteOperator(grid=grid, matrix=base.matrix,
-                            source=trace.source)
-
-    def sweep(op):
-        net = build_network(op, 4, schedule)
-        return layer_sweep(op, forward(net, keep_history=True))
-
-    assert bundle.sweep == sweep(last)
-    assert bundle.sweep != sweep(base)
+    monkeypatch.setattr(nonlinear, "forward", spy)
+    layers = get_example("nl2").config["layers"]
+    plain = run_example("nl2")
+    for sweep in (4, layers + 3):
+        calls.clear()
+        bundle = run_example("nl2", sweep_layers=sweep)
+        assert calls == [(max(layers, sweep), sweep)]
+        assert bundle.rows == plain.rows
+        assert bundle.metadata == plain.metadata
+        deltas = plain.metadata["layer_deltas"]
+        assert len(deltas) == layers
+        assert bundle.sweep[:layers] == list(enumerate(deltas, 1))[:sweep]
+        assert len(bundle.sweep) == sweep
 
 
 @pytest.mark.parametrize("theta_n", [7, 3001])

@@ -1,13 +1,14 @@
-"""Outer re-linearization loop for nonlinear integral equations."""
+"""Nonlinear integral equations as one network with G as its activation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fredholm.errors import DomainError, ValidationError
+from fredholm.errors import ConvergenceError, DomainError, ValidationError
 from fredholm.grid import uniform_grid
-from fredholm.network import build_network, forward
+from fredholm.network import build_network, forward, layer_sweep
 from fredholm.nonlinear import (IterationTrace, NonlinearProblem,
                                 evaluate_nonlinear, linearized_source,
                                 solve_nonlinear)
@@ -69,55 +70,82 @@ def test_log_problem_exact_solution_is_discrete_fixed_point():
 
 
 def test_identity_nonlinearity_reduces_to_linear_solve():
+    # G(u) = u as the activation runs the linear net's arithmetic, bit for
+    # bit, undamped and damped
     problem, grid = _identity_problem()
     base = discretize(problem.linear_problem(), grid)
-    schedule = KMSchedule(1.0, contractive=True)
-    linear = forward(build_network(base, 5, schedule))
-    for outer in (1, 2, 3):
-        field, trace = solve_nonlinear(problem, base, 5, schedule, outer)
-        assert np.array_equal(field.values, linear.values)
-        assert trace.deltas == (0.0,) * outer
-        assert np.array_equal(trace.source, base.source)
+    for schedule in (KMSchedule(1.0, contractive=True), KMSchedule(0.5)):
+        for layers in (1, 2, 5):
+            linear = forward(build_network(base, layers, schedule))
+            field, trace = solve_nonlinear(problem, base, layers, schedule)
+            assert np.array_equal(field.values, linear.values)
+            assert trace.deltas == linear.deltas
+            assert len(trace.deltas) == layers
 
 
-def test_delta_tol_stops_early():
-    problem, grid = _identity_problem()
-    base = discretize(problem.linear_problem(), grid)
-    field, trace = solve_nonlinear(problem, base, 5,
-                                   KMSchedule(1.0, contractive=True),
-                                   outer_iterations=6, delta_tol=1e-30)
-    assert len(trace.deltas) == 1
-
-
-def test_outer_iteration_count_validated():
-    problem, grid = _identity_problem()
-    base = discretize(problem.linear_problem(), grid)
-    with pytest.raises(ValidationError):
-        solve_nonlinear(problem, base, 5, KMSchedule(1.0, contractive=True), 0)
-
-
-def test_outer_deltas_shrink_monotonically():
+def _sin_problem():
+    """u = g + (1/36) I z (u + u^2) dz with solution sin(x) + 1."""
     problem = NonlinearProblem(
         kernel=lambda x, z: z / 36.0,
         source=lambda x: np.sin(x) + 1.0 - math.pi / 12.0
         - 5.0 * math.pi ** 2 / 144.0,
         nonlinearity=lambda u: u + u * u, a=0.0, b=math.pi)
     grid = uniform_grid(0.0, math.pi, 200, scheme="left")
-    base = discretize(problem.linear_problem(), grid)
-    _, trace = solve_nonlinear(problem, base, 7,
-                               KMSchedule(1.0, contractive=True), 7)
-    assert len(trace.deltas) == 7
+    return problem, discretize(problem.linear_problem(), grid)
+
+
+def test_layer_deltas_shrink_monotonically():
+    problem, base = _sin_problem()
+    _, trace = solve_nonlinear(problem, base, 20,
+                               KMSchedule(1.0, contractive=True))
+    assert len(trace.deltas) == 20
     floor = 1e-13
     for a, b in zip(trace.deltas, trace.deltas[1:]):
         if a > floor:
             assert b < a
 
 
+def test_layer_deltas_are_the_sweep_update_sizes():
+    problem, base = _sin_problem()
+    field, trace = solve_nonlinear(problem, base, 9,
+                                   KMSchedule(1.0, contractive=True),
+                                   keep_history=True)
+    assert layer_sweep(base, field) == list(enumerate(trace.deltas, 1))
+    # the first layer's update is the bias g itself
+    assert trace.deltas[0] == float(np.max(np.abs(base.source)))
+
+
+def _quadratic_blowup(layers):
+    """The problem of ``_sin_problem`` with kernel 2 and G(u) = u^2, on 50
+    nodes: Picard's updates grow without bound."""
+    problem = replace(_sin_problem()[0], kernel=lambda x, z: 2.0,
+                      nonlinearity=lambda u: u * u)
+    base = discretize(problem.linear_problem(),
+                      uniform_grid(0.0, math.pi, 50, scheme="left"))
+    return lambda: solve_nonlinear(problem, base, layers,
+                                   KMSchedule(1.0, contractive=True))
+
+
+def test_growing_updates_raise_convergence_error():
+    with pytest.raises(ConvergenceError) as exc:
+        _quadratic_blowup(7)()
+    text = str(exc.value)
+    assert "diverging" in text
+    assert "at layer 1 to" in text and "at layer 7" in text
+    # past double range the iterate overflows; still a verdict, with both
+    # updates named
+    with pytest.raises(ConvergenceError) as exc:
+        _quadratic_blowup(20)()
+    text = str(exc.value)
+    assert "non-finite values at layer 10" in text
+    assert "at layer 1 and" in text and "at layer 9" in text
+
+
 def test_final_iterate_is_consistent_fixed_point():
     problem, grid = _log_problem()
     base = discretize(problem.linear_problem(), grid)
     field, trace = solve_nonlinear(problem, base, 7,
-                                   KMSchedule(1.0, contractive=True), 5)
+                                   KMSchedule(1.0, contractive=True))
     mapped = base.source + base.matrix @ (field.values ** 2)
     drift = float(np.max(np.abs(mapped - field.values)))
     assert drift <= max(trace.deltas[-1], 1e-13) * 10.0 + 1e-10
@@ -131,9 +159,10 @@ def test_nonlinearity_domain_violation_names_node():
     base = discretize(problem.linear_problem(),
                       uniform_grid(0.0, 1.0, 10, scheme="left"))
     with pytest.raises(DomainError) as exc:
-        solve_nonlinear(problem, base, 4, KMSchedule(1.0, contractive=True), 3)
-    assert "node" in str(exc.value)
-    assert "source update" in str(exc.value)
+        solve_nonlinear(problem, base, 4, KMSchedule(1.0, contractive=True))
+    assert str(exc.value).startswith(
+        "nonlinearity left its domain in a hidden layer at node 0 "
+        "(iterate value -1.0)")
 
 
 def test_evaluate_nonlinear_zero_kernel_is_source():
@@ -173,12 +202,10 @@ def test_evaluate_nonlinear_domain_violation():
 
 
 def test_trace_validation():
-    with pytest.raises(ValidationError):
-        IterationTrace(outer_iterations=1, deltas=(-1.0,), source=np.ones(3))
-    trace = IterationTrace(outer_iterations=1, deltas=(0.5,),
-                           source=np.ones(3))
-    with pytest.raises(ValueError):
-        trace.source[0] = 2.0
+    for deltas in ((-1.0,), (0.5, float("nan"))):
+        with pytest.raises(ValidationError):
+            IterationTrace(deltas=deltas)
+    assert IterationTrace(deltas=(0.5, 0.0)).deltas == (0.5, 0.0)
 
 
 def test_problem_domain_validated():
