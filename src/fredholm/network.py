@@ -324,8 +324,8 @@ def layer_sweep(op: DiscreteOperator, field: SolutionField,
     Tabulates the history ``forward(..., keep_history=True)`` left in
     ``field``: each m-layer iterate is composed with the evaluation layer
     at ``points`` (grid nodes by default) and compared with ``exact``;
-    without it the sup-norm update ||h_m - h_(m-1)|| is tabulated, one
-    pair of iterates at a time.
+    without it the sweep is the field's own updates ||h_m - h_(m-1)||
+    for the layers its history holds.
     """
     if not field.history:
         raise ValidationError("sweep needs a field with its layer history")
@@ -334,7 +334,7 @@ def layer_sweep(op: DiscreteOperator, field: SolutionField,
             "error sweep needs the continuous problem for evaluation")
     h = field.history
     if exact is None:
-        sizes = [np.max(np.abs(b - a)) for a, b in zip((0.0,) + h, h)]
+        sizes = field.deltas[:len(h)]
     else:
         pts = np.asarray(op.grid.nodes if points is None else points,
                          dtype=float).ravel()

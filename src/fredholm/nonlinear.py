@@ -63,14 +63,13 @@ class IterationTrace:
 
 
 def _apply_nonlinearity(problem: NonlinearProblem, values: np.ndarray,
-                        where: str) -> np.ndarray:
+                        where: str, finite: bool = True) -> np.ndarray:
+    # a hidden layer leaves an infinite G (overflow) to forward's check
     at = (f"nonlinearity left its domain {where} at node {{i}} "
           "(iterate value {v!r})")
     with np.errstate(all="ignore"):
         gu = _sample(problem.nonlinearity, values, at)
-    # an infinite value of a finite iterate is overflow, not a domain exit:
-    # the caller's finiteness check reports it
-    bad = np.isnan(gu)
+    bad = ~np.isfinite(gu) if finite else np.isnan(gu)
     if bad.any():
         i = int(np.argmax(bad))
         raise DomainError(at.format(i=i, v=float(values[i])))
@@ -97,21 +96,23 @@ def solve_nonlinear(problem: NonlinearProblem, base: DiscreteOperator,
                     ) -> Tuple[SolutionField, IterationTrace]:
     """Run ``layers`` layers over ``base``, the discretization of the
     problem's linear part, with G as activation (``keep_history`` as in
-    ``forward``).  A layer where G leaves its domain names the node and
-    iterate value; a run whose last update is larger than its first, or
-    whose iterate overflows, diverges and raises ConvergenceError."""
+    ``forward``).  A layer where G leaves its domain names the node; a run
+    that overflows, or whose last update exceeds its first two (g and the
+    first step of u -> g + A G(u)), diverges: ConvergenceError."""
     net = build_network(base, layers, schedule, activation=lambda u:
-                        _apply_nonlinearity(problem, u, "in a hidden layer"))
+                        _apply_nonlinearity(problem, u, "in a hidden layer",
+                                            finite=False))
     try:
         field = forward(net, keep_history)
     except DivergenceError as exc:
         raise ConvergenceError(
             f"nonlinear iteration diverging: {exc}") from None
-    first, last = field.deltas[0], field.deltas[-1]
+    first, last = max(field.deltas[:2]), field.deltas[-1]
     if last > first:
         raise ConvergenceError(
-            f"nonlinear iteration diverging: its update grew from "
-            f"{first!r} at layer 1 to {last!r} at layer {layers}")
+            f"nonlinear iteration diverging: its update grew from {first!r} "
+            f"at layer {field.deltas.index(first) + 1} to {last!r} at layer "
+            f"{layers}")
     return field, IterationTrace(deltas=field.deltas)
 
 

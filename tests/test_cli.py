@@ -502,6 +502,17 @@ def test_main_divergent_run_exits_numerical(tmp_path, capsys):
     assert "error:" in err and "layer" in err
 
 
+def test_main_zero_source_nonlinear_run_converges(tmp_path, capsys):
+    # u = 0.1 (1 + u) contracts although its first update |g| is 0
+    config = {"kind": "nonlinear_fie", "kernel": "0.1", "source": "0",
+              "nonlinearity": "1+u", "domain": [0.0, 1.0], "grid_n": 16,
+              "layers": 12, "kappa": 1.0, "queries": "0:1:5",
+              "exact": "1/9"}
+    path = _write_config(tmp_path, config)
+    assert main(["solve", path, "--out", str(tmp_path / "out.csv")]) == 0
+    assert "error:" not in capsys.readouterr().err
+
+
 def test_main_domain_error_exits_numerical(tmp_path, capsys):
     # the left grid samples log at x = 0
     config = dict(LINEAR_CONFIG, source="log(x)", grid_scheme="left")

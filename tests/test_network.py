@@ -445,7 +445,7 @@ def test_layer_sweep_zero_kernel():
 
 
 def test_layer_sweep_update_mode_holds_no_stack(const_kernel_factory):
-    # update norms come pairwise from the history, with no S x N copy
+    # update norms are the deltas forward recorded, with no S x N copy
     op = const_kernel_factory(n=2000, scheme="left")
     field = forward(build_network(op, 200, KMSchedule(0.5)),
                     keep_history=True)

@@ -131,7 +131,8 @@ def test_growing_updates_raise_convergence_error():
         _quadratic_blowup(7)()
     text = str(exc.value)
     assert "diverging" in text
-    assert "at layer 1 to" in text and "at layer 7" in text
+    # the second update, the map's first step, is the larger reference
+    assert "at layer 2 to" in text and "at layer 7" in text
     # past double range the iterate overflows; still a verdict, with both
     # updates named
     with pytest.raises(ConvergenceError) as exc:
@@ -139,6 +140,26 @@ def test_growing_updates_raise_convergence_error():
     text = str(exc.value)
     assert "non-finite values at layer 10" in text
     assert "at layer 1 and" in text and "at layer 9" in text
+
+
+def test_small_source_with_nonzero_g0_converges():
+    # the first update is |g|, which is not a step of u -> g + A G(u) when
+    # G(0) != 0; the verdict must not take it as the reference
+    grid = uniform_grid(0.0, 1.0, 20, scheme="left")
+    for source, kernel, layers in ((0.0, 0.1, 2), (0.0, 0.1, 12),
+                                   (0.01, 0.5, 7)):
+        problem = NonlinearProblem(
+            kernel=lambda x, z, k=kernel: k,
+            source=lambda x, s=source: np.full(np.shape(x), s),
+            nonlinearity=lambda u: 1.0 + u, a=0.0, b=1.0)
+        base = discretize(problem.linear_problem(), grid)
+        field, trace = solve_nonlinear(problem, base, layers,
+                                       KMSchedule(1.0, contractive=True))
+        assert trace.deltas[0] == source
+        assert trace.deltas[-1] <= trace.deltas[1]
+        # the fixed point of u = s + k (1 + u) is (s + k) / (1 - k)
+        assert np.allclose(field.values, (source + kernel) / (1.0 - kernel),
+                           atol=kernel ** (layers - 1) / (1.0 - kernel))
 
 
 def test_final_iterate_is_consistent_fixed_point():
@@ -199,6 +220,14 @@ def test_evaluate_nonlinear_domain_violation():
     with pytest.raises(DomainError) as exc:
         evaluate_nonlinear(sqrt_problem, base, bad, [0.5])
     assert "evaluation" in str(exc.value)
+    # off-grid, an infinite G value is named at its node too
+    inv_problem = replace(sqrt_problem, nonlinearity=lambda u: 1.0 / u)
+    zero = replace(bad, values=np.where(grid.nodes > 0.3, 1.0, 0.0))
+    with pytest.raises(DomainError) as exc:
+        evaluate_nonlinear(inv_problem, base, zero, [0.5])
+    assert str(exc.value).startswith(
+        "nonlinearity left its domain in off-grid evaluation at node 0 "
+        "(iterate value 0.0)")
 
 
 def test_trace_validation():
