@@ -6,10 +6,10 @@ boundary integral equation, with a priori error budgets, a direct dense
 reference solve and a finite-difference comparison solver.
 """
 
-from .errors import (BoundUnavailableError, ConvergenceError, DivergenceError,
-                     DomainError, ExprSyntaxError, FredholmError,
-                     NumericalError, SingularSystemError,
-                     UnboundVariableError, ValidationError)
+from .errors import (BoundUnavailableError, DivergenceError, DomainError,
+                     ExprSyntaxError, FredholmError, NumericalError,
+                     SingularSystemError, UnboundVariableError,
+                     ValidationError)
 from .exprlang import compile_fn, evaluate, free_vars, parse, render
 from .grid import Grid1D, uniform_grid
 from .operator import (DiscreteOperator, FieProblem, KMSchedule, discretize,
@@ -32,8 +32,8 @@ from .cli import main, run_compare_fd, run_config, run_example
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundUnavailableError", "ConvergenceError", "DivergenceError",
-    "DomainError", "ExprSyntaxError", "FredholmError", "NumericalError",
+    "BoundUnavailableError", "DivergenceError", "DomainError",
+    "ExprSyntaxError", "FredholmError", "NumericalError",
     "SingularSystemError", "UnboundVariableError", "ValidationError",
     "compile_fn", "evaluate", "free_vars", "parse", "render",
     "Grid1D", "uniform_grid",

@@ -5,7 +5,7 @@ registry entry with pinned settings, ``compare-fd`` runs the
 finite-difference reference on the disc, and ``selftest`` validates the
 registry.  Exit codes: 0 success, 2 for validation problems (bad config,
 bad expression, bad flags), 3 for numerical failures (divergence, domain
-violations, non-convergence, singular systems).
+violations, singular systems).
 """
 
 import argparse
@@ -25,7 +25,7 @@ from .laplace import (BoundaryDensity, DiscBoundaryProblem, build_bie,
                       evaluate_potential)
 from .network import (budget_from_operator, build_network, error_bound,
                       forward, km_error_estimate, layer_sweep, query)
-from .nonlinear import NonlinearProblem, evaluate_nonlinear, solve_nonlinear
+from .nonlinear import NonlinearProblem, evaluate_nonlinear
 from .operator import (DiscreteOperator, FieProblem, KMSchedule, _sample,
                        discretize, estimate_contraction)
 from .registry import EXAMPLES, example_names, get_example
@@ -223,15 +223,14 @@ def _rows(points, values, exact=None):
             for *p, v, e in zip(*points, map(float, values), exact)]
 
 
-def _forward(net, depth, run=None) -> tuple:
+def _forward(net, depth) -> tuple:
     """The solved field and, for a sweep of ``depth`` layers, one holding
-    their history, both from one pass ``run(net, keep_history)`` (by
-    default ``forward``, looked up per call) that keeps only those."""
-    run = run or forward
+    their history, both from one ``forward`` pass that keeps only those;
+    a deeper sweep's pass is the one judged."""
     if not depth:
-        return run(net), None
-    deep = run(build_network(net.op, max(net.layers, depth), net.schedule),
-               depth)
+        return forward(net), None
+    deep = forward(build_network(net.op, max(net.layers, depth),
+                                 net.schedule, net.activation), depth)
     h = deep.history
     field = h[net.layers - 1] if net.layers <= depth else deep.values
     return (replace(deep, values=field, history=None,
@@ -246,7 +245,7 @@ class _Setup(NamedTuple):
     q_est: float
     contractive: bool     # whether kappa = 1 makes a valid KM schedule
     readout: Callable     # (net, field, points) -> (columns, values, meta)
-    run: Optional[Callable] = None  # (net, keep_history) -> field
+    activation: Optional[Callable] = None  # the hidden layers' sigma
     oracle: bool = False  # the sweep measures errors against "exact"
 
 
@@ -280,19 +279,14 @@ def _nonlinear_fie(config, fn, n) -> _Setup:
     problem = NonlinearProblem(kernel=fn["kernel"], source=fn["source"],
                                nonlinearity=fn["nonlinearity"], a=a, b=b)
     base = discretize(problem.linear_problem(), _grid(config, a, b, n))
-    q_est = estimate_contraction(base)
 
     def readout(net, field, pts):
-        return (pts,), evaluate_nonlinear(problem, base, field, pts), {
-            "layer_deltas": list(field.deltas),
-            "final_delta": field.deltas[-1],
-        }
+        return (pts,), evaluate_nonlinear(problem, base, field, pts), {}
 
-    def run(net, keep=False):
-        return solve_nonlinear(problem, base, net.layers, net.schedule,
-                               keep)[0]
-
-    return _Setup(base, q_est, q_est < 1.0, readout, run=run)
+    # ||A|| is not the Lipschitz constant of u -> g + A G(u), so q_est
+    # cannot make kappa = 1 a valid KM schedule
+    return _Setup(base, estimate_contraction(base), False, readout,
+                  activation=problem.activation)
 
 
 def _bvp(config, fn, n) -> _Setup:
@@ -385,8 +379,8 @@ def run_config(config: dict, exact_override: Optional[Callable] = None,
                deterministic: bool = True) -> ReportBundle:
     """Validate a config mapping and run the one solve pipeline: resource
     guards, the kind's setup, query points, schedule, network, forward pass
-    (with G as activation for nonlinear_fie), the kind's readout, depth
-    sweep."""
+    and its verdict (with G as activation for nonlinear_fie), the kind's
+    readout, depth sweep."""
     if not isinstance(config, dict):
         raise ValidationError("config must be a JSON object")
     _check_schema(config)
@@ -420,8 +414,8 @@ def run_config(config: dict, exact_override: Optional[Callable] = None,
     started = time.perf_counter()
     setup = spec["setup"](config, fn, n)
     pts = make_points(setup.op.grid)
-    net = build_network(setup.op, layers, schedule)
-    field, deep = _forward(net, sweep_layers, setup.run)
+    net = build_network(setup.op, layers, schedule, setup.activation)
+    field, deep = _forward(net, sweep_layers)
     columns, values, kind_meta = setup.readout(net, field, pts)
     # before the sweep, whose error mode evaluates it again
     exact = (None if fn["exact"] is None
@@ -438,6 +432,8 @@ def run_config(config: dict, exact_override: Optional[Callable] = None,
         "kappa": config.get("kappa", spec["kappa"]),
         "km_schedule_valid": schedule.valid_km or setup.contractive,
         "q_est": setup.q_est,
+        "layer_deltas": list(field.deltas),
+        "final_delta": field.deltas[-1],
         **kind_meta,
     }
     if "grid_scheme" in spec["optional"]:

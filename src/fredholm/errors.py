@@ -43,12 +43,9 @@ class DomainError(NumericalError):
 
 
 class DivergenceError(NumericalError):
-    """Iteration produced a non-finite value."""
+    """Iteration produced a non-finite value, or its map residual
+    ||T h - h|| ended above where it started."""
 
 
 class SingularSystemError(NumericalError):
     """Direct solve hit a singular or numerically singular matrix."""
-
-
-class ConvergenceError(NumericalError):
-    """Iterative solver exhausted its iteration cap."""

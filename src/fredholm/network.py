@@ -10,7 +10,10 @@ for m = 2..M, which is exactly M damped steps started from zero; with the
 identity, layer m is W_m h_{m-1} + kappa_m g, W_m = kappa_m A +
 (1 - kappa_m) I.  Weights, biases and activation are closed form; nothing
 is trained.  W_m is never stored, so the network costs one N x N block (A
-itself) whatever its depth and relaxations.  A final evaluation layer
+itself) whatever its depth and relaxations.  Every run, whatever its
+kind, gets its verdict in ``forward``: an overflow, or a map residual
+||T h - h|| at the last layer above that of the first two, raises
+DivergenceError.  A final evaluation layer
 applies one undamped step at arbitrary points,
 
     f(x) = g(x) + sum_j K(x, z_j) h_M[j] dz,
@@ -102,10 +105,14 @@ def forward(net: FixedPointNet,
     ||h_m - h_{m-1}|| of every layer (h_0 = 0) as its deltas.
 
     Layer m computes kappa (A sigma(h)) + (1 - kappa) h + kappa g, with
-    A h itself where the activation sigma is the identity.  Raises
-    DivergenceError the moment any layer produces a non-finite value,
-    naming the layer and the first and last finite updates; that is the
-    signature of iterating an expansive operator undamped.
+    A h itself where the activation sigma is the identity.  This is the
+    one verdict on every run.  DivergenceError is raised the moment any
+    layer produces a non-finite value, naming the layer and the first and
+    last finite updates.  It is also raised after the last layer when the
+    map residual r_m = delta_m / kappa_m = ||T h_{m-1} - h_{m-1}||,
+    T h = g + A sigma(h), ends above the larger of r_1 (g itself) and
+    r_2 (the first step of T); on a non-expansive map the residual of a
+    damped iteration never grows.
     """
     a, g, act = net.op.matrix, net.op.source, net.activation
     h, prev = net.schedule.at(1) * g, 0.0
@@ -125,6 +132,12 @@ def forward(net: FixedPointNet,
             deltas.append(float(np.max(np.abs(h - prev))))
             if m <= keep:
                 history.append(h)
+    res = [d / net.schedule.at(m) for m, d in enumerate(deltas, start=1)]
+    first = max(res[:2])
+    if res[-1] > first:
+        raise DivergenceError(
+            f"iteration diverging: its residual grew from {first!r} at layer "
+            f"{res.index(first) + 1} to {res[-1]!r} at layer {net.layers}")
     return SolutionField(grid=net.op.grid, values=h,
                          history=tuple(history) if keep else None,
                          deltas=tuple(deltas))

@@ -4,10 +4,10 @@ The problem is u(x) = g(x) + I K(x,z) G(u(z)) dz with a pointwise
 nonlinearity G.  Its discretization u = g + A G(u) has closed-form weights
 (A), bias (g) and activation (G), so ``fredholm.network`` solves it with G
 as the hidden layers' activation: h_1 = g, h_m = g + A G(h_{m-1}), which
-is Picard iteration at one matvec per layer.  Each layer checks G's
-domain at every node; with G(u) = u the network is the linear one, bit
-for bit.  The layer updates give the verdict: a last update larger than
-the first means the iteration diverges.
+is Picard iteration at one matvec per layer.  That activation is
+``NonlinearProblem.activation``, which checks G's domain at every node;
+with G(u) = u the network is the linear one, bit for bit.  The run's
+verdict is ``forward``'s, the same for every kind.
 """
 
 from dataclasses import dataclass
@@ -15,8 +15,7 @@ from typing import Callable, Tuple, Union
 
 import numpy as np
 
-from .errors import (ConvergenceError, DivergenceError, DomainError,
-                     ValidationError)
+from .errors import DomainError, ValidationError
 from .network import (SolutionField, build_network, evaluation_layer,
                       forward)
 from .operator import DiscreteOperator, FieProblem, KMSchedule, _sample
@@ -49,6 +48,11 @@ class NonlinearProblem:
     def linear_problem(self) -> FieProblem:
         return FieProblem(kernel=self.kernel, source=self.source,
                           a=self.a, b=self.b)
+
+    def activation(self, values: np.ndarray) -> np.ndarray:
+        """G at a hidden layer's input, naming the node where it is NaN."""
+        return _apply_nonlinearity(self, values, "in a hidden layer",
+                                   finite=False)
 
 
 @dataclass(frozen=True)
@@ -95,24 +99,10 @@ def solve_nonlinear(problem: NonlinearProblem, base: DiscreteOperator,
                     keep_history: Union[bool, int] = False
                     ) -> Tuple[SolutionField, IterationTrace]:
     """Run ``layers`` layers over ``base``, the discretization of the
-    problem's linear part, with G as activation (``keep_history`` as in
-    ``forward``).  A layer where G leaves its domain names the node; a run
-    that overflows, or whose last update exceeds its first two (g and the
-    first step of u -> g + A G(u)), diverges: ConvergenceError."""
-    net = build_network(base, layers, schedule, activation=lambda u:
-                        _apply_nonlinearity(problem, u, "in a hidden layer",
-                                            finite=False))
-    try:
-        field = forward(net, keep_history)
-    except DivergenceError as exc:
-        raise ConvergenceError(
-            f"nonlinear iteration diverging: {exc}") from None
-    first, last = max(field.deltas[:2]), field.deltas[-1]
-    if last > first:
-        raise ConvergenceError(
-            f"nonlinear iteration diverging: its update grew from {first!r} "
-            f"at layer {field.deltas.index(first) + 1} to {last!r} at layer "
-            f"{layers}")
+    problem's linear part, with G as activation (``keep_history`` and the
+    verdict as in ``forward``)."""
+    field = forward(build_network(base, layers, schedule, problem.activation),
+                    keep_history)
     return field, IterationTrace(deltas=field.deltas)
 
 

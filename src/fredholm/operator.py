@@ -250,5 +250,6 @@ def estimate_derivative_bound(op: DiscreteOperator) -> float:
         np.multiply(np.divide(rows, dz, out=p), op.source, out=p)
         np.subtract(p[:, 2:], p[:, :-2], out=d)
         peaks += [d.max(), -d.min()]
-    # rounding is monotone, so dividing the max equals the max of quotients
-    return float(np.max(peaks)) / (2.0 * dz)
+    # rounding is monotone, so dividing the max equals the max of quotients;
+    # the peak is never negative, and abs drops the sign of max(0, -0)
+    return abs(float(np.max(peaks))) / (2.0 * dz)

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fredholm import cli, nonlinear
+from fredholm import cli
 from fredholm.cli import main, run_compare_fd, run_config, run_example
 from fredholm.errors import DomainError, ValidationError
 from fredholm.exprlang import compile_fn, parse
@@ -92,14 +92,13 @@ def test_run_config_validation_messages(mutate, fragment):
 
 _META_COMMON = {"config", "deterministic", "runtime_seconds", "example",
                 "layers", "grid_iterations", "kappa", "km_schedule_valid",
-                "q_est"}
+                "q_est", "layer_deltas", "final_delta"}
 _META_1D = _META_COMMON | {"grid_n", "scheme"}
 _COLUMNS_1D = ("x", "value", "exact", "abs_err")
 _REPORT_CONTRACT = {
     "linear_fie": (_META_1D | {"residual", "derivative_bound", "error_bound",
                                "km_estimate"}, _COLUMNS_1D, "max_err"),
-    "nonlinear_fie": (_META_1D | {"layer_deltas", "final_delta"}, _COLUMNS_1D,
-                      "max_update"),
+    "nonlinear_fie": (_META_1D, _COLUMNS_1D, "max_update"),
     "bvp": (_META_1D | {"contraction_warning", "ode_residual", "alpha",
                         "beta"}, _COLUMNS_1D, "max_update"),
     "laplace_disc": (_META_COMMON | {"theta_n", "density_mean",
@@ -119,6 +118,10 @@ def test_report_contract_per_kind(name):
         assert all(len(row) == len(columns) for row in bundle.rows)
         assert bundle.sweep_column == sweep_column
         assert (bundle.sweep is None) == (sweep is None)
+        # every kind reports the updates its verdict read
+        deltas = bundle.metadata["layer_deltas"]
+        assert len(deltas) == bundle.metadata["layers"]
+        assert bundle.metadata["final_delta"] == deltas[-1]
 
 
 def test_run_config_exact_optional():
@@ -502,6 +505,48 @@ def test_main_divergent_run_exits_numerical(tmp_path, capsys):
     assert "error:" in err and "layer" in err
 
 
+_EXPANSIVE = {"kind": "linear_fie", "kernel": "2", "source": "1",
+              "domain": [0, 1], "grid_n": 50, "layers": 30}
+
+
+def test_main_expansive_linear_run_exits_numerical(tmp_path, capsys):
+    # A = 2 never overflows in 30 layers, but its residual grows from 2
+    # at layer 2; a linear run gets the same verdict as a nonlinear one
+    path = _write_config(tmp_path, _EXPANSIVE)
+    assert main(["solve", path]) == 3
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith(
+        "error: iteration diverging: its residual grew from ")
+    assert "at layer 2 to " in cap.err and "at layer 30" in cap.err
+
+
+def test_deeper_sweep_pass_is_judged(tmp_path, capsys):
+    # two layers cannot show the growth, but the 5-deep pass that serves
+    # the sweep does
+    path = _write_config(tmp_path, dict(_EXPANSIVE, layers=2))
+    assert main(["solve", path, "--out", str(tmp_path / "out.csv")]) == 0
+    assert main(["solve", path, "--sweep", "5"]) == 3
+    assert "at layer 5" in capsys.readouterr().err
+
+
+def test_main_rising_kappa_contraction_converges(tmp_path, capsys):
+    # G(u) = u makes this the q = 0.9 contraction; the update grows when
+    # kappa rises from 0.5 to 1, but the map residual delta_m / kappa_m
+    # falls at every layer
+    config = {"kind": "nonlinear_fie", "kernel": "0.9", "source": "1",
+              "nonlinearity": "u", "domain": [0, 1], "grid_n": 20,
+              "layers": 6, "kappa": [0.5, 0.5, 1, 1, 1, 1]}
+    path = _write_config(tmp_path, config)
+    out = tmp_path / "out.json"
+    assert main(["solve", path, "--format", "json", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    deltas = json.loads(out.read_text())["metadata"]["layer_deltas"]
+    assert deltas[-1] > deltas[1]
+    res = [d / k for d, k in zip(deltas, config["kappa"])]
+    assert all(b < a for a, b in zip(res, res[1:]))
+
+
 def test_main_zero_source_nonlinear_run_converges(tmp_path, capsys):
     # u = 0.1 (1 + u) contracts although its first update |g| is 0
     config = {"kind": "nonlinear_fie", "kernel": "0.1", "source": "0",
@@ -593,7 +638,7 @@ def test_nonlinear_sweep_reads_the_run_pass(monkeypatch):
         calls.append((net.layers, keep_history))
         return forward(net, keep_history)
 
-    monkeypatch.setattr(nonlinear, "forward", spy)
+    monkeypatch.setattr(cli, "forward", spy)
     layers = get_example("nl2").config["layers"]
     plain = run_example("nl2")
     for sweep in (4, layers + 3):

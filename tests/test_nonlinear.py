@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fredholm.errors import ConvergenceError, DomainError, ValidationError
+from fredholm.errors import DivergenceError, DomainError, ValidationError
 from fredholm.grid import uniform_grid
 from fredholm.network import build_network, forward, layer_sweep
 from fredholm.nonlinear import (IterationTrace, NonlinearProblem,
@@ -71,11 +71,18 @@ def test_log_problem_exact_solution_is_discrete_fixed_point():
 
 def test_identity_nonlinearity_reduces_to_linear_solve():
     # G(u) = u as the activation runs the linear net's arithmetic, bit for
-    # bit, undamped and damped
+    # bit, undamped, damped and with a rising kappa, whose updates grow on
+    # the q = 0.9 contraction (0.5 at layer 1, 0.658 at layer 6) while its
+    # residuals fall
     problem, grid = _identity_problem()
-    base = discretize(problem.linear_problem(), grid)
-    for schedule in (KMSchedule(1.0, contractive=True), KMSchedule(0.5)):
-        for layers in (1, 2, 5):
+    rising = replace(problem, kernel=lambda x, z: 0.9,
+                     source=lambda x: np.ones(np.shape(x)))
+    for problem, schedule in (
+            (problem, KMSchedule(1.0, contractive=True)),
+            (problem, KMSchedule(0.5)),
+            (rising, KMSchedule([0.5, 0.5, 1.0, 1.0, 1.0, 1.0]))):
+        base = discretize(problem.linear_problem(), grid)
+        for layers in (1, 2, 5, 6):
             linear = forward(build_network(base, layers, schedule))
             field, trace = solve_nonlinear(problem, base, layers, schedule)
             assert np.array_equal(field.values, linear.values)
@@ -126,16 +133,16 @@ def _quadratic_blowup(layers):
                                    KMSchedule(1.0, contractive=True))
 
 
-def test_growing_updates_raise_convergence_error():
-    with pytest.raises(ConvergenceError) as exc:
+def test_growing_residuals_raise_divergence_error():
+    with pytest.raises(DivergenceError) as exc:
         _quadratic_blowup(7)()
     text = str(exc.value)
-    assert "diverging" in text
-    # the second update, the map's first step, is the larger reference
+    assert text.startswith("iteration diverging: its residual grew from ")
+    # the second residual, the map's first step, is the larger reference
     assert "at layer 2 to" in text and "at layer 7" in text
     # past double range the iterate overflows; still a verdict, with both
     # updates named
-    with pytest.raises(ConvergenceError) as exc:
+    with pytest.raises(DivergenceError) as exc:
         _quadratic_blowup(20)()
     text = str(exc.value)
     assert "non-finite values at layer 10" in text

@@ -230,6 +230,15 @@ def test_derivative_bound_const_kernel(const_kernel_factory):
     assert abs(d - 1.0) < 1.1e-3
 
 
+def test_derivative_bound_of_a_constant_integrand_is_positive_zero():
+    # every difference is 0; the bound must not print as -0
+    problem = FieProblem(kernel=lambda x, z: 0.5, source=lambda x: 1.0,
+                         a=0.0, b=1.0)
+    d = estimate_derivative_bound(
+        discretize(problem, uniform_grid(0.0, 1.0, 50)))
+    assert d == 0.0 and math.copysign(1.0, d) == 1.0
+
+
 def test_derivative_bound_separable(separable_kernel_factory):
     # max |d/dz sin(x) cos(z) sin(z)| = max |sin(x) cos(2z)| = 1
     d = estimate_derivative_bound(separable_kernel_factory(n=2000))
