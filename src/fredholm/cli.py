@@ -230,7 +230,7 @@ def _forward(net, depth) -> tuple:
     if not depth:
         return forward(net), None
     deep = forward(build_network(net.op, max(net.layers, depth),
-                                 net.schedule, net.activation), depth)
+                                 net.schedule), depth)
     h = deep.history
     field = h[net.layers - 1] if net.layers <= depth else deep.values
     return (replace(deep, values=field, history=None,
@@ -245,7 +245,6 @@ class _Setup(NamedTuple):
     q_est: float
     contractive: bool     # whether kappa = 1 makes a valid KM schedule
     readout: Callable     # (net, field, points) -> (columns, values, meta)
-    activation: Optional[Callable] = None  # the hidden layers' sigma
     oracle: bool = False  # the sweep measures errors against "exact"
 
 
@@ -278,15 +277,14 @@ def _nonlinear_fie(config, fn, n) -> _Setup:
     a, b = _domain(config)
     problem = NonlinearProblem(kernel=fn["kernel"], source=fn["source"],
                                nonlinearity=fn["nonlinearity"], a=a, b=b)
-    base = discretize(problem.linear_problem(), _grid(config, a, b, n))
+    base = discretize(problem, _grid(config, a, b, n))
 
     def readout(net, field, pts):
         return (pts,), evaluate_nonlinear(problem, base, field, pts), {}
 
     # ||A|| is not the Lipschitz constant of u -> g + A G(u), so q_est
     # cannot make kappa = 1 a valid KM schedule
-    return _Setup(base, estimate_contraction(base), False, readout,
-                  activation=problem.activation)
+    return _Setup(base, estimate_contraction(base), False, readout)
 
 
 def _bvp(config, fn, n) -> _Setup:
@@ -378,9 +376,9 @@ def run_config(config: dict, exact_override: Optional[Callable] = None,
                sweep_layers: Optional[int] = None,
                deterministic: bool = True) -> ReportBundle:
     """Validate a config mapping and run the one solve pipeline: resource
-    guards, the kind's setup, query points, schedule, network, forward pass
-    and its verdict (with G as activation for nonlinear_fie), the kind's
-    readout, depth sweep."""
+    guards, the kind's setup, query points, schedule, network (whose
+    activation, G for nonlinear_fie, comes from the operator's problem),
+    forward pass and its verdict, the kind's readout, depth sweep."""
     if not isinstance(config, dict):
         raise ValidationError("config must be a JSON object")
     _check_schema(config)
@@ -414,7 +412,7 @@ def run_config(config: dict, exact_override: Optional[Callable] = None,
     started = time.perf_counter()
     setup = spec["setup"](config, fn, n)
     pts = make_points(setup.op.grid)
-    net = build_network(setup.op, layers, schedule, setup.activation)
+    net = build_network(setup.op, layers, schedule)
     field, deep = _forward(net, sweep_layers)
     columns, values, kind_meta = setup.readout(net, field, pts)
     # before the sweep, whose error mode evaluates it again

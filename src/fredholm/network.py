@@ -1,20 +1,22 @@
 """Training-free layered realization of the damped fixed-point iteration.
 
 An M-layer network over a discrete operator (A, g) with activation sigma
-(the identity, or a nonlinearity G for u = g + A G(u)) emits
+emits
 
     h_1 = kappa_1 * g
     h_m = kappa_m (A sigma(h_{m-1})) + (1 - kappa_m) h_{m-1} + kappa_m g
 
-for m = 2..M, which is exactly M damped steps started from zero; with the
-identity, layer m is W_m h_{m-1} + kappa_m g, W_m = kappa_m A +
-(1 - kappa_m) I.  Weights, biases and activation are closed form; nothing
-is trained.  W_m is never stored, so the network costs one N x N block (A
-itself) whatever its depth and relaxations.  Every run, whatever its
-kind, gets its verdict in ``forward``: an overflow, or a map residual
-||T h - h|| at the last layer above that of the first two, raises
-DivergenceError.  A final evaluation layer
-applies one undamped step at arbitrary points,
+for m = 2..M, which is exactly M damped steps started from zero.
+Weights, bias and activation all come from the problem the operator
+discretizes: A from K dz, the bias from g, and sigma from the problem's
+``activation``, which is G for u = g + A G(u) and the identity for a
+linear equation (layer m is then W_m h_{m-1} + kappa_m g, W_m = kappa_m A
++ (1 - kappa_m) I).  Nothing is trained.  W_m is never stored, so the
+network costs one N x N block (A itself) whatever its depth and
+relaxations.  Every run, whatever its kind, gets its verdict in
+``forward``: an overflow, or a map residual ||T h - h|| at the last layer
+above that of the first two, raises DivergenceError.  A final evaluation
+layer applies one undamped step at arbitrary points,
 
     f(x) = g(x) + sum_j K(x, z_j) h_M[j] dz,
 
@@ -65,15 +67,15 @@ class SolutionField:
 class FixedPointNet:
     """Explicit-weight network equivalent to M damped fixed-point steps.
 
-    A validated record of the operator, the depth, the relaxation
-    schedule and the activation (None: the identity).  Layer m's weight
-    W_m = kappa_m A + (1 - kappa_m) I and bias kappa_m g are applied
-    implicitly by ``forward`` and never stored, so memory stays the
-    operator's one N x N block plus a few N-vectors at any depth.
+    A validated record of the operator, the depth and the relaxation
+    schedule; the activation is that of the operator's problem (None, the
+    identity, for a linear problem or an operator without one).  Layer
+    m's weight W_m = kappa_m A + (1 - kappa_m) I and bias kappa_m g are
+    applied implicitly by ``forward`` and never stored, so memory stays
+    the operator's one N x N block plus a few N-vectors at any depth.
     """
 
-    def __init__(self, op: DiscreteOperator, layers: int, schedule: KMSchedule,
-                 activation: Optional[Callable] = None):
+    def __init__(self, op: DiscreteOperator, layers: int, schedule: KMSchedule):
         if not isinstance(layers, (int, np.integer)) or layers < 1:
             raise ValidationError(f"layer count {layers!r} must be >= 1")
         if schedule.sequence is not None and len(schedule.sequence) < layers:
@@ -83,18 +85,17 @@ class FixedPointNet:
         self.op = op
         self.layers = int(layers)
         self.schedule = schedule
-        self.activation = activation
+        self.activation = getattr(op.problem, "activation", None)
 
     def __repr__(self):
         return (f"FixedPointNet(n={self.op.n}, layers={self.layers}, "
                 f"schedule={self.schedule!r})")
 
 
-def build_network(op: DiscreteOperator, layers: int, schedule: KMSchedule,
-                  activation: Optional[Callable] = None) -> FixedPointNet:
-    """Assemble the network for ``layers`` damped steps of ``op``, with
-    ``activation`` applied to each layer's input (None: the identity)."""
-    return FixedPointNet(op, layers, schedule, activation)
+def build_network(op: DiscreteOperator, layers: int,
+                  schedule: KMSchedule) -> FixedPointNet:
+    """Assemble the network for ``layers`` damped steps of ``op``."""
+    return FixedPointNet(op, layers, schedule)
 
 
 def forward(net: FixedPointNet,
@@ -181,6 +182,19 @@ def evaluation_layer(problem, grid: Grid1D, points: Sequence[float],
     return out
 
 
+def _linear_problem(op: DiscreteOperator, use: str):
+    """The problem behind ``op``, whose linear map the evaluation layer
+    applies: none, or a nonlinear one, is refused."""
+    if op.problem is None:
+        raise ValidationError(
+            f"operator carries no continuous problem; {use} is unavailable")
+    if op.problem.activation is not None:
+        raise ValidationError(
+            f"operator's problem is nonlinear and {use} applies its linear "
+            f"map; use evaluate_nonlinear")
+    return op.problem
+
+
 def query(net: FixedPointNet, field: SolutionField,
           points: Sequence[float]) -> np.ndarray:
     """Evaluate the solution at arbitrary points.
@@ -188,18 +202,16 @@ def query(net: FixedPointNet, field: SolutionField,
     Applies one undamped step through fresh kernel rows K(x, z_j) dz, so a
     converged field queried at a grid node reproduces the node value up to
     one extra contraction factor.  Interval problems reject points outside
-    [a, b]; periodic ones wrap them.
+    [a, b]; periodic ones wrap them.  A net over a nonlinear problem is
+    refused: ``evaluate_nonlinear`` applies its map.
     """
     op = net.op
-    if op.problem is None:
-        raise ValidationError(
-            "operator carries no continuous problem; off-grid evaluation "
-            "is unavailable")
+    problem = _linear_problem(op, "off-grid evaluation")
     if field.values.shape != (op.n,):
         raise ValidationError(
             f"field of size {field.values.shape} does not match grid of "
             f"size {op.n}")
-    out = evaluation_layer(op.problem, op.grid, points, field.values)
+    out = evaluation_layer(problem, op.grid, points, field.values)
     if not np.all(np.isfinite(out)):
         raise DivergenceError("non-finite value in query evaluation")
     return out
@@ -338,22 +350,20 @@ def layer_sweep(op: DiscreteOperator, field: SolutionField,
     ``field``: each m-layer iterate is composed with the evaluation layer
     at ``points`` (grid nodes by default) and compared with ``exact``;
     without it the sweep is the field's own updates ||h_m - h_(m-1)||
-    for the layers its history holds.
+    for the layers its history holds.  The error sweep needs the linear
+    problem behind ``op``, as ``query`` does.
     """
     if not field.history:
         raise ValidationError("sweep needs a field with its layer history")
-    if exact is not None and op.problem is None:
-        raise ValidationError(
-            "error sweep needs the continuous problem for evaluation")
     h = field.history
     if exact is None:
         sizes = field.deltas[:len(h)]
     else:
+        problem = _linear_problem(op, "the error sweep")
         pts = np.asarray(op.grid.nodes if points is None else points,
                          dtype=float).ravel()
         target = np.broadcast_to(np.asarray(exact(pts), dtype=float),
                                  pts.shape)
-        vals = evaluation_layer(op.problem, op.grid, pts,
-                                np.stack(h, axis=1))
+        vals = evaluation_layer(problem, op.grid, pts, np.stack(h, axis=1))
         sizes = np.max(np.abs(vals - target[:, None]), axis=0)
     return [(m, float(size)) for m, size in enumerate(sizes, start=1)]

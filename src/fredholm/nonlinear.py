@@ -4,10 +4,12 @@ The problem is u(x) = g(x) + I K(x,z) G(u(z)) dz with a pointwise
 nonlinearity G.  Its discretization u = g + A G(u) has closed-form weights
 (A), bias (g) and activation (G), so ``fredholm.network`` solves it with G
 as the hidden layers' activation: h_1 = g, h_m = g + A G(h_{m-1}), which
-is Picard iteration at one matvec per layer.  That activation is
-``NonlinearProblem.activation``, which checks G's domain at every node;
-with G(u) = u the network is the linear one, bit for bit.  The run's
-verdict is ``forward``'s, the same for every kind.
+is Picard iteration at one matvec per layer.  ``NonlinearProblem`` is a
+``FieProblem`` that adds G, so ``discretize`` takes it as it is and the
+operator it returns carries G: a net over that operator takes
+``NonlinearProblem.activation``, which checks G's domain at every node,
+as its activation.  With G(u) = u the network is the linear one, bit for
+bit.  The run's verdict is ``forward``'s, the same for every kind.
 """
 
 from dataclasses import dataclass
@@ -27,27 +29,16 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class NonlinearProblem:
-    """Kernel, source, pointwise nonlinearity and domain.
+class NonlinearProblem(FieProblem):
+    """A ``FieProblem`` whose integrand applies the pointwise nonlinearity
+    G to the solution.
 
     ``nonlinearity(u)`` must broadcast over arrays.  Whether it stays
     Lipschitz along the iterates is the caller's lookout; the update size
     of each layer makes a drifting iteration visible.
     """
 
-    kernel: Callable
-    source: Callable
     nonlinearity: Callable
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.a) and np.isfinite(self.b) and self.a < self.b):
-            raise ValidationError(f"invalid domain [{self.a}, {self.b}]")
-
-    def linear_problem(self) -> FieProblem:
-        return FieProblem(kernel=self.kernel, source=self.source,
-                          a=self.a, b=self.b)
 
     def activation(self, values: np.ndarray) -> np.ndarray:
         """G at a hidden layer's input, naming the node where it is NaN."""
@@ -83,9 +74,9 @@ def _apply_nonlinearity(problem: NonlinearProblem, values: np.ndarray,
 def linearized_source(problem: NonlinearProblem, base: DiscreteOperator,
                       prev_values: np.ndarray) -> np.ndarray:
     """Source g + A (G(f_prev) - f_prev) of a pass re-linearized at
-    ``f_prev``; ``base`` discretizes the problem's linear part.  Unused
-    since G became the network's activation, and kept only while
-    ``bench/spans.py`` still wraps the name."""
+    ``f_prev``; ``base`` discretizes the problem.  Unused since G became
+    the network's activation, and kept only while ``bench/spans.py``
+    still wraps the name."""
     prev = np.asarray(prev_values, dtype=float)
     if prev.shape != (base.n,):
         raise ValidationError(
@@ -98,11 +89,13 @@ def solve_nonlinear(problem: NonlinearProblem, base: DiscreteOperator,
                     layers: int, schedule: KMSchedule,
                     keep_history: Union[bool, int] = False
                     ) -> Tuple[SolutionField, IterationTrace]:
-    """Run ``layers`` layers over ``base``, the discretization of the
-    problem's linear part, with G as activation (``keep_history`` and the
+    """Run ``layers`` layers over ``base``, which must discretize
+    ``problem`` itself, with its G as activation (``keep_history`` and the
     verdict as in ``forward``)."""
-    field = forward(build_network(base, layers, schedule, problem.activation),
-                    keep_history)
+    if base.problem is not problem:
+        raise ValidationError(
+            "operator does not discretize this nonlinear problem")
+    field = forward(build_network(base, layers, schedule), keep_history)
     return field, IterationTrace(deltas=field.deltas)
 
 

@@ -43,13 +43,15 @@ class FieProblem:
 
     ``kernel(x, z)`` and ``source(x)`` are callables that broadcast over
     numpy arrays (compiled expressions and plain numpy lambdas both
-    qualify).
+    qualify).  ``activation`` is the sigma of the hidden layers of a net
+    over its discretization: None, the identity, for the linear equation.
     """
 
     kernel: Callable
     source: Callable
     a: float
     b: float
+    activation = None
 
     def __post_init__(self):
         if not (np.isfinite(self.a) and np.isfinite(self.b) and self.a < self.b):
@@ -62,8 +64,9 @@ class DiscreteOperator:
 
     ``matrix[i, j] = K(z_i, z_j) * dz`` and ``source[i] = g(z_i)``.  The
     arrays are marked read-only so a network built on top can share them
-    safely.  ``problem`` keeps the continuous callables around for
-    off-grid evaluation; hand-built operators may omit it.
+    safely.  ``problem`` is the continuous problem discretized: its
+    callables serve off-grid evaluation and its ``activation`` the hidden
+    layers of a net over the operator.  Hand-built operators may omit it.
     """
 
     grid: Grid1D
@@ -83,22 +86,21 @@ class DiscreteOperator:
 class KMSchedule:
     """Relaxation sequence kappa_1..kappa_M (or a constant).
 
-    Every kappa must lie in (0, 1].  A constant kappa < 1 automatically
-    satisfies the divergence condition sum kappa(1-kappa) = inf that the
-    damped iteration needs on non-expansive operators, so it is flagged
-    valid.  kappa = 1 anywhere is only flagged valid when the caller
-    asserts the operator is a strict contraction.
+    Every kappa must lie in (0, 1].  ``valid_km`` says whether the kappas
+    alone make a valid KM schedule: a constant kappa < 1 satisfies the
+    divergence condition sum kappa(1-kappa) = inf that the damped
+    iteration needs on non-expansive operators; kappa = 1 anywhere does
+    not, and only a strict contraction of the operator can make it valid.
     """
 
-    def __init__(self, kappa: Union[float, Sequence[float]],
-                 contractive: bool = False):
+    def __init__(self, kappa: Union[float, Sequence[float]]):
         if np.isscalar(kappa):
             k = float(kappa)
             if not (0.0 < k <= 1.0):
                 raise ValidationError(f"kappa={k} outside (0, 1]")
             self.constant = k
             self.sequence = None
-            self.valid_km = k < 1.0 or contractive
+            self.valid_km = k < 1.0
         else:
             seq = tuple(float(k) for k in kappa)
             if not seq:
@@ -107,7 +109,7 @@ class KMSchedule:
                 raise ValidationError(f"kappa sequence {seq} leaves (0, 1]")
             self.constant = seq[0] if len(set(seq)) == 1 else None
             self.sequence = seq
-            self.valid_km = all(k < 1.0 for k in seq) or contractive
+            self.valid_km = all(k < 1.0 for k in seq)
 
     def at(self, m):
         """kappa for layer m (1-based)."""

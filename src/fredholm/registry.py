@@ -53,7 +53,6 @@ class ExampleSpec:
     solution has no closed form in the expression language.
     """
 
-    name: str
     description: str
     config: dict
     exact_fn: Optional[Callable] = None
@@ -61,7 +60,6 @@ class ExampleSpec:
 
 EXAMPLES: Dict[str, ExampleSpec] = {
     "ex1": ExampleSpec(
-        name="ex1",
         description=("Linear problem with constant kernel 1/e on [0, 1]; "
                      "strictly contractive, solution e^x + 1."),
         config={
@@ -77,7 +75,6 @@ EXAMPLES: Dict[str, ExampleSpec] = {
             "exact": "e^x + 1",
         }),
     "ex2": ExampleSpec(
-        name="ex2",
         description=("Linear problem with separable kernel sin(x)cos(z) on "
                      "[0, pi/2]; non-expansive, solution 2 sin(x)."),
         config={
@@ -93,7 +90,6 @@ EXAMPLES: Dict[str, ExampleSpec] = {
             "exact": "2*sin(x)",
         }),
     "bvp_p": ExampleSpec(
-        name="bvp_p",
         description=("Two-point problem y'' + g y = 0 with "
                      "g = 9.6/(3.2 + x^2)^2, boundary values 0 and "
                      "1/sqrt(4.2); solution x/sqrt(3.2 + x^2)."),
@@ -111,7 +107,6 @@ EXAMPLES: Dict[str, ExampleSpec] = {
             "exact": "x/sqrt(3.2 + x^2)",
         }),
     "bvp_airy": ExampleSpec(
-        name="bvp_airy",
         description=("Two-point problem y'' + x y = 0 with y(0) = 0, "
                      "y(1) = 2; reference by power series."),
         config={
@@ -128,7 +123,6 @@ EXAMPLES: Dict[str, ExampleSpec] = {
         },
         exact_fn=airy_like_solution),
     "nl1": ExampleSpec(
-        name="nl1",
         description=("Nonlinear problem u = g + (1/36) I z u(z)^2 dz with "
                      "logarithmic source; solution log(x) + 1.  Midpoint "
                      "nodes keep the source off the x = 0 singularity."),
@@ -146,7 +140,6 @@ EXAMPLES: Dict[str, ExampleSpec] = {
             "exact": "log(x) + 1",
         }),
     "nl2": ExampleSpec(
-        name="nl2",
         description=("Nonlinear problem with G(u) = u + u^2 on [0, pi]; "
                      "solution sin(x) + 1."),
         config={
@@ -163,7 +156,6 @@ EXAMPLES: Dict[str, ExampleSpec] = {
             "exact": "sin(x) + 1",
         }),
     "nl3": ExampleSpec(
-        name="nl3",
         description=("Nonlinear problem with G(u) = sqrt(u) and kernel "
                      "x*z on [0, 1]; solution 2 - x^2, iterates must stay "
                      "positive."),
@@ -181,7 +173,6 @@ EXAMPLES: Dict[str, ExampleSpec] = {
             "exact": "2 - x^2",
         }),
     "laplace_disc": ExampleSpec(
-        name="laplace_disc",
         description=("Dirichlet data 1 + cos(2 phi) on the unit circle via "
                      "the boundary integral equation; harmonic solution "
                      "1 + r^2 cos(2 phi)."),

@@ -55,6 +55,6 @@ def bie_factory():
     def make(n=2000, kappa=2.0 / 3.0):
         problem = DiscBoundaryProblem(
             boundary=lambda t: 1.0 + 2.0 * np.cos(2.0 * t), theta_n=n)
-        return fr.KMSchedule(kappa, contractive=False), build_bie(problem)
+        return fr.KMSchedule(kappa), build_bie(problem)
 
     return make

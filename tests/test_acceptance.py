@@ -68,7 +68,7 @@ def test_criterion_02_linear_separable_kernel(timed_bundles,
     bundle, _ = timed_bundles["ex2"]
     err = bundle.max_abs_err()
     op = separable_kernel_factory(n=2000)
-    field = forward(build_network(op, 10, KMSchedule(1.0, contractive=True)),
+    field = forward(build_network(op, 10, KMSchedule(1.0)),
                     keep_history=True)
     sin_z = np.sin(op.grid.nodes)
     worst_law = 0.0
@@ -111,7 +111,7 @@ def test_criterion_05_network_equals_iteration(const_kernel_factory,
     ]
     worst = 0.0
     for _, op, kappa, layers in cases:
-        schedule = KMSchedule(kappa, contractive=True)
+        schedule = KMSchedule(kappa)
         field = forward(build_network(op, layers, schedule))
         h = kappa * op.source
         for m in range(2, layers + 1):
@@ -134,8 +134,7 @@ def test_criterion_06_contraction_bound(const_kernel_factory, bvp_p_operator,
         q = estimate_contraction(op)
         star, _ = dense_solve(op)
         g_norm = float(np.max(np.abs(op.source)))
-        field = forward(build_network(op, 20,
-                                      KMSchedule(1.0, contractive=True)),
+        field = forward(build_network(op, 20, KMSchedule(1.0)),
                         keep_history=True)
         margin = 0.0
         for m in range(2, 21):

@@ -20,7 +20,7 @@ def _as_arr(fn):
 def _solve(spec, n=2000, layers=10):
     fie = bvp_to_fie(spec)
     op = discretize(fie, uniform_grid(0.0, 1.0, n, scheme="left"))
-    net = build_network(op, layers, KMSchedule(1.0, contractive=True))
+    net = build_network(op, layers, KMSchedule(1.0))
     return net, forward(net)
 
 

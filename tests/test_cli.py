@@ -332,7 +332,7 @@ def test_sweep_shares_the_forward_pass(monkeypatch, sweep):
                                source=fn("source", ("x",)), a=0.0, b=1.0),
                     uniform_grid(0.0, 1.0, LINEAR_CONFIG["grid_n"],
                                  scheme="closed"))
-    net = build_network(op, sweep, KMSchedule(1.0, contractive=True))
+    net = build_network(op, sweep, KMSchedule(1.0))
     assert bundle.sweep == layer_sweep(op, forward(net, keep_history=True),
                                        fn("exact", ("x",)),
                                        np.linspace(0.0, 1.0, 21))
@@ -528,6 +528,25 @@ def test_deeper_sweep_pass_is_judged(tmp_path, capsys):
     assert main(["solve", path, "--out", str(tmp_path / "out.csv")]) == 0
     assert main(["solve", path, "--sweep", "5"]) == 3
     assert "at layer 5" in capsys.readouterr().err
+
+
+# strictly lower triangular on the left grid, so rho(A) = 0 and the
+# iteration is exact after N steps; its residuals rise before they fall
+# (1, 19.6, 64.0, 83.4, 58.1, 25.1, 7.4, ...)
+_VOLTERRA = {"kind": "linear_fie", "kernel": "20*(x-z+abs(x-z))",
+             "source": "1", "domain": [0, 1], "grid_n": 50, "layers": 7}
+
+
+def test_main_volterra_run_exits_zero_once_its_residual_falls(tmp_path):
+    path = _write_config(tmp_path, _VOLTERRA)
+    assert main(["solve", path, "--out", str(tmp_path / "out.csv")]) == 0
+
+
+@pytest.mark.xfail(strict=True, reason="forward's residual rule refuses a "
+                   "convergent run whose residual grows only for a while")
+def test_main_volterra_run_exits_zero_while_its_residual_grows(tmp_path):
+    path = _write_config(tmp_path, dict(_VOLTERRA, layers=5))
+    assert main(["solve", path, "--out", str(tmp_path / "out.csv")]) == 0
 
 
 def test_main_rising_kappa_contraction_converges(tmp_path, capsys):

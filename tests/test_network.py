@@ -51,8 +51,8 @@ def test_forward_matches_km_iteration(const_kernel_factory,
                                       separable_kernel_factory, bie_factory):
     cases = [
         (const_kernel_factory(n=64, scheme="closed"),
-         KMSchedule(1.0, contractive=True), 12),
-        (separable_kernel_factory(n=64), KMSchedule(1.0, contractive=True), 12),
+         KMSchedule(1.0), 12),
+        (separable_kernel_factory(n=64), KMSchedule(1.0), 12),
         (bie_factory(n=64)[1], KMSchedule(2.0 / 3.0), 12),
         (const_kernel_factory(n=64, scheme="left"),
          KMSchedule([1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.5, 0.5, 0.5, 0.5]), 10),
@@ -66,7 +66,7 @@ def test_forward_matches_km_iteration(const_kernel_factory,
 
 def test_forward_history(const_kernel_factory):
     op = const_kernel_factory(n=16, scheme="left")
-    net = build_network(op, 6, KMSchedule(1.0, contractive=True))
+    net = build_network(op, 6, KMSchedule(1.0))
     field = forward(net, keep_history=True)
     assert field.history is not None and len(field.history) == 6
     assert np.array_equal(field.history[0], op.source)
@@ -93,14 +93,14 @@ def test_forward_zero_kernel_is_source_every_depth():
                          a=0.0, b=1.0)
     op = discretize(problem, uniform_grid(0.0, 1.0, 20))
     for layers in (1, 2, 9):
-        net = build_network(op, layers, KMSchedule(1.0, contractive=True))
+        net = build_network(op, layers, KMSchedule(1.0))
         assert np.array_equal(forward(net).values, op.source)
 
 
 def test_forward_update_sizes_contract(const_kernel_factory):
     op = const_kernel_factory(n=100, scheme="left")
     q = estimate_contraction(op)
-    field = forward(build_network(op, 12, KMSchedule(1.0, contractive=True)),
+    field = forward(build_network(op, 12, KMSchedule(1.0)),
                     keep_history=True)
     h = field.history
     deltas = [float(np.max(np.abs(h[i + 1] - h[i])))
@@ -142,7 +142,7 @@ def test_forward_divergence_names_layer():
     problem = FieProblem(kernel=lambda x, z: 1e8, source=lambda x: 1.0,
                          a=0.0, b=1.0)
     op = discretize(problem, uniform_grid(0.0, 1.0, 16))
-    net = build_network(op, 60, KMSchedule(1.0, contractive=True))
+    net = build_network(op, 60, KMSchedule(1.0))
     with pytest.raises(DivergenceError) as exc:
         forward(net)
     assert "layer" in str(exc.value)
@@ -155,7 +155,7 @@ def test_query_zero_kernel_returns_source_exactly():
     problem = FieProblem(kernel=lambda x, z: 0.0, source=lambda x: np.exp(x),
                          a=0.0, b=1.0)
     op = discretize(problem, uniform_grid(0.0, 1.0, 20))
-    net = build_network(op, 3, KMSchedule(1.0, contractive=True))
+    net = build_network(op, 3, KMSchedule(1.0))
     field = forward(net)
     pts = np.array([0.0, 0.31, 1.0])
     assert np.array_equal(query(net, field, pts), np.exp(pts))
@@ -163,7 +163,7 @@ def test_query_zero_kernel_returns_source_exactly():
 
 def test_query_at_nodes_is_one_extra_step(const_kernel_factory):
     op = const_kernel_factory(n=200, scheme="closed")
-    net = build_network(op, 8, KMSchedule(1.0, contractive=True))
+    net = build_network(op, 8, KMSchedule(1.0))
     field = forward(net)
     # fresh kernel rows at the nodes rebuild the matrix rows bit for bit
     assert np.array_equal(query(net, field, op.grid.nodes),
@@ -172,7 +172,7 @@ def test_query_at_nodes_is_one_extra_step(const_kernel_factory):
 
 def test_query_accuracy_const_kernel(const_kernel_factory):
     op = const_kernel_factory(n=2000, scheme="closed")
-    net = build_network(op, 10, KMSchedule(1.0, contractive=True))
+    net = build_network(op, 10, KMSchedule(1.0))
     field = forward(net)
     got = float(query(net, field, [0.5])[0])
     assert abs(got - (math.exp(0.5) + 1.0)) <= 1.6e-3
@@ -180,7 +180,7 @@ def test_query_accuracy_const_kernel(const_kernel_factory):
 
 def test_query_rejects_outside_interval(const_kernel_factory):
     op = const_kernel_factory(n=16, scheme="left")
-    net = build_network(op, 2, KMSchedule(1.0, contractive=True))
+    net = build_network(op, 2, KMSchedule(1.0))
     field = forward(net)
     with pytest.raises(ValidationError):
         query(net, field, [1.5])
@@ -209,9 +209,9 @@ def test_query_needs_continuous_problem():
 
 def test_query_rejects_mismatched_field(const_kernel_factory):
     op = const_kernel_factory(n=16, scheme="left")
-    net = build_network(op, 2, KMSchedule(1.0, contractive=True))
+    net = build_network(op, 2, KMSchedule(1.0))
     other = forward(build_network(const_kernel_factory(n=8, scheme="left"), 2,
-                                  KMSchedule(1.0, contractive=True)))
+                                  KMSchedule(1.0)))
     with pytest.raises(ValidationError):
         query(net, other, [0.5])
 
@@ -385,16 +385,16 @@ def test_km_estimate_formula():
     b = _analytic_budget()
     s = 1.0 - b.q
     expected = (math.exp(s) / s) * b.residual * math.exp(-s * 10.0)
-    got = km_error_estimate(b, KMSchedule(1.0, contractive=True), 10)
+    got = km_error_estimate(b, KMSchedule(1.0), 10)
     assert got == expected
     assert got == pytest.approx(3.38e-3, rel=2e-3)
-    assert km_error_estimate(b, KMSchedule(1.0, contractive=True), 0) == \
+    assert km_error_estimate(b, KMSchedule(1.0), 0) == \
         pytest.approx((math.exp(s) / s) * b.residual)
 
 
 def test_km_estimate_measured(const_kernel_factory):
     budget = budget_from_operator(const_kernel_factory(n=2000, scheme="closed"))
-    got = km_error_estimate(budget, KMSchedule(1.0, contractive=True), 10)
+    got = km_error_estimate(budget, KMSchedule(1.0), 10)
     assert got == pytest.approx(3.3911152339562572e-3, rel=1e-9)
 
 
@@ -411,7 +411,7 @@ def test_km_estimate_uses_partial_sums():
 
 def test_layer_sweep_error_mode(const_kernel_factory):
     op = const_kernel_factory(n=400, scheme="left")
-    table = _sweep(op, KMSchedule(1.0, contractive=True), 12,
+    table = _sweep(op, KMSchedule(1.0), 12,
                    exact=lambda x: np.exp(x) + 1.0)
     assert [m for m, _ in table] == list(range(1, 13))
     errs = [e for _, e in table]
@@ -425,7 +425,7 @@ def test_layer_sweep_error_mode(const_kernel_factory):
 def test_layer_sweep_delta_mode_ratios(const_kernel_factory):
     op = const_kernel_factory(n=400, scheme="left")
     q = estimate_contraction(op)
-    table = _sweep(op, KMSchedule(1.0, contractive=True), 12)
+    table = _sweep(op, KMSchedule(1.0), 12)
     deltas = [e for _, e in table]
     # the constant kernel has rank one, so updates decay by exactly q
     for a, b in zip(deltas[2:], deltas[3:]):
@@ -436,10 +436,10 @@ def test_layer_sweep_zero_kernel():
     problem = FieProblem(kernel=lambda x, z: 0.0, source=lambda x: np.exp(x),
                          a=0.0, b=1.0)
     op = discretize(problem, uniform_grid(0.0, 1.0, 30))
-    table = _sweep(op, KMSchedule(1.0, contractive=True), 5,
+    table = _sweep(op, KMSchedule(1.0), 5,
                    exact=lambda x: np.exp(x))
     assert all(e == 0.0 for _, e in table)
-    deltas = _sweep(op, KMSchedule(1.0, contractive=True), 5)
+    deltas = _sweep(op, KMSchedule(1.0), 5)
     assert deltas[0][1] > 0.0
     assert all(e == 0.0 for _, e in deltas[1:])
 
@@ -463,7 +463,7 @@ def test_layer_sweep_update_mode_holds_no_stack(const_kernel_factory):
 
 def test_layer_sweep_validation(const_kernel_factory):
     op = const_kernel_factory(n=16, scheme="left")
-    net = build_network(op, 3, KMSchedule(1.0, contractive=True))
+    net = build_network(op, 3, KMSchedule(1.0))
     with pytest.raises(ValidationError, match="layer history"):
         layer_sweep(op, forward(net))
     bare = DiscreteOperator(grid=op.grid, matrix=np.zeros((16, 16)),

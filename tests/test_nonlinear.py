@@ -8,11 +8,11 @@ import pytest
 
 from fredholm.errors import DivergenceError, DomainError, ValidationError
 from fredholm.grid import uniform_grid
-from fredholm.network import build_network, forward, layer_sweep
+from fredholm.network import build_network, forward, layer_sweep, query
 from fredholm.nonlinear import (IterationTrace, NonlinearProblem,
                                 evaluate_nonlinear, linearized_source,
                                 solve_nonlinear)
-from fredholm.operator import KMSchedule, discretize
+from fredholm.operator import FieProblem, KMSchedule, discretize
 
 
 def _identity_problem(n=30):
@@ -21,6 +21,12 @@ def _identity_problem(n=30):
                                nonlinearity=lambda u: u, a=0.0, b=1.0)
     grid = uniform_grid(0.0, 1.0, n, scheme="left")
     return problem, grid
+
+
+def _linear_part(problem):
+    """The linear problem with ``problem``'s kernel, source and domain."""
+    return FieProblem(kernel=problem.kernel, source=problem.source,
+                      a=problem.a, b=problem.b)
 
 
 def _log_problem():
@@ -35,7 +41,7 @@ def _log_problem():
 
 def test_linearized_source_identity_nonlinearity_is_noop():
     problem, grid = _identity_problem()
-    base = discretize(problem.linear_problem(), grid)
+    base = discretize(problem, grid)
     f = np.cos(grid.nodes)
     out = linearized_source(problem, base, f)
     assert np.array_equal(out, base.source)
@@ -45,14 +51,14 @@ def test_linearized_source_zero_iterate_quadratic():
     problem, grid = _identity_problem()
     problem = NonlinearProblem(kernel=problem.kernel, source=problem.source,
                                nonlinearity=lambda u: u * u, a=0.0, b=1.0)
-    base = discretize(problem.linear_problem(), grid)
+    base = discretize(problem, grid)
     out = linearized_source(problem, base, np.zeros(base.n))
     assert np.array_equal(out, base.source)
 
 
 def test_linearized_source_shape_check():
     problem, grid = _identity_problem()
-    base = discretize(problem.linear_problem(), grid)
+    base = discretize(problem, grid)
     with pytest.raises(ValidationError):
         linearized_source(problem, base, np.zeros(base.n + 1))
 
@@ -60,7 +66,7 @@ def test_linearized_source_shape_check():
 def test_log_problem_exact_solution_is_discrete_fixed_point():
     # midpoint nodes avoid the x = 0 singularity of the source
     problem, grid = _log_problem()
-    base = discretize(problem.linear_problem(), grid)
+    base = discretize(problem, grid)
     f_exact = np.log(grid.nodes) + 1.0
     mapped = base.source + base.matrix @ (f_exact ** 2)
     assert float(np.max(np.abs(mapped - f_exact))) < 1e-6
@@ -70,20 +76,21 @@ def test_log_problem_exact_solution_is_discrete_fixed_point():
 
 
 def test_identity_nonlinearity_reduces_to_linear_solve():
-    # G(u) = u as the activation runs the linear net's arithmetic, bit for
-    # bit, undamped, damped and with a rising kappa, whose updates grow on
-    # the q = 0.9 contraction (0.5 at layer 1, 0.658 at layer 6) while its
-    # residuals fall
+    # G(u) = u as the activation runs the arithmetic of the linear net
+    # over the same kernel and source, bit for bit, undamped, damped and
+    # with a rising kappa, whose updates grow on the q = 0.9 contraction
+    # (0.5 at layer 1, 0.658 at layer 6) while its residuals fall
     problem, grid = _identity_problem()
     rising = replace(problem, kernel=lambda x, z: 0.9,
                      source=lambda x: np.ones(np.shape(x)))
     for problem, schedule in (
-            (problem, KMSchedule(1.0, contractive=True)),
+            (problem, KMSchedule(1.0)),
             (problem, KMSchedule(0.5)),
             (rising, KMSchedule([0.5, 0.5, 1.0, 1.0, 1.0, 1.0]))):
-        base = discretize(problem.linear_problem(), grid)
+        base = discretize(problem, grid)
+        plain = discretize(_linear_part(problem), grid)
         for layers in (1, 2, 5, 6):
-            linear = forward(build_network(base, layers, schedule))
+            linear = forward(build_network(plain, layers, schedule))
             field, trace = solve_nonlinear(problem, base, layers, schedule)
             assert np.array_equal(field.values, linear.values)
             assert trace.deltas == linear.deltas
@@ -98,13 +105,47 @@ def _sin_problem():
         - 5.0 * math.pi ** 2 / 144.0,
         nonlinearity=lambda u: u + u * u, a=0.0, b=math.pi)
     grid = uniform_grid(0.0, math.pi, 200, scheme="left")
-    return problem, discretize(problem.linear_problem(), grid)
+    return problem, discretize(problem, grid)
+
+
+def test_net_takes_g_from_the_operator_problem():
+    problem, base = _sin_problem()
+    assert base.problem is problem
+    net = build_network(base, 20, KMSchedule(1.0))
+    assert net.activation == problem.activation
+    plain = discretize(_linear_part(problem), base.grid)
+    assert build_network(plain, 20, KMSchedule(1.0)).activation is None
+
+
+def test_linear_evaluation_of_a_nonlinear_net_is_refused():
+    # query and the error sweep apply the linear map g + A h, which is
+    # not this net's map u -> g + A G(u)
+    problem, base = _sin_problem()
+    net = build_network(base, 20, KMSchedule(1.0))
+    field = forward(net, keep_history=True)
+    pts = np.linspace(0.0, math.pi, 21)
+    with pytest.raises(ValidationError, match="use evaluate_nonlinear"):
+        query(net, field, pts)
+    with pytest.raises(ValidationError, match="use evaluate_nonlinear"):
+        layer_sweep(base, field, lambda x: np.sin(x) + 1.0, pts)
+    assert layer_sweep(base, field) == list(enumerate(field.deltas, 1))
+    err = np.abs(evaluate_nonlinear(problem, base, field, pts)
+                 - (np.sin(pts) + 1.0))
+    assert err.max() < 5e-3
+
+
+def test_solve_nonlinear_refuses_another_problems_operator():
+    problem, base = _sin_problem()
+    linear = discretize(_linear_part(problem), base.grid)
+    quadratic = replace(problem, nonlinearity=lambda u: u * u)
+    for other, op in ((quadratic, base), (problem, linear)):
+        with pytest.raises(ValidationError, match="does not discretize"):
+            solve_nonlinear(other, op, 5, KMSchedule(1.0))
 
 
 def test_layer_deltas_shrink_monotonically():
     problem, base = _sin_problem()
-    _, trace = solve_nonlinear(problem, base, 20,
-                               KMSchedule(1.0, contractive=True))
+    _, trace = solve_nonlinear(problem, base, 20, KMSchedule(1.0))
     assert len(trace.deltas) == 20
     floor = 1e-13
     for a, b in zip(trace.deltas, trace.deltas[1:]):
@@ -114,8 +155,7 @@ def test_layer_deltas_shrink_monotonically():
 
 def test_layer_deltas_are_the_sweep_update_sizes():
     problem, base = _sin_problem()
-    field, trace = solve_nonlinear(problem, base, 9,
-                                   KMSchedule(1.0, contractive=True),
+    field, trace = solve_nonlinear(problem, base, 9, KMSchedule(1.0),
                                    keep_history=True)
     assert layer_sweep(base, field) == list(enumerate(trace.deltas, 1))
     # the first layer's update is the bias g itself
@@ -127,10 +167,9 @@ def _quadratic_blowup(layers):
     nodes: Picard's updates grow without bound."""
     problem = replace(_sin_problem()[0], kernel=lambda x, z: 2.0,
                       nonlinearity=lambda u: u * u)
-    base = discretize(problem.linear_problem(),
+    base = discretize(problem,
                       uniform_grid(0.0, math.pi, 50, scheme="left"))
-    return lambda: solve_nonlinear(problem, base, layers,
-                                   KMSchedule(1.0, contractive=True))
+    return lambda: solve_nonlinear(problem, base, layers, KMSchedule(1.0))
 
 
 def test_growing_residuals_raise_divergence_error():
@@ -159,9 +198,8 @@ def test_small_source_with_nonzero_g0_converges():
             kernel=lambda x, z, k=kernel: k,
             source=lambda x, s=source: np.full(np.shape(x), s),
             nonlinearity=lambda u: 1.0 + u, a=0.0, b=1.0)
-        base = discretize(problem.linear_problem(), grid)
-        field, trace = solve_nonlinear(problem, base, layers,
-                                       KMSchedule(1.0, contractive=True))
+        base = discretize(problem, grid)
+        field, trace = solve_nonlinear(problem, base, layers, KMSchedule(1.0))
         assert trace.deltas[0] == source
         assert trace.deltas[-1] <= trace.deltas[1]
         # the fixed point of u = s + k (1 + u) is (s + k) / (1 - k)
@@ -171,9 +209,8 @@ def test_small_source_with_nonzero_g0_converges():
 
 def test_final_iterate_is_consistent_fixed_point():
     problem, grid = _log_problem()
-    base = discretize(problem.linear_problem(), grid)
-    field, trace = solve_nonlinear(problem, base, 7,
-                                   KMSchedule(1.0, contractive=True))
+    base = discretize(problem, grid)
+    field, trace = solve_nonlinear(problem, base, 7, KMSchedule(1.0))
     mapped = base.source + base.matrix @ (field.values ** 2)
     drift = float(np.max(np.abs(mapped - field.values)))
     assert drift <= max(trace.deltas[-1], 1e-13) * 10.0 + 1e-10
@@ -184,10 +221,10 @@ def test_nonlinearity_domain_violation_names_node():
         kernel=lambda x, z: 0.1,
         source=lambda x: np.full(np.shape(x), -1.0),
         nonlinearity=lambda u: np.sqrt(u), a=0.0, b=1.0)
-    base = discretize(problem.linear_problem(),
+    base = discretize(problem,
                       uniform_grid(0.0, 1.0, 10, scheme="left"))
     with pytest.raises(DomainError) as exc:
-        solve_nonlinear(problem, base, 4, KMSchedule(1.0, contractive=True))
+        solve_nonlinear(problem, base, 4, KMSchedule(1.0))
     assert str(exc.value).startswith(
         "nonlinearity left its domain in a hidden layer at node 0 "
         "(iterate value -1.0)")
@@ -198,8 +235,8 @@ def test_evaluate_nonlinear_zero_kernel_is_source():
                                source=lambda x: np.exp(x),
                                nonlinearity=lambda u: u * u, a=0.0, b=1.0)
     grid = uniform_grid(0.0, 1.0, 16, scheme="left")
-    base = discretize(problem.linear_problem(), grid)
-    field = forward(build_network(base, 2, KMSchedule(1.0, contractive=True)))
+    base = discretize(problem, grid)
+    field = forward(build_network(base, 2, KMSchedule(1.0)))
     pts = np.array([0.0, 0.4, 1.0])
     assert np.array_equal(evaluate_nonlinear(problem, base, field, pts),
                           np.exp(pts))
@@ -207,23 +244,21 @@ def test_evaluate_nonlinear_zero_kernel_is_source():
 
 def test_evaluate_nonlinear_rejects_outside_points():
     problem, grid = _identity_problem()
-    base = discretize(problem.linear_problem(), grid)
-    field = forward(build_network(base, 3, KMSchedule(1.0, contractive=True)))
+    base = discretize(problem, grid)
+    field = forward(build_network(base, 3, KMSchedule(1.0)))
     with pytest.raises(ValidationError):
         evaluate_nonlinear(problem, base, field, [1.2])
 
 
 def test_evaluate_nonlinear_domain_violation():
     problem, grid = _identity_problem()
-    base = discretize(problem.linear_problem(), grid)
-    field = forward(build_network(base, 3, KMSchedule(1.0, contractive=True)))
+    base = discretize(problem, grid)
+    field = forward(build_network(base, 3, KMSchedule(1.0)))
     sqrt_problem = NonlinearProblem(kernel=problem.kernel,
                                     source=lambda x: np.full(np.shape(x), -5.0),
                                     nonlinearity=lambda u: np.sqrt(u),
                                     a=0.0, b=1.0)
-    bad = forward(build_network(
-        discretize(sqrt_problem.linear_problem(), grid), 2,
-        KMSchedule(1.0, contractive=True)))
+    bad = replace(field, values=np.full(grid.n, -5.0))
     with pytest.raises(DomainError) as exc:
         evaluate_nonlinear(sqrt_problem, base, bad, [0.5])
     assert "evaluation" in str(exc.value)

@@ -183,7 +183,7 @@ def test_km_step_two_node_damped():
 
 def test_km_step_undamped_is_plain_iteration():
     op = _two_node_op()
-    net = build_network(op, 3, KMSchedule(1.0, contractive=True))
+    net = build_network(op, 3, KMSchedule(1.0))
     h = forward(net, keep_history=True).history
     for prev, cur in zip(h, h[1:]):
         assert np.array_equal(cur, op.source + op.matrix @ prev)
@@ -314,9 +314,11 @@ class TestKMSchedule:
         assert s.partial_sum(4) == 2.0
         assert s.partial_sum(0) == 0.0
 
-    def test_undamped_needs_contractive_flag(self):
+    def test_undamped_is_never_valid_alone(self):
+        # kappa = 1 is valid only on a strict contraction, which the run
+        # adds from its operator; the schedule alone never asserts it
         assert not KMSchedule(1.0).valid_km
-        assert KMSchedule(1.0, contractive=True).valid_km
+        assert not KMSchedule([1.0, 1.0]).valid_km
 
     def test_sequence_access_and_bounds(self):
         s = KMSchedule([1.0, 0.5, 0.25])
@@ -335,7 +337,6 @@ class TestKMSchedule:
     def test_sequence_validity(self):
         assert not KMSchedule([1.0, 0.5]).valid_km
         assert KMSchedule([0.9, 0.5]).valid_km
-        assert KMSchedule([1.0, 0.5], contractive=True).valid_km
 
     @pytest.mark.parametrize("kappa", [0.0, 1.0001, -0.1, [], [0.5, 0.0],
                                        [1.2]])
