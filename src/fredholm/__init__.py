@@ -22,8 +22,7 @@ from .network import (ErrorBudget, FixedPointNet, SolutionField,
 from .nonlinear import (IterationTrace, NonlinearProblem, evaluate_nonlinear,
                         linearized_source, solve_nonlinear)
 from .bvp import BvpSpec, bvp_to_fie, ode_residual, recover_solution
-from .laplace import (BoundaryDensity, DiscBoundaryProblem, PotentialField,
-                      build_bie, evaluate_potential)
+from .laplace import build_bie, evaluate_potential, projected_potential
 from .fd import PolarGrid, solve_fd
 from .registry import EXAMPLES, ExampleSpec, example_names, get_example
 from .report import ReportBundle, render_csv, render_json, write_report
@@ -45,8 +44,7 @@ __all__ = [
     "IterationTrace", "NonlinearProblem", "evaluate_nonlinear",
     "linearized_source", "solve_nonlinear",
     "BvpSpec", "bvp_to_fie", "ode_residual", "recover_solution",
-    "BoundaryDensity", "DiscBoundaryProblem", "PotentialField",
-    "build_bie", "evaluate_potential",
+    "build_bie", "evaluate_potential", "projected_potential",
     "PolarGrid", "solve_fd",
     "EXAMPLES", "ExampleSpec", "example_names", "get_example",
     "ReportBundle", "render_csv", "render_json", "write_report",

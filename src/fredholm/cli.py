@@ -21,8 +21,7 @@ from . import exprlang
 from .bvp import BvpSpec, bvp_to_fie, ode_residual, recover_solution
 from .errors import DomainError, NumericalError, ValidationError
 from .grid import uniform_grid
-from .laplace import (BoundaryDensity, DiscBoundaryProblem, build_bie,
-                      evaluate_potential)
+from .laplace import build_bie, evaluate_potential, projected_potential
 from .network import (budget_from_operator, build_network, error_bound,
                       forward, km_error_estimate, layer_sweep, query)
 from .nonlinear import NonlinearProblem, evaluate_nonlinear
@@ -55,11 +54,15 @@ def _fail(key: str, reason: str):
     raise ValidationError(f"config key {key!r}: {reason}")
 
 
+def _kind_spec(kind) -> dict:
+    if not isinstance(kind, str) or kind not in _KINDS:
+        _fail("kind", f"must be one of {sorted(_KINDS)}, got {kind!r}")
+    return _KINDS[kind]
+
+
 def _check_schema(config: dict):
     kind = config.get("kind")
-    if kind not in _KINDS:
-        _fail("kind", f"must be one of {sorted(_KINDS)}, got {kind!r}")
-    spec = _KINDS[kind]
+    spec = _kind_spec(kind)
     keys = set(config) - {"kind"}
     missing = spec["required"] - keys
     if missing:
@@ -315,14 +318,13 @@ def _bvp(config, fn, n) -> _Setup:
 
 
 def _laplace_disc(config, fn, n) -> _Setup:
-    op = build_bie(DiscBoundaryProblem(boundary=fn["boundary"], theta_n=n))
+    op = build_bie(fn["boundary"], n)
 
-    def readout(net, field, pairs):
-        density = BoundaryDensity(grid=op.grid, values=field.values.copy())
-        pot = evaluate_potential(density, pairs)
-        return (pot.r, pot.phi), pot.values, {
-            "density_mean": float(np.mean(density.values)),
-            "projected_potential": density.mean_weighted,
+    def readout(net, field, pairs):  # the field is the boundary density
+        r, phi, values = evaluate_potential(field, pairs)
+        return (r, phi), values, {
+            "density_mean": float(np.mean(field.values)),
+            "projected_potential": projected_potential(field),
         }
 
     # The BIE operator is non-expansive, never a strict contraction, even
@@ -446,24 +448,24 @@ def run_config(config: dict, exact_override: Optional[Callable] = None,
 
 def _overrides(kind, args) -> dict:
     """Config keys set by the command-line flags for a config of ``kind``."""
+    spec = _kind_spec(kind)
     out = {}
     if args.grid is not None:
-        out["theta_n" if kind == "laplace_disc" else "grid_n"] = args.grid
+        out[spec["size"]] = args.grid
     if args.layers is not None:
         out["layers"] = args.layers
     if args.kappa is not None:
         out["kappa"] = args.kappa
     if args.scheme is not None:
-        if kind == "laplace_disc":
+        if "grid_scheme" not in spec["optional"]:
             raise ValidationError(
-                "--scheme does not apply to laplace_disc (fixed periodic "
-                "grid)")
+                f"--scheme does not apply to {kind} (fixed grid)")
         out["grid_scheme"] = args.scheme
     if args.queries is not None:
-        if kind == "laplace_disc":
+        if spec["queries"] is not _queries_1d:
             raise ValidationError(
                 "--queries override is start:stop:count and does not apply "
-                "to laplace_disc; set queries in the config")
+                f"to {kind}; set queries in the config")
         out["queries"] = args.queries
     return out
 

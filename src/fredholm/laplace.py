@@ -6,8 +6,11 @@ so the density mu satisfies the second-kind equation
 
     mu(phi) = 2 f(phi) - (1/2 pi) I mu(theta) dtheta
 
-whose discretization has the constant matrix A_ij = -dtheta/(2 pi).  The
-layered network solves for mu; the harmonic potential is then
+whose discretization has the constant matrix A_ij = -dtheta/(2 pi).
+``build_bie`` assembles it on the periodic theta grid, and the network's
+forward pass solves for mu: the ``SolutionField`` it returns is the
+density, which ``evaluate_potential`` reads as one more evaluation layer.
+The harmonic potential is
 
     u(x) = I mu(theta) k(r, phi, theta) dtheta
 
@@ -27,20 +30,17 @@ r = 1, which makes boundary queries exact up to interpolation error
 instead of numerically explosive.
 """
 
-from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .grid import Grid1D, uniform_grid
+from .grid import uniform_grid
+from .network import SolutionField
 from .operator import (_BLOCK, DiscreteOperator, FieProblem, _sample,
                        discretize)
 
-__all__ = [
-    "DiscBoundaryProblem", "BoundaryDensity", "PotentialField",
-    "build_bie", "evaluate_potential",
-]
+__all__ = ["build_bie", "evaluate_potential", "projected_potential"]
 
 TWO_PI = 2.0 * np.pi
 
@@ -61,64 +61,16 @@ def _kernel_over_cos(r, c, den):
     return np.divide(c, den, out=c)
 
 
-@dataclass(frozen=True, eq=False)
-class DiscBoundaryProblem:
-    """Dirichlet data f(phi) on the unit circle, sampled on theta_n nodes."""
-
-    boundary: Callable
-    theta_n: int
-
-    def __post_init__(self):
-        if self.theta_n < 2:
-            raise ValidationError(f"theta_n {self.theta_n} must be >= 2")
-        object.__setattr__(
-            self, "grid",
-            uniform_grid(0.0, TWO_PI, self.theta_n, scheme="left",
-                         topology="periodic"))
-
-
-@dataclass(frozen=True, eq=False)
-class BoundaryDensity:
-    """Double-layer density samples on the periodic theta grid."""
-
-    grid: Grid1D
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape != (self.grid.n,):
-            raise ValidationError(
-                f"density shape {self.values.shape} != ({self.grid.n},)")
-        if not np.all(np.isfinite(self.values)):
-            raise ValidationError("density values must be finite")
-        self.values.setflags(write=False)
-
-    @property
-    def mean_weighted(self) -> float:
-        """P* = (dtheta / 4 pi) * sum mu, the projected-potential term."""
-        return float(self.grid.spacing / (2.0 * TWO_PI)
-                     * np.sum(self.values))
-
-
-@dataclass(frozen=True, eq=False)
-class PotentialField:
-    """Potential values at polar query points (r, phi), phi wrapped to
-    [0, 2 pi)."""
-
-    r: np.ndarray
-    phi: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        for arr in (self.r, self.phi, self.values):
-            arr.setflags(write=False)
-
-
-def build_bie(problem: DiscBoundaryProblem) -> DiscreteOperator:
-    """Discretize the boundary integral equation on the theta grid.
+def build_bie(boundary: Callable, theta_n: int) -> DiscreteOperator:
+    """Discretize the boundary integral equation for the Dirichlet data
+    ``boundary`` = f(phi) on the periodic theta grid of ``theta_n`` nodes.
 
     The matrix is the constant -dtheta/(2 pi); the source is 2 f(theta).
     """
-    f = problem.boundary
+    if theta_n < 2:
+        raise ValidationError(f"theta_n {theta_n} must be >= 2")
+    grid = uniform_grid(0.0, TWO_PI, theta_n, scheme="left",
+                        topology="periodic")
 
     def kernel(x, z):
         x = np.asarray(x, dtype=float)
@@ -127,52 +79,57 @@ def build_bie(problem: DiscBoundaryProblem) -> DiscreteOperator:
                                                                   z.shape))
 
     def source(x):
-        return 2.0 * np.asarray(f(np.asarray(x, dtype=float)), dtype=float)
+        return 2.0 * np.asarray(boundary(np.asarray(x, dtype=float)),
+                                dtype=float)
 
     # named here, not after the FIE's source it builds
-    _sample(f, problem.grid.nodes, "boundary undefined at node phi[{i}]={v!r}")
+    _sample(boundary, grid.nodes, "boundary undefined at node phi[{i}]={v!r}")
     fie = FieProblem(kernel=kernel, source=source, a=0.0, b=TWO_PI)
-    return discretize(fie, problem.grid)
+    return discretize(fie, grid)
 
 
-def _interp_density(density: BoundaryDensity, phi: np.ndarray) -> np.ndarray:
-    """Linear interpolation of mu on the periodic grid; phi already
-    wrapped to [0, 2 pi)."""
-    th = density.grid.nodes
-    th_ext = np.append(th, TWO_PI)
-    mu_ext = np.append(density.values, density.values[0])
-    return np.interp(phi, th_ext, mu_ext)
+def projected_potential(density: SolutionField) -> float:
+    """P* = (dtheta / 4 pi) * sum mu, the projected-potential term."""
+    return float(density.grid.spacing / (2.0 * TWO_PI)
+                 * np.sum(density.values))
 
 
-def evaluate_potential(density: BoundaryDensity,
+def evaluate_potential(density: SolutionField,
                        queries: Sequence[Tuple[float, float]]
-                       ) -> PotentialField:
-    """Smoothed double-layer potential at polar points (r, phi).
+                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Smoothed double-layer potential of ``density``, the density's
+    samples on the periodic theta grid (such as ``forward``'s result), at
+    polar points (r, phi); returns r, phi wrapped to [0, 2 pi) and the
+    values.
 
     Radii must lie in [0, 1]; angles wrap.  Boundary queries (r = 1) use
     the degenerate form mu*/2 + P* directly since the smoothed bracket is
     identically zero there.
     """
+    mu = density.values
+    if mu.shape != (density.grid.n,):
+        raise ValidationError(
+            f"density shape {mu.shape} != ({density.grid.n},)")
+    if not np.all(np.isfinite(mu)):
+        raise ValidationError("density values must be finite")
     q = np.asarray(queries, dtype=float)
     if q.ndim == 1:
         q = q.reshape(1, -1)
     if q.ndim != 2 or q.shape[1] != 2:
         raise ValidationError("queries must be (r, phi) pairs")
     r = q[:, 0].copy()
-    phi_raw = q[:, 1].copy()
     if np.any(~np.isfinite(r) | (r < 0.0) | (r > 1.0)):
         raise ValidationError("query radius outside [0, 1]")
-    if np.any(~np.isfinite(phi_raw)):
+    if np.any(~np.isfinite(q[:, 1])):
         raise ValidationError("query angle must be finite")
-    phi = np.mod(phi_raw, TWO_PI)
-    phi_star = np.where(r == 0.0, 0.0, phi)
-    mu_star = _interp_density(density, phi_star)
-    p_star = density.mean_weighted
-
+    phi = np.mod(q[:, 1], TWO_PI)
     th = density.grid.nodes
     dth = density.grid.spacing
-    mu = density.values
-    values = 0.5 * mu_star + p_star
+    # mu* interpolates mu linearly on the periodic grid at the radial
+    # projection of each query
+    mu_star = np.interp(np.where(r == 0.0, 0.0, phi), np.append(th, TWO_PI),
+                        np.append(mu, mu[0]))
+    values = 0.5 * mu_star + projected_potential(density)
     # Interior rows in blocks, sorted by angle: the kernel sees the angle
     # only through cos(theta - phi), so each block takes one cosine row
     # per distinct angle.  Each row's arithmetic and pairwise sum are the
@@ -194,4 +151,4 @@ def evaluate_potential(density: BoundaryDensity,
         values[idx] += np.multiply(diff, k, out=k).sum(axis=1) * dth
     if not np.all(np.isfinite(values)):
         raise DomainError("non-finite potential value")
-    return PotentialField(r=r, phi=phi, values=values)
+    return r, phi, values

@@ -71,6 +71,12 @@ def _apply_nonlinearity(problem: NonlinearProblem, values: np.ndarray,
     return gu
 
 
+def _check_operator(problem: NonlinearProblem, base: DiscreteOperator):
+    if base.problem is not problem:
+        raise ValidationError(
+            "operator does not discretize this nonlinear problem")
+
+
 def linearized_source(problem: NonlinearProblem, base: DiscreteOperator,
                       prev_values: np.ndarray) -> np.ndarray:
     """Source g + A (G(f_prev) - f_prev) of a pass re-linearized at
@@ -92,9 +98,7 @@ def solve_nonlinear(problem: NonlinearProblem, base: DiscreteOperator,
     """Run ``layers`` layers over ``base``, which must discretize
     ``problem`` itself, with its G as activation (``keep_history`` and the
     verdict as in ``forward``)."""
-    if base.problem is not problem:
-        raise ValidationError(
-            "operator does not discretize this nonlinear problem")
+    _check_operator(problem, base)
     field = forward(build_network(base, layers, schedule), keep_history)
     return field, IterationTrace(deltas=field.deltas)
 
@@ -102,10 +106,12 @@ def solve_nonlinear(problem: NonlinearProblem, base: DiscreteOperator,
 def evaluate_nonlinear(problem: NonlinearProblem, base: DiscreteOperator,
                        field: SolutionField, points) -> np.ndarray:
     """Evaluate the solved field off-grid through the full nonlinear map:
-    u(x) = g(x) + sum_j K(x, z_j) G(f(z_j)) dz.
+    u(x) = g(x) + sum_j K(x, z_j) G(f(z_j)) dz, where ``base`` must
+    discretize ``problem`` itself.
 
     Interval queries must stay inside [a, b]; periodic grids wrap them.
     """
+    _check_operator(problem, base)
     gu = _apply_nonlinearity(problem, np.asarray(field.values, dtype=float),
                              "in off-grid evaluation")
     out = evaluation_layer(problem, base.grid, points, gu)

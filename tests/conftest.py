@@ -50,11 +50,8 @@ def bie_factory():
     """Boundary-integral operators on the circle for f = 1 + 2 cos(2 phi),
     each with the damped schedule that suits its non-expansive matrix."""
 
-    from fredholm.laplace import DiscBoundaryProblem, build_bie
-
     def make(n=2000, kappa=2.0 / 3.0):
-        problem = DiscBoundaryProblem(
-            boundary=lambda t: 1.0 + 2.0 * np.cos(2.0 * t), theta_n=n)
-        return fr.KMSchedule(kappa), build_bie(problem)
+        return fr.KMSchedule(kappa), fr.build_bie(
+            lambda t: 1.0 + 2.0 * np.cos(2.0 * t), n)
 
     return make

@@ -624,6 +624,24 @@ def test_main_queries_override_rejected_for_laplace(capsys):
     assert "--queries" in capsys.readouterr().err
 
 
+def test_main_grid_override_sets_the_kinds_size_key(capsys):
+    assert main(["example", "laplace_disc", "--grid", "64", "--format",
+                 "json", "--deterministic"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["metadata"]["config"]["theta_n"] == 64
+    assert "grid_n" not in doc["metadata"]["config"]
+
+
+@pytest.mark.parametrize("kind", ["nope", ["linear_fie"], None])
+def test_main_overrides_on_unknown_kind_name_the_kind(tmp_path, capsys,
+                                                      kind):
+    path = _write_config(tmp_path, dict(LINEAR_CONFIG, kind=kind))
+    assert main(["solve", str(path), "--grid", "10"]) == 2
+    assert capsys.readouterr().err == (
+        "error: config key 'kind': must be one of ['bvp', 'laplace_disc', "
+        f"'linear_fie', 'nonlinear_fie'], got {kind!r}\n")
+
+
 def test_main_selftest(capsys):
     assert main(["selftest"]) == 0
     assert "selftest ok" in capsys.readouterr().out

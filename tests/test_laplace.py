@@ -8,19 +8,27 @@ import pytest
 
 from fredholm.cli import run_example
 from fredholm.errors import DomainError, ValidationError
-from fredholm.laplace import (BoundaryDensity, DiscBoundaryProblem, build_bie,
-                              evaluate_potential)
-from fredholm.network import build_network, forward
+from fredholm.grid import uniform_grid
+from fredholm.laplace import (build_bie, evaluate_potential,
+                              projected_potential)
+from fredholm.network import SolutionField, build_network, forward
 from fredholm.operator import KMSchedule, estimate_contraction
 
 TWO_PI = 2.0 * math.pi
 
 
 def _solve_density(boundary, n, layers):
-    """The density through build_bie, the network and its forward pass."""
-    op = build_bie(DiscBoundaryProblem(boundary=boundary, theta_n=n))
-    field = forward(build_network(op, layers, KMSchedule(2.0 / 3.0)))
-    return BoundaryDensity(grid=op.grid, values=field.values.copy())
+    """The density: the forward pass of the network over build_bie."""
+    op = build_bie(boundary, n)
+    return forward(build_network(op, layers, KMSchedule(2.0 / 3.0)))
+
+
+def _given_density(values):
+    """A density field with the given values on the periodic theta grid."""
+    values = np.asarray(values, dtype=float)
+    grid = uniform_grid(0.0, TWO_PI, len(values), scheme="left",
+                        topology="periodic")
+    return SolutionField(grid=grid, values=values)
 
 
 def _density(n=2000, layers=15):
@@ -28,20 +36,17 @@ def _density(n=2000, layers=15):
 
 
 def test_bie_matrix_is_constant():
-    problem = DiscBoundaryProblem(boundary=lambda t: np.cos(t), theta_n=4)
-    op = build_bie(problem)
+    op = build_bie(lambda t: np.cos(t), 4)
+    assert op.grid.topology == "periodic"
     assert np.allclose(op.matrix, -0.25, rtol=1e-14, atol=0)
-    big = build_bie(DiscBoundaryProblem(boundary=lambda t: np.cos(t),
-                                        theta_n=2000))
+    big = build_bie(lambda t: np.cos(t), 2000)
     assert np.allclose(big.matrix, -0.0005, rtol=1e-13, atol=0)
     # the row sums make the operator non-expansive but not a contraction
     assert estimate_contraction(big) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_bie_source_doubles_boundary_data():
-    problem = DiscBoundaryProblem(
-        boundary=lambda t: 1.0 + 2.0 * np.cos(2.0 * t), theta_n=8)
-    op = build_bie(problem)
+    op = build_bie(lambda t: 1.0 + 2.0 * np.cos(2.0 * t), 8)
     assert op.source[0] == 6.0
     th = op.grid.nodes
     assert np.array_equal(op.source, 2.0 * (1.0 + 2.0 * np.cos(2.0 * th)))
@@ -64,50 +69,53 @@ def test_density_zero_data_is_exactly_zero():
     assert np.array_equal(den.values, np.zeros(64))
 
 
-def test_mean_weighted_projected_term():
-    grid_problem = DiscBoundaryProblem(boundary=lambda t: np.ones(np.shape(t)),
-                                       theta_n=64)
-    den = BoundaryDensity(grid=grid_problem.grid, values=np.ones(64))
-    assert den.mean_weighted == pytest.approx(0.5, rel=1e-12)
+def test_projected_potential_term():
+    den = _given_density(np.ones(64))
+    assert projected_potential(den) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_unit_density_gives_unit_potential_exactly():
-    problem = DiscBoundaryProblem(boundary=lambda t: np.ones(np.shape(t)),
-                                  theta_n=64)
-    den = BoundaryDensity(grid=problem.grid, values=np.ones(64))
-    pot = evaluate_potential(den, [(0.3, 1.1), (0.0, 0.0), (1.0, 2.0),
-                                   (0.999, 4.0)])
-    assert np.array_equal(pot.values, np.ones(4))
+    den = _given_density(np.ones(64))
+    _, _, values = evaluate_potential(den, [(0.3, 1.1), (0.0, 0.0),
+                                            (1.0, 2.0), (0.999, 4.0)])
+    assert np.array_equal(values, np.ones(4))
+
+
+def test_potential_returns_queries_with_wrapped_angles():
+    r, phi, _ = evaluate_potential(_given_density(np.ones(8)),
+                                   [(0.5, -1.0), (1.0, 7.0)])
+    assert np.array_equal(r, [0.5, 1.0])
+    assert np.array_equal(phi, np.mod([-1.0, 7.0], TWO_PI))
 
 
 def test_center_value_is_density_mean():
     den = _density(n=400, layers=15)
-    pot = evaluate_potential(den, [(0.0, 0.0)])
-    assert float(pot.values[0]) == pytest.approx(float(np.mean(den.values)),
-                                                 abs=1e-12)
+    _, _, values = evaluate_potential(den, [(0.0, 0.0)])
+    assert float(values[0]) == pytest.approx(float(np.mean(den.values)),
+                                             abs=1e-12)
 
 
 def test_origin_projection_independent_of_angle():
     den = _density(n=200, layers=12)
     a = evaluate_potential(den, [(0.0, 0.0)])
     b = evaluate_potential(den, [(0.0, 2.5)])
-    assert a.values[0] == b.values[0]
+    assert a[2][0] == b[2][0]
 
 
 def test_boundary_identity_half_density_plus_projection():
     den = _density()
     th = den.grid.nodes
     f = 1.0 + 2.0 * np.cos(2.0 * th)
-    ident = 0.5 * den.values + den.mean_weighted
+    ident = 0.5 * den.values + projected_potential(den)
     assert float(np.max(np.abs(ident - f))) < 1e-6
 
 
 def test_boundary_queries_use_degenerate_branch():
     den = _density(n=500, layers=15)
     th0 = den.grid.nodes[17]
-    pot = evaluate_potential(den, [(1.0, th0)])
-    expected = 0.5 * den.values[17] + den.mean_weighted
-    assert float(pot.values[0]) == pytest.approx(expected, rel=1e-13)
+    _, _, values = evaluate_potential(den, [(1.0, th0)])
+    expected = 0.5 * den.values[17] + projected_potential(den)
+    assert float(values[0]) == pytest.approx(expected, rel=1e-13)
 
 
 def test_potential_is_harmonic_probe():
@@ -116,7 +124,7 @@ def test_potential_is_harmonic_probe():
     def u_at(x, y):
         r = math.hypot(x, y)
         phi = math.atan2(y, x)
-        return float(evaluate_potential(den, [(r, phi)]).values[0])
+        return float(evaluate_potential(den, [(r, phi)])[2][0])
 
     h = 0.02
     for x, y in [(0.3, 0.2), (0.5, -0.1), (0.1, 0.6), (-0.4, 0.3),
@@ -136,24 +144,21 @@ def test_evaluate_potential_validation():
         evaluate_potential(den, np.zeros((2, 3)))
 
 
-def test_density_container_validation():
-    grid = DiscBoundaryProblem(boundary=lambda t: np.ones(np.shape(t)),
-                               theta_n=8).grid
-    with pytest.raises(ValidationError):
-        BoundaryDensity(grid=grid, values=np.ones(5))
-    with pytest.raises(ValidationError):
-        BoundaryDensity(grid=grid, values=np.full(8, np.nan))
+def test_evaluate_potential_refuses_bad_density():
+    grid = _given_density(np.ones(8)).grid
+    for values in (np.ones(5), np.full(8, np.nan)):
+        with pytest.raises(ValidationError, match="density"):
+            evaluate_potential(SolutionField(grid=grid, values=values),
+                               [(0.5, 0.0)])
 
 
 def test_problem_validation():
-    with pytest.raises(ValidationError):
-        DiscBoundaryProblem(boundary=lambda t: t, theta_n=1)
+    with pytest.raises(ValidationError, match="theta_n 1 must be >= 2"):
+        build_bie(lambda t: t, 1)
 
 
 def _random_density(n, seed=0):
-    grid = DiscBoundaryProblem(boundary=np.cos, theta_n=n).grid
-    values = np.random.default_rng(seed).uniform(-2.0, 2.0, n)
-    return BoundaryDensity(grid=grid, values=values)
+    return _given_density(np.random.default_rng(seed).uniform(-2.0, 2.0, n))
 
 
 def _dense_potential(density, queries):
@@ -164,7 +169,7 @@ def _dense_potential(density, queries):
     th, mu = density.grid.nodes, density.values
     mu_star = np.interp(np.where(r == 0.0, 0.0, phi), np.append(th, TWO_PI),
                         np.append(mu, mu[0]))
-    values = 0.5 * mu_star + density.mean_weighted
+    values = 0.5 * mu_star + projected_potential(density)
     inner = r < 1.0
     ri = r[inner, None]
     c = np.cos(th[None, :] - phi[inner, None])
@@ -200,8 +205,8 @@ def _query_sets():
 def test_blocked_potential_matches_dense_reference(theta_n, name):
     den = _random_density(theta_n)
     queries = _query_sets()[name]
-    pot = evaluate_potential(den, queries)
-    assert np.array_equal(pot.values, _dense_potential(den, queries))
+    _, _, values = evaluate_potential(den, queries)
+    assert np.array_equal(values, _dense_potential(den, queries))
 
 
 def _peak_bytes(fn):

@@ -8,7 +8,8 @@ import pytest
 
 from fredholm.errors import DivergenceError, DomainError, ValidationError
 from fredholm.grid import uniform_grid
-from fredholm.network import build_network, forward, layer_sweep, query
+from fredholm.network import (SolutionField, build_network, forward,
+                               layer_sweep, query)
 from fredholm.nonlinear import (IterationTrace, NonlinearProblem,
                                 evaluate_nonlinear, linearized_source,
                                 solve_nonlinear)
@@ -250,23 +251,34 @@ def test_evaluate_nonlinear_rejects_outside_points():
         evaluate_nonlinear(problem, base, field, [1.2])
 
 
+def test_evaluate_nonlinear_refuses_another_problems_operator():
+    # G from one problem over another's grid and kernel is no solution's map
+    problem, base = _sin_problem()
+    field = forward(build_network(base, 5, KMSchedule(1.0)))
+    linear = discretize(_linear_part(problem), base.grid)
+    quadratic = replace(problem, nonlinearity=lambda u: u * u)
+    for other, op in ((quadratic, base), (problem, linear)):
+        with pytest.raises(ValidationError, match="does not discretize"):
+            evaluate_nonlinear(other, op, field, [1.0])
+
+
 def test_evaluate_nonlinear_domain_violation():
     problem, grid = _identity_problem()
-    base = discretize(problem, grid)
-    field = forward(build_network(base, 3, KMSchedule(1.0)))
     sqrt_problem = NonlinearProblem(kernel=problem.kernel,
                                     source=lambda x: np.full(np.shape(x), -5.0),
                                     nonlinearity=lambda u: np.sqrt(u),
                                     a=0.0, b=1.0)
-    bad = replace(field, values=np.full(grid.n, -5.0))
+    sqrt_base = discretize(sqrt_problem, grid)
+    bad = SolutionField(grid=grid, values=np.full(grid.n, -5.0))
     with pytest.raises(DomainError) as exc:
-        evaluate_nonlinear(sqrt_problem, base, bad, [0.5])
+        evaluate_nonlinear(sqrt_problem, sqrt_base, bad, [0.5])
     assert "evaluation" in str(exc.value)
     # off-grid, an infinite G value is named at its node too
     inv_problem = replace(sqrt_problem, nonlinearity=lambda u: 1.0 / u)
     zero = replace(bad, values=np.where(grid.nodes > 0.3, 1.0, 0.0))
     with pytest.raises(DomainError) as exc:
-        evaluate_nonlinear(inv_problem, base, zero, [0.5])
+        evaluate_nonlinear(inv_problem, discretize(inv_problem, grid), zero,
+                           [0.5])
     assert str(exc.value).startswith(
         "nonlinearity left its domain in off-grid evaluation at node 0 "
         "(iterate value 0.0)")
