@@ -17,8 +17,7 @@ from .operator import (DiscreteOperator, FieProblem, KMSchedule, discretize,
                        residual_norm)
 from .network import (ErrorBudget, FixedPointNet, SolutionField,
                       budget_from_operator, build_network, dense_solve,
-                      error_bound, forward, km_error_estimate, layer_sweep,
-                      plan_layers, query)
+                      error_bound, forward, layer_sweep, plan_layers, query)
 from .nonlinear import (IterationTrace, NonlinearProblem, evaluate_nonlinear,
                         linearized_source, solve_nonlinear)
 from .bvp import BvpSpec, bvp_to_fie, ode_residual, recover_solution
@@ -40,7 +39,7 @@ __all__ = [
     "estimate_contraction", "estimate_derivative_bound", "residual_norm",
     "ErrorBudget", "FixedPointNet", "SolutionField", "budget_from_operator",
     "build_network", "dense_solve", "error_bound", "forward",
-    "km_error_estimate", "layer_sweep", "plan_layers", "query",
+    "layer_sweep", "plan_layers", "query",
     "IterationTrace", "NonlinearProblem", "evaluate_nonlinear",
     "linearized_source", "solve_nonlinear",
     "BvpSpec", "bvp_to_fie", "ode_residual", "recover_solution",

@@ -82,10 +82,11 @@ def recover_solution(net: FixedPointNet, field: SolutionField, spec: BvpSpec,
         return np.zeros(0)
     if np.any(~np.isfinite(pts) | (pts < 0.0) | (pts > 1.0)):
         raise ValidationError("recovery points must lie in [0, 1]")
-    gq = _sample(spec.g, pts, "g undefined at query point x[{i}]={v!r}")
-    hq = _sample(spec.h, pts, "h undefined at query point x[{i}]={v!r}")
+    gq = _sample(spec.g, (pts,), "g", "query point x[{i}]={v[0]!r}")
+    hq = _sample(spec.h, (pts,), "h", "query point x[{i}]={v[0]!r}")
     u = query(net, field, pts)
-    g_grid = np.asarray(spec.g(net.op.grid.nodes), dtype=float)
+    g_grid = _sample(spec.g, (net.op.grid.nodes,), "g",
+                     "node x[{i}]={v[0]!r}")
     floor = TOL_G * float(np.max(np.abs(g_grid)))
 
     y = np.empty_like(pts)
@@ -137,6 +138,6 @@ def ode_residual(spec: BvpSpec, points: Sequence[float],
     step = dx[0]
     ypp = (y[2:] - 2.0 * y[1:-1] + y[:-2]) / step ** 2
     xi = x[1:-1]
-    gx = np.broadcast_to(np.asarray(spec.g(xi), dtype=float), xi.shape)
-    hx = np.broadcast_to(np.asarray(spec.h(xi), dtype=float), xi.shape)
+    gx = _sample(spec.g, (xi,), "g", "point x[{i}]={v[0]!r}", 1)
+    hx = _sample(spec.h, (xi,), "h", "point x[{i}]={v[0]!r}", 1)
     return float(np.max(np.abs(ypp + gx * y[1:-1] - hx)))

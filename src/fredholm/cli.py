@@ -19,11 +19,11 @@ import numpy as np
 
 from . import exprlang
 from .bvp import BvpSpec, bvp_to_fie, ode_residual, recover_solution
-from .errors import DomainError, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 from .grid import uniform_grid
 from .laplace import build_bie, evaluate_potential, projected_potential
 from .network import (budget_from_operator, build_network, error_bound,
-                      forward, km_error_estimate, layer_sweep, query)
+                      forward, layer_sweep, query)
 from .nonlinear import NonlinearProblem, evaluate_nonlinear
 from .operator import (DiscreteOperator, FieProblem, KMSchedule, _sample,
                        discretize, estimate_contraction)
@@ -74,14 +74,20 @@ def _check_schema(config: dict):
             f"config for kind {kind!r} has unknown keys {sorted(unknown)}")
 
 
+def _compile(text: str, params, name: str) -> Callable:
+    """``text`` compiled over ``params``; a bad expression is refused
+    under ``name``, the config key or option that holds it."""
+    try:
+        return exprlang.compile_fn(exprlang.parse(text), params)
+    except ValidationError as exc:
+        raise ValidationError(f"{name}: {exc}") from None
+
+
 def _compile_expr(config: dict, key: str, params) -> Callable:
     text = config[key]
     if not isinstance(text, str):
         _fail(key, f"must be an expression string, got {type(text).__name__}")
-    try:
-        return exprlang.compile_fn(exprlang.parse(text), params)
-    except ValidationError as exc:
-        _fail(key, str(exc))
+    return _compile(text, params, f"config key {key!r}")
 
 
 def _compile_all(config: dict,
@@ -203,19 +209,9 @@ def _schedule(config: dict, default_kappa: float) -> KMSchedule:
 
 def _exact(exact, names, columns) -> np.ndarray:
     """``exact`` at the query points, whose coordinate ``names`` label the
-    ``columns``; the first point where it is undefined or not finite is
-    named."""
-    pts = np.column_stack(columns)
-    at = "query point " + ", ".join(
-        f"{c}[{{i}}]={{v[{k}]!r}}" for k, c in enumerate(names))
-    with np.errstate(all="ignore"):
-        values = _sample(lambda p: exact(*p.T), pts,
-                         "exact undefined at " + at)
-    i = int(np.argmax(~np.isfinite(values)))
-    if not np.isfinite(values[i]):
-        where = at.format(i=i, v=pts[i].tolist())
-        raise DomainError(f"exact is not finite at {where}: {values[i]}")
-    return values
+    ``columns``."""
+    return _sample(exact, tuple(columns), "exact", "query point " + ", ".join(
+        f"{c}[{{i}}]={{v[{k}]!r}}" for k, c in enumerate(names)))
 
 
 def _rows(points, values, exact=None):
@@ -268,9 +264,6 @@ def _linear_fie(config, fn, n) -> _Setup:
             "derivative_bound": budget.derivative_bound,
             "error_bound": (error_bound(budget, net.layers) if contractive
                             else None),
-            "km_estimate": (km_error_estimate(budget, net.schedule,
-                                              net.layers)
-                            if contractive else None),
         }
 
     return _Setup(op, budget.q, contractive, readout, oracle=True)
@@ -296,7 +289,7 @@ def _bvp(config, fn, n) -> _Setup:
     spec = BvpSpec(g=fn["g"], h=fn["h"], alpha=alpha, beta=beta)
     grid = _grid(config, 0.0, 1.0, n)
     for key in ("g", "h"):  # named here, not after the FIE they build
-        _sample(fn[key], grid.nodes, key + " undefined at node x[{i}]={v!r}")
+        _sample(fn[key], (grid.nodes,), key, "node x[{i}]={v[0]!r}")
     op = discretize(bvp_to_fie(spec), grid)
     q_est = estimate_contraction(op)
 
@@ -493,9 +486,8 @@ def run_compare_fd(nr: int, nt: int,
     The solution table subsamples the lattice to at most ~21 rings and
     angles; the metadata carries the max/mean error over every node.
     """
-    boundary = _compile_expr({"boundary": boundary_text}, "boundary",
-                             ("phi",))
-    exact = (_compile_expr({"exact": exact_text}, "exact", ("r", "phi"))
+    boundary = _compile(boundary_text, ("phi",), "option --boundary")
+    exact = (_compile(exact_text, ("r", "phi"), "option --exact")
              if exact_text else None)
     started = time.perf_counter()
     sol = solve_fd(boundary, nr, nt)
@@ -503,10 +495,12 @@ def run_compare_fd(nr: int, nt: int,
 
     max_err = mean_err = center_err = None
     if exact is not None:
-        ex = np.broadcast_to(np.asarray(exact(sol.radii[:, None], sol.theta),
-                                        dtype=float), sol.values.shape)
+        # rings are numbered as the radii r_i = i/nr they sit at
+        ex = _sample(exact, (sol.radii[:, None], sol.theta), "exact",
+                     "node r[{i}]={v[0]!r}, phi[{j}]={v[1]!r}", 1)
         diff = np.abs(sol.values - ex)
-        center_exact = float(np.asarray(exact(0.0, 0.0), dtype=float))
+        center_exact = float(_sample(exact, (0.0, 0.0), "exact",
+                                     "the center r=0.0, phi=0.0"))
         center_err = abs(sol.center - center_exact)
         max_err = max(float(diff.max()), center_err)
         mean_err = float((diff.sum() + center_err) / (diff.size + 1))

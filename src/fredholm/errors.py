@@ -37,9 +37,10 @@ class NumericalError(FredholmError):
 
 
 class DomainError(NumericalError):
-    """Math domain violation: log of a non-positive value, sqrt of a
-    negative value, zero raised to a negative power, division by zero,
-    or a non-finite kernel/source sample."""
+    """A user function undefined or not finite at a point: log of a
+    non-positive value, sqrt of a negative value, zero raised to a
+    negative power, division by zero, or an overflowing or NaN sample.
+    Raised from one sampler, which names the function and the point."""
 
 
 class DivergenceError(NumericalError):

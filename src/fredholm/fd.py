@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularSystemError, ValidationError
+from .operator import _sample
 
 __all__ = ["PolarGrid", "solve_fd"]
 
@@ -109,7 +110,8 @@ def solve_fd(boundary_f, nr: int, nt: int) -> PolarGrid:
     """Solve the Dirichlet problem with data ``boundary_f(theta)``.
 
     Direct and deterministic.  Refuses grids coarser than 8 cells or with
-    more than ``MAX_NODES`` ring nodes before evaluating the data.
+    more than ``MAX_NODES`` ring nodes before evaluating the data, and
+    data undefined or not finite at a node with a DomainError naming it.
     """
     if nr < 8 or nt < 8:
         raise ValidationError(f"grid {nr}x{nt} too coarse; need >= 8 cells "
@@ -118,10 +120,8 @@ def solve_fd(boundary_f, nr: int, nt: int) -> PolarGrid:
         raise ValidationError(f"grid {nr}x{nt} has {(nr - 1) * nt} ring "
                               f"nodes; the limit is {MAX_NODES}")
     th = np.arange(nt) * (2.0 * np.pi / nt)
-    f = np.broadcast_to(np.asarray(boundary_f(th), dtype=float),
-                        th.shape).copy()
-    if not np.all(np.isfinite(f)):
-        raise ValidationError("boundary data must be finite at every node")
+    f = _sample(boundary_f, (th,), "boundary",
+                "node phi[{i}]={v[0]!r}").copy()
 
     # The system is linear and the discrete maximum principle bounds the
     # solution by max|f|, so solving for f / max|f| and scaling back

@@ -72,19 +72,14 @@ def build_bie(boundary: Callable, theta_n: int) -> DiscreteOperator:
     grid = uniform_grid(0.0, TWO_PI, theta_n, scheme="left",
                         topology="periodic")
 
-    def kernel(x, z):
-        x = np.asarray(x, dtype=float)
-        z = np.asarray(z, dtype=float)
-        return np.broadcast_to(-1.0 / TWO_PI, np.broadcast_shapes(x.shape,
-                                                                  z.shape))
-
     def source(x):
         return 2.0 * np.asarray(boundary(np.asarray(x, dtype=float)),
                                 dtype=float)
 
     # named here, not after the FIE's source it builds
-    _sample(boundary, grid.nodes, "boundary undefined at node phi[{i}]={v!r}")
-    fie = FieProblem(kernel=kernel, source=source, a=0.0, b=TWO_PI)
+    _sample(boundary, (grid.nodes,), "boundary", "node phi[{i}]={v[0]!r}")
+    fie = FieProblem(kernel=lambda x, z: -1.0 / TWO_PI, source=source,
+                     a=0.0, b=TWO_PI)
     return discretize(fie, grid)
 
 

@@ -22,8 +22,7 @@ layer applies one undamped step at arbitrary points,
 
 so off-grid values come from the same quadrature that built A.  The module
 also carries the a priori error accounting: contraction-based geometric
-bounds, layer planning against a target accuracy, and the slower
-exponential estimate available to damped schedules.
+bounds and layer planning against a target accuracy.
 """
 
 import math
@@ -32,18 +31,18 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import (BoundUnavailableError, DivergenceError, DomainError,
+from .errors import (BoundUnavailableError, DivergenceError,
                      SingularSystemError, ValidationError)
 from .grid import Grid1D
 from .operator import (_BLOCK, DiscreteOperator, KMSchedule, _sample,
-                       _undefined_pair, estimate_contraction,
-                       estimate_derivative_bound, residual_norm)
+                       estimate_contraction, estimate_derivative_bound,
+                       residual_norm)
 
 __all__ = [
     "SolutionField", "FixedPointNet", "ErrorBudget",
     "build_network", "forward", "query", "dense_solve",
     "budget_from_operator", "error_bound", "plan_layers",
-    "km_error_estimate", "layer_sweep", "evaluation_layer",
+    "layer_sweep", "evaluation_layer",
 ]
 
 
@@ -152,9 +151,10 @@ def evaluation_layer(problem, grid: Grid1D, points: Sequence[float],
     grids reject points outside [a, b]; periodic ones wrap them.  ``values``
     may be one grid field (N,) or a stack of fields (N, k), giving (P,) or
     (P, k).  The points are scanned in blocks of ``_BLOCK`` rows, so no
-    P x N kernel rows are held; a kernel undefined at some pair names the
-    query point and node.  The result is not checked for finiteness;
-    callers raise their own error for that.
+    P x N kernel rows are held; a kernel or source sample that is
+    undefined or not finite is named at its query point (and node).  The
+    sums are not checked for finiteness; callers raise their own error
+    for that.
     """
     pts = np.asarray(points, dtype=float).ravel()
     if grid.topology == "periodic":
@@ -170,14 +170,12 @@ def evaluation_layer(problem, grid: Grid1D, points: Sequence[float],
     rows = np.empty((min(_BLOCK, pts.size), grid.n))
     for lo in range(0, pts.size, _BLOCK):
         x = pts[lo:lo + _BLOCK, None]
-        try:
-            k = np.asarray(problem.kernel(x, z[None, :]), dtype=float)
-        except DomainError as exc:
-            raise _undefined_pair(problem.kernel, pts, z, lo) or exc
-        np.matmul(np.multiply(k, grid.spacing, out=rows[:len(x)]), values,
-                  out=out[lo:lo + _BLOCK])
-    g_pts = _sample(problem.source, pts,
-                    "source undefined at query point x[{i}]={v!r}")
+        k = _sample(problem.kernel, (x, z[None, :]), "kernel",
+                    "query point and node (x[{i}]={v[0]!r}, z[{j}]={v[1]!r})",
+                    lo, weight=grid.spacing, out=rows[:len(x)])
+        np.matmul(k, values, out=out[lo:lo + _BLOCK])
+    g_pts = _sample(problem.source, (pts,), "source",
+                    "query point x[{i}]={v[0]!r}")
     out += g_pts[:, None] if out.ndim == 2 else g_pts
     return out
 
@@ -327,19 +325,6 @@ def plan_layers(budget: ErrorBudget, eps: float) -> int:
     return layers
 
 
-def km_error_estimate(budget: ErrorBudget, schedule: KMSchedule,
-                      layers: int) -> float:
-    """Exponential estimate for the damped iteration:
-    (e^(1-q) / (1-q)) * residual * e^(-(1-q) v_M), v_M = sum of the first
-    M relaxations (v_0 = 0)."""
-    if layers < 0:
-        raise ValidationError(f"layer count {layers} must be >= 0")
-    _require_contraction(budget)
-    v = schedule.partial_sum(layers)
-    s = 1.0 - budget.q
-    return (math.exp(s) / s) * budget.residual * math.exp(-s * v)
-
-
 def layer_sweep(op: DiscreteOperator, field: SolutionField,
                 exact: Optional[Callable] = None,
                 points: Optional[Sequence[float]] = None
@@ -362,8 +347,7 @@ def layer_sweep(op: DiscreteOperator, field: SolutionField,
         problem = _linear_problem(op, "the error sweep")
         pts = np.asarray(op.grid.nodes if points is None else points,
                          dtype=float).ravel()
-        target = np.broadcast_to(np.asarray(exact(pts), dtype=float),
-                                 pts.shape)
+        target = _sample(exact, (pts,), "exact", "query point x[{i}]={v[0]!r}")
         vals = evaluation_layer(problem, op.grid, pts, np.stack(h, axis=1))
         sizes = np.max(np.abs(vals - target[:, None]), axis=0)
     return [(m, float(size)) for m, size in enumerate(sizes, start=1)]

@@ -41,9 +41,10 @@ class NonlinearProblem(FieProblem):
     nonlinearity: Callable
 
     def activation(self, values: np.ndarray) -> np.ndarray:
-        """G at a hidden layer's input, naming the node where it is NaN."""
-        return _apply_nonlinearity(self, values, "in a hidden layer",
-                                   finite=False)
+        """G at a hidden layer's input.  An infinite G (overflow) is left
+        to the verdict of ``forward``."""
+        return _apply_nonlinearity(self, values, "of a hidden layer",
+                                   nan_only=True)
 
 
 @dataclass(frozen=True)
@@ -58,17 +59,10 @@ class IterationTrace:
 
 
 def _apply_nonlinearity(problem: NonlinearProblem, values: np.ndarray,
-                        where: str, finite: bool = True) -> np.ndarray:
-    # a hidden layer leaves an infinite G (overflow) to forward's check
-    at = (f"nonlinearity left its domain {where} at node {{i}} "
-          "(iterate value {v!r})")
-    with np.errstate(all="ignore"):
-        gu = _sample(problem.nonlinearity, values, at)
-    bad = ~np.isfinite(gu) if finite else np.isnan(gu)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise DomainError(at.format(i=i, v=float(values[i])))
-    return gu
+                        where: str, nan_only: bool = False) -> np.ndarray:
+    return _sample(problem.nonlinearity, (values,), "nonlinearity",
+                   f"node {{i}} {where} (iterate value {{v[0]!r}})",
+                   nan_only=nan_only)
 
 
 def _check_operator(problem: NonlinearProblem, base: DiscreteOperator):
@@ -87,7 +81,7 @@ def linearized_source(problem: NonlinearProblem, base: DiscreteOperator,
     if prev.shape != (base.n,):
         raise ValidationError(
             f"iterate shape {prev.shape} does not match grid ({base.n},)")
-    gu = _apply_nonlinearity(problem, prev, "in the source update")
+    gu = _apply_nonlinearity(problem, prev, "of the source update")
     return base.source + base.matrix @ (gu - prev)
 
 
@@ -113,7 +107,7 @@ def evaluate_nonlinear(problem: NonlinearProblem, base: DiscreteOperator,
     """
     _check_operator(problem, base)
     gu = _apply_nonlinearity(problem, np.asarray(field.values, dtype=float),
-                             "in off-grid evaluation")
+                             "of the solved field")
     out = evaluation_layer(problem, base.grid, points, gu)
     if not np.all(np.isfinite(out)):
         raise DomainError("non-finite value in off-grid evaluation")

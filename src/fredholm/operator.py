@@ -120,16 +120,6 @@ class KMSchedule:
                 f"layer {m} outside schedule of length {len(self.sequence)}")
         return self.sequence[m - 1]
 
-    def partial_sum(self, m):
-        """v_m = kappa_1 + ... + kappa_m; partial_sum(0) = 0."""
-        if self.sequence is None:
-            return self.constant * m
-        if m > len(self.sequence):
-            raise ValidationError(
-                f"partial sum over {m} terms exceeds schedule length "
-                f"{len(self.sequence)}")
-        return float(sum(self.sequence[:m]))
-
     def is_constant(self):
         return self.constant is not None
 
@@ -143,74 +133,82 @@ def discretize(problem: FieProblem, grid: Grid1D) -> DiscreteOperator:
     """Sample kernel and source on the grid.
 
     matrix[i, j] = K(z_i, z_j) * dz and source[i] = g(z_i).  Every sample
-    must be finite and the kernel defined at every node pair; the first
-    offending node (pair) is reported otherwise.
+    must be defined and finite; the first offending node (pair) is named
+    otherwise.
     """
     z, n = grid.nodes, grid.n
     a = np.empty((n, n))
     for lo in range(0, n, _BLOCK):
-        try:
-            k = np.asarray(problem.kernel(z[lo:lo + _BLOCK, None],
-                                          z[None, :]), dtype=float)
-        except DomainError as exc:
-            raise _undefined_pair(problem.kernel, z, z, lo) or exc
-        # out= rather than *= on k: a plain callable may return its input
-        block = np.multiply(k, grid.spacing, out=a[lo:lo + _BLOCK])
-        bad = ~np.isfinite(block)
-        if bad.any():
-            i, j = np.argwhere(bad)[0] + (lo, 0)
-            raise DomainError(
-                f"non-finite kernel sample at nodes (z[{i}]={float(z[i])!r}, "
-                f"z[{j}]={float(z[j])!r})")
-    g = _sample(problem.source, z, "source undefined at node z[{i}]={v!r}")
-    bad = ~np.isfinite(g)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise DomainError(
-            f"non-finite source sample at node z[{i}]={float(z[i])!r}")
+        _sample(problem.kernel, (z[lo:lo + _BLOCK, None], z[None, :]),
+                "kernel", "nodes (z[{i}]={v[0]!r}, z[{j}]={v[1]!r})", lo,
+                weight=grid.spacing, out=a[lo:lo + _BLOCK])
+    g = _sample(problem.source, (z,), "source", "node z[{i}]={v[0]!r}")
     return DiscreteOperator(grid, a, g.copy(), problem)
 
 
-def _sample(fn, x, at) -> np.ndarray:
-    """``fn`` at the points ``x`` (one per row), as one float per point.  A
-    DomainError is renamed after the first point where ``fn`` fails alone,
-    by the format ``at`` of its index ``i`` and value ``v``."""
-    try:
-        return np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape[:1])
-    except DomainError as exc:
-        raise _undefined_pair(fn, x, at=at) or exc
+def _sample(fn, args, key, at, lo=0, nan_only=False, weight=1.0,
+            out=None) -> np.ndarray:
+    """``fn(*args)`` over the broadcast shape of ``args``, judged: the one
+    evaluation of a user function, of which numpy warns nothing.
 
+    The first element, row-major, where ``fn`` is undefined alone or not
+    finite (NaN only, with ``nan_only``) raises DomainError as ``<key>
+    undefined at <point>: <reason>`` or ``<key> is not finite at <point>:
+    <value>``; the point is ``at`` formatted with the element's indices
+    ``i`` (plus ``lo``) and ``j`` and the argument values ``v``.  A
+    DomainError no single element reproduces is raised unchanged.  With
+    ``out``, the sample is ``fn(*args) * weight`` written there, as a
+    kernel row enters the matrix."""
+    shape = np.broadcast(*args).shape
 
-def _undefined_pair(fn, x, z=None, lo=0, at=None) -> Optional[DomainError]:
-    """``fn``'s DomainError at the first point where it fails alone,
-    renamed after that point: ``fn``'s own message names none.  A kernel
-    (``z`` given) is tried on the pairs (x[i], z[j]), row-major in the
-    block from row ``lo``; rows that are the nodes themselves are named as
-    nodes, others as queries.  A one-argument ``fn`` is tried on the
-    points x[i], a block at a time, and named by ``at``, a format of the
-    index ``i`` and value ``v``."""
-    def error(*args):
+    def point(idx):
+        v = [float(x[idx]) for x in np.broadcast_arrays(*args)]
+        ij = dict(zip("ij", (idx[0] + lo, *idx[1:]) if idx else ()))
+        return at.format(v=v, **ij)
+
+    with np.errstate(all="ignore"):
         try:
-            fn(*args)
+            val = np.asarray(fn(*args), dtype=float)
+        except DomainError:
+            found = _undefined_at(fn, args)
+            if found is None:
+                raise
+            raise DomainError(f"{key} undefined at {point(found[0])}: "
+                              f"{found[1]}")
+        # out= rather than *=: a plain callable may return its input
+        val = val if out is None else np.multiply(val, weight, out=out)
+    ok = ~np.isnan(val) if nan_only else np.isfinite(val)
+    if not ok.all():
+        idx = np.unravel_index(np.argmin(np.broadcast_to(ok, shape)), shape)
+        raise DomainError(f"{key} is not finite at {point(idx)}: "
+                          f"{float(np.broadcast_to(val, shape)[idx])!r}")
+    # no view of a full array: it kept N=2000 discretize ~5% slower
+    return val if val.shape == shape else np.broadcast_to(val, shape)
+
+
+def _undefined_at(fn, args):
+    """(index, error) of the first element, row-major, where ``fn`` raises
+    DomainError alone, or None.  Each axis of the broadcast views of
+    ``args`` is narrowed a block of ``_BLOCK`` entries at a time, then one
+    entry at a time, so a late failure among many points costs few
+    calls."""
+    def error(cut):
+        try:
+            fn(*cut)
         except DomainError as exc:
             return exc
-    if z is None:
-        for b in range(lo, len(x), _BLOCK):
-            for i in range(b, min(b + _BLOCK, len(x))) if error(
-                    x[b:b + _BLOCK]) else ():
-                exc = error(x[i:i + 1])
-                if exc:
-                    return DomainError(
-                        f"{at.format(i=i, v=x[i].tolist())}: {exc}")
-        return None
-    pair, name = ("nodes", "z") if x is z else ("query point and node", "x")
-    for i in range(lo, len(x))[:_BLOCK]:
-        for j in range(len(z)) if error(x[i:i + 1, None], z[None, :]) else ():
-            exc = error(x[i:i + 1, None], z[None, j:j + 1])
-            if exc:
-                return DomainError(
-                    f"kernel undefined at {pair} ({name}[{i}]="
-                    f"{float(x[i])!r}, z[{j}]={float(z[j])!r}): {exc}")
+
+    cut, idx = np.broadcast_arrays(*args), []
+    for size in cut[0].shape:
+        b = next((b for b in range(0, size, _BLOCK)
+                  if error([x[b:b + _BLOCK] for x in cut])), size)
+        i = next((i for i in range(b, min(b + _BLOCK, size))
+                  if error([x[i:i + 1] for x in cut])), None)
+        if i is None:
+            return None
+        idx.append(i)
+        cut = [x[i] for x in cut]
+    return tuple(idx), error(cut)
 
 
 def estimate_contraction(op: DiscreteOperator) -> float:

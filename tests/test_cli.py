@@ -96,8 +96,8 @@ _META_COMMON = {"config", "deterministic", "runtime_seconds", "example",
 _META_1D = _META_COMMON | {"grid_n", "scheme"}
 _COLUMNS_1D = ("x", "value", "exact", "abs_err")
 _REPORT_CONTRACT = {
-    "linear_fie": (_META_1D | {"residual", "derivative_bound", "error_bound",
-                               "km_estimate"}, _COLUMNS_1D, "max_err"),
+    "linear_fie": (_META_1D | {"residual", "derivative_bound", "error_bound"},
+                   _COLUMNS_1D, "max_err"),
     "nonlinear_fie": (_META_1D, _COLUMNS_1D, "max_update"),
     "bvp": (_META_1D | {"contraction_warning", "ode_residual", "alpha",
                         "beta"}, _COLUMNS_1D, "max_update"),
@@ -409,6 +409,11 @@ def test_error_texts_print_plain_floats():
 
 _BVP_MIDPOINT = {k: v for k, v in get_example("bvp_p").config.items()
                  if k != "queries"}
+# finite at every node of the midpoint grid, but exp(900) at the query
+_QUERY_KERNEL_CONFIG = {
+    k: v for k, v in dict(LINEAR_CONFIG, kernel="exp(1/x - 100)*z",
+                          source="1", grid_n=50, grid_scheme="midpoint",
+                          queries=[0.001]).items() if k != "exact"}
 
 
 @pytest.mark.parametrize("config,text", [
@@ -426,8 +431,8 @@ _BVP_MIDPOINT = {k: v for k, v in get_example("bvp_p").config.items()
     (dict(LINEAR_CONFIG, exact="exp(1000*x)"),
      "exact is not finite at query point x[15]=0.75: inf"),
     (dict(get_example("nl3").config, source="-1", grid_n=50),
-     "nonlinearity left its domain in a hidden layer at node 0 "
-     "(iterate value -1.0): sqrt of negative value -1.0"),
+     "nonlinearity undefined at node 0 of a hidden layer (iterate value "
+     "-1.0): sqrt of negative value -1.0"),
     (dict(_BVP_MIDPOINT, h="1/x", grid_n=50, grid_scheme="midpoint"),
      "h undefined at query point x[0]=0.0: division by zero"),
     (dict(_BVP_MIDPOINT, h="1/x", grid_n=50),
@@ -441,15 +446,62 @@ _BVP_MIDPOINT = {k: v for k, v in get_example("bvp_p").config.items()
     (dict(get_example("laplace_disc").config, exact="exp(1000*r)",
           theta_n=50),
      "exact is not finite at query point r[615]=0.75, phi[615]=0.0: inf"),
+    (dict(LINEAR_CONFIG, source="exp(1000*x)"),
+     "source is not finite at node z[142]=0.7135678391959799: inf"),
+    # finite, but its matrix entry K dz overflows (dz = 100)
+    (dict(LINEAR_CONFIG, kernel="1e307", domain=[0.0, 1000.0], grid_n=10,
+          grid_scheme="left", queries="0:1000:11"),
+     "kernel is not finite at nodes (z[0]=0.0, z[0]=0.0): inf"),
+    (dict(_BVP_MIDPOINT, g="exp(1000*x)", grid_n=50),
+     "g is not finite at node x[36]=0.72: inf"),
+    (dict(get_example("laplace_disc").config, boundary="exp(1000*phi)",
+          theta_n=50),
+     "boundary is not finite at node phi[6]=0.7539822368615504: inf"),
+    (_QUERY_KERNEL_CONFIG,
+     "kernel is not finite at query point and node (x[0]=0.001, z[0]=0.01): "
+     "inf"),
+    (dict(_QUERY_KERNEL_CONFIG, kind="nonlinear_fie", nonlinearity="u"),
+     "kernel is not finite at query point and node (x[0]=0.001, z[0]=0.01): "
+     "inf"),
 ], ids=["source_node", "source_later_block", "source_query", "exact",
         "exact_not_finite", "nonlinearity", "bvp_h", "bvp_h_node",
-        "laplace_boundary", "laplace_exact", "laplace_exact_not_finite"])
+        "laplace_boundary", "laplace_exact", "laplace_exact_not_finite",
+        "source_not_finite", "weighted_kernel_not_finite", "bvp_g_not_finite",
+        "laplace_boundary_not_finite",
+        "query_kernel_not_finite", "nonlinear_query_kernel_not_finite"])
 def test_domain_errors_name_the_point(config, text):
     # exprlang's message names only the value; the caller names the point
     # under the config key the user wrote, and an overflow warns nothing
     with np.errstate(all="raise"), pytest.raises(DomainError) as exc:
         run_config(config, sweep_layers=2)
     assert str(exc.value) == text
+
+
+@pytest.mark.parametrize("args,text", [
+    (["--nr", "8", "--nt", "8", "--exact", "exp(1000*r)"],
+     "exact is not finite at node r[6]=0.75, phi[0]=0.0: inf"),
+    (["--boundary", "exp(1000*phi)"],
+     "boundary is not finite at node phi[12]=0.7539822368615504: inf"),
+    (["--nr", "16", "--nt", "16", "--exact", "log(r)"],
+     "exact undefined at the center r=0.0, phi=0.0: log of non-positive "
+     "value 0.0"),
+    (["--boundary", "log(phi)"],
+     "boundary undefined at node phi[0]=0.0: log of non-positive value 0.0"),
+], ids=["exact_not_finite", "boundary_not_finite", "exact_undefined",
+        "boundary_undefined"])
+def test_compare_fd_bad_data_names_the_point(args, text, capsys):
+    # as solve does: exit 3, the key and point named, and no numpy warning
+    with np.errstate(all="raise"):
+        assert main(["compare-fd", *args]) == 3
+    assert capsys.readouterr().err == f"error: {text}\n"
+
+
+@pytest.mark.parametrize("flag,text", [("--boundary", "r*phi"),
+                                       ("--exact", "x")])
+def test_compare_fd_names_its_options(flag, text, capsys):
+    assert main(["compare-fd", flag, text]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: option {flag}: unexpected variable(s)")
 
 
 def test_run_compare_fd_metadata():

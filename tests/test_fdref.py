@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 
 from fredholm import fd
 from fredholm.cli import main
-from fredholm.errors import ValidationError
+from fredholm.errors import DomainError, ValidationError
 from fredholm.fd import MAX_NODES, solve_fd
 
 
@@ -187,8 +187,10 @@ def test_oversized_grid_refused_before_data_is_evaluated(capsys):
 
 
 def test_non_finite_boundary_rejected():
-    with pytest.raises(ValidationError):
-        solve_fd(lambda t: np.where(t == 0.0, np.inf, 1.0), 16, 16)
+    with pytest.raises(DomainError) as exc:
+        solve_fd(lambda t: np.where(t > 3.0, np.inf, 1.0), 16, 16)
+    assert str(exc.value) == (
+        f"boundary is not finite at node phi[8]={np.pi!r}: inf")
 
 
 def test_solution_arrays_read_only():

@@ -11,8 +11,7 @@ from fredholm.errors import (BoundUnavailableError, DivergenceError,
 from fredholm.grid import uniform_grid
 from fredholm.network import (ErrorBudget, budget_from_operator, build_network,
                               dense_solve, error_bound, evaluation_layer,
-                              forward, km_error_estimate, layer_sweep,
-                              plan_layers, query)
+                              forward, layer_sweep, plan_layers, query)
 from fredholm.operator import (_BLOCK, DiscreteOperator, FieProblem,
                                KMSchedule, discretize, estimate_contraction)
 
@@ -379,31 +378,6 @@ def test_plan_layers_degenerate_and_invalid():
     with pytest.raises(BoundUnavailableError):
         plan_layers(ErrorBudget(q=1.2, derivative_bound=0.0, a=0.0, b=1.0,
                                 n=1, residual=0.5), 1e-3)
-
-
-def test_km_estimate_formula():
-    b = _analytic_budget()
-    s = 1.0 - b.q
-    expected = (math.exp(s) / s) * b.residual * math.exp(-s * 10.0)
-    got = km_error_estimate(b, KMSchedule(1.0), 10)
-    assert got == expected
-    assert got == pytest.approx(3.38e-3, rel=2e-3)
-    assert km_error_estimate(b, KMSchedule(1.0), 0) == \
-        pytest.approx((math.exp(s) / s) * b.residual)
-
-
-def test_km_estimate_measured(const_kernel_factory):
-    budget = budget_from_operator(const_kernel_factory(n=2000, scheme="closed"))
-    got = km_error_estimate(budget, KMSchedule(1.0), 10)
-    assert got == pytest.approx(3.3911152339562572e-3, rel=1e-9)
-
-
-def test_km_estimate_uses_partial_sums():
-    b = _analytic_budget()
-    sched = KMSchedule([1.0, 0.5, 0.5])
-    s = 1.0 - b.q
-    expected = (math.exp(s) / s) * b.residual * math.exp(-s * 2.0)
-    assert km_error_estimate(b, sched, 3) == pytest.approx(expected, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

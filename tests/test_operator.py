@@ -9,7 +9,8 @@ from fredholm.errors import DomainError, ValidationError
 from fredholm.exprlang import compile_fn, parse
 from fredholm.grid import uniform_grid
 from fredholm.operator import (_BLOCK, DiscreteOperator, FieProblem,
-                               KMSchedule, discretize, estimate_contraction,
+                               KMSchedule, _sample, discretize,
+                               estimate_contraction,
                                estimate_derivative_bound, residual_norm)
 from fredholm.network import build_network, dense_solve, forward
 
@@ -57,7 +58,7 @@ def test_discretize_reports_bad_source_node():
                          a=0.0, b=1.0)
     with pytest.raises(DomainError) as exc:
         discretize(problem, uniform_grid(0.0, 1.0, 8, scheme="left"))
-    assert "source sample at node z[0]" in str(exc.value)
+    assert str(exc.value) == "source is not finite at node z[0]=0.0: -inf"
 
 
 def test_discretize_reports_bad_kernel_pair():
@@ -66,7 +67,8 @@ def test_discretize_reports_bad_kernel_pair():
         source=lambda x: 1.0, a=0.0, b=1.0)
     with pytest.raises(DomainError) as exc:
         discretize(problem, uniform_grid(0.0, 1.0, 8, scheme="left"))
-    assert "kernel sample at nodes (z[0]" in str(exc.value)
+    assert str(exc.value) == ("kernel is not finite at nodes (z[0]=0.0, "
+                              "z[0]=0.0): nan")
 
 
 # Dense reference formulas: the whole N x N matrix at once, as the blocked
@@ -82,13 +84,13 @@ def _dense_discretize(problem, grid):
     if bad.any():
         i, j = np.unravel_index(int(np.argmax(bad)), a.shape)
         raise DomainError(
-            f"non-finite kernel sample at nodes (z[{i}]={float(z[i])!r}, "
-            f"z[{j}]={float(z[j])!r})")
+            f"kernel is not finite at nodes (z[{i}]={float(z[i])!r}, "
+            f"z[{j}]={float(z[j])!r}): {float(a[i, j])!r}")
     bad = ~np.isfinite(g)
     if bad.any():
         i = int(np.argmax(bad))
-        raise DomainError(
-            f"non-finite source sample at node z[{i}]={float(z[i])!r}")
+        raise DomainError(f"source is not finite at node z[{i}]="
+                          f"{float(z[i])!r}: {float(g[i])!r}")
     return DiscreteOperator(grid=grid, matrix=np.ascontiguousarray(a),
                             source=g.copy(), problem=problem)
 
@@ -152,8 +154,9 @@ def test_bad_kernel_pair_in_a_later_block():
             build(problem, grid)
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
-    assert f"kernel sample at nodes (z[{row}]" in messages[0]
-    assert f"z[{col}]=" in messages[0]
+    assert messages[0] == (f"kernel is not finite at nodes (z[{row}]="
+                           f"{float(z[row])!r}, z[{col}]={float(z[col])!r}): "
+                           "inf")
 
 
 def test_undefined_kernel_pair_in_a_later_block():
@@ -172,6 +175,58 @@ def test_undefined_kernel_pair_in_a_later_block():
         assert str(exc.value).startswith(
             f"kernel undefined at nodes (z[{i}]={float(z[i])!r}, "
             f"z[{j}]={float(z[j])!r}): {reason} of")
+
+
+def test_sample_names_the_first_element_of_a_broadcast_lattice():
+    r, phi = np.linspace(0.1, 0.9, 9), np.linspace(0.0, 3.0, 7)
+    log_r_phi = compile_fn(parse("log(phi - r)"), ("r", "phi"))
+    with np.errstate(all="raise"), pytest.raises(DomainError) as exc:
+        _sample(log_r_phi, (r[:, None], phi[None, :]), "exact",
+                "node r[{i}]={v[0]!r}, phi[{j}]={v[1]!r}")
+    assert str(exc.value) == (
+        "exact undefined at node r[0]=0.1, phi[0]=0.0: log of non-positive "
+        "value -0.1")
+    # a constant is judged once and named at the lattice's first element
+    with pytest.raises(DomainError) as exc:
+        _sample(lambda r, phi: np.inf, (r[:, None], phi), "exact",
+                "node r[{i}]={v[0]!r}, phi[{j}]={v[1]!r}", 1)
+    assert str(exc.value) == (
+        "exact is not finite at node r[1]=0.1, phi[0]=0.0: inf")
+
+
+def test_sample_nan_only_passes_infinities():
+    u = np.array([1.0, 0.0, -1.0])
+    inv = _sample(lambda u: 1.0 / u, (u,), "G", "u[{i}]", nan_only=True)
+    assert inv[1] == np.inf
+    with pytest.raises(DomainError, match=r"^G is not finite at u\[2\]: nan$"):
+        _sample(np.sqrt, (u,), "G", "u[{i}]", nan_only=True)
+
+
+def test_sample_search_costs_blocks_then_points():
+    calls = []
+
+    def late_log(x):
+        calls.append(np.size(x))
+        if np.any(x >= 99_990):
+            raise DomainError("log of non-positive value")
+        return x
+
+    with pytest.raises(DomainError) as exc:
+        _sample(late_log, (np.arange(100_000.0),), "source", "x[{i}]")
+    assert str(exc.value) == (
+        "source undefined at x[99990]: log of non-positive value")
+    # the whole, 3125 blocks, the points of the last one, and the named one
+    assert len(calls) <= 1 + 100_000 // _BLOCK + _BLOCK + 1
+
+
+def test_sample_reraises_an_error_no_element_reproduces():
+    def needs_company(x):
+        if np.size(x) > 1:
+            raise DomainError("undefined over the whole")
+        return x
+
+    with pytest.raises(DomainError, match="^undefined over the whole$"):
+        _sample(needs_company, (np.arange(5.0),), "source", "x[{i}]")
 
 
 def test_km_step_two_node_damped():
@@ -311,8 +366,6 @@ class TestKMSchedule:
         s = KMSchedule(0.5)
         assert s.valid_km and s.is_constant() and s.constant == 0.5
         assert s.at(1) == 0.5 and s.at(97) == 0.5
-        assert s.partial_sum(4) == 2.0
-        assert s.partial_sum(0) == 0.0
 
     def test_undamped_is_never_valid_alone(self):
         # kappa = 1 is valid only on a strict contraction, which the run
@@ -324,11 +377,8 @@ class TestKMSchedule:
         s = KMSchedule([1.0, 0.5, 0.25])
         assert not s.is_constant()
         assert s.at(1) == 1.0 and s.at(3) == 0.25
-        assert s.partial_sum(2) == 1.5
         with pytest.raises(ValidationError):
             s.at(4)
-        with pytest.raises(ValidationError):
-            s.partial_sum(4)
 
     def test_uniform_sequence_collapses_to_constant(self):
         s = KMSchedule([0.5, 0.5, 0.5])
