@@ -24,7 +24,7 @@ from .grid import uniform_grid
 from .laplace import build_bie, evaluate_potential, projected_potential
 from .network import (budget_from_operator, build_network, error_bound,
                       forward, layer_sweep, query)
-from .nonlinear import NonlinearProblem, evaluate_nonlinear
+from .nonlinear import NonlinearProblem
 from .operator import (DiscreteOperator, FieProblem, KMSchedule, _sample,
                        discretize, estimate_contraction)
 from .registry import EXAMPLES, example_names, get_example
@@ -276,7 +276,7 @@ def _nonlinear_fie(config, fn, n) -> _Setup:
     base = discretize(problem, _grid(config, a, b, n))
 
     def readout(net, field, pts):
-        return (pts,), evaluate_nonlinear(problem, base, field, pts), {}
+        return (pts,), query(net, field, pts), {}
 
     # ||A|| is not the Lipschitz constant of u -> g + A G(u), so q_est
     # cannot make kappa = 1 a valid KM schedule

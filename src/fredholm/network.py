@@ -15,14 +15,17 @@ linear equation (layer m is then W_m h_{m-1} + kappa_m g, W_m = kappa_m A
 network costs one N x N block (A itself) whatever its depth and
 relaxations.  Every run, whatever its kind, gets its verdict in
 ``forward``: an overflow, or a map residual ||T h - h|| at the last layer
-above that of the first two, raises DivergenceError.  A final evaluation
-layer applies one undamped step at arbitrary points,
+above that of the first two, raises DivergenceError.  One evaluation
+layer, the output layer of every 1-D kind, applies one undamped step at
+arbitrary points,
 
-    f(x) = g(x) + sum_j K(x, z_j) h_M[j] dz,
+    f(x) = g(x) + sum_j K(x, z_j) sigma(h_M[j]) dz,
 
-so off-grid values come from the same quadrature that built A.  The module
-also carries the a priori error accounting: contraction-based geometric
-bounds and layer planning against a target accuracy.
+so off-grid values come from the same quadrature and activation that
+built the hidden layers; a sum that is not finite raises DomainError at
+its query point.  The module also carries the a priori error accounting:
+contraction-based geometric bounds and layer planning against a target
+accuracy.
 """
 
 import math
@@ -31,7 +34,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import (BoundUnavailableError, DivergenceError,
+from .errors import (BoundUnavailableError, DivergenceError, DomainError,
                      SingularSystemError, ValidationError)
 from .grid import Grid1D
 from .operator import (_BLOCK, DiscreteOperator, KMSchedule, _sample,
@@ -145,16 +148,17 @@ def forward(net: FixedPointNet,
 
 def evaluation_layer(problem, grid: Grid1D, points: Sequence[float],
                      values: np.ndarray) -> np.ndarray:
-    """The evaluation layer g(x) + sum_j K(x, z_j) dz values[j] at points x.
+    """The output layer g(x) + sum_j K(x, z_j) dz sigma(values[j]) at
+    points x, with sigma the problem's ``activation`` (the identity when
+    it is None).
 
-    ``problem`` supplies the ``kernel`` and ``source`` callables.  Interval
-    grids reject points outside [a, b]; periodic ones wrap them.  ``values``
-    may be one grid field (N,) or a stack of fields (N, k), giving (P,) or
-    (P, k).  The points are scanned in blocks of ``_BLOCK`` rows, so no
-    P x N kernel rows are held; a kernel or source sample that is
-    undefined or not finite is named at its query point (and node).  The
-    sums are not checked for finiteness; callers raise their own error
-    for that.
+    ``problem`` supplies the ``kernel``, ``source`` and ``activation``.
+    Interval grids reject points outside [a, b]; periodic ones wrap them.
+    ``values`` may be one grid field (N,) or a stack of fields (N, k),
+    giving (P,) or (P, k).  The points are scanned in blocks of ``_BLOCK``
+    rows, so no P x N kernel rows are held.  A kernel or source sample
+    that is undefined or not finite is named at its query point (and
+    node), as is a sum that is not finite.
     """
     pts = np.asarray(points, dtype=float).ravel()
     if grid.topology == "periodic":
@@ -165,54 +169,57 @@ def evaluation_layer(problem, grid: Grid1D, points: Sequence[float],
             raise ValidationError(
                 f"query point {float(pts[np.argmax(bad)])!r} outside "
                 f"[{grid.a}, {grid.b}]")
+    if problem.activation is not None:
+        values = problem.activation(values)
     z = grid.nodes
     out = np.empty(pts.shape + np.shape(values)[1:])
     rows = np.empty((min(_BLOCK, pts.size), grid.n))
-    for lo in range(0, pts.size, _BLOCK):
-        x = pts[lo:lo + _BLOCK, None]
-        k = _sample(problem.kernel, (x, z[None, :]), "kernel",
-                    "query point and node (x[{i}]={v[0]!r}, z[{j}]={v[1]!r})",
-                    lo, weight=grid.spacing, out=rows[:len(x)])
-        np.matmul(k, values, out=out[lo:lo + _BLOCK])
-    g_pts = _sample(problem.source, (pts,), "source",
-                    "query point x[{i}]={v[0]!r}")
-    out += g_pts[:, None] if out.ndim == 2 else g_pts
+    with np.errstate(all="ignore"):
+        for lo in range(0, pts.size, _BLOCK):
+            x = pts[lo:lo + _BLOCK, None]
+            k = _sample(problem.kernel, (x, z[None, :]), "kernel",
+                        "query point and node (x[{i}]={v[0]!r}, "
+                        "z[{j}]={v[1]!r})", lo, weight=grid.spacing,
+                        out=rows[:len(x)])
+            np.matmul(k, values, out=out[lo:lo + _BLOCK])
+        g_pts = _sample(problem.source, (pts,), "source",
+                        "query point x[{i}]={v[0]!r}")
+        out += g_pts[:, None] if out.ndim == 2 else g_pts
+    ok = np.isfinite(out)
+    if not ok.all():
+        i = np.unravel_index(np.argmin(ok), ok.shape)
+        raise DomainError(
+            f"evaluation layer is not finite at query point "
+            f"x[{i[0]}]={float(pts[i[0]])!r}: {float(out[i])!r}")
     return out
 
 
-def _linear_problem(op: DiscreteOperator, use: str):
-    """The problem behind ``op``, whose linear map the evaluation layer
-    applies: none, or a nonlinear one, is refused."""
+def _problem(op: DiscreteOperator, use: str):
+    """The continuous problem behind ``op``, whose map the evaluation
+    layer applies; an operator without one is refused."""
     if op.problem is None:
         raise ValidationError(
             f"operator carries no continuous problem; {use} is unavailable")
-    if op.problem.activation is not None:
-        raise ValidationError(
-            f"operator's problem is nonlinear and {use} applies its linear "
-            f"map; use evaluate_nonlinear")
     return op.problem
 
 
 def query(net: FixedPointNet, field: SolutionField,
           points: Sequence[float]) -> np.ndarray:
-    """Evaluate the solution at arbitrary points.
+    """Evaluate the solution at arbitrary points through the evaluation
+    layer.
 
-    Applies one undamped step through fresh kernel rows K(x, z_j) dz, so a
-    converged field queried at a grid node reproduces the node value up to
-    one extra contraction factor.  Interval problems reject points outside
-    [a, b]; periodic ones wrap them.  A net over a nonlinear problem is
-    refused: ``evaluate_nonlinear`` applies its map.
+    Applies one undamped step of the net's map through fresh kernel rows
+    K(x, z_j) dz, so a converged field queried at a grid node reproduces
+    the node value up to one extra contraction factor.  Interval problems
+    reject points outside [a, b]; periodic ones wrap them.
     """
     op = net.op
-    problem = _linear_problem(op, "off-grid evaluation")
+    problem = _problem(op, "off-grid evaluation")
     if field.values.shape != (op.n,):
         raise ValidationError(
             f"field of size {field.values.shape} does not match grid of "
             f"size {op.n}")
-    out = evaluation_layer(problem, op.grid, points, field.values)
-    if not np.all(np.isfinite(out)):
-        raise DivergenceError("non-finite value in query evaluation")
-    return out
+    return evaluation_layer(problem, op.grid, points, field.values)
 
 
 def dense_solve(op: DiscreteOperator) -> Tuple[SolutionField, float]:
@@ -335,8 +342,8 @@ def layer_sweep(op: DiscreteOperator, field: SolutionField,
     ``field``: each m-layer iterate is composed with the evaluation layer
     at ``points`` (grid nodes by default) and compared with ``exact``;
     without it the sweep is the field's own updates ||h_m - h_(m-1)||
-    for the layers its history holds.  The error sweep needs the linear
-    problem behind ``op``, as ``query`` does.
+    for the layers its history holds.  The error sweep needs the
+    continuous problem behind ``op``, as ``query`` does.
     """
     if not field.history:
         raise ValidationError("sweep needs a field with its layer history")
@@ -344,7 +351,7 @@ def layer_sweep(op: DiscreteOperator, field: SolutionField,
     if exact is None:
         sizes = field.deltas[:len(h)]
     else:
-        problem = _linear_problem(op, "the error sweep")
+        problem = _problem(op, "the error sweep")
         pts = np.asarray(op.grid.nodes if points is None else points,
                          dtype=float).ravel()
         target = _sample(exact, (pts,), "exact", "query point x[{i}]={v[0]!r}")

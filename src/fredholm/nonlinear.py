@@ -8,8 +8,10 @@ is Picard iteration at one matvec per layer.  ``NonlinearProblem`` is a
 ``FieProblem`` that adds G, so ``discretize`` takes it as it is and the
 operator it returns carries G: a net over that operator takes
 ``NonlinearProblem.activation``, which checks G's domain at every node,
-as its activation.  With G(u) = u the network is the linear one, bit for
-bit.  The run's verdict is ``forward``'s, the same for every kind.
+as its activation, and the evaluation layer applies it too, so ``query``
+reads a nonlinear net as it reads a linear one.  With G(u) = u the
+network is the linear one, bit for bit.  The run's verdict is
+``forward``'s, the same for every kind.
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ from typing import Callable, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 from .network import (SolutionField, build_network, evaluation_layer,
                       forward)
 from .operator import DiscreteOperator, FieProblem, KMSchedule, _sample
@@ -41,10 +43,11 @@ class NonlinearProblem(FieProblem):
     nonlinearity: Callable
 
     def activation(self, values: np.ndarray) -> np.ndarray:
-        """G at a hidden layer's input.  An infinite G (overflow) is left
-        to the verdict of ``forward``."""
-        return _apply_nonlinearity(self, values, "of a hidden layer",
-                                   nan_only=True)
+        """G at the input of a hidden or the output layer: a NaN is named
+        at its node, and an infinite G (overflow) is left to the verdict
+        of ``forward`` or the evaluation layer's sum check."""
+        return _sample(self.nonlinearity, (values,), "nonlinearity",
+                       "node {i} (iterate value {v[0]!r})", nan_only=True)
 
 
 @dataclass(frozen=True)
@@ -56,13 +59,6 @@ class IterationTrace:
     def __post_init__(self):
         if any(not (np.isfinite(d) and d >= 0.0) for d in self.deltas):
             raise ValidationError(f"invalid deltas {self.deltas}")
-
-
-def _apply_nonlinearity(problem: NonlinearProblem, values: np.ndarray,
-                        where: str, nan_only: bool = False) -> np.ndarray:
-    return _sample(problem.nonlinearity, (values,), "nonlinearity",
-                   f"node {{i}} {where} (iterate value {{v[0]!r}})",
-                   nan_only=nan_only)
 
 
 def _check_operator(problem: NonlinearProblem, base: DiscreteOperator):
@@ -81,7 +77,8 @@ def linearized_source(problem: NonlinearProblem, base: DiscreteOperator,
     if prev.shape != (base.n,):
         raise ValidationError(
             f"iterate shape {prev.shape} does not match grid ({base.n},)")
-    gu = _apply_nonlinearity(problem, prev, "of the source update")
+    gu = _sample(problem.nonlinearity, (prev,), "nonlinearity",
+                 "node {i} of the source update (iterate value {v[0]!r})")
     return base.source + base.matrix @ (gu - prev)
 
 
@@ -99,16 +96,9 @@ def solve_nonlinear(problem: NonlinearProblem, base: DiscreteOperator,
 
 def evaluate_nonlinear(problem: NonlinearProblem, base: DiscreteOperator,
                        field: SolutionField, points) -> np.ndarray:
-    """Evaluate the solved field off-grid through the full nonlinear map:
-    u(x) = g(x) + sum_j K(x, z_j) G(f(z_j)) dz, where ``base`` must
-    discretize ``problem`` itself.
-
-    Interval queries must stay inside [a, b]; periodic grids wrap them.
-    """
+    """The evaluation layer u(x) = g(x) + sum_j K(x, z_j) G(f(z_j)) dz of
+    the solved field, where ``base`` must discretize ``problem`` itself.
+    ``query`` applies the same layer; this name is kept only while
+    ``bench/spans.py`` still wraps it."""
     _check_operator(problem, base)
-    gu = _apply_nonlinearity(problem, np.asarray(field.values, dtype=float),
-                             "of the solved field")
-    out = evaluation_layer(problem, base.grid, points, gu)
-    if not np.all(np.isfinite(out)):
-        raise DomainError("non-finite value in off-grid evaluation")
-    return out
+    return evaluation_layer(problem, base.grid, points, field.values)

@@ -414,6 +414,10 @@ _QUERY_KERNEL_CONFIG = {
     k: v for k, v in dict(LINEAR_CONFIG, kernel="exp(1/x - 100)*z",
                           source="1", grid_n=50, grid_scheme="midpoint",
                           queries=[0.001]).items() if k != "exact"}
+# every kernel sample is finite at x = 0.00124 (K dz <= 1.3e305), but
+# their sum against a field of ~1000 overflows
+_QUERY_SUM_CONFIG = dict(_QUERY_KERNEL_CONFIG, source="1000", layers=5,
+                         queries=[0.00124])
 
 
 @pytest.mark.parametrize("config,text", [
@@ -431,10 +435,8 @@ _QUERY_KERNEL_CONFIG = {
     (dict(LINEAR_CONFIG, exact="exp(1000*x)"),
      "exact is not finite at query point x[15]=0.75: inf"),
     (dict(get_example("nl3").config, source="-1", grid_n=50),
-     "nonlinearity undefined at node 0 of a hidden layer (iterate value "
-     "-1.0): sqrt of negative value -1.0"),
-    (dict(_BVP_MIDPOINT, h="1/x", grid_n=50, grid_scheme="midpoint"),
-     "h undefined at query point x[0]=0.0: division by zero"),
+     "nonlinearity undefined at node 0 (iterate value -1.0): sqrt of "
+     "negative value -1.0"),
     (dict(_BVP_MIDPOINT, h="1/x", grid_n=50),
      "h undefined at node x[0]=0.0: division by zero"),
     (dict(get_example("laplace_disc").config, boundary="log(phi)",
@@ -463,12 +465,17 @@ _QUERY_KERNEL_CONFIG = {
     (dict(_QUERY_KERNEL_CONFIG, kind="nonlinear_fie", nonlinearity="u"),
      "kernel is not finite at query point and node (x[0]=0.001, z[0]=0.01): "
      "inf"),
+    (_QUERY_SUM_CONFIG,
+     "evaluation layer is not finite at query point x[0]=0.00124: inf"),
+    (dict(_QUERY_SUM_CONFIG, kind="nonlinear_fie", nonlinearity="u"),
+     "evaluation layer is not finite at query point x[0]=0.00124: inf"),
 ], ids=["source_node", "source_later_block", "source_query", "exact",
-        "exact_not_finite", "nonlinearity", "bvp_h", "bvp_h_node",
+        "exact_not_finite", "nonlinearity", "bvp_h_node",
         "laplace_boundary", "laplace_exact", "laplace_exact_not_finite",
         "source_not_finite", "weighted_kernel_not_finite", "bvp_g_not_finite",
         "laplace_boundary_not_finite",
-        "query_kernel_not_finite", "nonlinear_query_kernel_not_finite"])
+        "query_kernel_not_finite", "nonlinear_query_kernel_not_finite",
+        "query_sum_not_finite", "nonlinear_query_sum_not_finite"])
 def test_domain_errors_name_the_point(config, text):
     # exprlang's message names only the value; the caller names the point
     # under the config key the user wrote, and an overflow warns nothing

@@ -118,21 +118,23 @@ def test_net_takes_g_from_the_operator_problem():
     assert build_network(plain, 20, KMSchedule(1.0)).activation is None
 
 
-def test_linear_evaluation_of_a_nonlinear_net_is_refused():
-    # query and the error sweep apply the linear map g + A h, which is
-    # not this net's map u -> g + A G(u)
+def test_query_applies_the_nonlinear_map():
+    # query and the error sweep read a nonlinear net through the one
+    # evaluation layer, which applies its map u -> g + A G(u)
     problem, base = _sin_problem()
     net = build_network(base, 20, KMSchedule(1.0))
     field = forward(net, keep_history=True)
     pts = np.linspace(0.0, math.pi, 21)
-    with pytest.raises(ValidationError, match="use evaluate_nonlinear"):
-        query(net, field, pts)
-    with pytest.raises(ValidationError, match="use evaluate_nonlinear"):
-        layer_sweep(base, field, lambda x: np.sin(x) + 1.0, pts)
+    exact = np.sin(pts) + 1.0
+    values = query(net, field, pts)
+    assert np.array_equal(values,
+                          evaluate_nonlinear(problem, base, field, pts))
+    err = np.abs(values - exact).max()
+    assert err < 5e-3
+    sweep = layer_sweep(base, field, lambda x: np.sin(x) + 1.0, pts)
+    assert [m for m, _ in sweep] == list(range(1, 21))
+    assert sweep[-1][1] == pytest.approx(err, rel=1e-12)
     assert layer_sweep(base, field) == list(enumerate(field.deltas, 1))
-    err = np.abs(evaluate_nonlinear(problem, base, field, pts)
-                 - (np.sin(pts) + 1.0))
-    assert err.max() < 5e-3
 
 
 def test_solve_nonlinear_refuses_another_problems_operator():
@@ -228,8 +230,7 @@ def test_nonlinearity_domain_violation_names_node():
         solve_nonlinear(problem, base, 4, KMSchedule(1.0))
     # a raw numpy G gives NaN where exprlang's would raise
     assert str(exc.value) == (
-        "nonlinearity is not finite at node 0 of a hidden layer (iterate "
-        "value -1.0): nan")
+        "nonlinearity is not finite at node 0 (iterate value -1.0): nan")
 
 
 def test_evaluate_nonlinear_zero_kernel_is_source():
@@ -274,17 +275,15 @@ def test_evaluate_nonlinear_domain_violation():
     with pytest.raises(DomainError) as exc:
         evaluate_nonlinear(sqrt_problem, sqrt_base, bad, [0.5])
     assert str(exc.value) == (
-        "nonlinearity is not finite at node 0 of the solved field (iterate "
-        "value -5.0): nan")
-    # off-grid, an infinite G value is named at its node too
+        "nonlinearity is not finite at node 0 (iterate value -5.0): nan")
+    # an infinite G value makes the sum infinite at its query point
     inv_problem = replace(sqrt_problem, nonlinearity=lambda u: 1.0 / u)
     zero = replace(bad, values=np.where(grid.nodes > 0.3, 1.0, 0.0))
     with pytest.raises(DomainError) as exc:
         evaluate_nonlinear(inv_problem, discretize(inv_problem, grid), zero,
                            [0.5])
     assert str(exc.value) == (
-        "nonlinearity is not finite at node 0 of the solved field (iterate "
-        "value 0.0): inf")
+        "evaluation layer is not finite at query point x[0]=0.5: inf")
 
 
 def test_trace_validation():
