@@ -13,7 +13,7 @@ import json
 import sys
 import time
 from dataclasses import replace
-from typing import Callable, Dict, NamedTuple, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -25,8 +25,8 @@ from .laplace import build_bie, evaluate_potential, projected_potential
 from .network import (budget_from_operator, build_network, error_bound,
                       forward, layer_sweep, query)
 from .nonlinear import NonlinearProblem
-from .operator import (DiscreteOperator, FieProblem, KMSchedule, _sample,
-                       discretize, estimate_contraction)
+from .operator import (FieProblem, KMSchedule, _sample, discretize,
+                       estimate_contraction)
 from .registry import EXAMPLES, example_names, get_example
 from .report import ReportBundle, write_report
 from .fd import solve_fd
@@ -35,19 +35,21 @@ __all__ = ["main", "run_config", "run_example", "run_compare_fd"]
 
 _DEFAULT_POLAR_QUERIES = {"r": "0:1:11", "phi": f"0:{2.0 * np.pi!r}:17"}
 
-# Cap on the dense cells of one run: N^2 for the kernel matrix,
-# P * max(N, 16) for P query points and S * max(N, P) for a sweep of depth
-# S.  Under tracemalloc an N x N cell peaks at ~1.2 doubles (the matrix and
-# its error budget, built and scanned in 32-row blocks) and an S x N sweep
-# cell at ~1.0 (update sizes, the history itself) or 2.1 (errors).  Every
-# kind evaluates its rows 32 at a time, so no P x N array is held; a query
-# point costs ~150 B whatever N is (its P-vectors and report row), which
-# the floor of 16 cells charges.  At 1.2 doubles the cap is ~460 MiB and
-# allows N <= 7071.
+# Cap on the dense cells of one run: N^2 for the kernel matrix, 9 (~73 B)
+# per layer for its recorded update, P * max(N, 16) for P query points and
+# S * max(N, P) for a sweep of depth S.  Under tracemalloc an N x N cell
+# peaks at ~1.2 doubles (the matrix and its error budget, built and scanned
+# in 32-row blocks) and an S x N sweep cell at ~1.0 (update sizes, the
+# history itself) or 2.1 (errors).  Every kind evaluates its rows 32 at a
+# time, so no P x N array is held; a query point costs ~150 B whatever N
+# is (its P-vectors and report row), which the floor of 16 cells charges.
+# At 1.2 doubles the cap is ~460 MiB and allows N <= 7071.
 _MAX_CELLS = 50_000_000
-# Cap on the multiply-adds of one run, N^2 per matvec of its forward pass
-# plus S N P for a sweep: ~10 minutes at the 1.5e9/s measured on a core.
+# Cap on the multiply-adds of one run, max(N^2, _LAYER_WORK) per matvec of
+# its forward pass (a layer costs ~17 us on 3 nodes) plus S N P for a
+# sweep: ~10 minutes at the 1.5e9/s measured on a core.
 _MAX_WORK = 900_000_000_000
+_LAYER_WORK = 25_000
 
 
 def _fail(key: str, reason: str):
@@ -237,53 +239,40 @@ def _forward(net, depth) -> tuple:
             replace(deep, values=h[-1]))
 
 
-class _Setup(NamedTuple):
-    """A kind's part of the pipeline, built by its ``_KINDS`` entry."""
-
-    op: DiscreteOperator  # what the hidden layers iterate
-    q_est: float
-    contractive: bool     # whether kappa = 1 makes a valid KM schedule
-    readout: Callable     # (net, field, points) -> (columns, values, meta)
-    oracle: bool = False  # the sweep measures errors against "exact"
-
-
 def _grid(config: dict, a: float, b: float, n: int):
     return uniform_grid(a, b, n, scheme=config.get("grid_scheme", "left"))
 
 
-def _linear_fie(config, fn, n) -> _Setup:
+def _linear_fie(config, fn, n):
     a, b = _domain(config)
     problem = FieProblem(kernel=fn["kernel"], source=fn["source"], a=a, b=b)
     op = discretize(problem, _grid(config, a, b, n))
     budget = budget_from_operator(op)
-    contractive = budget.q < 1.0
 
     def readout(net, field, pts):
         return (pts,), query(net, field, pts), {
+            "q_est": budget.q,
             "residual": budget.residual,
             "derivative_bound": budget.derivative_bound,
-            "error_bound": (error_bound(budget, net.layers) if contractive
-                            else None),
+            "error_bound": (error_bound(budget, net.layers)
+                            if budget.q < 1.0 else None),
         }
 
-    return _Setup(op, budget.q, contractive, readout, oracle=True)
+    return op, readout
 
 
-def _nonlinear_fie(config, fn, n) -> _Setup:
+def _nonlinear_fie(config, fn, n):
     a, b = _domain(config)
     problem = NonlinearProblem(kernel=fn["kernel"], source=fn["source"],
                                nonlinearity=fn["nonlinearity"], a=a, b=b)
-    base = discretize(problem, _grid(config, a, b, n))
 
     def readout(net, field, pts):
         return (pts,), query(net, field, pts), {}
 
-    # ||A|| is not the Lipschitz constant of u -> g + A G(u), so q_est
-    # cannot make kappa = 1 a valid KM schedule
-    return _Setup(base, estimate_contraction(base), False, readout)
+    return discretize(problem, _grid(config, a, b, n)), readout
 
 
-def _bvp(config, fn, n) -> _Setup:
+def _bvp(config, fn, n):
     alpha = _as_float(config, "alpha")
     beta = _as_float(config, "beta")
     spec = BvpSpec(g=fn["g"], h=fn["h"], alpha=alpha, beta=beta)
@@ -291,7 +280,6 @@ def _bvp(config, fn, n) -> _Setup:
     for key in ("g", "h"):  # named here, not after the FIE they build
         _sample(fn[key], (grid.nodes,), key, "node x[{i}]={v[0]!r}")
     op = discretize(bvp_to_fie(spec), grid)
-    q_est = estimate_contraction(op)
 
     def readout(net, field, pts):
         y = recover_solution(net, field, spec, pts)
@@ -300,17 +288,15 @@ def _bvp(config, fn, n) -> _Setup:
         except ValidationError:
             residual = None
         return (pts,), y, {
-            "contraction_warning": (
-                None if q_est < 1.0 else
-                f"q_est={q_est:.6g} >= 1; no a priori bound"),
+            "q_est": estimate_contraction(op),
             "ode_residual": residual,
             "alpha": alpha, "beta": beta,
         }
 
-    return _Setup(op, q_est, q_est < 1.0, readout)
+    return op, readout
 
 
-def _laplace_disc(config, fn, n) -> _Setup:
+def _laplace_disc(config, fn, n):
     op = build_bie(fn["boundary"], n)
 
     def readout(net, field, pairs):  # the field is the boundary density
@@ -320,15 +306,14 @@ def _laplace_disc(config, fn, n) -> _Setup:
             "projected_potential": projected_potential(field),
         }
 
-    # The BIE operator is non-expansive, never a strict contraction, even
-    # where q_est rounds a hair below 1: kappa = 1 is no valid KM schedule.
-    return _Setup(op, estimate_contraction(op), False, readout)
+    return op, readout
 
 
 # Per kind: config keys, then each expression key with its parameters
 # (compiled in this order) and those of the optional "exact", which name
 # the point columns; then the grid-size key, the default kappa, the query
-# parser and the setup that builds the kind's part of the pipeline.
+# parser, the setup, which returns the operator and its readout, and
+# whether the sweep measures errors against "exact".
 _KINDS = {
     "linear_fie": {
         "required": {"kernel", "source", "domain", "grid_n", "layers"},
@@ -336,7 +321,7 @@ _KINDS = {
         "exprs": (("kernel", ("x", "z")), ("source", ("x",))),
         "exact": ("x",),
         "size": "grid_n", "kappa": 1.0,
-        "queries": _queries_1d, "setup": _linear_fie,
+        "queries": _queries_1d, "setup": _linear_fie, "oracle": True,
     },
     "nonlinear_fie": {
         "required": {"kernel", "source", "nonlinearity", "domain", "grid_n",
@@ -346,7 +331,7 @@ _KINDS = {
                   ("nonlinearity", ("u",))),
         "exact": ("x",),
         "size": "grid_n", "kappa": 1.0,
-        "queries": _queries_1d, "setup": _nonlinear_fie,
+        "queries": _queries_1d, "setup": _nonlinear_fie, "oracle": True,
     },
     "bvp": {
         "required": {"g", "h", "alpha", "beta", "grid_n", "layers"},
@@ -354,7 +339,7 @@ _KINDS = {
         "exprs": (("g", ("x",)), ("h", ("x",))),
         "exact": ("x",),
         "size": "grid_n", "kappa": 1.0,
-        "queries": _queries_1d, "setup": _bvp,
+        "queries": _queries_1d, "setup": _bvp, "oracle": False,
     },
     "laplace_disc": {
         "required": {"boundary", "theta_n", "layers"},
@@ -362,7 +347,7 @@ _KINDS = {
         "exprs": (("boundary", ("phi",)),),
         "exact": ("r", "phi"),
         "size": "theta_n", "kappa": 0.5,
-        "queries": _queries_polar, "setup": _laplace_disc,
+        "queries": _queries_polar, "setup": _laplace_disc, "oracle": False,
     },
 }
 
@@ -391,30 +376,30 @@ def run_config(config: dict, exact_override: Optional[Callable] = None,
         needs = "the sweep needs" if sweep_n > layers else "the run has"
         _fail("kappa", f"sequence has {len(schedule.sequence)} values, but "
                        f"{needs} {depth} layers")
-    cells = n * n + count * max(n, 16) + sweep_n * max(n, count)
+    # one pass of depth max(layers, S) serves every kind's solve and sweep
+    cells = n * n + count * max(n, 16) + sweep_n * max(n, count) + 9 * depth
     if cells > _MAX_CELLS:
         raise ValidationError(
-            f"grid {n}, {count} query points and sweep {sweep_n} "
-            f"need {cells:.3g} dense cells, over the cap of {_MAX_CELLS:.3g}")
-    # every kind reads the sweep from the solve's one pass, of depth
-    # max(layers, S)
-    work = (depth - 1) * n * n + sweep_n * n * count
+            f"grid {n}, {count} query points, {layers} layers and sweep "
+            f"{sweep_n} need {cells:.3g} dense cells, over the cap of "
+            f"{_MAX_CELLS:.3g}")
+    work = (depth - 1) * max(n * n, _LAYER_WORK) + sweep_n * n * count
     if work > _MAX_WORK:
         raise ValidationError(
             f"{layers} layers and sweep {sweep_n} on grid {n} need "
             f"{work:.3g} multiply-adds, over the cap of {_MAX_WORK:.3g}")
 
     started = time.perf_counter()
-    setup = spec["setup"](config, fn, n)
-    pts = make_points(setup.op.grid)
-    net = build_network(setup.op, layers, schedule)
+    op, readout = spec["setup"](config, fn, n)
+    pts = make_points(op.grid)
+    net = build_network(op, layers, schedule)
     field, deep = _forward(net, sweep_layers)
-    columns, values, kind_meta = setup.readout(net, field, pts)
+    columns, values, kind_meta = readout(net, field, pts)
     # before the sweep, whose error mode evaluates it again
     exact = (None if fn["exact"] is None
              else _exact(fn["exact"], spec["exact"], columns))
-    oracle = fn["exact"] if setup.oracle else None
-    sweep = layer_sweep(setup.op, deep, oracle, pts) if deep else None
+    oracle = fn["exact"] if spec["oracle"] else None
+    sweep = layer_sweep(op, deep, oracle, pts) if deep else None
     elapsed = time.perf_counter() - started
     meta = {
         "config": config,
@@ -423,8 +408,6 @@ def run_config(config: dict, exact_override: Optional[Callable] = None,
         spec["size"]: n, "layers": layers,
         "grid_iterations": layers - 1,
         "kappa": config.get("kappa", spec["kappa"]),
-        "km_schedule_valid": schedule.valid_km or setup.contractive,
-        "q_est": setup.q_est,
         "layer_deltas": list(field.deltas),
         "final_delta": field.deltas[-1],
         **kind_meta,

@@ -84,14 +84,8 @@ class DiscreteOperator:
 
 
 class KMSchedule:
-    """Relaxation sequence kappa_1..kappa_M (or a constant).
-
-    Every kappa must lie in (0, 1].  ``valid_km`` says whether the kappas
-    alone make a valid KM schedule: a constant kappa < 1 satisfies the
-    divergence condition sum kappa(1-kappa) = inf that the damped
-    iteration needs on non-expansive operators; kappa = 1 anywhere does
-    not, and only a strict contraction of the operator can make it valid.
-    """
+    """Relaxation sequence kappa_1..kappa_M (or a constant), every kappa
+    in (0, 1]."""
 
     def __init__(self, kappa: Union[float, Sequence[float]]):
         if np.isscalar(kappa):
@@ -100,7 +94,6 @@ class KMSchedule:
                 raise ValidationError(f"kappa={k} outside (0, 1]")
             self.constant = k
             self.sequence = None
-            self.valid_km = k < 1.0
         else:
             seq = tuple(float(k) for k in kappa)
             if not seq:
@@ -109,7 +102,6 @@ class KMSchedule:
                 raise ValidationError(f"kappa sequence {seq} leaves (0, 1]")
             self.constant = seq[0] if len(set(seq)) == 1 else None
             self.sequence = seq
-            self.valid_km = all(k < 1.0 for k in seq)
 
     def at(self, m):
         """kappa for layer m (1-based)."""

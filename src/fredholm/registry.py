@@ -61,7 +61,7 @@ class ExampleSpec:
 EXAMPLES: Dict[str, ExampleSpec] = {
     "ex1": ExampleSpec(
         description=("Linear problem with constant kernel 1/e on [0, 1]; "
-                     "strictly contractive, solution e^x + 1."),
+                     "a strict contraction, solution e^x + 1."),
         config={
             "kind": "linear_fie",
             "kernel": "1/e",

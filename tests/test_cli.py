@@ -54,7 +54,6 @@ def test_run_config_produces_error_columns():
     assert len(bundle.rows) == 21
     assert bundle.max_abs_err() < 0.01
     assert bundle.metadata["q_est"] < 1.0
-    assert bundle.metadata["km_schedule_valid"] is True
     assert bundle.metadata["runtime_seconds"] is None
 
 
@@ -91,16 +90,17 @@ def test_run_config_validation_messages(mutate, fragment):
 
 
 _META_COMMON = {"config", "deterministic", "runtime_seconds", "example",
-                "layers", "grid_iterations", "kappa", "km_schedule_valid",
-                "q_est", "layer_deltas", "final_delta"}
+                "layers", "grid_iterations", "kappa", "layer_deltas",
+                "final_delta"}
 _META_1D = _META_COMMON | {"grid_n", "scheme"}
 _COLUMNS_1D = ("x", "value", "exact", "abs_err")
+# only the kinds whose operator is a linear map report its ||A|| as q_est
 _REPORT_CONTRACT = {
-    "linear_fie": (_META_1D | {"residual", "derivative_bound", "error_bound"},
-                   _COLUMNS_1D, "max_err"),
-    "nonlinear_fie": (_META_1D, _COLUMNS_1D, "max_update"),
-    "bvp": (_META_1D | {"contraction_warning", "ode_residual", "alpha",
-                        "beta"}, _COLUMNS_1D, "max_update"),
+    "linear_fie": (_META_1D | {"q_est", "residual", "derivative_bound",
+                               "error_bound"}, _COLUMNS_1D, "max_err"),
+    "nonlinear_fie": (_META_1D, _COLUMNS_1D, "max_err"),
+    "bvp": (_META_1D | {"q_est", "ode_residual", "alpha", "beta"},
+            _COLUMNS_1D, "max_update"),
     "laplace_disc": (_META_COMMON | {"theta_n", "density_mean",
                                      "projected_potential"},
                      ("r", "phi", "value", "exact", "abs_err"), "max_update"),
@@ -184,6 +184,8 @@ def _refuse_allocation(monkeypatch):
     (dict(get_example("laplace_disc").config, theta_n=10 ** 5), None),
     (dict(get_example("laplace_disc").config,
           queries={"r": "0:1:10000", "phi": "0:6:10000"}), None),
+    # each layer records its update, whatever the grid
+    (dict(get_example("nl1").config, grid_n=3, layers=10 ** 7), None),
 ])
 def test_footprint_guard_refuses_before_allocation(monkeypatch, config,
                                                    sweep):
@@ -220,12 +222,13 @@ def test_footprint_guard_charges_each_query_point(monkeypatch):
         raise _Allocated
 
     monkeypatch.setitem(cli._KINDS["linear_fie"], "setup", setup)
-    # on 3 nodes a query point costs 16 cells, not 3: 9 + 16 P against 50e6
+    # on 3 nodes a query point costs 16 cells, not 3: 9 + 16 P and 9 for
+    # each of the 8 layers against 50e6
     coarse = dict(LINEAR_CONFIG, grid_n=3)
     with pytest.raises(_Allocated):
-        run_config(dict(coarse, queries="0:1:3124999"))
+        run_config(dict(coarse, queries="0:1:3124994"))
     with pytest.raises(ValidationError, match="dense cells"):
-        run_config(dict(coarse, queries="0:1:3125000"))
+        run_config(dict(coarse, queries="0:1:3124995"))
     with pytest.raises(ValidationError, match="dense cells"):
         run_config(dict(coarse, queries="0:1:16600000"))
 
@@ -262,15 +265,16 @@ def test_short_kappa_sequence_refused_before_allocation(monkeypatch):
 
 def test_work_guard_refuses_before_allocation(monkeypatch, capsys):
     _refuse_allocation(monkeypatch)
-    cap = cli._MAX_WORK
-    # one node: layers - 1 multiply-adds, one cell below the cap, at the
-    # cap, one cell over
+    # one node: 1 + 16 cells and 9 cells per layer, so the cell cap stops
+    # the run at 5555553 layers, long before their fixed cost of
+    # _LAYER_WORK multiply-adds each reaches the work cap
     one_node = dict(LINEAR_CONFIG, grid_n=1, grid_scheme="left",
                     queries=[0.5])
-    for layers, outcome in ((cap, _Allocated), (cap + 1, _Allocated),
-                            (cap + 2, ValidationError)):
-        with pytest.raises(outcome):
-            run_config(dict(one_node, layers=layers))
+    layers = (cli._MAX_CELLS - 17) // 9
+    with pytest.raises(_Allocated):
+        run_config(dict(one_node, layers=layers))
+    with pytest.raises(ValidationError, match="dense cells"):
+        run_config(dict(one_node, layers=layers + 1))
     # 900000 layers on 1000 nodes leave 1e6 below the cap: a sweep no
     # deeper than the solve shares its matvecs and adds only S * N * P for
     # its evaluation at the P = 1 query point
@@ -291,8 +295,16 @@ def test_work_guard_refuses_before_allocation(monkeypatch, capsys):
     for sweep, outcome in ((14, _Allocated), (15, ValidationError)):
         with pytest.raises(outcome):
             run_config(dict(nl3, layers=100_000), sweep_layers=sweep)
-    assert main(["example", "ex1", "--layers", "10000000"]) == 2
+    assert main(["example", "ex1", "--layers", "1000000"]) == 2
     assert "multiply-adds" in capsys.readouterr().err
+    # without the cell cap, one node's layers - 1 matvecs of _LAYER_WORK
+    # each reach the work cap
+    monkeypatch.setattr(cli, "_MAX_CELLS", float("inf"))
+    layers = cli._MAX_WORK // cli._LAYER_WORK + 1
+    with pytest.raises(_Allocated):
+        run_config(dict(one_node, layers=layers))
+    with pytest.raises(ValidationError, match="multiply-adds"):
+        run_config(dict(one_node, layers=layers + 1))
 
 
 def test_shallow_sweep_keeps_only_its_iterates(monkeypatch):
@@ -714,20 +726,22 @@ def test_main_sweep_flag(tmp_path, capsys):
 
 
 def test_sweep_column_names_what_it_holds(capsys):
-    # ex1 has an oracle, so its sweep holds errors; nl2's holds update norms
+    # ex1 has an oracle, so its sweep holds errors; bvp_p's holds update
+    # norms
     assert main(["example", "ex1", "--sweep", "3", "--deterministic"]) == 0
     assert "\nlayers,max_err\n" in capsys.readouterr().out
-    assert main(["example", "nl2", "--sweep", "3", "--deterministic"]) == 0
+    assert main(["example", "bvp_p", "--sweep", "3", "--deterministic"]) == 0
     out = capsys.readouterr().out
     assert "\nlayers,max_update\n" in out and "max_err" not in out
-    assert main(["example", "nl2", "--sweep", "3", "--format", "json"]) == 0
+    assert main(["example", "bvp_p", "--sweep", "3", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["sweep"]["columns"] == ["layers", "max_update"]
 
 
 def test_nonlinear_sweep_reads_the_run_pass(monkeypatch):
-    # the sweep tabulates the first S updates of the solve's own pass,
-    # which are its layer_deltas, and costs no pass of its own
+    # the error sweep tabulates the first S iterates of the solve's own
+    # pass and costs no pass of its own: its row at the run's depth is the
+    # run's own error
     calls = []
 
     def spy(net, keep_history=False):
@@ -735,28 +749,35 @@ def test_nonlinear_sweep_reads_the_run_pass(monkeypatch):
         return forward(net, keep_history)
 
     monkeypatch.setattr(cli, "forward", spy)
-    layers = get_example("nl2").config["layers"]
-    plain = run_example("nl2")
-    for sweep in (4, layers + 3):
-        calls.clear()
-        bundle = run_example("nl2", sweep_layers=sweep)
-        assert calls == [(max(layers, sweep), sweep)]
-        assert bundle.rows == plain.rows
-        assert bundle.metadata == plain.metadata
-        deltas = plain.metadata["layer_deltas"]
-        assert len(deltas) == layers
-        assert bundle.sweep[:layers] == list(enumerate(deltas, 1))[:sweep]
-        assert len(bundle.sweep) == sweep
+    for name in ("nl1", "nl2", "nl3"):
+        layers = get_example(name).config["layers"]
+        plain = run_example(name)
+        for sweep in (4, layers + 3):
+            calls.clear()
+            bundle = run_example(name, sweep_layers=sweep)
+            assert calls == [(max(layers, sweep), sweep)]
+            assert bundle.rows == plain.rows
+            assert bundle.metadata == plain.metadata
+            assert bundle.sweep_column == "max_err"
+            assert [m for m, _ in bundle.sweep] == list(range(1, sweep + 1))
+        assert bundle.sweep[layers - 1][1] == pytest.approx(
+            plain.max_abs_err(), rel=1e-9, abs=0.0)
 
 
-@pytest.mark.parametrize("theta_n", [7, 3001])
-def test_laplace_undamped_schedule_is_never_valid(theta_n):
-    # q_est rounds to just below 1 here, but the BIE operator is only
-    # non-expansive, so kappa = 1 must not pass as a valid KM schedule
-    bundle = run_example("laplace_disc",
-                         overrides={"kappa": 1.0, "theta_n": theta_n})
-    assert bundle.metadata["q_est"] < 1.0
-    assert bundle.metadata["km_schedule_valid"] is False
+def test_nonlinear_and_disc_runs_scan_no_contraction(monkeypatch):
+    # ||A|| is no contraction constant of u -> g + A G(u) or of the
+    # non-expansive BIE operator, so neither kind computes or reports it
+    def scan(op):
+        raise AssertionError("scanned for a contraction constant")
+
+    runs = (("nl1", {}), ("laplace_disc", {"theta_n": 64}))
+    plain = [run_example(name, overrides=o, sweep_layers=3) for name, o in runs]
+    monkeypatch.setattr(cli, "estimate_contraction", scan)
+    for (name, overrides), expected in zip(runs, plain):
+        bundle = run_example(name, overrides=overrides, sweep_layers=3)
+        assert "q_est" not in bundle.metadata
+        assert bundle.rows == expected.rows
+        assert bundle.sweep == expected.sweep
 
 
 def test_constant_exact_broadcasts_over_the_table():

@@ -364,14 +364,8 @@ def test_operator_arrays_read_only():
 class TestKMSchedule:
     def test_constant_below_one_is_valid(self):
         s = KMSchedule(0.5)
-        assert s.valid_km and s.is_constant() and s.constant == 0.5
+        assert s.is_constant() and s.constant == 0.5
         assert s.at(1) == 0.5 and s.at(97) == 0.5
-
-    def test_undamped_is_never_valid_alone(self):
-        # kappa = 1 is valid only on a strict contraction, which the run
-        # adds from its operator; the schedule alone never asserts it
-        assert not KMSchedule(1.0).valid_km
-        assert not KMSchedule([1.0, 1.0]).valid_km
 
     def test_sequence_access_and_bounds(self):
         s = KMSchedule([1.0, 0.5, 0.25])
@@ -383,10 +377,6 @@ class TestKMSchedule:
     def test_uniform_sequence_collapses_to_constant(self):
         s = KMSchedule([0.5, 0.5, 0.5])
         assert s.is_constant() and s.constant == 0.5
-
-    def test_sequence_validity(self):
-        assert not KMSchedule([1.0, 0.5]).valid_km
-        assert KMSchedule([0.9, 0.5]).valid_km
 
     @pytest.mark.parametrize("kappa", [0.0, 1.0001, -0.1, [], [0.5, 0.0],
                                        [1.2]])
