@@ -22,8 +22,7 @@ from .bvp import BvpSpec, bvp_to_fie, ode_residual, recover_solution
 from .errors import NumericalError, ValidationError
 from .grid import uniform_grid
 from .laplace import build_bie, evaluate_potential, projected_potential
-from .network import (budget_from_operator, build_network, error_bound,
-                      forward, layer_sweep, query)
+from .network import build_network, forward, layer_sweep, query
 from .nonlinear import NonlinearProblem
 from .operator import (FieProblem, KMSchedule, _sample, discretize,
                        estimate_contraction)
@@ -38,12 +37,12 @@ _DEFAULT_POLAR_QUERIES = {"r": "0:1:11", "phi": f"0:{2.0 * np.pi!r}:17"}
 # Cap on the dense cells of one run: N^2 for the kernel matrix, 9 (~73 B)
 # per layer for its recorded update, P * max(N, 16) for P query points and
 # S * max(N, P) for a sweep of depth S.  Under tracemalloc an N x N cell
-# peaks at ~1.2 doubles (the matrix and its error budget, built and scanned
-# in 32-row blocks) and an S x N sweep cell at ~1.0 (update sizes, the
-# history itself) or 2.1 (errors).  Every kind evaluates its rows 32 at a
-# time, so no P x N array is held; a query point costs ~150 B whatever N
-# is (its P-vectors and report row), which the floor of 16 cells charges.
-# At 1.2 doubles the cap is ~460 MiB and allows N <= 7071.
+# peaks at ~1.03 doubles (the matrix, filled and scanned for q_est in
+# 32-row blocks; no error budget is built) and an S x N sweep cell at ~1.0
+# (update sizes, the history itself) or 2.1 (errors).  Every kind evaluates
+# its rows 32 at a time, so no P x N array is held; a query point costs
+# ~150 B whatever N is (its P-vectors and report row), which the floor of
+# 16 cells charges.  At 1.03 doubles the cap is ~390 MiB: N <= 7071.
 _MAX_CELLS = 50_000_000
 # Cap on the multiply-adds of one run, max(N^2, _LAYER_WORK) per matvec of
 # its forward pass (a layer costs ~17 us on 3 nodes) plus S N P for a
@@ -243,22 +242,22 @@ def _grid(config: dict, a: float, b: float, n: int):
     return uniform_grid(a, b, n, scheme=config.get("grid_scheme", "left"))
 
 
+def _contraction(q, net, field) -> dict:
+    """``q_est`` = ||A||_inf and the a-posteriori Q/(1 - Q) delta_M on the
+    last layer's ||h_M - h*||, Q = kappa_M q + 1 - kappa_M (None if >= 1)."""
+    kappa = net.schedule.at(net.layers)
+    lip = kappa * q + (1.0 - kappa)
+    return {"q_est": q, "iteration_error_bound": (
+        lip / (1.0 - lip) * field.deltas[-1] if lip < 1.0 else None)}
+
+
 def _linear_fie(config, fn, n):
     a, b = _domain(config)
     problem = FieProblem(kernel=fn["kernel"], source=fn["source"], a=a, b=b)
     op = discretize(problem, _grid(config, a, b, n))
-    budget = budget_from_operator(op)
-
-    def readout(net, field, pts):
-        return (pts,), query(net, field, pts), {
-            "q_est": budget.q,
-            "residual": budget.residual,
-            "derivative_bound": budget.derivative_bound,
-            "error_bound": (error_bound(budget, net.layers)
-                            if budget.q < 1.0 else None),
-        }
-
-    return op, readout
+    q = estimate_contraction(op)
+    return op, lambda net, field, pts: (
+        (pts,), query(net, field, pts), _contraction(q, net, field))
 
 
 def _nonlinear_fie(config, fn, n):
@@ -280,6 +279,7 @@ def _bvp(config, fn, n):
     for key in ("g", "h"):  # named here, not after the FIE they build
         _sample(fn[key], (grid.nodes,), key, "node x[{i}]={v[0]!r}")
     op = discretize(bvp_to_fie(spec), grid)
+    q = estimate_contraction(op)
 
     def readout(net, field, pts):
         y = recover_solution(net, field, spec, pts)
@@ -288,7 +288,7 @@ def _bvp(config, fn, n):
         except ValidationError:
             residual = None
         return (pts,), y, {
-            "q_est": estimate_contraction(op),
+            **_contraction(q, net, field),
             "ode_residual": residual,
             "alpha": alpha, "beta": beta,
         }

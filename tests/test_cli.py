@@ -94,13 +94,14 @@ _META_COMMON = {"config", "deterministic", "runtime_seconds", "example",
                 "final_delta"}
 _META_1D = _META_COMMON | {"grid_n", "scheme"}
 _COLUMNS_1D = ("x", "value", "exact", "abs_err")
-# only the kinds whose operator is a linear map report its ||A|| as q_est
+# only the kinds whose operator is a linear map report its ||A|| as q_est,
+# and with it the a-posteriori iteration_error_bound
 _REPORT_CONTRACT = {
-    "linear_fie": (_META_1D | {"q_est", "residual", "derivative_bound",
-                               "error_bound"}, _COLUMNS_1D, "max_err"),
+    "linear_fie": (_META_1D | {"q_est", "iteration_error_bound"},
+                   _COLUMNS_1D, "max_err"),
     "nonlinear_fie": (_META_1D, _COLUMNS_1D, "max_err"),
-    "bvp": (_META_1D | {"q_est", "ode_residual", "alpha", "beta"},
-            _COLUMNS_1D, "max_update"),
+    "bvp": (_META_1D | {"q_est", "iteration_error_bound", "ode_residual",
+                        "alpha", "beta"}, _COLUMNS_1D, "max_update"),
     "laplace_disc": (_META_COMMON | {"theta_n", "density_mean",
                                      "projected_potential"},
                      ("r", "phi", "value", "exact", "abs_err"), "max_update"),
@@ -778,6 +779,22 @@ def test_nonlinear_and_disc_runs_scan_no_contraction(monkeypatch):
         assert "q_est" not in bundle.metadata
         assert bundle.rows == expected.rows
         assert bundle.sweep == expected.sweep
+
+
+def test_linear_runs_compute_no_a_priori_budget(monkeypatch):
+    # the linear kinds read their error figure off forward's last update,
+    # so neither the derivative scan nor the ||A g|| product runs
+    def scan(op):
+        raise AssertionError("computed an a priori budget entry")
+
+    runs = ("ex1", "ex2", "bvp_p")
+    plain = [run_example(name) for name in runs]
+    monkeypatch.setattr("fredholm.network.estimate_derivative_bound", scan)
+    monkeypatch.setattr("fredholm.network.residual_norm", scan)
+    for name, expected in zip(runs, plain):
+        bundle = run_example(name)
+        assert bundle.rows == expected.rows
+        assert bundle.metadata == expected.metadata
 
 
 def test_constant_exact_broadcasts_over_the_table():
