@@ -2,8 +2,8 @@
 kind, built as layered fixed-point networks with analytically assembled
 weights.  Covers linear and nonlinear integral equations, two-point
 boundary value problems, and the Laplace equation on the unit disc via a
-boundary integral equation, with a priori error budgets, a direct dense
-reference solve and a finite-difference comparison solver.
+boundary integral equation, with one contraction bound for the error
+figure and the depth planner, a dense reference and an FD comparison.
 """
 
 from .errors import (BoundUnavailableError, DivergenceError, DomainError,

@@ -22,7 +22,8 @@ from .bvp import BvpSpec, bvp_to_fie, ode_residual, recover_solution
 from .errors import NumericalError, ValidationError
 from .grid import uniform_grid
 from .laplace import build_bie, evaluate_potential, projected_potential
-from .network import build_network, forward, layer_sweep, query
+from .network import (ErrorBudget, build_network, error_bound, forward,
+                      layer_sweep, query)
 from .nonlinear import NonlinearProblem
 from .operator import (FieProblem, KMSchedule, _sample, discretize,
                        estimate_contraction)
@@ -243,12 +244,13 @@ def _grid(config: dict, a: float, b: float, n: int):
 
 
 def _contraction(q, net, field) -> dict:
-    """``q_est`` = ||A||_inf and the a-posteriori Q/(1 - Q) delta_M on the
-    last layer's ||h_M - h*||, Q = kappa_M q + 1 - kappa_M (None if >= 1)."""
+    """``q_est`` = ||A||_inf and the bound Q/(1 - Q) delta_M on the last
+    layer's ||h_M - h*||, Q = kappa_M q + 1 - kappa_M (None if >= 1)."""
     kappa = net.schedule.at(net.layers)
-    lip = kappa * q + (1.0 - kappa)
+    lip = kappa * q + (1.0 - kappa)  # may be inf, which no budget holds
     return {"q_est": q, "iteration_error_bound": (
-        lip / (1.0 - lip) * field.deltas[-1] if lip < 1.0 else None)}
+        error_bound(ErrorBudget(q=lip, residual=field.deltas[-1]), 1)
+        if lip < 1.0 else None)}
 
 
 def _linear_fie(config, fn, n):

@@ -7,12 +7,12 @@ carries the same weight ``spacing``):
 * ``midpoint``  z_j = a + (j-1/2)*dz,    dz = (b-a)/N
 * ``closed``    z_j = a + (j-1)*dz,      dz = (b-a)/(N-1)  (both endpoints in)
 
-``left`` is the default and what the layer-count error analysis assumes.
-``closed`` keeps the plain Riemann weight dz on every node, so its row sums
-slightly overshoot (b-a); it exists because endpoint-inclusive grids are a
-common convention for this family of solvers and change the quadrature
-floor noticeably.  Periodic topology (full-circle angle grids) only makes
-sense without a duplicated endpoint, so closed+periodic is rejected.
+``left`` is the default.  ``closed`` keeps the plain Riemann weight dz on
+every node, so its row sums slightly overshoot (b-a); it exists because
+endpoint-inclusive grids are a common convention for this family of
+solvers and change the quadrature floor noticeably.  Periodic topology
+(full-circle angle grids) only makes sense without a duplicated endpoint,
+so closed+periodic is rejected.
 """
 
 from dataclasses import dataclass, field

@@ -23,9 +23,9 @@ arbitrary points,
 
 so off-grid values come from the same quadrature and activation that
 built the hidden layers; a sum that is not finite raises DomainError at
-its query point.  The module also carries the a priori error accounting:
-contraction-based geometric bounds and layer planning against a target
-accuracy.
+its query point.  The module also carries the error accounting:
+one contraction bound, q^k/(1-q) times one update, which gives a run its
+a-posteriori figure and plans the depth for a target accuracy.
 """
 
 import math
@@ -38,8 +38,7 @@ from .errors import (BoundUnavailableError, DivergenceError, DomainError,
                      SingularSystemError, ValidationError)
 from .grid import Grid1D
 from .operator import (_BLOCK, DiscreteOperator, KMSchedule, _sample,
-                       estimate_contraction, estimate_derivative_bound,
-                       residual_norm)
+                       estimate_contraction, residual_norm)
 
 __all__ = [
     "SolutionField", "FixedPointNet", "ErrorBudget",
@@ -246,48 +245,23 @@ def dense_solve(op: DiscreteOperator) -> Tuple[SolutionField, float]:
 
 @dataclass(frozen=True)
 class ErrorBudget:
-    """Ingredients of the a priori error accounting.
-
-    q is the sup-norm contraction estimate, derivative_bound the slope
-    constant of the integrand, residual the size of the first correction
-    ||A g||.  quadrature_term is the one-shot Riemann-sum error
-    derivative_bound * (b - a)^2 / (2 n).
-    """
+    """Ingredients of the contraction bound: q, a sup-norm contraction
+    constant of the fixed-point map, and residual, the size
+    ||h_(n+1) - h_n|| of one of its updates."""
 
     q: float
-    derivative_bound: float
-    a: float
-    b: float
-    n: int
     residual: float
 
     def __post_init__(self):
-        vals = (self.q, self.derivative_bound, self.residual)
+        vals = (self.q, self.residual)
         if not all(np.isfinite(v) and v >= 0.0 for v in vals):
             raise ValidationError(f"budget entries must be finite and "
                                   f"non-negative, got {vals}")
-        if not (np.isfinite(self.a) and np.isfinite(self.b) and self.a < self.b):
-            raise ValidationError(f"invalid interval [{self.a}, {self.b}]")
-        if self.n < 1:
-            raise ValidationError(f"grid size {self.n} must be >= 1")
-
-    @property
-    def quadrature_term(self) -> float:
-        return self.derivative_bound * (self.b - self.a) ** 2 / (2.0 * self.n)
-
-    @property
-    def seed_constant(self) -> float:
-        """C = quadrature term + residual, the M-independent factor."""
-        return self.quadrature_term + self.residual
 
 
 def budget_from_operator(op: DiscreteOperator) -> ErrorBudget:
-    """Measure q, the derivative bound and the residual on the operator."""
-    return ErrorBudget(
-        q=estimate_contraction(op),
-        derivative_bound=estimate_derivative_bound(op),
-        a=op.grid.a, b=op.grid.b, n=op.grid.n,
-        residual=residual_norm(op))
+    """Measure q = ||A|| and the first undamped step's update ||A g||."""
+    return ErrorBudget(q=estimate_contraction(op), residual=residual_norm(op))
 
 
 def _require_contraction(budget: ErrorBudget):
@@ -297,39 +271,42 @@ def _require_contraction(budget: ErrorBudget):
             f"geometric bound does not apply")
 
 
-def error_bound(budget: ErrorBudget, layers: int) -> float:
-    """A priori sup-norm error after ``layers`` undamped steps:
-    (q^M / (1 - q)) * (quadrature term + residual)."""
-    if layers < 0:
-        raise ValidationError(f"layer count {layers} must be >= 0")
+def error_bound(budget: ErrorBudget, steps: int) -> float:
+    """q^k / (1 - q) * residual: with residual = ||h_(n+1) - h_n||, a bound
+    on ||h_(n+k) - h*|| for the iterate k = ``steps`` steps after h_n
+    (Atkinson 1997, 4.1).  An M-layer net's first layer is h_1 = g, so
+    ``error_bound(budget_from_operator(op), M - 1)`` bounds its last."""
+    if steps < 0:
+        raise ValidationError(f"step count {steps} must be >= 0")
     _require_contraction(budget)
-    return (budget.q ** layers / (1.0 - budget.q)) * budget.seed_constant
+    return budget.q ** steps / (1.0 - budget.q) * budget.residual
 
 
 def plan_layers(budget: ErrorBudget, eps: float) -> int:
-    """Smallest layer count whose error bound is at most eps.
+    """Smallest step count k whose error bound is at most eps; a net
+    needs k + 1 layers to take them.
 
-    Closed form M >= [ln(eps (1-q)) - ln C] / ln q, rounded up with a
-    small tolerance so that eps = error_bound(M) maps back to exactly M,
+    Closed form k >= [ln(eps (1-q)) - ln residual] / ln q, rounded up with
+    a small tolerance so that eps = error_bound(k) maps back to exactly k,
     then verified against the bound directly.  Targets looser than the
-    zero-layer bound plan zero layers.
+    zero-step bound plan zero steps.
     """
     _require_contraction(budget)
     if not (np.isfinite(eps) and eps > 0.0):
         raise ValidationError(f"target accuracy {eps!r} must be positive")
-    c = budget.seed_constant
+    c = budget.residual
     if c == 0.0 or error_bound(budget, 0) <= eps:
         return 0
     if budget.q == 0.0:
-        layers = 1
+        steps = 1
     else:
         x = (math.log(eps * (1.0 - budget.q)) - math.log(c)) / math.log(budget.q)
-        layers = max(0, math.ceil(x - 1e-9))
-    while error_bound(budget, layers) > eps:
-        layers += 1
-    while layers > 0 and error_bound(budget, layers - 1) <= eps:
-        layers -= 1
-    return layers
+        steps = max(0, math.ceil(x - 1e-9))
+    while error_bound(budget, steps) > eps:
+        steps += 1
+    while steps > 0 and error_bound(budget, steps - 1) <= eps:
+        steps -= 1
+    return steps
 
 
 def layer_sweep(op: DiscreteOperator, field: SolutionField,

@@ -228,8 +228,9 @@ def residual_norm(op: DiscreteOperator) -> float:
 
 def estimate_derivative_bound(op: DiscreteOperator) -> float:
     """Central-difference estimate of max |d/dz [K(x, z) g(z)]| over grid
-    pairs.  This is the slope constant in the Riemann-sum error term
-    slope * (b-a)^2 / (2N).  Needs at least 3 nodes."""
+    pairs, the slope constant of the left-rule error slope * (b-a)^2 / (2N).
+    Needs at least 3 nodes.  No error figure reads it any more, and it is
+    kept only while ``bench/spans.py`` still wraps the name."""
     if op.n < 3:
         raise ValidationError("derivative estimate needs at least 3 nodes")
     dz = op.grid.spacing

@@ -781,6 +781,17 @@ def test_nonlinear_and_disc_runs_scan_no_contraction(monkeypatch):
         assert bundle.sweep == expected.sweep
 
 
+def test_overflowing_contraction_estimate_gives_no_error_figure():
+    # |A| row sums of 10 x 2e307 overflow, yet the zero source runs: Q is
+    # inf, which no ErrorBudget accepts, so the figure is empty
+    config = {"kind": "linear_fie", "kernel": "1e308", "source": "0",
+              "domain": [0, 2], "grid_n": 10, "layers": 3}
+    with np.errstate(over="ignore"):
+        meta = run_config(config).metadata
+    assert meta["q_est"] == np.inf
+    assert meta["iteration_error_bound"] is None
+
+
 def test_linear_runs_compute_no_a_priori_budget(monkeypatch):
     # the linear kinds read their error figure off forward's last update,
     # so neither the derivative scan nor the ||A g|| product runs
@@ -789,7 +800,7 @@ def test_linear_runs_compute_no_a_priori_budget(monkeypatch):
 
     runs = ("ex1", "ex2", "bvp_p")
     plain = [run_example(name) for name in runs]
-    monkeypatch.setattr("fredholm.network.estimate_derivative_bound", scan)
+    monkeypatch.setattr("fredholm.operator.estimate_derivative_bound", scan)
     monkeypatch.setattr("fredholm.network.residual_norm", scan)
     for name, expected in zip(runs, plain):
         bundle = run_example(name)

@@ -2,9 +2,11 @@
 
 Small problems run through the CLI pipeline, and each label is checked
 against what it claims, with the truth solved densely at the same size:
-``iteration_error_bound`` must bound ``||h_M - h*||``, the distance of
-the last hidden layer from ``h* = dense_solve(op)``, up to the rounding
-of the dense solve itself.
+``iteration_error_bound``, and the planner's ``error_bound`` read at the
+run's depth, must bound ``||h_M - h*||``, the distance of the last hidden
+layer from ``h* = dense_solve(op)``, up to the rounding of the dense solve
+itself.  Two verdicts that contradict the spectral radius of the layer
+map are pinned as strict xfails.
 """
 
 import numpy as np
@@ -14,8 +16,13 @@ from hypothesis import strategies as st
 
 from fredholm import cli
 from fredholm.cli import run_config, run_example
-from fredholm.errors import DivergenceError
-from fredholm.network import dense_solve, forward
+from fredholm.errors import DivergenceError, NumericalError
+from fredholm.exprlang import compile_fn, parse
+from fredholm.grid import uniform_grid
+from fredholm.laplace import build_bie
+from fredholm.network import (budget_from_operator, dense_solve, error_bound,
+                              forward)
+from fredholm.operator import FieProblem, discretize
 
 # the oracle's own rounding: at its pinned grid bvp_airy's iterate sits
 # 5e-15 from dense_solve, where its figure reads 1.8e-17, and ex1's figure,
@@ -39,6 +46,13 @@ def _solve(run):
     return bundle, net, field
 
 
+def _iteration_error(net, field):
+    """||h_M - h*|| and the slack for the rounding of h* itself."""
+    truth = dense_solve(net.op)[0].values
+    return (np.max(np.abs(field.values - truth)),
+            _SLACK * np.max(np.abs(truth)))
+
+
 def _check_iteration_error_bound(bundle, net, field):
     meta, a = bundle.metadata, net.op.matrix
     assert meta["q_est"] == pytest.approx(
@@ -48,9 +62,8 @@ def _check_iteration_error_bound(bundle, net, field):
     bound = meta["iteration_error_bound"]
     assert (bound is None) == (lip >= 1.0)
     if bound is not None:
-        truth = dense_solve(net.op)[0].values
-        err = np.max(np.abs(field.values - truth))
-        assert bound >= err - _SLACK * np.max(np.abs(truth))
+        err, slack = _iteration_error(net, field)
+        assert bound >= err - slack
 
 
 _KAPPA = st.one_of(st.just(1.0), st.floats(0.05, 1.0))
@@ -102,3 +115,75 @@ def test_iteration_error_bound_bounds_the_iteration_error(config):
 def test_iteration_error_bound_on_registry_examples(name, overrides):
     _check_iteration_error_bound(
         *_solve(lambda: run_example(name, overrides=overrides)))
+
+
+def _check_planner_bound(net, field):
+    # an M-layer undamped net is M - 1 steps past h_1 = g, whose update
+    # ||h_2 - h_1|| = ||A g|| is the budget's residual
+    budget = budget_from_operator(net.op)
+    if budget.q < 1.0:
+        err, slack = _iteration_error(net, field)
+        assert error_bound(budget, net.layers - 1) >= err - slack
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_configs().map(lambda config: {**config, "kappa": 1.0}))
+def test_planner_bound_bounds_the_iteration_error(config):
+    try:
+        _, net, field = _solve(lambda: run_config(config))
+    except DivergenceError:
+        return  # only draws with q >= 1 can be refused
+    _check_planner_bound(net, field)
+
+
+@pytest.mark.parametrize("name", ["ex1", "bvp_p"])
+def test_planner_bound_on_registry_examples(name):
+    _, net, field = _solve(lambda: run_example(name,
+                                               overrides={"grid_n": 64}))
+    assert net.schedule.at(1) == 1.0 and budget_from_operator(net.op).q < 1.0
+    _check_planner_bound(net, field)
+
+
+def _rho(matrix):
+    return np.max(np.abs(np.linalg.eigvals(matrix)))
+
+
+# a damped run the residual rule refuses: its residuals run 1, 1.265,
+# 1.322, 1.324, 1.312, ... and it exits 0 from 8 layers on
+_DAMPED = {"kind": "linear_fie",
+           "kernel": "1.32*cos(1.32*x + 0.05*z)*exp(1.32*(x - z)^2/10)",
+           "source": "1", "domain": [0, 1], "grid_n": 58, "layers": 5,
+           "kappa": 0.7}
+
+
+def test_refused_damped_run_contracts():
+    op = discretize(FieProblem(
+        kernel=compile_fn(parse(_DAMPED["kernel"]), ("x", "z")),
+        source=compile_fn(parse(_DAMPED["source"]), ("x",)), a=0.0, b=1.0),
+        uniform_grid(0.0, 1.0, _DAMPED["grid_n"]))
+    w = 0.7 * op.matrix + 0.3 * np.eye(op.n)
+    assert _rho(op.matrix) == pytest.approx(0.9805, abs=1e-4)
+    assert _rho(w) == pytest.approx(0.9864, abs=1e-4)
+
+
+@pytest.mark.xfail(strict=True, raises=DivergenceError,
+                   reason="forward refuses any residual that grows for a "
+                          "while, though rho(W) = 0.986 < 1")
+def test_damped_run_with_spectral_radius_below_one_completes():
+    run_config(_DAMPED)
+
+
+def test_stalled_disc_run_does_not_contract():
+    # A = -11^T dtheta / 2 pi has eigenvalues 0 and -1, so at kappa = 1
+    # the layer map W = A never contracts the mean of the density
+    op = build_bie(lambda phi: 1.0 + np.cos(2.0 * phi), 64)
+    assert _rho(op.matrix) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                   reason="the run updates by exactly 2.0 at every layer, "
+                          "yet exits 0 with error 1.006")
+def test_stalled_disc_run_is_refused():
+    with pytest.raises(NumericalError):
+        run_example("laplace_disc", overrides={"theta_n": 64, "kappa": 1.0,
+                                               "layers": 30})

@@ -295,22 +295,20 @@ def test_dense_solve_singular_system():
 # error accounting
 
 def _analytic_budget():
-    return ErrorBudget(q=1.0 / math.e, derivative_bound=1.0, a=0.0, b=1.0,
-                       n=2000, residual=(math.e - 1.0) / math.e)
+    return ErrorBudget(q=1.0 / math.e, residual=(math.e - 1.0) / math.e)
 
 
 def test_error_bound_closed_form():
     b = _analytic_budget()
-    assert b.quadrature_term == pytest.approx(1.0 / 4000.0, rel=1e-15)
-    expected = ((b.q ** 10) / (1.0 - b.q)) * (b.quadrature_term + b.residual)
+    expected = ((b.q ** 10) / (1.0 - b.q)) * b.residual
     assert error_bound(b, 10) == expected
     assert error_bound(b, 10) == pytest.approx(4.54e-5, rel=1e-2)
-    assert error_bound(b, 0) == pytest.approx(b.seed_constant / (1.0 - b.q))
+    assert error_bound(b, 0) == pytest.approx(b.residual / (1.0 - b.q))
 
 
 def test_error_bound_measured_operator(const_kernel_factory):
     budget = budget_from_operator(const_kernel_factory(n=2000, scheme="closed"))
-    assert error_bound(budget, 10) == pytest.approx(4.568358863665347e-05,
+    assert error_bound(budget, 10) == pytest.approx(4.566554697606891e-05,
                                                     rel=1e-9)
 
 
@@ -319,27 +317,12 @@ def test_error_bound_validation():
     with pytest.raises(ValidationError):
         error_bound(b, -1)
     with pytest.raises(BoundUnavailableError):
-        error_bound(ErrorBudget(q=1.0, derivative_bound=0.0, a=0.0, b=1.0,
-                                n=10, residual=0.5), 3)
+        error_bound(ErrorBudget(q=1.0, residual=0.5), 3)
 
 
 def test_budget_validation():
     with pytest.raises(ValidationError):
-        ErrorBudget(q=-0.1, derivative_bound=0.0, a=0.0, b=1.0, n=10,
-                    residual=0.0)
-    with pytest.raises(ValidationError):
-        ErrorBudget(q=0.5, derivative_bound=0.0, a=1.0, b=0.0, n=10,
-                    residual=0.0)
-    with pytest.raises(ValidationError):
-        ErrorBudget(q=0.5, derivative_bound=0.0, a=0.0, b=1.0, n=0,
-                    residual=0.0)
-
-
-def test_quadrature_term_arithmetic():
-    b = ErrorBudget(q=0.5, derivative_bound=2.0, a=0.0, b=3.0, n=10,
-                    residual=0.25)
-    assert b.quadrature_term == 0.9
-    assert b.seed_constant == 1.15
+        ErrorBudget(q=-0.1, residual=0.0)
 
 
 def test_plan_layers_hits_target(const_kernel_factory):
@@ -347,7 +330,7 @@ def test_plan_layers_hits_target(const_kernel_factory):
     m_star = plan_layers(budget, 1e-6)
     assert m_star == 14
     assert error_bound(budget, 14) <= 1e-6
-    assert error_bound(budget, 14) == pytest.approx(8.383996547395681e-07,
+    assert error_bound(budget, 14) == pytest.approx(8.380685484833296e-07,
                                                     rel=1e-9)
     assert error_bound(budget, 13) > 1e-6
 
@@ -360,8 +343,7 @@ def test_plan_layers_round_trips_through_bound(const_kernel_factory):
 
 def test_plan_layers_exact_power_of_two_boundary():
     # bound(M) is exactly 2^-M here, so eps = 2^-10 must plan 10 layers
-    b = ErrorBudget(q=0.5, derivative_bound=0.0, a=0.0, b=1.0, n=1,
-                    residual=0.5)
+    b = ErrorBudget(q=0.5, residual=0.5)
     assert error_bound(b, 10) == 2.0 ** -10
     assert plan_layers(b, 2.0 ** -10) == 10
     assert plan_layers(b, 2.0 ** -10 * 1.001) == 10
@@ -370,14 +352,12 @@ def test_plan_layers_exact_power_of_two_boundary():
 
 
 def test_plan_layers_degenerate_and_invalid():
-    b = ErrorBudget(q=0.5, derivative_bound=0.0, a=0.0, b=1.0, n=1,
-                    residual=0.0)
+    b = ErrorBudget(q=0.5, residual=0.0)
     assert plan_layers(b, 1e-12) == 0
     with pytest.raises(ValidationError):
         plan_layers(_analytic_budget(), 0.0)
     with pytest.raises(BoundUnavailableError):
-        plan_layers(ErrorBudget(q=1.2, derivative_bound=0.0, a=0.0, b=1.0,
-                                n=1, residual=0.5), 1e-3)
+        plan_layers(ErrorBudget(q=1.2, residual=0.5), 1e-3)
 
 
 # ---------------------------------------------------------------------------
