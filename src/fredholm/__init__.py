@@ -10,16 +10,14 @@ from .errors import (BoundUnavailableError, DivergenceError, DomainError,
                      ExprSyntaxError, FredholmError, NumericalError,
                      SingularSystemError, UnboundVariableError,
                      ValidationError)
-from .exprlang import compile_fn, evaluate, free_vars, parse, render
+from .exprlang import compile_fn, evaluate, free_vars, parse
 from .grid import Grid1D, uniform_grid
 from .operator import (DiscreteOperator, FieProblem, KMSchedule, discretize,
-                       estimate_contraction, estimate_derivative_bound,
-                       residual_norm)
+                       estimate_contraction, residual_norm)
 from .network import (ErrorBudget, FixedPointNet, SolutionField,
                       budget_from_operator, build_network, dense_solve,
                       error_bound, forward, layer_sweep, plan_layers, query)
-from .nonlinear import (IterationTrace, NonlinearProblem, evaluate_nonlinear,
-                        linearized_source, solve_nonlinear)
+from .nonlinear import NonlinearProblem
 from .bvp import BvpSpec, bvp_to_fie, ode_residual, recover_solution
 from .laplace import build_bie, evaluate_potential, projected_potential
 from .fd import PolarGrid, solve_fd
@@ -33,15 +31,13 @@ __all__ = [
     "BoundUnavailableError", "DivergenceError", "DomainError",
     "ExprSyntaxError", "FredholmError", "NumericalError",
     "SingularSystemError", "UnboundVariableError", "ValidationError",
-    "compile_fn", "evaluate", "free_vars", "parse", "render",
+    "compile_fn", "evaluate", "free_vars", "parse",
     "Grid1D", "uniform_grid",
     "DiscreteOperator", "FieProblem", "KMSchedule", "discretize",
-    "estimate_contraction", "estimate_derivative_bound", "residual_norm",
+    "estimate_contraction", "residual_norm",
     "ErrorBudget", "FixedPointNet", "SolutionField", "budget_from_operator",
     "build_network", "dense_solve", "error_bound", "forward",
-    "layer_sweep", "plan_layers", "query",
-    "IterationTrace", "NonlinearProblem", "evaluate_nonlinear",
-    "linearized_source", "solve_nonlinear",
+    "layer_sweep", "plan_layers", "query", "NonlinearProblem",
     "BvpSpec", "bvp_to_fie", "ode_residual", "recover_solution",
     "build_bie", "evaluate_potential", "projected_potential",
     "PolarGrid", "solve_fd",

@@ -64,7 +64,7 @@ def bvp_to_fie(spec: BvpSpec) -> FieProblem:
         gx = np.asarray(g(x), dtype=float)
         return np.asarray(h(x), dtype=float) - (alpha + slope * x) * gx
 
-    return FieProblem(kernel=kernel, source=source, a=0.0, b=1.0)
+    return FieProblem(kernel=kernel, source=source)
 
 
 def recover_solution(net: FixedPointNet, field: SolutionField, spec: BvpSpec,
@@ -73,7 +73,7 @@ def recover_solution(net: FixedPointNet, field: SolutionField, spec: BvpSpec,
     evaluation layer alpha (1-x) + beta x + sum_j G0(x, z_j) u_j dz."""
     line = FieProblem(
         kernel=lambda x, t: np.minimum(x, t) * (np.maximum(x, t) - 1.0),
-        source=lambda x: spec.alpha * (1.0 - x) + spec.beta * x, a=0.0, b=1.0)
+        source=lambda x: spec.alpha * (1.0 - x) + spec.beta * x)
     return evaluation_layer(line, net.op.grid, points, field.values)
 
 

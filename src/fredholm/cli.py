@@ -255,7 +255,7 @@ def _contraction(q, net, field) -> dict:
 
 def _linear_fie(config, fn, n):
     a, b = _domain(config)
-    problem = FieProblem(kernel=fn["kernel"], source=fn["source"], a=a, b=b)
+    problem = FieProblem(kernel=fn["kernel"], source=fn["source"])
     op = discretize(problem, _grid(config, a, b, n))
     q = estimate_contraction(op)
     return op, lambda net, field, pts: (
@@ -265,7 +265,7 @@ def _linear_fie(config, fn, n):
 def _nonlinear_fie(config, fn, n):
     a, b = _domain(config)
     problem = NonlinearProblem(kernel=fn["kernel"], source=fn["source"],
-                               nonlinearity=fn["nonlinearity"], a=a, b=b)
+                               nonlinearity=fn["nonlinearity"])
 
     def readout(net, field, pts):
         return (pts,), query(net, field, pts), {}

@@ -31,7 +31,7 @@ from .errors import DomainError, ExprSyntaxError, UnboundVariableError
 
 __all__ = [
     "Num", "Var", "Neg", "BinOp", "Call",
-    "parse", "evaluate", "free_vars", "render", "compile_fn",
+    "parse", "evaluate", "free_vars", "compile_fn",
     "FUNCTIONS", "CONSTANTS",
 ]
 
@@ -335,16 +335,3 @@ def evaluate(expr, env=None):
     env = env or {}
     return float(compile_fn(expr, env)(*map(float, env.values())))
 
-
-def render(expr):
-    """Render an AST back to text with full parentheses.  The output
-    reparses to a structurally identical tree."""
-    if isinstance(expr, Num):
-        return repr(expr.value)
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, Neg):
-        return f"(-{render(expr.child)})"
-    if isinstance(expr, BinOp):
-        return f"({render(expr.left)} {expr.op} {render(expr.right)})"
-    return f"{expr.func}({render(expr.arg)})"

@@ -1,4 +1,4 @@
-"""Uniform 1-D quadrature grids.
+"""Uniform 1-D quadrature grids on an interval [a, b].
 
 Three node-placement schemes share one weight convention (every node
 carries the same weight ``spacing``):
@@ -10,9 +10,9 @@ carries the same weight ``spacing``):
 ``left`` is the default.  ``closed`` keeps the plain Riemann weight dz on
 every node, so its row sums slightly overshoot (b-a); it exists because
 endpoint-inclusive grids are a common convention for this family of
-solvers and change the quadrature floor noticeably.  Periodic topology
-(full-circle angle grids) only makes sense without a duplicated endpoint,
-so closed+periodic is rejected.
+solvers and change the quadrature floor noticeably.  The grid is the one
+home of a problem's interval: the operator integrates over it and the
+evaluation layer refuses points outside it.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +24,6 @@ from .errors import ValidationError
 __all__ = ["Grid1D", "uniform_grid"]
 
 _SCHEMES = ("left", "midpoint", "closed")
-_TOPOLOGIES = ("interval", "periodic")
 
 
 @dataclass(frozen=True)
@@ -32,22 +31,16 @@ class Grid1D:
     a: float
     b: float
     n: int
-    scheme: str
-    topology: str
     nodes: np.ndarray = field(repr=False)
     spacing: float
 
-    @property
-    def length(self):
-        return self.b - self.a
 
-
-def uniform_grid(a, b, n, scheme="left", topology="interval"):
+def uniform_grid(a, b, n, scheme="left"):
     """Build a uniform grid with n nodes on [a, b].
 
     Nodes are strictly increasing and the spacing is exactly uniform by
     construction.  Raises ValidationError for n < 1 (n < 2 for closed),
-    a >= b, or an unknown scheme/topology combination.
+    a >= b, or an unknown scheme.
     """
     a = float(a)
     b = float(b)
@@ -55,13 +48,7 @@ def uniform_grid(a, b, n, scheme="left", topology="interval"):
         raise ValidationError(f"invalid interval [{a}, {b}]")
     if scheme not in _SCHEMES:
         raise ValidationError(f"unknown scheme {scheme!r}; pick from {_SCHEMES}")
-    if topology not in _TOPOLOGIES:
-        raise ValidationError(
-            f"unknown topology {topology!r}; pick from {_TOPOLOGIES}")
     if scheme == "closed":
-        if topology == "periodic":
-            raise ValidationError("closed scheme duplicates the endpoint on a "
-                                  "periodic grid; use left or midpoint")
         if n < 2:
             raise ValidationError("closed scheme needs at least 2 nodes")
         dz = (b - a) / (n - 1)
@@ -73,6 +60,4 @@ def uniform_grid(a, b, n, scheme="left", topology="interval"):
         offset = 0.0 if scheme == "left" else 0.5
         nodes = a + (np.arange(n) + offset) * dz
     nodes.setflags(write=False)
-    return Grid1D(a=a, b=b, n=n, scheme=scheme, topology=topology,
-                  nodes=nodes, spacing=dz)
-
+    return Grid1D(a=a, b=b, n=n, nodes=nodes, spacing=dz)

@@ -7,10 +7,11 @@ so the density mu satisfies the second-kind equation
     mu(phi) = 2 f(phi) - (1/2 pi) I mu(theta) dtheta
 
 whose discretization has the constant matrix A_ij = -dtheta/(2 pi).
-``build_bie`` assembles it on the periodic theta grid, and the network's
-forward pass solves for mu: the ``SolutionField`` it returns is the
-density, which ``evaluate_potential`` reads as one more evaluation layer.
-The harmonic potential is
+``build_bie`` assembles it on the left-rule grid of [0, 2 pi), and the
+network's forward pass solves for mu: the ``SolutionField`` it returns is
+the density, which ``evaluate_potential`` reads as one more evaluation
+layer.  The disc's periodicity lives there alone: it wraps the query
+angles and interpolates mu across 2 pi itself.  The harmonic potential is
 
     u(x) = I mu(theta) k(r, phi, theta) dtheta
 
@@ -63,14 +64,13 @@ def _kernel_over_cos(r, c, den):
 
 def build_bie(boundary: Callable, theta_n: int) -> DiscreteOperator:
     """Discretize the boundary integral equation for the Dirichlet data
-    ``boundary`` = f(phi) on the periodic theta grid of ``theta_n`` nodes.
+    ``boundary`` = f(phi) on ``theta_n`` left-rule nodes of [0, 2 pi).
 
     The matrix is the constant -dtheta/(2 pi); the source is 2 f(theta).
     """
     if theta_n < 2:
         raise ValidationError(f"theta_n {theta_n} must be >= 2")
-    grid = uniform_grid(0.0, TWO_PI, theta_n, scheme="left",
-                        topology="periodic")
+    grid = uniform_grid(0.0, TWO_PI, theta_n)
 
     def source(x):
         return 2.0 * np.asarray(boundary(np.asarray(x, dtype=float)),
@@ -78,8 +78,7 @@ def build_bie(boundary: Callable, theta_n: int) -> DiscreteOperator:
 
     # named here, not after the FIE's source it builds
     _sample(boundary, (grid.nodes,), "boundary", "node phi[{i}]={v[0]!r}")
-    fie = FieProblem(kernel=lambda x, z: -1.0 / TWO_PI, source=source,
-                     a=0.0, b=TWO_PI)
+    fie = FieProblem(kernel=lambda x, z: -1.0 / TWO_PI, source=source)
     return discretize(fie, grid)
 
 

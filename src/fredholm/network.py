@@ -152,22 +152,19 @@ def evaluation_layer(problem, grid: Grid1D, points: Sequence[float],
     it is None).
 
     ``problem`` supplies the ``kernel``, ``source`` and ``activation``.
-    Interval grids reject points outside [a, b]; periodic ones wrap them.
-    ``values`` may be one grid field (N,) or a stack of fields (N, k),
-    giving (P,) or (P, k).  The points are scanned in blocks of ``_BLOCK``
-    rows, so no P x N kernel rows are held.  A kernel or source sample
+    Points outside the grid's [a, b] are refused.  ``values`` may be one
+    grid field (N,) or a stack of fields (N, k), giving (P,) or (P, k).
+    The points are scanned in blocks of ``_BLOCK`` rows, so no P x N
+    kernel rows are held.  A kernel or source sample
     that is undefined or not finite is named at its query point (and
     node), as is a sum that is not finite.
     """
     pts = np.asarray(points, dtype=float).ravel()
-    if grid.topology == "periodic":
-        pts = grid.a + np.mod(pts - grid.a, grid.length)
-    else:
-        bad = (pts < grid.a) | (pts > grid.b) | ~np.isfinite(pts)
-        if bad.any():
-            raise ValidationError(
-                f"query point {float(pts[np.argmax(bad)])!r} outside "
-                f"[{grid.a}, {grid.b}]")
+    bad = (pts < grid.a) | (pts > grid.b) | ~np.isfinite(pts)
+    if bad.any():
+        raise ValidationError(
+            f"query point {float(pts[np.argmax(bad)])!r} outside "
+            f"[{grid.a}, {grid.b}]")
     if problem.activation is not None:
         values = problem.activation(values)
     z = grid.nodes
@@ -209,8 +206,8 @@ def query(net: FixedPointNet, field: SolutionField,
 
     Applies one undamped step of the net's map through fresh kernel rows
     K(x, z_j) dz, so a converged field queried at a grid node reproduces
-    the node value up to one extra contraction factor.  Interval problems
-    reject points outside [a, b]; periodic ones wrap them.
+    the node value up to one extra contraction factor.  Points outside
+    the grid's [a, b] are refused.
     """
     op = net.op
     problem = _problem(op, "off-grid evaluation")

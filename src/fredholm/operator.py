@@ -1,7 +1,7 @@
 """Discretization of Fredholm integral operators of the second kind.
 
-The continuous problem is f(x) = g(x) + I K(x,z) f(z) dz on [a, b].  A
-uniform grid turns the integral into a Riemann sum, giving the dense matrix
+The continuous problem is f(x) = g(x) + I K(x,z) f(z) dz on the grid's
+[a, b], whose uniform nodes make the integral the Riemann sum of the matrix
 
     A[i, j] = K(z_i, z_j) * dz
 
@@ -39,7 +39,7 @@ _BLOCK = 32
 
 @dataclass(frozen=True)
 class FieProblem:
-    """A Fredholm problem of the second kind.
+    """A Fredholm problem of the second kind; its interval is the grid's.
 
     ``kernel(x, z)`` and ``source(x)`` are callables that broadcast over
     numpy arrays (compiled expressions and plain numpy lambdas both
@@ -49,13 +49,7 @@ class FieProblem:
 
     kernel: Callable
     source: Callable
-    a: float
-    b: float
     activation = None
-
-    def __post_init__(self):
-        if not (np.isfinite(self.a) and np.isfinite(self.b) and self.a < self.b):
-            raise ValidationError(f"invalid domain [{self.a}, {self.b}]")
 
 
 @dataclass(frozen=True)
@@ -209,12 +203,14 @@ def estimate_contraction(op: DiscreteOperator) -> float:
     This bounds the Lipschitz constant of f -> g + A f in the max norm.
     A value below 1 certifies a strict contraction of the discrete map;
     values can exceed 1 slightly for operators that are non-expansive in
-    the continuum, purely through quadrature.
+    the continuum, purely through quadrature.  A row sum that overflows
+    gives inf, without a warning.
     """
     buf = np.empty((min(_BLOCK, op.n), op.n))
     blocks = np.split(op.matrix, range(_BLOCK, op.n, _BLOCK))
-    return float(np.max([np.abs(rows, out=buf[:len(rows)]).sum(axis=1).max()
-                         for rows in blocks]))
+    with np.errstate(over="ignore"):
+        return float(np.max([np.abs(rows, out=buf[:len(rows)]).sum(axis=1)
+                             .max() for rows in blocks]))
 
 
 def residual_norm(op: DiscreteOperator) -> float:

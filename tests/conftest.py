@@ -23,7 +23,7 @@ def const_kernel_factory():
 
     def make(n=2000, scheme="closed"):
         problem = fr.FieProblem(kernel=lambda x, z: 1.0 / np.e,
-                                source=lambda x: np.exp(x), a=0.0, b=1.0)
+                                source=lambda x: np.exp(x))
         grid = fr.uniform_grid(0.0, 1.0, n, scheme=scheme)
         return fr.discretize(problem, grid)
 
@@ -37,8 +37,7 @@ def separable_kernel_factory():
 
     def make(n=2000, scheme="left"):
         problem = fr.FieProblem(kernel=lambda x, z: np.sin(x) * np.cos(z),
-                                source=lambda x: np.sin(x),
-                                a=0.0, b=np.pi / 2.0)
+                                source=lambda x: np.sin(x))
         grid = fr.uniform_grid(0.0, np.pi / 2.0, n, scheme=scheme)
         return fr.discretize(problem, grid)
 

@@ -53,7 +53,7 @@ def test_kernel_matches_branch_form_bitwise(p):
 
     grid = uniform_grid(0.0, 1.0, 97, scheme="closed")
     op = discretize(fie, grid)
-    ref = FieProblem(kernel=branches, source=fie.source, a=0.0, b=1.0)
+    ref = FieProblem(kernel=branches, source=fie.source)
     assert np.array_equal(op.matrix, discretize(ref, grid).matrix)
     pts = np.random.default_rng(p).uniform(0.0, 1.0, p)
     pts[0] = grid.nodes[p % grid.n]  # a query on a node meets the diagonal

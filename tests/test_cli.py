@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -342,7 +343,7 @@ def test_sweep_shares_the_forward_pass(monkeypatch, sweep):
         return compile_fn(parse(LINEAR_CONFIG[key]), params)
 
     op = discretize(FieProblem(kernel=fn("kernel", ("x", "z")),
-                               source=fn("source", ("x",)), a=0.0, b=1.0),
+                               source=fn("source", ("x",))),
                     uniform_grid(0.0, 1.0, LINEAR_CONFIG["grid_n"],
                                  scheme="closed"))
     net = build_network(op, sweep, KMSchedule(1.0))
@@ -394,15 +395,13 @@ def test_error_texts_print_plain_floats():
     def nan_at_zero(*xs):
         return np.where(sum(xs) == 0.0, np.nan, 1.0)
 
-    base = discretize(FieProblem(kernel=one, source=one, a=0.0, b=1.0), grid)
-    nonlinear = NonlinearProblem(kernel=one, source=one, a=0.0, b=1.0,
+    base = discretize(FieProblem(kernel=one, source=one), grid)
+    nonlinear = NonlinearProblem(kernel=one, source=one,
                                  nonlinearity=lambda u: np.sqrt(u))
     cases = [
-        (lambda: discretize(FieProblem(kernel=nan_at_zero, source=one,
-                                       a=0.0, b=1.0), grid),
+        (lambda: discretize(FieProblem(kernel=nan_at_zero, source=one), grid),
          "(z[0]=0.0, z[0]=0.0)"),
-        (lambda: discretize(FieProblem(kernel=one, source=nan_at_zero,
-                                       a=0.0, b=1.0), grid),
+        (lambda: discretize(FieProblem(kernel=one, source=nan_at_zero), grid),
          "node z[0]=0.0"),
         (lambda: run_config(dict(_LOG_KERNEL_CONFIG, grid_scheme="closed")),
          "(z[99]=1.0, z[0]=0.0)"),
@@ -783,10 +782,12 @@ def test_nonlinear_and_disc_runs_scan_no_contraction(monkeypatch):
 
 def test_overflowing_contraction_estimate_gives_no_error_figure():
     # |A| row sums of 10 x 2e307 overflow, yet the zero source runs: Q is
-    # inf, which no ErrorBudget accepts, so the figure is empty
+    # inf, which no ErrorBudget accepts, so the figure is empty, and the
+    # overflow is no numpy warning
     config = {"kind": "linear_fie", "kernel": "1e308", "source": "0",
               "domain": [0, 2], "grid_n": 10, "layers": 3}
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         meta = run_config(config).metadata
     assert meta["q_est"] == np.inf
     assert meta["iteration_error_bound"] is None

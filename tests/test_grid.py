@@ -15,7 +15,6 @@ def test_left_scheme_nodes():
     g = uniform_grid(0.0, 1.0, 4, scheme="left")
     assert np.array_equal(g.nodes, [0.0, 0.25, 0.5, 0.75])
     assert g.spacing == 0.25
-    assert g.length == 1.0
 
 
 def test_midpoint_scheme_nodes():
@@ -31,21 +30,14 @@ def test_closed_scheme_nodes():
     assert g.nodes[-1] == g.b
 
 
-def test_left_periodic_excludes_endpoint():
-    g = uniform_grid(0.0, 2.0 * math.pi, 8, scheme="left", topology="periodic")
-    assert g.nodes[-1] == pytest.approx(2.0 * math.pi - g.spacing)
-
-
 @pytest.mark.parametrize("kwargs", [
     dict(a=0.0, b=1.0, n=1, scheme="closed"),
-    dict(a=0.0, b=1.0, n=5, scheme="closed", topology="periodic"),
     dict(a=0.0, b=1.0, n=0),
     dict(a=1.0, b=1.0, n=5),
     dict(a=2.0, b=1.0, n=5),
     dict(a=float("nan"), b=1.0, n=5),
     dict(a=0.0, b=float("inf"), n=5),
     dict(a=0.0, b=1.0, n=5, scheme="gauss"),
-    dict(a=0.0, b=1.0, n=5, topology="torus"),
 ])
 def test_invalid_grids_rejected(kwargs):
     with pytest.raises(ValidationError):

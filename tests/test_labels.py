@@ -159,7 +159,7 @@ _DAMPED = {"kind": "linear_fie",
 def test_refused_damped_run_contracts():
     op = discretize(FieProblem(
         kernel=compile_fn(parse(_DAMPED["kernel"]), ("x", "z")),
-        source=compile_fn(parse(_DAMPED["source"]), ("x",)), a=0.0, b=1.0),
+        source=compile_fn(parse(_DAMPED["source"]), ("x",))),
         uniform_grid(0.0, 1.0, _DAMPED["grid_n"]))
     w = 0.7 * op.matrix + 0.3 * np.eye(op.n)
     assert _rho(op.matrix) == pytest.approx(0.9805, abs=1e-4)

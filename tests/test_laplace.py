@@ -24,10 +24,9 @@ def _solve_density(boundary, n, layers):
 
 
 def _given_density(values):
-    """A density field with the given values on the periodic theta grid."""
+    """A density field with the given values on the theta grid."""
     values = np.asarray(values, dtype=float)
-    grid = uniform_grid(0.0, TWO_PI, len(values), scheme="left",
-                        topology="periodic")
+    grid = uniform_grid(0.0, TWO_PI, len(values))
     return SolutionField(grid=grid, values=values)
 
 
@@ -37,7 +36,6 @@ def _density(n=2000, layers=15):
 
 def test_bie_matrix_is_constant():
     op = build_bie(lambda t: np.cos(t), 4)
-    assert op.grid.topology == "periodic"
     assert np.allclose(op.matrix, -0.25, rtol=1e-14, atol=0)
     big = build_bie(lambda t: np.cos(t), 2000)
     assert np.allclose(big.matrix, -0.0005, rtol=1e-13, atol=0)

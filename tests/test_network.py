@@ -88,8 +88,7 @@ def test_forward_keeps_the_first_k_iterates(const_kernel_factory):
 
 
 def test_forward_zero_kernel_is_source_every_depth():
-    problem = FieProblem(kernel=lambda x, z: 0.0, source=lambda x: np.sin(x),
-                         a=0.0, b=1.0)
+    problem = FieProblem(kernel=lambda x, z: 0.0, source=lambda x: np.sin(x))
     op = discretize(problem, uniform_grid(0.0, 1.0, 20))
     for layers in (1, 2, 9):
         net = build_network(op, layers, KMSchedule(1.0))
@@ -126,7 +125,7 @@ def test_operator_and_budget_stay_near_one_matrix():
     # the matrix is the one N x N block; dense formulas would hold four
     n = 2000
     problem = FieProblem(kernel=lambda x, z: np.sin(x) * np.cos(z),
-                         source=lambda x: np.sin(x), a=0.0, b=np.pi / 2.0)
+                         source=lambda x: np.sin(x))
     grid = uniform_grid(0.0, np.pi / 2.0, n)
     tracemalloc.start()
     try:
@@ -138,8 +137,7 @@ def test_operator_and_budget_stay_near_one_matrix():
 
 
 def test_forward_divergence_names_layer():
-    problem = FieProblem(kernel=lambda x, z: 1e8, source=lambda x: 1.0,
-                         a=0.0, b=1.0)
+    problem = FieProblem(kernel=lambda x, z: 1e8, source=lambda x: 1.0)
     op = discretize(problem, uniform_grid(0.0, 1.0, 16))
     net = build_network(op, 60, KMSchedule(1.0))
     with pytest.raises(DivergenceError) as exc:
@@ -151,8 +149,7 @@ def test_forward_divergence_names_layer():
 # query
 
 def test_query_zero_kernel_returns_source_exactly():
-    problem = FieProblem(kernel=lambda x, z: 0.0, source=lambda x: np.exp(x),
-                         a=0.0, b=1.0)
+    problem = FieProblem(kernel=lambda x, z: 0.0, source=lambda x: np.exp(x))
     op = discretize(problem, uniform_grid(0.0, 1.0, 20))
     net = build_network(op, 3, KMSchedule(1.0))
     field = forward(net)
@@ -187,15 +184,6 @@ def test_query_rejects_outside_interval(const_kernel_factory):
         query(net, field, [float("nan")])
 
 
-def test_query_wraps_periodic_angles(bie_factory):
-    schedule, op = bie_factory(n=64)
-    net = build_network(op, 12, schedule)
-    field = forward(net)
-    lhs = query(net, field, [-0.1])
-    rhs = query(net, field, [2.0 * np.pi - 0.1])
-    assert np.allclose(lhs, rhs, rtol=0, atol=1e-12)
-
-
 def test_query_needs_continuous_problem():
     grid = uniform_grid(0.0, 1.0, 4)
     op = DiscreteOperator(grid=grid, matrix=np.zeros((4, 4)),
@@ -222,8 +210,6 @@ def _full_rows_layer(problem, grid, points, values):
     """The evaluation layer through all P x N kernel rows at once, as it was
     computed before the points were scanned in row blocks."""
     pts = np.asarray(points, dtype=float).ravel()
-    if grid.topology == "periodic":
-        pts = grid.a + np.mod(pts - grid.a, grid.length)
     rows = np.asarray(problem.kernel(pts[:, None], grid.nodes[None, :]),
                       dtype=float)
     rows = np.broadcast_to(rows, (pts.size, grid.n)) * grid.spacing
@@ -233,16 +219,13 @@ def _full_rows_layer(problem, grid, points, values):
 
 
 @pytest.mark.parametrize("p", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 201])
-@pytest.mark.parametrize("topology", ["interval", "periodic"])
-def test_blocked_evaluation_layer_matches_full_rows(topology, p):
-    b = 2.0 * np.pi if topology == "periodic" else 1.3
+def test_blocked_evaluation_layer_matches_full_rows(p):
+    b = 1.3
     # positive kernel, source and iterates: no cancellation in the sums
     problem = FieProblem(kernel=lambda x, z: 0.1 * np.exp(-(x - z) ** 2),
-                         source=lambda x: 1.0 + np.sin(x) ** 2, a=0.0, b=b)
-    grid = uniform_grid(0.0, b, 400, topology=topology)
-    # periodic points outside [0, b) wrap
-    pts = (np.linspace(-1.0, b + 1.0, p) if topology == "periodic"
-           else np.linspace(0.0, b, p))
+                         source=lambda x: 1.0 + np.sin(x) ** 2)
+    grid = uniform_grid(0.0, b, 400)
+    pts = np.linspace(0.0, b, p)
     field = forward(build_network(discretize(problem, grid), 15,
                                   KMSchedule(0.5)), keep_history=True)
     got = evaluation_layer(problem, grid, pts, field.values)
@@ -276,8 +259,7 @@ def test_dense_solve_two_node_oracle():
 
 
 def test_dense_solve_zero_kernel_returns_source():
-    problem = FieProblem(kernel=lambda x, z: 0.0, source=lambda x: np.sin(x),
-                         a=0.0, b=1.0)
+    problem = FieProblem(kernel=lambda x, z: 0.0, source=lambda x: np.sin(x))
     op = discretize(problem, uniform_grid(0.0, 1.0, 12))
     field, cond = dense_solve(op)
     assert np.allclose(field.values, op.source, rtol=0, atol=1e-15)
@@ -387,8 +369,7 @@ def test_layer_sweep_delta_mode_ratios(const_kernel_factory):
 
 
 def test_layer_sweep_zero_kernel():
-    problem = FieProblem(kernel=lambda x, z: 0.0, source=lambda x: np.exp(x),
-                         a=0.0, b=1.0)
+    problem = FieProblem(kernel=lambda x, z: 0.0, source=lambda x: np.exp(x))
     op = discretize(problem, uniform_grid(0.0, 1.0, 30))
     table = _sweep(op, KMSchedule(1.0), 5,
                    exact=lambda x: np.exp(x))

@@ -19,15 +19,14 @@ from fredholm.operator import FieProblem, KMSchedule, discretize
 def _identity_problem(n=30):
     problem = NonlinearProblem(kernel=lambda x, z: 0.2,
                                source=lambda x: np.sin(x),
-                               nonlinearity=lambda u: u, a=0.0, b=1.0)
+                               nonlinearity=lambda u: u)
     grid = uniform_grid(0.0, 1.0, n, scheme="left")
     return problem, grid
 
 
 def _linear_part(problem):
-    """The linear problem with ``problem``'s kernel, source and domain."""
-    return FieProblem(kernel=problem.kernel, source=problem.source,
-                      a=problem.a, b=problem.b)
+    """The linear problem with ``problem``'s kernel and source."""
+    return FieProblem(kernel=problem.kernel, source=problem.source)
 
 
 def _log_problem():
@@ -35,7 +34,7 @@ def _log_problem():
     problem = NonlinearProblem(
         kernel=lambda x, z: z / 36.0,
         source=lambda x: np.log(x) + 143.0 / 144.0,
-        nonlinearity=lambda u: u * u, a=0.0, b=1.0)
+        nonlinearity=lambda u: u * u)
     grid = uniform_grid(0.0, 1.0, 1000, scheme="midpoint")
     return problem, grid
 
@@ -51,7 +50,7 @@ def test_linearized_source_identity_nonlinearity_is_noop():
 def test_linearized_source_zero_iterate_quadratic():
     problem, grid = _identity_problem()
     problem = NonlinearProblem(kernel=problem.kernel, source=problem.source,
-                               nonlinearity=lambda u: u * u, a=0.0, b=1.0)
+                               nonlinearity=lambda u: u * u)
     base = discretize(problem, grid)
     out = linearized_source(problem, base, np.zeros(base.n))
     assert np.array_equal(out, base.source)
@@ -104,7 +103,7 @@ def _sin_problem():
         kernel=lambda x, z: z / 36.0,
         source=lambda x: np.sin(x) + 1.0 - math.pi / 12.0
         - 5.0 * math.pi ** 2 / 144.0,
-        nonlinearity=lambda u: u + u * u, a=0.0, b=math.pi)
+        nonlinearity=lambda u: u + u * u)
     grid = uniform_grid(0.0, math.pi, 200, scheme="left")
     return problem, discretize(problem, grid)
 
@@ -200,7 +199,7 @@ def test_small_source_with_nonzero_g0_converges():
         problem = NonlinearProblem(
             kernel=lambda x, z, k=kernel: k,
             source=lambda x, s=source: np.full(np.shape(x), s),
-            nonlinearity=lambda u: 1.0 + u, a=0.0, b=1.0)
+            nonlinearity=lambda u: 1.0 + u)
         base = discretize(problem, grid)
         field, trace = solve_nonlinear(problem, base, layers, KMSchedule(1.0))
         assert trace.deltas[0] == source
@@ -223,7 +222,7 @@ def test_nonlinearity_domain_violation_names_node():
     problem = NonlinearProblem(
         kernel=lambda x, z: 0.1,
         source=lambda x: np.full(np.shape(x), -1.0),
-        nonlinearity=lambda u: np.sqrt(u), a=0.0, b=1.0)
+        nonlinearity=lambda u: np.sqrt(u))
     base = discretize(problem,
                       uniform_grid(0.0, 1.0, 10, scheme="left"))
     with pytest.raises(DomainError) as exc:
@@ -236,7 +235,7 @@ def test_nonlinearity_domain_violation_names_node():
 def test_evaluate_nonlinear_zero_kernel_is_source():
     problem = NonlinearProblem(kernel=lambda x, z: 0.0,
                                source=lambda x: np.exp(x),
-                               nonlinearity=lambda u: u * u, a=0.0, b=1.0)
+                               nonlinearity=lambda u: u * u)
     grid = uniform_grid(0.0, 1.0, 16, scheme="left")
     base = discretize(problem, grid)
     field = forward(build_network(base, 2, KMSchedule(1.0)))
@@ -268,8 +267,7 @@ def test_evaluate_nonlinear_domain_violation():
     problem, grid = _identity_problem()
     sqrt_problem = NonlinearProblem(kernel=problem.kernel,
                                     source=lambda x: np.full(np.shape(x), -5.0),
-                                    nonlinearity=lambda u: np.sqrt(u),
-                                    a=0.0, b=1.0)
+                                    nonlinearity=lambda u: np.sqrt(u))
     sqrt_base = discretize(sqrt_problem, grid)
     bad = SolutionField(grid=grid, values=np.full(grid.n, -5.0))
     with pytest.raises(DomainError) as exc:
@@ -291,9 +289,3 @@ def test_trace_validation():
         with pytest.raises(ValidationError):
             IterationTrace(deltas=deltas)
     assert IterationTrace(deltas=(0.5, 0.0)).deltas == (0.5, 0.0)
-
-
-def test_problem_domain_validated():
-    with pytest.raises(ValidationError):
-        NonlinearProblem(kernel=lambda x, z: 0.0, source=lambda x: 0.0,
-                         nonlinearity=lambda u: u, a=1.0, b=0.0)

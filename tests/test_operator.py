@@ -35,7 +35,7 @@ def test_constant_kernel_entries_are_weighted_samples(const_kernel_factory):
 
 def test_separable_kernel_sample_value():
     problem = FieProblem(kernel=lambda x, z: np.sin(x) * np.cos(z),
-                         source=lambda x: np.sin(x), a=0.0, b=math.pi / 2.0)
+                         source=lambda x: np.sin(x))
     op = discretize(problem, uniform_grid(0.0, math.pi / 2.0, 4, scheme="left"))
     z1 = math.pi / 8.0
     expected = math.sin(z1) * math.cos(z1) * (math.pi / 8.0)
@@ -45,7 +45,7 @@ def test_separable_kernel_sample_value():
 
 def test_zero_kernel_step_returns_source():
     problem = FieProblem(kernel=lambda x, z: 0.0,
-                         source=lambda x: np.cos(x), a=0.0, b=2.0)
+                         source=lambda x: np.cos(x))
     op = discretize(problem, uniform_grid(0.0, 2.0, 20))
     assert np.all(op.matrix == 0.0)
     f = np.linspace(-1.0, 1.0, 20)
@@ -54,8 +54,7 @@ def test_zero_kernel_step_returns_source():
 
 def test_discretize_reports_bad_source_node():
     problem = FieProblem(kernel=lambda x, z: 1.0,
-                         source=lambda x: np.where(x == 0.0, -np.inf, 1.0),
-                         a=0.0, b=1.0)
+                         source=lambda x: np.where(x == 0.0, -np.inf, 1.0))
     with pytest.raises(DomainError) as exc:
         discretize(problem, uniform_grid(0.0, 1.0, 8, scheme="left"))
     assert str(exc.value) == "source is not finite at node z[0]=0.0: -inf"
@@ -64,7 +63,7 @@ def test_discretize_reports_bad_source_node():
 def test_discretize_reports_bad_kernel_pair():
     problem = FieProblem(
         kernel=lambda x, z: np.where((x == 0.0) & (z == 0.0), np.nan, 1.0),
-        source=lambda x: 1.0, a=0.0, b=1.0)
+        source=lambda x: 1.0)
     with pytest.raises(DomainError) as exc:
         discretize(problem, uniform_grid(0.0, 1.0, 8, scheme="left"))
     assert str(exc.value) == ("kernel is not finite at nodes (z[0]=0.0, "
@@ -124,7 +123,7 @@ _KERNELS = {
 @pytest.mark.parametrize("kernel", sorted(_KERNELS))
 def test_blocked_kernels_match_dense_reference(kernel, scheme, n):
     problem = FieProblem(kernel=_KERNELS[kernel],
-                         source=lambda x: np.cos(3.0 * x) + x, a=0.0, b=1.3)
+                         source=lambda x: np.cos(3.0 * x) + x)
     grid = uniform_grid(0.0, 1.3, n, scheme=scheme)
     nodes = grid.nodes.copy()
     op, ref = discretize(problem, grid), _dense_discretize(problem, grid)
@@ -146,8 +145,7 @@ def test_bad_kernel_pair_in_a_later_block():
 
     # the source is bad too, but kernel samples are checked first
     problem = FieProblem(kernel=kernel,
-                         source=lambda x: np.where(x == 0.0, np.nan, 1.0),
-                         a=0.0, b=1.0)
+                         source=lambda x: np.where(x == 0.0, np.nan, 1.0))
     messages = []
     for build in (discretize, _dense_discretize):
         with pytest.raises(DomainError) as exc:
@@ -169,7 +167,7 @@ def test_undefined_kernel_pair_in_a_later_block():
             # the first pair in row-major order, not the first failing term
             ("sqrt(0.8 - z) + log(x - 0.3)", (0, 0), "log")):
         problem = FieProblem(kernel=compile_fn(parse(text), ("x", "z")),
-                             source=lambda x: np.nan, a=0.0, b=1.0)
+                             source=lambda x: np.nan)
         with pytest.raises(DomainError) as exc:
             discretize(problem, grid)
         assert str(exc.value).startswith(
@@ -259,8 +257,7 @@ def test_contraction_estimate_separable(separable_kernel_factory):
 
 
 def test_contraction_estimate_zero_kernel():
-    problem = FieProblem(kernel=lambda x, z: 0.0, source=lambda x: 1.0,
-                         a=0.0, b=1.0)
+    problem = FieProblem(kernel=lambda x, z: 0.0, source=lambda x: 1.0)
     op = discretize(problem, uniform_grid(0.0, 1.0, 10))
     assert estimate_contraction(op) == 0.0
 
@@ -287,8 +284,7 @@ def test_derivative_bound_const_kernel(const_kernel_factory):
 
 def test_derivative_bound_of_a_constant_integrand_is_positive_zero():
     # every difference is 0; the bound must not print as -0
-    problem = FieProblem(kernel=lambda x, z: 0.5, source=lambda x: 1.0,
-                         a=0.0, b=1.0)
+    problem = FieProblem(kernel=lambda x, z: 0.5, source=lambda x: 1.0)
     d = estimate_derivative_bound(
         discretize(problem, uniform_grid(0.0, 1.0, 50)))
     assert d == 0.0 and math.copysign(1.0, d) == 1.0
@@ -301,23 +297,20 @@ def test_derivative_bound_separable(separable_kernel_factory):
 
 
 def test_derivative_bound_linear_integrand_is_unit_slope():
-    problem = FieProblem(kernel=lambda x, z: 1.0, source=lambda x: x,
-                         a=0.0, b=1.0)
+    problem = FieProblem(kernel=lambda x, z: 1.0, source=lambda x: x)
     op = discretize(problem, uniform_grid(0.0, 1.0, 11, scheme="left"))
     assert estimate_derivative_bound(op) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_derivative_bound_needs_three_nodes():
-    problem = FieProblem(kernel=lambda x, z: 1.0, source=lambda x: 1.0,
-                         a=0.0, b=1.0)
+    problem = FieProblem(kernel=lambda x, z: 1.0, source=lambda x: 1.0)
     op = discretize(problem, uniform_grid(0.0, 1.0, 2))
     with pytest.raises(ValidationError):
         estimate_derivative_bound(op)
 
 
 def test_unit_kernel_row_sums_equal_interval_length():
-    problem = FieProblem(kernel=lambda x, z: 1.0, source=lambda x: 1.0,
-                         a=2.0, b=5.0)
+    problem = FieProblem(kernel=lambda x, z: 1.0, source=lambda x: 1.0)
     op = discretize(problem, uniform_grid(2.0, 5.0, 137, scheme="left"))
     sums = op.matrix.sum(axis=1)
     assert np.allclose(sums, 3.0, rtol=0, atol=1e-12)
@@ -345,12 +338,6 @@ def test_km_step_is_lipschitz_with_estimated_constant(const_kernel_factory):
                                 - _km_step(op, f2, kappa)))
             rhs = lip * np.max(np.abs(f1 - f2))
             assert lhs <= rhs * (1.0 + 1e-12) + 1e-15
-
-
-def test_problem_rejects_bad_domain():
-    with pytest.raises(ValidationError):
-        FieProblem(kernel=lambda x, z: 0.0, source=lambda x: 0.0,
-                   a=1.0, b=1.0)
 
 
 def test_operator_arrays_read_only():
