@@ -17,7 +17,7 @@ from .operator import (DiscreteOperator, FieProblem, KMSchedule, discretize,
 from .network import (ErrorBudget, FixedPointNet, SolutionField,
                       budget_from_operator, build_network, dense_solve,
                       error_bound, forward, layer_sweep, plan_layers, query)
-from .nonlinear import NonlinearProblem
+from . import nonlinear  # noqa: F401  (bench/spans.py traces its names)
 from .bvp import BvpSpec, bvp_to_fie, ode_residual, recover_solution
 from .laplace import build_bie, evaluate_potential, projected_potential
 from .fd import PolarGrid, solve_fd
@@ -37,7 +37,7 @@ __all__ = [
     "estimate_contraction", "residual_norm",
     "ErrorBudget", "FixedPointNet", "SolutionField", "budget_from_operator",
     "build_network", "dense_solve", "error_bound", "forward",
-    "layer_sweep", "plan_layers", "query", "NonlinearProblem",
+    "layer_sweep", "plan_layers", "query",
     "BvpSpec", "bvp_to_fie", "ode_residual", "recover_solution",
     "build_bie", "evaluate_potential", "projected_potential",
     "PolarGrid", "solve_fd",

@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 from typing import Callable, Dict, Optional
 
 import numpy as np
@@ -22,10 +21,9 @@ from .bvp import BvpSpec, bvp_to_fie, ode_residual, recover_solution
 from .errors import NumericalError, ValidationError
 from .grid import uniform_grid
 from .laplace import build_bie, evaluate_potential, projected_potential
-from .network import (ErrorBudget, build_network, error_bound, forward,
-                      layer_sweep, query)
-from .nonlinear import NonlinearProblem
-from .operator import (FieProblem, KMSchedule, _sample, discretize,
+from .network import (ErrorBudget, SolutionField, build_network,
+                      error_bound, forward, layer_sweep, query)
+from .operator import (_BLOCK, FieProblem, KMSchedule, _sample, discretize,
                        estimate_contraction)
 from .registry import EXAMPLES, example_names, get_example
 from .report import ReportBundle, write_report
@@ -36,14 +34,14 @@ __all__ = ["main", "run_config", "run_example", "run_compare_fd"]
 _DEFAULT_POLAR_QUERIES = {"r": "0:1:11", "phi": f"0:{2.0 * np.pi!r}:17"}
 
 # Cap on the dense cells of one run: N^2 for the kernel matrix, 9 (~73 B)
-# per layer for its recorded update, P * max(N, 16) for P query points and
+# per layer for its recorded update, 16 per query point (~130 B: its
+# P-vectors and report row), 2 * min(P, 32) * N for the kernel rows the
+# blocked readouts hold (two buffers on the disc, one elsewhere) and
 # S * max(N, P) for a sweep of depth S.  Under tracemalloc an N x N cell
 # peaks at ~1.03 doubles (the matrix, filled and scanned for q_est in
-# 32-row blocks; no error budget is built) and an S x N sweep cell at ~1.0
-# (update sizes, the history itself) or 2.1 (errors).  Every kind evaluates
-# its rows 32 at a time, so no P x N array is held; a query point costs
-# ~150 B whatever N is (its P-vectors and report row), which the floor of
-# 16 cells charges.  At 1.03 doubles the cap is ~390 MiB: N <= 7071.
+# 32-row blocks) and an S x N sweep cell at ~1.0 (update sizes, the
+# history itself) or 2.1 (errors).  At 1.03 doubles the cap is ~390 MiB:
+# N <= 7070.
 _MAX_CELLS = 50_000_000
 # Cap on the multiply-adds of one run, max(N^2, _LAYER_WORK) per matvec of
 # its forward pass (a layer costs ~17 us on 3 nodes) plus S N P for a
@@ -224,21 +222,6 @@ def _rows(points, values, exact=None):
             for *p, v, e in zip(*points, map(float, values), exact)]
 
 
-def _forward(net, depth) -> tuple:
-    """The solved field and, for a sweep of ``depth`` layers, one holding
-    their history, both from one ``forward`` pass that keeps only those;
-    a deeper sweep's pass is the one judged."""
-    if not depth:
-        return forward(net), None
-    deep = forward(build_network(net.op, max(net.layers, depth),
-                                 net.schedule), depth)
-    h = deep.history
-    field = h[net.layers - 1] if net.layers <= depth else deep.values
-    return (replace(deep, values=field, history=None,
-                    deltas=deep.deltas[:net.layers]),
-            replace(deep, values=h[-1]))
-
-
 def _grid(config: dict, a: float, b: float, n: int):
     return uniform_grid(a, b, n, scheme=config.get("grid_scheme", "left"))
 
@@ -246,31 +229,23 @@ def _grid(config: dict, a: float, b: float, n: int):
 def _contraction(q, net, field) -> dict:
     """``q_est`` = ||A||_inf and the bound Q/(1 - Q) delta_M on the last
     layer's ||h_M - h*||, Q = kappa_M q + 1 - kappa_M (None if >= 1)."""
-    kappa = net.schedule.at(net.layers)
+    kappa = net.schedule.at(len(field.deltas))
     lip = kappa * q + (1.0 - kappa)  # may be inf, which no budget holds
     return {"q_est": q, "iteration_error_bound": (
         error_bound(ErrorBudget(q=lip, residual=field.deltas[-1]), 1)
         if lip < 1.0 else None)}
 
 
-def _linear_fie(config, fn, n):
+def _fie(config, fn, n):
+    """linear_fie and nonlinear_fie; only a linear map reports ||A||."""
     a, b = _domain(config)
-    problem = FieProblem(kernel=fn["kernel"], source=fn["source"])
+    problem = FieProblem(kernel=fn["kernel"], source=fn["source"],
+                         nonlinearity=fn.get("nonlinearity"))
     op = discretize(problem, _grid(config, a, b, n))
-    q = estimate_contraction(op)
+    q = estimate_contraction(op) if problem.nonlinearity is None else None
     return op, lambda net, field, pts: (
-        (pts,), query(net, field, pts), _contraction(q, net, field))
-
-
-def _nonlinear_fie(config, fn, n):
-    a, b = _domain(config)
-    problem = NonlinearProblem(kernel=fn["kernel"], source=fn["source"],
-                               nonlinearity=fn["nonlinearity"])
-
-    def readout(net, field, pts):
-        return (pts,), query(net, field, pts), {}
-
-    return discretize(problem, _grid(config, a, b, n)), readout
+        (pts,), query(net, field, pts),
+        {} if q is None else _contraction(q, net, field))
 
 
 def _bvp(config, fn, n):
@@ -323,7 +298,7 @@ _KINDS = {
         "exprs": (("kernel", ("x", "z")), ("source", ("x",))),
         "exact": ("x",),
         "size": "grid_n", "kappa": 1.0,
-        "queries": _queries_1d, "setup": _linear_fie, "oracle": True,
+        "queries": _queries_1d, "setup": _fie, "oracle": True,
     },
     "nonlinear_fie": {
         "required": {"kernel", "source", "nonlinearity", "domain", "grid_n",
@@ -333,7 +308,7 @@ _KINDS = {
                   ("nonlinearity", ("u",))),
         "exact": ("x",),
         "size": "grid_n", "kappa": 1.0,
-        "queries": _queries_1d, "setup": _nonlinear_fie, "oracle": True,
+        "queries": _queries_1d, "setup": _fie, "oracle": True,
     },
     "bvp": {
         "required": {"g", "h", "alpha", "beta", "grid_n", "layers"},
@@ -379,7 +354,8 @@ def run_config(config: dict, exact_override: Optional[Callable] = None,
         _fail("kappa", f"sequence has {len(schedule.sequence)} values, but "
                        f"{needs} {depth} layers")
     # one pass of depth max(layers, S) serves every kind's solve and sweep
-    cells = n * n + count * max(n, 16) + sweep_n * max(n, count) + 9 * depth
+    cells = (n * n + 16 * count + 2 * min(count, _BLOCK) * n
+             + sweep_n * max(n, count) + 9 * depth)
     if cells > _MAX_CELLS:
         raise ValidationError(
             f"grid {n}, {count} query points, {layers} layers and sweep "
@@ -394,14 +370,15 @@ def run_config(config: dict, exact_override: Optional[Callable] = None,
     started = time.perf_counter()
     op, readout = spec["setup"](config, fn, n)
     pts = make_points(op.grid)
-    net = build_network(op, layers, schedule)
-    field, deep = _forward(net, sweep_layers)
+    net = build_network(op, depth, schedule)
+    deep = forward(net, sweep_n)  # a deeper sweep's pass is the one judged
+    h_m = deep.history[layers - 1] if layers <= sweep_n else deep.values
+    field = SolutionField(op.grid, h_m, deltas=deep.deltas[:layers])
     columns, values, kind_meta = readout(net, field, pts)
-    # before the sweep, whose error mode evaluates it again
     exact = (None if fn["exact"] is None
              else _exact(fn["exact"], spec["exact"], columns))
-    oracle = fn["exact"] if spec["oracle"] else None
-    sweep = layer_sweep(op, deep, oracle, pts) if deep else None
+    target = exact if spec["oracle"] else None
+    sweep = layer_sweep(op, deep, target, pts) if sweep_n else None
     elapsed = time.perf_counter() - started
     meta = {
         "config": config,
@@ -420,7 +397,7 @@ def run_config(config: dict, exact_override: Optional[Callable] = None,
                         columns=(*spec["exact"], "value", "exact", "abs_err"),
                         rows=_rows(columns, values, exact),
                         sweep=sweep, metadata=meta,
-                        sweep_column="max_update" if oracle is None
+                        sweep_column="max_update" if target is None
                         else "max_err")
 
 

@@ -83,9 +83,11 @@ def build_bie(boundary: Callable, theta_n: int) -> DiscreteOperator:
 
 
 def projected_potential(density: SolutionField) -> float:
-    """P* = (dtheta / 4 pi) * sum mu, the projected-potential term."""
-    return float(density.grid.spacing / (2.0 * TWO_PI)
-                 * np.sum(density.values))
+    """P* = (dtheta / 4 pi) * sum mu, the projected-potential term; a sum
+    that overflows gives inf, without a warning."""
+    with np.errstate(over="ignore"):
+        return float(density.grid.spacing / (2.0 * TWO_PI)
+                     * np.sum(density.values))
 
 
 def evaluate_potential(density: SolutionField,
@@ -143,6 +145,11 @@ def evaluate_potential(density: SolutionField,
         np.subtract(k, 1.0 / (2.0 * TWO_PI), out=k)
         diff = np.subtract(mu, mu_star[idx, None], out=scratch)
         values[idx] += np.multiply(diff, k, out=k).sum(axis=1) * dth
-    if not np.all(np.isfinite(values)):
-        raise DomainError("non-finite potential value")
+    ok = np.isfinite(values)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise DomainError(
+            f"non-finite potential value at query point r[{i}]="
+            f"{float(r[i])!r}, phi[{i}]={float(phi[i])!r}: "
+            f"{float(values[i])!r}")
     return r, phi, values

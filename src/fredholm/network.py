@@ -30,7 +30,7 @@ a-posteriori figure and plans the depth for a target accuracy.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,8 +69,7 @@ class FixedPointNet:
     """Explicit-weight network equivalent to M damped fixed-point steps.
 
     A validated record of the operator, the depth and the relaxation
-    schedule; the activation is that of the operator's problem (None, the
-    identity, for a linear problem or an operator without one).  Layer
+    schedule; the activation is that of the operator's problem.  Layer
     m's weight W_m = kappa_m A + (1 - kappa_m) I and bias kappa_m g are
     applied implicitly by ``forward`` and never stored, so memory stays
     the operator's one N x N block plus a few N-vectors at any depth.
@@ -86,7 +85,6 @@ class FixedPointNet:
         self.op = op
         self.layers = int(layers)
         self.schedule = schedule
-        self.activation = getattr(op.problem, "activation", None)
 
     def __repr__(self):
         return (f"FixedPointNet(n={self.op.n}, layers={self.layers}, "
@@ -99,40 +97,39 @@ def build_network(op: DiscreteOperator, layers: int,
     return FixedPointNet(op, layers, schedule)
 
 
-def forward(net: FixedPointNet,
-            keep_history: Union[bool, int] = False) -> SolutionField:
+def forward(net: FixedPointNet, keep_history: int = 0) -> SolutionField:
     """Run all hidden layers and return the final grid iterate, with the
-    iterate of every layer (``keep_history=True``) or of the first k
-    (``keep_history=k``) as its history, and the sup-norm update
+    iterates of the first ``keep_history`` layers (all of them at the
+    net's depth or more) as its history, and the sup-norm update
     ||h_m - h_{m-1}|| of every layer (h_0 = 0) as its deltas.
 
-    Layer m computes kappa (A sigma(h)) + (1 - kappa) h + kappa g, with
-    A h itself where the activation sigma is the identity.  This is the
-    one verdict on every run.  DivergenceError is raised the moment any
-    layer produces a non-finite value, naming the layer and the first and
-    last finite updates.  It is also raised after the last layer when the
-    map residual r_m = delta_m / kappa_m = ||T h_{m-1} - h_{m-1}||,
-    T h = g + A sigma(h), ends above the larger of r_1 (g itself) and
-    r_2 (the first step of T); on a non-expansive map the residual of a
-    damped iteration never grows.
+    Layer m computes kappa (A sigma(h)) + (1 - kappa) h + kappa g.  This
+    is the one verdict on every run.  DivergenceError is raised the moment
+    any layer produces a non-finite value, naming the layer and the first
+    and last finite updates.  It is also raised after the last layer when
+    the map residual r_m = delta_m / kappa_m = ||T h_{m-1} - h_{m-1}||,
+    T h = g + A sigma(h), ends above the larger of r_1 (g itself) and r_2
+    (the first step of T); on a non-expansive map the residual of a damped
+    iteration never grows.
     """
-    a, g, act = net.op.matrix, net.op.source, net.activation
+    if isinstance(keep_history, bool) or keep_history < 0:
+        raise ValidationError(
+            f"history length {keep_history!r} must be a count >= 0")
+    a, g, act = net.op.matrix, net.op.source, net.op.problem.activation
     h, prev = net.schedule.at(1) * g, 0.0
-    keep = net.layers if keep_history is True else keep_history
     history: List[np.ndarray] = []
     deltas: List[float] = []
     with np.errstate(all="ignore"):
         for m in range(1, net.layers + 1):
             if m > 1:
                 prev, kappa = h, net.schedule.at(m)
-                h = (kappa * (a @ (h if act is None else act(h)))
-                     + (1.0 - kappa) * h + kappa * g)
+                h = kappa * (a @ act(h)) + (1.0 - kappa) * h + kappa * g
             if not np.all(np.isfinite(h)):
                 grew = (f"; its update was {deltas[0]!r} at layer 1 and "
                         f"{deltas[-1]!r} at layer {m - 1}" if m > 2 else "")
                 raise DivergenceError(f"non-finite values at layer {m}{grew}")
             deltas.append(float(np.max(np.abs(h - prev))))
-            if m <= keep:
+            if m <= keep_history:
                 history.append(h)
     res = [d / net.schedule.at(m) for m, d in enumerate(deltas, start=1)]
     first = max(res[:2])
@@ -141,15 +138,14 @@ def forward(net: FixedPointNet,
             f"iteration diverging: its residual grew from {first!r} at layer "
             f"{res.index(first) + 1} to {res[-1]!r} at layer {net.layers}")
     return SolutionField(grid=net.op.grid, values=h,
-                         history=tuple(history) if keep else None,
+                         history=tuple(history) if keep_history else None,
                          deltas=tuple(deltas))
 
 
 def evaluation_layer(problem, grid: Grid1D, points: Sequence[float],
                      values: np.ndarray) -> np.ndarray:
     """The output layer g(x) + sum_j K(x, z_j) dz sigma(values[j]) at
-    points x, with sigma the problem's ``activation`` (the identity when
-    it is None).
+    points x, with sigma the problem's ``activation``.
 
     ``problem`` supplies the ``kernel``, ``source`` and ``activation``.
     Points outside the grid's [a, b] are refused.  ``values`` may be one
@@ -165,8 +161,7 @@ def evaluation_layer(problem, grid: Grid1D, points: Sequence[float],
         raise ValidationError(
             f"query point {float(pts[np.argmax(bad)])!r} outside "
             f"[{grid.a}, {grid.b}]")
-    if problem.activation is not None:
-        values = problem.activation(values)
+    values = problem.activation(values)
     z = grid.nodes
     out = np.empty(pts.shape + np.shape(values)[1:])
     rows = np.empty((min(_BLOCK, pts.size), grid.n))
@@ -190,15 +185,6 @@ def evaluation_layer(problem, grid: Grid1D, points: Sequence[float],
     return out
 
 
-def _problem(op: DiscreteOperator, use: str):
-    """The continuous problem behind ``op``, whose map the evaluation
-    layer applies; an operator without one is refused."""
-    if op.problem is None:
-        raise ValidationError(
-            f"operator carries no continuous problem; {use} is unavailable")
-    return op.problem
-
-
 def query(net: FixedPointNet, field: SolutionField,
           points: Sequence[float]) -> np.ndarray:
     """Evaluate the solution at arbitrary points through the evaluation
@@ -210,12 +196,11 @@ def query(net: FixedPointNet, field: SolutionField,
     the grid's [a, b] are refused.
     """
     op = net.op
-    problem = _problem(op, "off-grid evaluation")
     if field.values.shape != (op.n,):
         raise ValidationError(
             f"field of size {field.values.shape} does not match grid of "
             f"size {op.n}")
-    return evaluation_layer(problem, op.grid, points, field.values)
+    return evaluation_layer(op.problem, op.grid, points, field.values)
 
 
 def dense_solve(op: DiscreteOperator) -> Tuple[SolutionField, float]:
@@ -307,28 +292,29 @@ def plan_layers(budget: ErrorBudget, eps: float) -> int:
 
 
 def layer_sweep(op: DiscreteOperator, field: SolutionField,
-                exact: Optional[Callable] = None,
+                target: Optional[Sequence[float]] = None,
                 points: Optional[Sequence[float]] = None
                 ) -> List[Tuple[int, float]]:
     """Error (or update size) as a function of depth.
 
-    Tabulates the history ``forward(..., keep_history=True)`` left in
-    ``field``: each m-layer iterate is composed with the evaluation layer
-    at ``points`` (grid nodes by default) and compared with ``exact``;
-    without it the sweep is the field's own updates ||h_m - h_(m-1)||
-    for the layers its history holds.  The error sweep needs the
-    continuous problem behind ``op``, as ``query`` does.
+    Tabulates the history ``forward(net, k)`` left in ``field``: each
+    m-layer iterate is composed with the evaluation layer at ``points``
+    (grid nodes by default) and compared with ``target``, the exact
+    solution's values there; without it the sweep is the field's own
+    updates ||h_m - h_(m-1)|| for the layers its history holds.
     """
     if not field.history:
         raise ValidationError("sweep needs a field with its layer history")
     h = field.history
-    if exact is None:
+    if target is None:
         sizes = field.deltas[:len(h)]
     else:
-        problem = _problem(op, "the error sweep")
         pts = np.asarray(op.grid.nodes if points is None else points,
                          dtype=float).ravel()
-        target = _sample(exact, (pts,), "exact", "query point x[{i}]={v[0]!r}")
-        vals = evaluation_layer(problem, op.grid, pts, np.stack(h, axis=1))
+        target = np.asarray(target, dtype=float)
+        if target.shape != pts.shape:
+            raise ValidationError(f"{target.size} target values for "
+                                  f"{pts.size} points")
+        vals = evaluation_layer(op.problem, op.grid, pts, np.stack(h, axis=1))
         sizes = np.max(np.abs(vals - target[:, None]), axis=0)
     return [(m, float(size)) for m, size in enumerate(sizes, start=1)]

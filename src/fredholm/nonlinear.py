@@ -4,18 +4,19 @@ The problem is u(x) = g(x) + I K(x,z) G(u(z)) dz with a pointwise
 nonlinearity G.  Its discretization u = g + A G(u) has closed-form weights
 (A), bias (g) and activation (G), so ``fredholm.network`` solves it with G
 as the hidden layers' activation: h_1 = g, h_m = g + A G(h_{m-1}), which
-is Picard iteration at one matvec per layer.  ``NonlinearProblem`` is a
-``FieProblem`` that adds G, so ``discretize`` takes it as it is and the
+is Picard iteration at one matvec per layer.  G is the ``nonlinearity``
+of a ``FieProblem``, so ``discretize`` takes the problem as it is and the
 operator it returns carries G: a net over that operator takes
-``NonlinearProblem.activation``, which checks G's domain at every node,
-as its activation, and the evaluation layer applies it too, so ``query``
-reads a nonlinear net as it reads a linear one.  With G(u) = u the
-network is the linear one, bit for bit.  The run's verdict is
-``forward``'s, the same for every kind.
+``FieProblem.activation``, which checks G's domain at every node, as its
+activation, and the evaluation layer applies it too, so ``query`` reads
+a nonlinear net as it reads a linear one.  With G(u) = u the network is
+the linear one, bit for bit.  The run's verdict is ``forward``'s, the
+same for every kind.  The names below are kept only while
+``bench/spans.py`` still wraps them.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
@@ -25,29 +26,9 @@ from .network import (SolutionField, build_network, evaluation_layer,
 from .operator import DiscreteOperator, FieProblem, KMSchedule, _sample
 
 __all__ = [
-    "NonlinearProblem", "IterationTrace",
+    "IterationTrace",
     "linearized_source", "solve_nonlinear", "evaluate_nonlinear",
 ]
-
-
-@dataclass(frozen=True)
-class NonlinearProblem(FieProblem):
-    """A ``FieProblem`` whose integrand applies the pointwise nonlinearity
-    G to the solution.
-
-    ``nonlinearity(u)`` must broadcast over arrays.  Whether it stays
-    Lipschitz along the iterates is the caller's lookout; the update size
-    of each layer makes a drifting iteration visible.
-    """
-
-    nonlinearity: Callable
-
-    def activation(self, values: np.ndarray) -> np.ndarray:
-        """G at the input of a hidden or the output layer: a NaN is named
-        at its node, and an infinite G (overflow) is left to the verdict
-        of ``forward`` or the evaluation layer's sum check."""
-        return _sample(self.nonlinearity, (values,), "nonlinearity",
-                       "node {i} (iterate value {v[0]!r})", nan_only=True)
 
 
 @dataclass(frozen=True)
@@ -61,18 +42,16 @@ class IterationTrace:
             raise ValidationError(f"invalid deltas {self.deltas}")
 
 
-def _check_operator(problem: NonlinearProblem, base: DiscreteOperator):
+def _check_operator(problem: FieProblem, base: DiscreteOperator):
     if base.problem is not problem:
         raise ValidationError(
             "operator does not discretize this nonlinear problem")
 
 
-def linearized_source(problem: NonlinearProblem, base: DiscreteOperator,
+def linearized_source(problem: FieProblem, base: DiscreteOperator,
                       prev_values: np.ndarray) -> np.ndarray:
     """Source g + A (G(f_prev) - f_prev) of a pass re-linearized at
-    ``f_prev``; ``base`` discretizes the problem.  Unused since G became
-    the network's activation, and kept only while ``bench/spans.py``
-    still wraps the name."""
+    ``f_prev``; ``base`` discretizes the problem, which needs its G."""
     prev = np.asarray(prev_values, dtype=float)
     if prev.shape != (base.n,):
         raise ValidationError(
@@ -82,9 +61,9 @@ def linearized_source(problem: NonlinearProblem, base: DiscreteOperator,
     return base.source + base.matrix @ (gu - prev)
 
 
-def solve_nonlinear(problem: NonlinearProblem, base: DiscreteOperator,
+def solve_nonlinear(problem: FieProblem, base: DiscreteOperator,
                     layers: int, schedule: KMSchedule,
-                    keep_history: Union[bool, int] = False
+                    keep_history: int = 0
                     ) -> Tuple[SolutionField, IterationTrace]:
     """Run ``layers`` layers over ``base``, which must discretize
     ``problem`` itself, with its G as activation (``keep_history`` and the
@@ -94,11 +73,10 @@ def solve_nonlinear(problem: NonlinearProblem, base: DiscreteOperator,
     return field, IterationTrace(deltas=field.deltas)
 
 
-def evaluate_nonlinear(problem: NonlinearProblem, base: DiscreteOperator,
+def evaluate_nonlinear(problem: FieProblem, base: DiscreteOperator,
                        field: SolutionField, points) -> np.ndarray:
     """The evaluation layer u(x) = g(x) + sum_j K(x, z_j) G(f(z_j)) dz of
-    the solved field, where ``base`` must discretize ``problem`` itself.
-    ``query`` applies the same layer; this name is kept only while
-    ``bench/spans.py`` still wraps it."""
+    the solved field, where ``base`` must discretize ``problem`` itself;
+    ``query`` applies the same layer."""
     _check_operator(problem, base)
     return evaluation_layer(problem, base.grid, points, field.values)

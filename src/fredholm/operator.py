@@ -39,17 +39,30 @@ _BLOCK = 32
 
 @dataclass(frozen=True)
 class FieProblem:
-    """A Fredholm problem of the second kind; its interval is the grid's.
+    """A Fredholm problem of the second kind, f = g + I K G(f) dz; its
+    interval is the grid's.
 
-    ``kernel(x, z)`` and ``source(x)`` are callables that broadcast over
-    numpy arrays (compiled expressions and plain numpy lambdas both
-    qualify).  ``activation`` is the sigma of the hidden layers of a net
-    over its discretization: None, the identity, for the linear equation.
+    ``kernel(x, z)``, ``source(x)`` and the optional pointwise
+    ``nonlinearity`` G(u) are callables that broadcast over numpy arrays
+    (compiled expressions and plain numpy lambdas both qualify).  Without
+    G the equation is linear.  Whether G stays Lipschitz along the
+    iterates is the caller's lookout; each layer's update makes a
+    drifting iteration visible.
     """
 
     kernel: Callable
     source: Callable
-    activation = None
+    nonlinearity: Optional[Callable] = None
+
+    def activation(self, values: np.ndarray) -> np.ndarray:
+        """sigma of the hidden and the output layers of a net over the
+        problem's discretization: G, or the identity without one.  A NaN
+        of G is named at its node; an infinite G (overflow) is left to
+        the verdict of ``forward`` or the evaluation layer's sum check."""
+        if self.nonlinearity is None:
+            return values
+        return _sample(self.nonlinearity, (values,), "nonlinearity",
+                       "node {i} (iterate value {v[0]!r})", nan_only=True)
 
 
 @dataclass(frozen=True)
@@ -60,13 +73,13 @@ class DiscreteOperator:
     arrays are marked read-only so a network built on top can share them
     safely.  ``problem`` is the continuous problem discretized: its
     callables serve off-grid evaluation and its ``activation`` the hidden
-    layers of a net over the operator.  Hand-built operators may omit it.
+    layers of a net over the operator.
     """
 
     grid: Grid1D
     matrix: np.ndarray
     source: np.ndarray
-    problem: Optional[FieProblem] = None
+    problem: FieProblem
 
     def __post_init__(self):
         self.matrix.setflags(write=False)

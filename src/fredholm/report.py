@@ -86,8 +86,8 @@ def render_csv(bundle: ReportBundle) -> str:
 def _jsonable(value):
     if isinstance(value, (np.integer,)):
         return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value) if np.isfinite(value) else None
     if isinstance(value, (np.bool_,)):
         return bool(value)
     if isinstance(value, np.ndarray):
@@ -101,7 +101,9 @@ def _jsonable(value):
 
 def render_json(bundle: ReportBundle) -> str:
     """Same content as the CSV, as one sorted-key JSON document.  Floats
-    use shortest round-trip repr, so parsing back is bit-exact."""
+    use shortest round-trip repr, so parsing back is bit-exact.  The
+    document is strict JSON: a non-finite float (an overflowed figure such
+    as ``q_est``) is written as null, where the CSV writes inf or nan."""
     doc = {
         "kind": bundle.kind,
         "metadata": _jsonable(bundle.metadata),
@@ -111,10 +113,10 @@ def render_json(bundle: ReportBundle) -> str:
         },
         "sweep": None if bundle.sweep is None else {
             "columns": ["layers", bundle.sweep_column],
-            "rows": [[int(m), float(e)] for m, e in bundle.sweep],
+            "rows": [[int(m), _jsonable(float(e))] for m, e in bundle.sweep],
         },
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_report(bundle: ReportBundle, fmt: str, out_path: Optional[str],

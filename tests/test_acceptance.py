@@ -68,8 +68,7 @@ def test_criterion_02_linear_separable_kernel(timed_bundles,
     bundle, _ = timed_bundles["ex2"]
     err = bundle.max_abs_err()
     op = separable_kernel_factory(n=2000)
-    field = forward(build_network(op, 10, KMSchedule(1.0)),
-                    keep_history=True)
+    field = forward(build_network(op, 10, KMSchedule(1.0)), 10)
     sin_z = np.sin(op.grid.nodes)
     worst_law = 0.0
     for m in range(2, 11):
@@ -134,8 +133,7 @@ def test_criterion_06_contraction_bound(const_kernel_factory, bvp_p_operator,
         q = estimate_contraction(op)
         star, _ = dense_solve(op)
         g_norm = float(np.max(np.abs(op.source)))
-        field = forward(build_network(op, 20, KMSchedule(1.0)),
-                        keep_history=True)
+        field = forward(build_network(op, 20, KMSchedule(1.0)), 20)
         margin = 0.0
         for m in range(2, 21):
             lhs = float(np.max(np.abs(field.history[m - 1] - star.values)))

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,9 +17,10 @@ from fredholm.exprlang import compile_fn, parse
 from fredholm.grid import uniform_grid
 from fredholm.network import (build_network, evaluation_layer, forward,
                               layer_sweep)
-from fredholm.nonlinear import NonlinearProblem, linearized_source
+from fredholm.nonlinear import linearized_source
 from fredholm.operator import FieProblem, KMSchedule, discretize
 from fredholm.registry import example_names, get_example
+from fredholm.report import render_csv, render_json
 
 LINEAR_CONFIG = {
     "kind": "linear_fie",
@@ -178,8 +180,8 @@ def _refuse_allocation(monkeypatch):
 
 @pytest.mark.parametrize("config,sweep", [
     (dict(LINEAR_CONFIG, grid_n=7072), None),
-    (dict(LINEAR_CONFIG, queries="0:1:250001"), None),
-    (dict(LINEAR_CONFIG, queries=[0.5] * 250001), None),
+    (dict(LINEAR_CONFIG, queries="0:1:3200000"), None),
+    (dict(LINEAR_CONFIG, queries=[0.5] * 3200000), None),
     (LINEAR_CONFIG, 10 ** 12),
     (dict(get_example("nl3").config, grid_n=10 ** 6), None),
     (dict(get_example("bvp_p").config, grid_n=10 ** 5), 3),
@@ -209,7 +211,8 @@ def test_polar_query_validation_before_allocation(monkeypatch, queries):
 
 def test_footprint_guard_cap_edge(monkeypatch, capsys):
     _refuse_allocation(monkeypatch)
-    # 7070^2 + 7070 cells fit under the 50e6 cap, 7071^2 + 7071 do not
+    # 7070^2 + 2 * 7070 + 88 cells fit under the 50e6 cap, 7071^2 +
+    # 2 * 7071 + 88 do not
     with pytest.raises(_Allocated):
         run_config(dict(LINEAR_CONFIG, grid_n=7070, queries=[0.5]))
     with pytest.raises(ValidationError):
@@ -224,13 +227,14 @@ def test_footprint_guard_charges_each_query_point(monkeypatch):
         raise _Allocated
 
     monkeypatch.setitem(cli._KINDS["linear_fie"], "setup", setup)
-    # on 3 nodes a query point costs 16 cells, not 3: 9 + 16 P and 9 for
-    # each of the 8 layers against 50e6
+    # on 3 nodes a query point costs 16 cells, not 3: 9 + 16 P, 2 * 32 * 3
+    # for the readout's row block and 9 for each of the 8 layers against
+    # 50e6
     coarse = dict(LINEAR_CONFIG, grid_n=3)
     with pytest.raises(_Allocated):
-        run_config(dict(coarse, queries="0:1:3124994"))
+        run_config(dict(coarse, queries="0:1:3124982"))
     with pytest.raises(ValidationError, match="dense cells"):
-        run_config(dict(coarse, queries="0:1:3124995"))
+        run_config(dict(coarse, queries="0:1:3124983"))
     with pytest.raises(ValidationError, match="dense cells"):
         run_config(dict(coarse, queries="0:1:16600000"))
 
@@ -267,12 +271,12 @@ def test_short_kappa_sequence_refused_before_allocation(monkeypatch):
 
 def test_work_guard_refuses_before_allocation(monkeypatch, capsys):
     _refuse_allocation(monkeypatch)
-    # one node: 1 + 16 cells and 9 cells per layer, so the cell cap stops
-    # the run at 5555553 layers, long before their fixed cost of
+    # one node: 1 + 16 + 2 cells and 9 cells per layer, so the cell cap
+    # stops the run at 5555553 layers, long before their fixed cost of
     # _LAYER_WORK multiply-adds each reaches the work cap
     one_node = dict(LINEAR_CONFIG, grid_n=1, grid_scheme="left",
                     queries=[0.5])
-    layers = (cli._MAX_CELLS - 17) // 9
+    layers = (cli._MAX_CELLS - 19) // 9
     with pytest.raises(_Allocated):
         run_config(dict(one_node, layers=layers))
     with pytest.raises(ValidationError, match="dense cells"):
@@ -309,11 +313,26 @@ def test_work_guard_refuses_before_allocation(monkeypatch, capsys):
         run_config(dict(one_node, layers=layers + 1))
 
 
+def test_many_query_points_fit_the_cap_they_are_charged():
+    # nl3 holds 9e6 matrix cells; its 20001 query points are charged
+    # 16 cells each plus one 32-row block of kernel rows, 9512106 cells in
+    # all, which the run's peak stays under at the cap's 1.03 doubles
+    tracemalloc.start()
+    try:
+        bundle = run_example("nl3", overrides={"queries": "0:1:20001"})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(bundle.rows) == 20001
+    assert bundle.max_abs_err() < 2.1e-4
+    assert peak < 1.03 * 8 * (3000 ** 2 + 16 * 20001 + 2 * 32 * 3000 + 90)
+
+
 def test_shallow_sweep_keeps_only_its_iterates(monkeypatch):
     # the pass runs all 400 layers of the solve but holds two iterates
     fields = []
 
-    def spy(net, keep_history=False):
+    def spy(net, keep_history=0):
         fields.append(forward(net, keep_history))
         return fields[-1]
 
@@ -330,7 +349,7 @@ def test_shallow_sweep_keeps_only_its_iterates(monkeypatch):
 def test_sweep_shares_the_forward_pass(monkeypatch, sweep):
     calls = []
 
-    def spy(net, keep_history=False):
+    def spy(net, keep_history=0):
         calls.append((net.layers, keep_history))
         return forward(net, keep_history)
 
@@ -347,9 +366,9 @@ def test_sweep_shares_the_forward_pass(monkeypatch, sweep):
                     uniform_grid(0.0, 1.0, LINEAR_CONFIG["grid_n"],
                                  scheme="closed"))
     net = build_network(op, sweep, KMSchedule(1.0))
-    assert bundle.sweep == layer_sweep(op, forward(net, keep_history=True),
-                                       fn("exact", ("x",)),
-                                       np.linspace(0.0, 1.0, 21))
+    pts = np.linspace(0.0, 1.0, 21)
+    assert bundle.sweep == layer_sweep(op, forward(net, sweep),
+                                       fn("exact", ("x",))(pts), pts)
     for name in ("bvp_p", "laplace_disc"):
         calls.clear()
         run_example(name, sweep_layers=sweep)
@@ -396,8 +415,8 @@ def test_error_texts_print_plain_floats():
         return np.where(sum(xs) == 0.0, np.nan, 1.0)
 
     base = discretize(FieProblem(kernel=one, source=one), grid)
-    nonlinear = NonlinearProblem(kernel=one, source=one,
-                                 nonlinearity=lambda u: np.sqrt(u))
+    nonlinear = FieProblem(kernel=one, source=one,
+                           nonlinearity=lambda u: np.sqrt(u))
     cases = [
         (lambda: discretize(FieProblem(kernel=nan_at_zero, source=one), grid),
          "(z[0]=0.0, z[0]=0.0)"),
@@ -744,7 +763,7 @@ def test_nonlinear_sweep_reads_the_run_pass(monkeypatch):
     # run's own error
     calls = []
 
-    def spy(net, keep_history=False):
+    def spy(net, keep_history=0):
         calls.append((net.layers, keep_history))
         return forward(net, keep_history)
 
@@ -791,6 +810,73 @@ def test_overflowing_contraction_estimate_gives_no_error_figure():
         meta = run_config(config).metadata
     assert meta["q_est"] == np.inf
     assert meta["iteration_error_bound"] is None
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_json_report_writes_a_non_finite_figure_as_null(tmp_path, capsys):
+    # the overflowed q_est above: the CSV writes inf, the JSON null
+    path = _write_config(tmp_path, {
+        "kind": "linear_fie", "kernel": "1e308", "source": "0",
+        "domain": [0, 2], "grid_n": 10, "layers": 3})
+    assert main(["solve", path, "--deterministic", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert doc["metadata"]["q_est"] is None
+    assert main(["solve", path, "--deterministic"]) == 0
+    assert "# q_est = inf" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("config,code,err", [
+    ({"kind": "bvp", "g": "1", "h": "1e308", "alpha": 1, "beta": 2,
+      "grid_n": 20, "layers": 10}, 0, ""),
+    ({"kind": "laplace_disc", "boundary": "5e307", "theta_n": 11,
+      "layers": 20}, 3, "error: non-finite potential value at query point "
+                        "r[0]=0.0, phi[0]=0.0: inf\n"),
+], ids=["ode_residual", "projected_potential"])
+def test_overflowing_readouts_raise_no_numpy_warning(tmp_path, capsys,
+                                                     config, code, err):
+    # the stencil of y'' and the sum P* overflow: inf is a figure or a
+    # refusal at a query point, never a numpy warning
+    path = _write_config(tmp_path, config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", path, "--deterministic"]) == code
+    out, stderr = capsys.readouterr()
+    assert stderr == err
+    if code == 0:
+        assert "# ode_residual = inf" in out.splitlines()
+
+
+def _ci_runs():
+    """The runs of CI's determinism loop: the shipped configs, the
+    registry examples, compare-fd and the damped and sweep runs."""
+    configs = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
+    runs = [lambda p=p: run_config(json.loads(p.read_text()))
+            for p in configs]
+    runs += [lambda name=name: run_example(name) for name in example_names()]
+    runs.append(lambda: run_compare_fd(60, 64))
+    for name, kappa, sweep in (
+            ("ex1", 0.7, None), ("ex1", 0.7, 12), ("ex2", 0.5, None),
+            ("ex1", None, 12), ("nl2", None, 25), ("nl3", None, 12),
+            ("laplace_disc", None, 20), ("bvp_airy", None, 20),
+            ("bvp_p", None, 12)):
+        overrides = {} if kappa is None else {"kappa": kappa}
+        runs.append(lambda name=name, sweep=sweep, overrides=overrides:
+                    run_example(name, sweep_layers=sweep, overrides=overrides))
+    return runs
+
+
+def test_ci_determinism_runs_repeat_byte_for_byte_without_warnings():
+    runs = _ci_runs()
+    assert len(runs) == 23
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in runs:
+            first, second = run(), run()
+            for render in (render_csv, render_json):
+                assert render(first) == render(second)
 
 
 def test_linear_runs_compute_no_a_priori_budget(monkeypatch):

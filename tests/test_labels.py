@@ -5,7 +5,7 @@ against what it claims, with the truth solved densely at the same size:
 ``iteration_error_bound``, and the planner's ``error_bound`` read at the
 run's depth, must bound ``||h_M - h*||``, the distance of the last hidden
 layer from ``h* = dense_solve(op)``, up to the rounding of the dense solve
-itself.  Two verdicts that contradict the spectral radius of the layer
+itself.  Three verdicts that contradict the spectral radius of the layer
 map are pinned as strict xfails.
 """
 
@@ -20,9 +20,9 @@ from fredholm.errors import DivergenceError, NumericalError
 from fredholm.exprlang import compile_fn, parse
 from fredholm.grid import uniform_grid
 from fredholm.laplace import build_bie
-from fredholm.network import (budget_from_operator, dense_solve, error_bound,
-                              forward)
-from fredholm.operator import FieProblem, discretize
+from fredholm.network import (budget_from_operator, build_network,
+                              dense_solve, error_bound, forward)
+from fredholm.operator import FieProblem, KMSchedule, discretize
 
 # the oracle's own rounding: at its pinned grid bvp_airy's iterate sits
 # 5e-15 from dense_solve, where its figure reads 1.8e-17, and ex1's figure,
@@ -187,3 +187,29 @@ def test_stalled_disc_run_is_refused():
     with pytest.raises(NumericalError):
         run_example("laplace_disc", overrides={"theta_n": 64, "kappa": 1.0,
                                                "layers": 30})
+
+
+# a constant kernel with rho(A) = 1.0496 > 1: past the bias, whose update
+# 0.857 is the largest, every update grows
+_GROWING = {"kind": "linear_fie", "kernel": "(sqrt(exp(1))/abs(pi))",
+            "source": "abs(x)", "domain": [-1, 1], "grid_n": 7, "layers": 6,
+            "grid_scheme": "midpoint"}
+
+
+def test_growing_run_has_spectral_radius_above_one():
+    op = discretize(FieProblem(
+        kernel=compile_fn(parse(_GROWING["kernel"]), ("x", "z")),
+        source=compile_fn(parse(_GROWING["source"]), ("x",))),
+        uniform_grid(-1.0, 1.0, 7, scheme="midpoint"))
+    assert _rho(op.matrix) == pytest.approx(1.0496, abs=1e-4)
+    deltas = forward(build_network(op, 6, KMSchedule(1.0))).deltas
+    assert np.round(deltas[1:], 3).tolist() == [0.514, 0.54, 0.566, 0.594,
+                                                0.624]
+
+
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                   reason="rho(A) = 1.0496 and every update past the bias "
+                          "grows, yet the run exits 0")
+def test_run_with_spectral_radius_above_one_is_refused():
+    with pytest.raises(NumericalError):
+        run_config(_GROWING)

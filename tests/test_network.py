@@ -21,8 +21,9 @@ def _km_step(op, f, kappa):
 
 
 def _sweep(op, schedule, depth, exact=None):
-    field = forward(build_network(op, depth, schedule), keep_history=True)
-    return layer_sweep(op, field, exact)
+    field = forward(build_network(op, depth, schedule), depth)
+    return layer_sweep(op, field,
+                       None if exact is None else exact(op.grid.nodes))
 
 
 def _iterate(op, schedule, layers):
@@ -66,7 +67,7 @@ def test_forward_matches_km_iteration(const_kernel_factory,
 def test_forward_history(const_kernel_factory):
     op = const_kernel_factory(n=16, scheme="left")
     net = build_network(op, 6, KMSchedule(1.0))
-    field = forward(net, keep_history=True)
+    field = forward(net, 6)
     assert field.history is not None and len(field.history) == 6
     assert np.array_equal(field.history[0], op.source)
     assert np.array_equal(field.history[-1], field.values)
@@ -77,7 +78,7 @@ def test_forward_history(const_kernel_factory):
 def test_forward_keeps_the_first_k_iterates(const_kernel_factory):
     op = const_kernel_factory(n=16, scheme="left")
     net = build_network(op, 6, KMSchedule(0.7))
-    full = forward(net, keep_history=True)
+    full = forward(net, 6)
     for k in (1, 4, 6, 9):
         field = forward(net, keep_history=k)
         assert len(field.history) == min(k, 6)
@@ -85,6 +86,10 @@ def test_forward_keeps_the_first_k_iterates(const_kernel_factory):
                    for a, b in zip(field.history, full.history))
         assert np.array_equal(field.values, full.values)
     assert forward(net, keep_history=0).history is None
+    # a count only: True is no depth
+    for keep in (True, -1):
+        with pytest.raises(ValidationError, match="must be a count"):
+            forward(net, keep)
 
 
 def test_forward_zero_kernel_is_source_every_depth():
@@ -98,8 +103,7 @@ def test_forward_zero_kernel_is_source_every_depth():
 def test_forward_update_sizes_contract(const_kernel_factory):
     op = const_kernel_factory(n=100, scheme="left")
     q = estimate_contraction(op)
-    field = forward(build_network(op, 12, KMSchedule(1.0)),
-                    keep_history=True)
+    field = forward(build_network(op, 12, KMSchedule(1.0)), 12)
     h = field.history
     deltas = [float(np.max(np.abs(h[i + 1] - h[i])))
               for i in range(len(h) - 1)]
@@ -184,16 +188,6 @@ def test_query_rejects_outside_interval(const_kernel_factory):
         query(net, field, [float("nan")])
 
 
-def test_query_needs_continuous_problem():
-    grid = uniform_grid(0.0, 1.0, 4)
-    op = DiscreteOperator(grid=grid, matrix=np.zeros((4, 4)),
-                          source=np.ones(4))
-    net = build_network(op, 2, KMSchedule(0.5))
-    field = forward(net)
-    with pytest.raises(ValidationError):
-        query(net, field, [0.5])
-
-
 def test_query_rejects_mismatched_field(const_kernel_factory):
     op = const_kernel_factory(n=16, scheme="left")
     net = build_network(op, 2, KMSchedule(1.0))
@@ -227,7 +221,7 @@ def test_blocked_evaluation_layer_matches_full_rows(p):
     grid = uniform_grid(0.0, b, 400)
     pts = np.linspace(0.0, b, p)
     field = forward(build_network(discretize(problem, grid), 15,
-                                  KMSchedule(0.5)), keep_history=True)
+                                  KMSchedule(0.5)), 15)
     got = evaluation_layer(problem, grid, pts, field.values)
     assert got.shape == (p,)
     # one field is a gemv: each row's dot product is the same in any block
@@ -245,11 +239,15 @@ def test_blocked_evaluation_layer_matches_full_rows(p):
 # ---------------------------------------------------------------------------
 # dense reference
 
+# hand-set matrices; the solve reads no continuous problem
+_NO_PROBLEM = FieProblem(kernel=None, source=None)
+
+
 def test_dense_solve_two_node_oracle():
     grid = uniform_grid(0.0, 1.0, 2, scheme="left")
     op = DiscreteOperator(grid=grid,
                           matrix=np.array([[0.1, 0.2], [0.3, 0.4]]),
-                          source=np.array([1.0, 1.0]))
+                          source=np.array([1.0, 1.0]), problem=_NO_PROBLEM)
     field, cond = dense_solve(op)
     assert np.allclose(field.values, [5.0 / 3.0, 2.5], rtol=1e-14, atol=0)
     assert cond == pytest.approx(2.75, rel=1e-12)
@@ -268,7 +266,8 @@ def test_dense_solve_zero_kernel_returns_source():
 
 def test_dense_solve_singular_system():
     grid = uniform_grid(0.0, 1.0, 3, scheme="left")
-    op = DiscreteOperator(grid=grid, matrix=np.eye(3), source=np.ones(3))
+    op = DiscreteOperator(grid=grid, matrix=np.eye(3), source=np.ones(3),
+                          problem=_NO_PROBLEM)
     with pytest.raises(SingularSystemError):
         dense_solve(op)
 
@@ -382,8 +381,7 @@ def test_layer_sweep_zero_kernel():
 def test_layer_sweep_update_mode_holds_no_stack(const_kernel_factory):
     # update norms are the deltas forward recorded, with no S x N copy
     op = const_kernel_factory(n=2000, scheme="left")
-    field = forward(build_network(op, 200, KMSchedule(0.5)),
-                    keep_history=True)
+    field = forward(build_network(op, 200, KMSchedule(0.5)), 200)
     stacked = np.stack(field.history, axis=1)
     expected = np.max(np.abs(np.diff(stacked, axis=1, prepend=0.0)), axis=0)
     tracemalloc.start()
@@ -401,7 +399,6 @@ def test_layer_sweep_validation(const_kernel_factory):
     net = build_network(op, 3, KMSchedule(1.0))
     with pytest.raises(ValidationError, match="layer history"):
         layer_sweep(op, forward(net))
-    bare = DiscreteOperator(grid=op.grid, matrix=np.zeros((16, 16)),
-                            source=np.ones(16))
-    with pytest.raises(ValidationError, match="continuous problem"):
-        _sweep(bare, KMSchedule(0.5), 3, exact=lambda x: x)
+    # one exact value per point
+    with pytest.raises(ValidationError, match="2 target values for 16"):
+        layer_sweep(op, forward(net, 3), [1.0, 2.0])

@@ -10,28 +10,27 @@ from fredholm.errors import DivergenceError, DomainError, ValidationError
 from fredholm.grid import uniform_grid
 from fredholm.network import (SolutionField, build_network, forward,
                                layer_sweep, query)
-from fredholm.nonlinear import (IterationTrace, NonlinearProblem,
-                                evaluate_nonlinear, linearized_source,
-                                solve_nonlinear)
+from fredholm.nonlinear import (IterationTrace, evaluate_nonlinear,
+                                linearized_source, solve_nonlinear)
 from fredholm.operator import FieProblem, KMSchedule, discretize
 
 
 def _identity_problem(n=30):
-    problem = NonlinearProblem(kernel=lambda x, z: 0.2,
-                               source=lambda x: np.sin(x),
-                               nonlinearity=lambda u: u)
+    problem = FieProblem(kernel=lambda x, z: 0.2,
+                         source=lambda x: np.sin(x),
+                         nonlinearity=lambda u: u)
     grid = uniform_grid(0.0, 1.0, n, scheme="left")
     return problem, grid
 
 
 def _linear_part(problem):
     """The linear problem with ``problem``'s kernel and source."""
-    return FieProblem(kernel=problem.kernel, source=problem.source)
+    return replace(problem, nonlinearity=None)
 
 
 def _log_problem():
     """u = g + (1/36) I z u(z)^2 dz with solution log(x) + 1."""
-    problem = NonlinearProblem(
+    problem = FieProblem(
         kernel=lambda x, z: z / 36.0,
         source=lambda x: np.log(x) + 143.0 / 144.0,
         nonlinearity=lambda u: u * u)
@@ -49,8 +48,8 @@ def test_linearized_source_identity_nonlinearity_is_noop():
 
 def test_linearized_source_zero_iterate_quadratic():
     problem, grid = _identity_problem()
-    problem = NonlinearProblem(kernel=problem.kernel, source=problem.source,
-                               nonlinearity=lambda u: u * u)
+    problem = FieProblem(kernel=problem.kernel, source=problem.source,
+                         nonlinearity=lambda u: u * u)
     base = discretize(problem, grid)
     out = linearized_source(problem, base, np.zeros(base.n))
     assert np.array_equal(out, base.source)
@@ -99,7 +98,7 @@ def test_identity_nonlinearity_reduces_to_linear_solve():
 
 def _sin_problem():
     """u = g + (1/36) I z (u + u^2) dz with solution sin(x) + 1."""
-    problem = NonlinearProblem(
+    problem = FieProblem(
         kernel=lambda x, z: z / 36.0,
         source=lambda x: np.sin(x) + 1.0 - math.pi / 12.0
         - 5.0 * math.pi ** 2 / 144.0,
@@ -111,10 +110,12 @@ def _sin_problem():
 def test_net_takes_g_from_the_operator_problem():
     problem, base = _sin_problem()
     assert base.problem is problem
-    net = build_network(base, 20, KMSchedule(1.0))
-    assert net.activation == problem.activation
-    plain = discretize(_linear_part(problem), base.grid)
-    assert build_network(plain, 20, KMSchedule(1.0)).activation is None
+    # layer 2 is g + A G(g), with G the problem's own
+    g = base.source
+    field = forward(build_network(base, 2, KMSchedule(1.0)))
+    assert np.array_equal(field.values, base.matrix @ (g + g * g) + g)
+    # without G the activation is the identity, the linear net's
+    assert _linear_part(problem).activation(g) is g
 
 
 def test_query_applies_the_nonlinear_map():
@@ -122,7 +123,7 @@ def test_query_applies_the_nonlinear_map():
     # evaluation layer, which applies its map u -> g + A G(u)
     problem, base = _sin_problem()
     net = build_network(base, 20, KMSchedule(1.0))
-    field = forward(net, keep_history=True)
+    field = forward(net, 20)
     pts = np.linspace(0.0, math.pi, 21)
     exact = np.sin(pts) + 1.0
     values = query(net, field, pts)
@@ -130,7 +131,7 @@ def test_query_applies_the_nonlinear_map():
                           evaluate_nonlinear(problem, base, field, pts))
     err = np.abs(values - exact).max()
     assert err < 5e-3
-    sweep = layer_sweep(base, field, lambda x: np.sin(x) + 1.0, pts)
+    sweep = layer_sweep(base, field, exact, pts)
     assert [m for m, _ in sweep] == list(range(1, 21))
     assert sweep[-1][1] == pytest.approx(err, rel=1e-12)
     assert layer_sweep(base, field) == list(enumerate(field.deltas, 1))
@@ -158,7 +159,7 @@ def test_layer_deltas_shrink_monotonically():
 def test_layer_deltas_are_the_sweep_update_sizes():
     problem, base = _sin_problem()
     field, trace = solve_nonlinear(problem, base, 9, KMSchedule(1.0),
-                                   keep_history=True)
+                                   keep_history=9)
     assert layer_sweep(base, field) == list(enumerate(trace.deltas, 1))
     # the first layer's update is the bias g itself
     assert trace.deltas[0] == float(np.max(np.abs(base.source)))
@@ -196,7 +197,7 @@ def test_small_source_with_nonzero_g0_converges():
     grid = uniform_grid(0.0, 1.0, 20, scheme="left")
     for source, kernel, layers in ((0.0, 0.1, 2), (0.0, 0.1, 12),
                                    (0.01, 0.5, 7)):
-        problem = NonlinearProblem(
+        problem = FieProblem(
             kernel=lambda x, z, k=kernel: k,
             source=lambda x, s=source: np.full(np.shape(x), s),
             nonlinearity=lambda u: 1.0 + u)
@@ -219,7 +220,7 @@ def test_final_iterate_is_consistent_fixed_point():
 
 
 def test_nonlinearity_domain_violation_names_node():
-    problem = NonlinearProblem(
+    problem = FieProblem(
         kernel=lambda x, z: 0.1,
         source=lambda x: np.full(np.shape(x), -1.0),
         nonlinearity=lambda u: np.sqrt(u))
@@ -233,9 +234,9 @@ def test_nonlinearity_domain_violation_names_node():
 
 
 def test_evaluate_nonlinear_zero_kernel_is_source():
-    problem = NonlinearProblem(kernel=lambda x, z: 0.0,
-                               source=lambda x: np.exp(x),
-                               nonlinearity=lambda u: u * u)
+    problem = FieProblem(kernel=lambda x, z: 0.0,
+                         source=lambda x: np.exp(x),
+                         nonlinearity=lambda u: u * u)
     grid = uniform_grid(0.0, 1.0, 16, scheme="left")
     base = discretize(problem, grid)
     field = forward(build_network(base, 2, KMSchedule(1.0)))
@@ -265,9 +266,9 @@ def test_evaluate_nonlinear_refuses_another_problems_operator():
 
 def test_evaluate_nonlinear_domain_violation():
     problem, grid = _identity_problem()
-    sqrt_problem = NonlinearProblem(kernel=problem.kernel,
-                                    source=lambda x: np.full(np.shape(x), -5.0),
-                                    nonlinearity=lambda u: np.sqrt(u))
+    sqrt_problem = FieProblem(kernel=problem.kernel,
+                              source=lambda x: np.full(np.shape(x), -5.0),
+                              nonlinearity=lambda u: np.sqrt(u))
     sqrt_base = discretize(sqrt_problem, grid)
     bad = SolutionField(grid=grid, values=np.full(grid.n, -5.0))
     with pytest.raises(DomainError) as exc:

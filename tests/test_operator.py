@@ -16,10 +16,12 @@ from fredholm.network import build_network, dense_solve, forward
 
 
 def _two_node_op():
+    """A hand-set matrix; its linear problem gives the net its activation."""
     grid = uniform_grid(0.0, 1.0, 2, scheme="left")
     return DiscreteOperator(grid=grid,
                             matrix=np.array([[0.1, 0.2], [0.3, 0.4]]),
-                            source=np.array([1.0, 1.0]))
+                            source=np.array([1.0, 1.0]),
+                            problem=FieProblem(kernel=None, source=None))
 
 
 def _km_step(op, f, kappa):
@@ -237,7 +239,7 @@ def test_km_step_two_node_damped():
 def test_km_step_undamped_is_plain_iteration():
     op = _two_node_op()
     net = build_network(op, 3, KMSchedule(1.0))
-    h = forward(net, keep_history=True).history
+    h = forward(net, 3).history
     for prev, cur in zip(h, h[1:]):
         assert np.array_equal(cur, op.source + op.matrix @ prev)
 

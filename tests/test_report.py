@@ -79,6 +79,21 @@ def test_json_round_trip_bitwise():
     assert doc["sweep"]["rows"] == [[1, 0.5], [2, 0.25]]
 
 
+def test_json_writes_non_finite_floats_as_null():
+    def refuse(name):
+        raise ValueError(f"{name} is not strict JSON")
+
+    bundle = ReportBundle(kind="t", columns=("x", "value"),
+                          rows=[(0.0, float("nan"))], sweep=[(1, np.inf)],
+                          metadata={"q": -np.inf, "deltas": [np.inf, 1.0]})
+    doc = json.loads(render_json(bundle), parse_constant=refuse)
+    assert doc["solution"]["rows"] == [[0.0, None]]
+    assert doc["sweep"]["rows"] == [[1, None]]
+    assert doc["metadata"] == {"q": None, "deltas": [None, 1.0]}
+    # the CSV keeps the scalars' text
+    assert "# q = -inf" in render_csv(bundle).splitlines()
+
+
 def test_json_converts_numpy_scalars():
     bundle = ReportBundle(kind="t", columns=("x",), rows=[],
                           metadata={"n": np.int64(5),
