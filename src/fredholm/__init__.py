@@ -10,7 +10,7 @@ from .errors import (BoundUnavailableError, DivergenceError, DomainError,
                      ExprSyntaxError, FredholmError, NumericalError,
                      SingularSystemError, UnboundVariableError,
                      ValidationError)
-from .exprlang import compile_fn, evaluate, free_vars, parse
+from .exprlang import compile_fn, evaluate, parse
 from .grid import Grid1D, uniform_grid
 from .operator import (DiscreteOperator, FieProblem, KMSchedule, discretize,
                        estimate_contraction, residual_norm)
@@ -31,7 +31,7 @@ __all__ = [
     "BoundUnavailableError", "DivergenceError", "DomainError",
     "ExprSyntaxError", "FredholmError", "NumericalError",
     "SingularSystemError", "UnboundVariableError", "ValidationError",
-    "compile_fn", "evaluate", "free_vars", "parse",
+    "compile_fn", "evaluate", "parse",
     "Grid1D", "uniform_grid",
     "DiscreteOperator", "FieProblem", "KMSchedule", "discretize",
     "estimate_contraction", "residual_norm",

@@ -34,11 +34,11 @@ __all__ = ["main", "run_config", "run_example", "run_compare_fd"]
 _DEFAULT_POLAR_QUERIES = {"r": "0:1:11", "phi": f"0:{2.0 * np.pi!r}:17"}
 
 # Cap on the dense cells of one run: N^2 for the kernel matrix, 9 (~73 B)
-# per layer for its recorded update, 16 per query point (~130 B: its
-# P-vectors and report row), 2 * min(P, 32) * N for the kernel rows the
-# blocked readouts hold (two buffers on the disc, one elsewhere) and
-# S * max(N, P) for a sweep of depth S.  Under tracemalloc an N x N cell
-# peaks at ~1.03 doubles (the matrix, filled and scanned for q_est in
+# per layer for its recorded update, 68 per query point (~560 B: its
+# P-vectors, report row and CSV line), 2 * min(P, 32) * N for the kernel
+# rows the blocked readouts hold (two buffers on the disc, one elsewhere)
+# and S * max(N, P) for a sweep of depth S.  Under tracemalloc an N x N
+# cell peaks at ~1.03 doubles (the matrix, filled and scanned for q_est in
 # 32-row blocks) and an S x N sweep cell at ~1.0 (update sizes, the
 # history itself) or 2.1 (errors).  At 1.03 doubles the cap is ~390 MiB:
 # N <= 7070.
@@ -77,17 +77,13 @@ def _check_schema(config: dict):
 def _compile(text: str, params, name: str) -> Callable:
     """``text`` compiled over ``params``; a bad expression is refused
     under ``name``, the config key or option that holds it."""
+    if not isinstance(text, str):
+        raise ValidationError(f"{name}: must be an expression string, "
+                              f"got {type(text).__name__}")
     try:
         return exprlang.compile_fn(exprlang.parse(text), params)
     except ValidationError as exc:
         raise ValidationError(f"{name}: {exc}") from None
-
-
-def _compile_expr(config: dict, key: str, params) -> Callable:
-    text = config[key]
-    if not isinstance(text, str):
-        _fail(key, f"must be an expression string, got {type(text).__name__}")
-    return _compile(text, params, f"config key {key!r}")
 
 
 def _compile_all(config: dict,
@@ -96,10 +92,11 @@ def _compile_all(config: dict,
     to the override when one is given, else to the compiled config entry,
     else to None."""
     spec = _KINDS[config["kind"]]
-    fns = {key: _compile_expr(config, key, params)
+    fns = {key: _compile(config[key], params, f"config key {key!r}")
            for key, params in spec["exprs"]}
     if exact_override is None and "exact" in config:
-        exact_override = _compile_expr(config, "exact", spec["exact"])
+        exact_override = _compile(config["exact"], spec["exact"],
+                                  "config key 'exact'")
     fns["exact"] = exact_override
     return fns
 
@@ -176,8 +173,9 @@ def _queries_polar(config: dict):
             _fail("queries", "lattice ranges must be start:stop:count strings")
         rs = _parse_linspace(q["r"], "queries.r")
         phis = _parse_linspace(q["phi"], "queries.phi")
-        return rs[2] * phis[2], lambda grid: np.asarray(
-            [(r, p) for r in np.linspace(*rs) for p in np.linspace(*phis)])
+        return rs[2] * phis[2], lambda grid: np.stack(np.meshgrid(
+            np.linspace(*rs), np.linspace(*phis), indexing="ij"),
+            -1).reshape(-1, 2)
     if isinstance(q, (list, tuple)):
         if not q:
             _fail("queries", "pair list must not be empty")
@@ -354,7 +352,7 @@ def run_config(config: dict, exact_override: Optional[Callable] = None,
         _fail("kappa", f"sequence has {len(schedule.sequence)} values, but "
                        f"{needs} {depth} layers")
     # one pass of depth max(layers, S) serves every kind's solve and sweep
-    cells = (n * n + 16 * count + 2 * min(count, _BLOCK) * n
+    cells = (n * n + 68 * count + 2 * min(count, _BLOCK) * n
              + sweep_n * max(n, count) + 9 * depth)
     if cells > _MAX_CELLS:
         raise ValidationError(

@@ -23,7 +23,7 @@ interpreter of the tree; ``evaluate`` runs it on scalar bindings.
 
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .errors import DomainError, ExprSyntaxError, UnboundVariableError
 
 __all__ = [
     "Num", "Var", "Neg", "BinOp", "Call",
-    "parse", "evaluate", "free_vars", "compile_fn",
+    "parse", "evaluate", "compile_fn",
     "FUNCTIONS", "CONSTANTS",
 ]
 
@@ -43,35 +43,28 @@ _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
 # ---------------------------------------------------------------------------
-# AST nodes: immutable records with structural equality.
+# AST nodes: immutable tuples.  Each type's fields hold a different kind of
+# value (float, str, node), so nodes of two types never compare equal.
 
-@dataclass(frozen=True, slots=True)
-class Num:
+class Num(NamedTuple):
     value: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
 
-
-@dataclass(frozen=True, slots=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
-class Neg:
+class Neg(NamedTuple):
     child: object
 
 
-@dataclass(frozen=True, slots=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str
     left: object
     right: object
 
 
-@dataclass(frozen=True, slots=True)
-class Call:
+class Call(NamedTuple):
     func: str
     arg: object
 
@@ -79,8 +72,7 @@ class Call:
 # ---------------------------------------------------------------------------
 # Tokenizer.
 
-@dataclass(slots=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str      # 'num' | 'name' | 'op' | 'end'
     text: str
     offset: int
@@ -93,22 +85,17 @@ def _tokenize(text):
         c = text[i]
         if c in " \t\r\n":
             i += 1
-            continue
-        m = _NUMBER.match(text, i)
-        if m:
+        elif m := _NUMBER.match(text, i):
             tokens.append(_Token("num", m.group(0), i))
             i = m.end()
-            continue
-        m = _NAME.match(text, i)
-        if m:
+        elif m := _NAME.match(text, i):
             tokens.append(_Token("name", m.group(0), i))
             i = m.end()
-            continue
-        if c in "+-*/^()":
+        elif c in "+-*/^()":
             tokens.append(_Token("op", c, i))
             i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {c!r}", i)
+        else:
+            raise ExprSyntaxError(f"unexpected character {c!r}", i)
     tokens.append(_Token("end", "", n))
     return tokens
 
@@ -121,63 +108,59 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
+    def accept(self, ops):
+        """The next token's text, consumed, if it is an operator in ops."""
         tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+        if tok.kind == "op" and tok.text in ops:
+            self.pos += 1
+            return tok.text
+        return None
 
     def expect_op(self, text):
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == text:
-            return self.advance()
-        raise ExprSyntaxError(f"expected {text!r}", tok.offset)
+        if self.accept(text) is None:
+            raise ExprSyntaxError(f"expected {text!r}",
+                                  self.tokens[self.pos].offset)
 
     def expr(self):
         node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
+        while op := self.accept("+-"):
             node = BinOp(op, node, self.term())
         return node
 
     def term(self):
         node = self.factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
+        while op := self.accept("*/"):
             node = BinOp(op, node, self.factor())
         return node
 
     def factor(self):
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
+        if self.accept("-"):
             return Neg(self.factor())
         return self.power()
 
     def power(self):
         base = self.atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.advance()
+        if self.accept("^"):
             # recurse through factor so the exponent may be negative and
             # chained powers associate to the right
             return BinOp("^", base, self.factor())
         return base
 
     def atom(self):
-        tok = self.peek()
+        if self.accept("("):
+            node = self.expr()
+            self.expect_op(")")
+            return node
+        tok = self.tokens[self.pos]
         if tok.kind == "num":
-            self.advance()
+            self.pos += 1
             return Num(float(tok.text))
         if tok.kind == "name":
-            self.advance()
-            if self.peek().kind == "op" and self.peek().text == "(":
+            self.pos += 1
+            if self.accept("("):
                 if tok.text not in FUNCTIONS:
                     raise ExprSyntaxError(
                         f"unknown function {tok.text!r}", tok.offset)
-                self.advance()
                 arg = self.expr()
                 self.expect_op(")")
                 return Call(tok.text, arg)
@@ -187,11 +170,6 @@ class _Parser:
                 raise ExprSyntaxError(
                     f"function {tok.text!r} used without arguments", tok.offset)
             return Var(tok.text)
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            node = self.expr()
-            self.expect_op(")")
-            return node
         raise ExprSyntaxError(
             "expected a number, name, '(' or unary '-'", tok.offset)
 
@@ -201,7 +179,7 @@ def parse(text):
     byte offset of the first problem."""
     parser = _Parser(_tokenize(text))
     node = parser.expr()
-    tail = parser.peek()
+    tail = parser.tokens[parser.pos]
     if tail.kind != "end":
         raise ExprSyntaxError(f"unexpected trailing input {tail.text!r}",
                               tail.offset)
@@ -210,25 +188,6 @@ def parse(text):
 
 # ---------------------------------------------------------------------------
 # Evaluation.
-
-def free_vars(expr):
-    """Set of free variable names.  Constants fold at parse time, so
-    free_vars(parse('pi')) is empty."""
-    out = set()
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            out.add(node.name)
-        elif isinstance(node, Neg):
-            stack.append(node.child)
-        elif isinstance(node, BinOp):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, Call):
-            stack.append(node.arg)
-    return out
-
 
 def _first(a, bad):
     """The value of ``a``, broadcast to ``bad``, at the first true entry of
@@ -288,16 +247,16 @@ def compile_fn(expr, params):
     a large value) still gives inf.
     """
     params = tuple(params)
-    extra = free_vars(expr) - set(params)
-    if extra:
-        raise UnboundVariableError(f"unexpected variable(s) {sorted(extra)}; "
-                                   f"allowed: {list(params)}")
+    extra = set()
 
     def build(node):
         if isinstance(node, Num):
             v = node.value
             return lambda args: v
         if isinstance(node, Var):
+            if node.name not in params:
+                extra.add(node.name)
+                return None
             i = params.index(node.name)
             return lambda args: args[i]
         if isinstance(node, Neg):
@@ -320,11 +279,13 @@ def compile_fn(expr, params):
         return lambda args: fn(fa(args))
 
     body = build(expr)
+    if extra:
+        raise UnboundVariableError(f"unexpected variable(s) {sorted(extra)}; "
+                                   f"allowed: {list(params)}")
 
     def call(*args):
         return body(args)
 
-    call.params = params
     return call
 
 

@@ -211,8 +211,8 @@ def test_polar_query_validation_before_allocation(monkeypatch, queries):
 
 def test_footprint_guard_cap_edge(monkeypatch, capsys):
     _refuse_allocation(monkeypatch)
-    # 7070^2 + 2 * 7070 + 88 cells fit under the 50e6 cap, 7071^2 +
-    # 2 * 7071 + 88 do not
+    # 7070^2 + 2 * 7070 + 140 cells fit under the 50e6 cap, 7071^2 +
+    # 2 * 7071 + 140 do not
     with pytest.raises(_Allocated):
         run_config(dict(LINEAR_CONFIG, grid_n=7070, queries=[0.5]))
     with pytest.raises(ValidationError):
@@ -227,14 +227,14 @@ def test_footprint_guard_charges_each_query_point(monkeypatch):
         raise _Allocated
 
     monkeypatch.setitem(cli._KINDS["linear_fie"], "setup", setup)
-    # on 3 nodes a query point costs 16 cells, not 3: 9 + 16 P, 2 * 32 * 3
+    # on 3 nodes a query point costs 68 cells, not 3: 9 + 68 P, 2 * 32 * 3
     # for the readout's row block and 9 for each of the 8 layers against
     # 50e6
     coarse = dict(LINEAR_CONFIG, grid_n=3)
     with pytest.raises(_Allocated):
-        run_config(dict(coarse, queries="0:1:3124982"))
+        run_config(dict(coarse, queries="0:1:735290"))
     with pytest.raises(ValidationError, match="dense cells"):
-        run_config(dict(coarse, queries="0:1:3124983"))
+        run_config(dict(coarse, queries="0:1:735291"))
     with pytest.raises(ValidationError, match="dense cells"):
         run_config(dict(coarse, queries="0:1:16600000"))
 
@@ -271,12 +271,12 @@ def test_short_kappa_sequence_refused_before_allocation(monkeypatch):
 
 def test_work_guard_refuses_before_allocation(monkeypatch, capsys):
     _refuse_allocation(monkeypatch)
-    # one node: 1 + 16 + 2 cells and 9 cells per layer, so the cell cap
-    # stops the run at 5555553 layers, long before their fixed cost of
+    # one node: 1 + 68 + 2 cells and 9 cells per layer, so the cell cap
+    # stops the run at 5555547 layers, long before their fixed cost of
     # _LAYER_WORK multiply-adds each reaches the work cap
     one_node = dict(LINEAR_CONFIG, grid_n=1, grid_scheme="left",
                     queries=[0.5])
-    layers = (cli._MAX_CELLS - 19) // 9
+    layers = (cli._MAX_CELLS - 71) // 9
     with pytest.raises(_Allocated):
         run_config(dict(one_node, layers=layers))
     with pytest.raises(ValidationError, match="dense cells"):
@@ -315,8 +315,9 @@ def test_work_guard_refuses_before_allocation(monkeypatch, capsys):
 
 def test_many_query_points_fit_the_cap_they_are_charged():
     # nl3 holds 9e6 matrix cells; its 20001 query points are charged
-    # 16 cells each plus one 32-row block of kernel rows, 9512106 cells in
-    # all, which the run's peak stays under at the cap's 1.03 doubles
+    # 68 cells each plus one 32-row block of kernel rows, 10552158 cells in
+    # all, and the run's peak stays under even the 9512106 cells of 16
+    # cells per point at the cap's 1.03 doubles
     tracemalloc.start()
     try:
         bundle = run_example("nl3", overrides={"queries": "0:1:20001"})
@@ -326,6 +327,27 @@ def test_many_query_points_fit_the_cap_they_are_charged():
     assert len(bundle.rows) == 20001
     assert bundle.max_abs_err() < 2.1e-4
     assert peak < 1.03 * 8 * (3000 ** 2 + 16 * 20001 + 2 * 32 * 3000 + 90)
+
+
+def test_query_points_hold_no_more_than_their_charge(monkeypatch):
+    # on 3 nodes nearly all a run holds grows with its query points: their
+    # vectors, the report rows with exact values and the CSV text.  The
+    # guard charges each point 68 cells, ~560 B at the cap's 1.03 doubles
+    config = {"kind": "linear_fie", "kernel": "1/e", "source": "e^x",
+              "domain": [0, 1], "grid_n": 3, "layers": 8,
+              "queries": "0:1:20001", "exact": "e^x + 1"}
+    tracemalloc.start()
+    try:
+        text = render_csv(run_config(config))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") > 20001
+    assert peak / 20001 < 1.03 * 8 * 68
+    # so a cap of the cells the run held refuses it: it is charged more
+    monkeypatch.setattr(cli, "_MAX_CELLS", int(peak / (1.03 * 8)))
+    with pytest.raises(ValidationError, match="dense cells"):
+        run_config(config)
 
 
 def test_shallow_sweep_keeps_only_its_iterates(monkeypatch):
