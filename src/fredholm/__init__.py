@@ -6,17 +6,16 @@ boundary integral equation, with one contraction bound for the error
 figure and the depth planner, a dense reference and an FD comparison.
 """
 
-from .errors import (BoundUnavailableError, DivergenceError, DomainError,
-                     ExprSyntaxError, FredholmError, NumericalError,
-                     SingularSystemError, UnboundVariableError,
-                     ValidationError)
+from .errors import (DivergenceError, DomainError, ExprSyntaxError,
+                     FredholmError, NumericalError, SingularSystemError,
+                     UnboundVariableError, ValidationError)
 from .exprlang import compile_fn, evaluate, parse
 from .grid import Grid1D, uniform_grid
 from .operator import (DiscreteOperator, FieProblem, KMSchedule, discretize,
                        estimate_contraction, residual_norm)
-from .network import (ErrorBudget, FixedPointNet, SolutionField,
-                      budget_from_operator, build_network, dense_solve,
-                      error_bound, forward, layer_sweep, plan_layers, query)
+from .network import (FixedPointNet, SolutionField, budget_from_operator,
+                      build_network, dense_solve, error_bound, forward,
+                      layer_sweep, plan_layers, query)
 from . import nonlinear  # noqa: F401  (bench/spans.py traces its names)
 from .bvp import BvpSpec, bvp_to_fie, ode_residual, recover_solution
 from .laplace import build_bie, evaluate_potential, projected_potential
@@ -28,14 +27,14 @@ from .cli import main, run_compare_fd, run_config, run_example
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundUnavailableError", "DivergenceError", "DomainError",
-    "ExprSyntaxError", "FredholmError", "NumericalError",
-    "SingularSystemError", "UnboundVariableError", "ValidationError",
+    "DivergenceError", "DomainError", "ExprSyntaxError", "FredholmError",
+    "NumericalError", "SingularSystemError", "UnboundVariableError",
+    "ValidationError",
     "compile_fn", "evaluate", "parse",
     "Grid1D", "uniform_grid",
     "DiscreteOperator", "FieProblem", "KMSchedule", "discretize",
     "estimate_contraction", "residual_norm",
-    "ErrorBudget", "FixedPointNet", "SolutionField", "budget_from_operator",
+    "FixedPointNet", "SolutionField", "budget_from_operator",
     "build_network", "dense_solve", "error_bound", "forward",
     "layer_sweep", "plan_layers", "query",
     "BvpSpec", "bvp_to_fie", "ode_residual", "recover_solution",

@@ -21,8 +21,8 @@ from .bvp import BvpSpec, bvp_to_fie, ode_residual, recover_solution
 from .errors import NumericalError, ValidationError
 from .grid import uniform_grid
 from .laplace import build_bie, evaluate_potential, projected_potential
-from .network import (ErrorBudget, SolutionField, build_network,
-                      error_bound, forward, layer_sweep, query)
+from .network import (SolutionField, build_network, error_bound, forward,
+                      layer_sweep, query)
 from .operator import (_BLOCK, FieProblem, KMSchedule, _sample, discretize,
                        estimate_contraction)
 from .registry import EXAMPLES, example_names, get_example
@@ -34,14 +34,15 @@ __all__ = ["main", "run_config", "run_example", "run_compare_fd"]
 _DEFAULT_POLAR_QUERIES = {"r": "0:1:11", "phi": f"0:{2.0 * np.pi!r}:17"}
 
 # Cap on the dense cells of one run: N^2 for the kernel matrix, 9 (~73 B)
-# per layer for its recorded update, 68 per query point (~560 B: its
-# P-vectors, report row and CSV line), 2 * min(P, 32) * N for the kernel
-# rows the blocked readouts hold (two buffers on the disc, one elsewhere)
-# and S * max(N, P) for a sweep of depth S.  Under tracemalloc an N x N
-# cell peaks at ~1.03 doubles (the matrix, filled and scanned for q_est in
-# 32-row blocks) and an S x N sweep cell at ~1.0 (update sizes, the
-# history itself) or 2.1 (errors).  At 1.03 doubles the cap is ~390 MiB:
-# N <= 7070.
+# per layer for its recorded update, 128 per query point (~1050 B: its
+# P-vectors, report row and JSON text, the larger renderer's, which peaks
+# at ~1010 B on a polar lattice with exact values), 2 * min(P, 32) * N for
+# the kernel rows the blocked readouts hold (two buffers on the disc, one
+# elsewhere) and S * max(N, P) for a sweep of depth S.  Under tracemalloc
+# an N x N cell peaks at ~1.03 doubles (the matrix, filled and scanned for
+# q_est in 32-row blocks) and an S x N sweep cell at ~1.0 (update sizes,
+# the history itself) or 2.1 (errors).  At 1.03 doubles the cap is
+# ~390 MiB: N <= 7070.
 _MAX_CELLS = 50_000_000
 # Cap on the multiply-adds of one run, max(N^2, _LAYER_WORK) per matvec of
 # its forward pass (a layer costs ~17 us on 3 nodes) plus S N P for a
@@ -228,10 +229,9 @@ def _contraction(q, net, field) -> dict:
     """``q_est`` = ||A||_inf and the bound Q/(1 - Q) delta_M on the last
     layer's ||h_M - h*||, Q = kappa_M q + 1 - kappa_M (None if >= 1)."""
     kappa = net.schedule.at(len(field.deltas))
-    lip = kappa * q + (1.0 - kappa)  # may be inf, which no budget holds
+    lip = kappa * q + (1.0 - kappa)  # may be inf, which has no bound
     return {"q_est": q, "iteration_error_bound": (
-        error_bound(ErrorBudget(q=lip, residual=field.deltas[-1]), 1)
-        if lip < 1.0 else None)}
+        error_bound(lip, field.deltas[-1], 1) if lip < 1.0 else None)}
 
 
 def _fie(config, fn, n):
@@ -352,7 +352,7 @@ def run_config(config: dict, exact_override: Optional[Callable] = None,
         _fail("kappa", f"sequence has {len(schedule.sequence)} values, but "
                        f"{needs} {depth} layers")
     # one pass of depth max(layers, S) serves every kind's solve and sweep
-    cells = (n * n + 68 * count + 2 * min(count, _BLOCK) * n
+    cells = (n * n + 128 * count + 2 * min(count, _BLOCK) * n
              + sweep_n * max(n, count) + 9 * depth)
     if cells > _MAX_CELLS:
         raise ValidationError(

@@ -1,10 +1,10 @@
 """Exception taxonomy shared by every module.
 
 Two top-level families matter to callers: ValidationError for anything wrong
-with inputs (bad config, malformed expression, contract violation) and
-NumericalError for failures that occur while computing (domain violations,
-divergent iterations, singular systems).  The CLI maps them to exit codes
-2 and 3 respectively.
+with inputs (bad config, malformed expression, contract violation such as a
+contraction bound asked of q >= 1) and NumericalError for failures that
+occur while computing (domain violations, divergent iterations, singular
+systems).  The CLI maps them to exit codes 2 and 3 respectively.
 """
 
 
@@ -26,10 +26,6 @@ class ExprSyntaxError(ValidationError):
 
 class UnboundVariableError(ValidationError):
     """Expression evaluated without a binding for one of its variables."""
-
-
-class BoundUnavailableError(ValidationError):
-    """A contraction-based bound was requested but q >= 1."""
 
 
 class NumericalError(FredholmError):

@@ -24,8 +24,10 @@ arbitrary points,
 so off-grid values come from the same quadrature and activation that
 built the hidden layers; a sum that is not finite raises DomainError at
 its query point.  The module also carries the error accounting:
-one contraction bound, q^k/(1-q) times one update, which gives a run its
-a-posteriori figure and plans the depth for a target accuracy.
+one contraction bound of two numbers, ``error_bound(q, residual, k)`` =
+q^k/(1-q) times one update, which gives a run its a-posteriori figure
+and, through ``plan_layers(q, residual, eps)``, plans the depth for a
+target accuracy.
 """
 
 import math
@@ -34,14 +36,14 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (BoundUnavailableError, DivergenceError, DomainError,
-                     SingularSystemError, ValidationError)
+from .errors import (DivergenceError, DomainError, SingularSystemError,
+                     ValidationError)
 from .grid import Grid1D
 from .operator import (_BLOCK, DiscreteOperator, KMSchedule, _sample,
                        estimate_contraction, residual_norm)
 
 __all__ = [
-    "SolutionField", "FixedPointNet", "ErrorBudget",
+    "SolutionField", "FixedPointNet",
     "build_network", "forward", "query", "dense_solve",
     "budget_from_operator", "error_bound", "plan_layers",
     "layer_sweep", "evaluation_layer",
@@ -203,68 +205,51 @@ def query(net: FixedPointNet, field: SolutionField,
     return evaluation_layer(op.problem, op.grid, points, field.values)
 
 
-def dense_solve(op: DiscreteOperator) -> Tuple[SolutionField, float]:
+def dense_solve(op: DiscreteOperator) -> SolutionField:
     """Solve (I - A) f = g directly.
 
     This is the exact limit of the undamped iteration and serves as the
-    oracle separating iteration error from quadrature error.  Returns the
-    field together with a 1-norm condition estimate of I - A; a singular
-    or numerically unusable system raises SingularSystemError.
+    oracle separating iteration error from quadrature error.  A singular
+    system, or one whose solution is not finite, raises
+    SingularSystemError.
     """
-    n = op.n
-    m = np.eye(n) - op.matrix
     try:
-        f = np.linalg.solve(m, op.source)
-        with np.errstate(all="ignore"):
-            cond = float(np.linalg.cond(m, 1))
+        f = np.linalg.solve(np.eye(op.n) - op.matrix, op.source)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"I - A is singular: {exc}") from exc
-    if not (np.all(np.isfinite(f)) and np.isfinite(cond)):
+    if not np.all(np.isfinite(f)):
         raise SingularSystemError(
-            f"I - A numerically singular (condition estimate {cond:g})")
-    return SolutionField(grid=op.grid, values=f), cond
+            "I - A numerically singular: its solution is not finite")
+    return SolutionField(grid=op.grid, values=f)
 
 
-@dataclass(frozen=True)
-class ErrorBudget:
-    """Ingredients of the contraction bound: q, a sup-norm contraction
-    constant of the fixed-point map, and residual, the size
-    ||h_(n+1) - h_n|| of one of its updates."""
-
-    q: float
-    residual: float
-
-    def __post_init__(self):
-        vals = (self.q, self.residual)
-        if not all(np.isfinite(v) and v >= 0.0 for v in vals):
-            raise ValidationError(f"budget entries must be finite and "
-                                  f"non-negative, got {vals}")
+def budget_from_operator(op: DiscreteOperator) -> Tuple[float, float]:
+    """Measure q = ||A|| and the first undamped step's update ||A g||, the
+    two numbers ``error_bound`` and ``plan_layers`` take."""
+    return estimate_contraction(op), residual_norm(op)
 
 
-def budget_from_operator(op: DiscreteOperator) -> ErrorBudget:
-    """Measure q = ||A|| and the first undamped step's update ||A g||."""
-    return ErrorBudget(q=estimate_contraction(op), residual=residual_norm(op))
-
-
-def _require_contraction(budget: ErrorBudget):
-    if budget.q >= 1.0:
-        raise BoundUnavailableError(
-            f"contraction estimate q={budget.q:.6g} is not below 1; the "
-            f"geometric bound does not apply")
-
-
-def error_bound(budget: ErrorBudget, steps: int) -> float:
-    """q^k / (1 - q) * residual: with residual = ||h_(n+1) - h_n||, a bound
-    on ||h_(n+k) - h*|| for the iterate k = ``steps`` steps after h_n
-    (Atkinson 1997, 4.1).  An M-layer net's first layer is h_1 = g, so
-    ``error_bound(budget_from_operator(op), M - 1)`` bounds its last."""
+def error_bound(q: float, residual: float, steps: int) -> float:
+    """q^k / (1 - q) * residual: with q a sup-norm contraction constant of
+    the fixed-point map and residual = ||h_(n+1) - h_n|| one of its
+    updates, a bound on ||h_(n+k) - h*|| for the iterate k = ``steps``
+    steps after h_n (Atkinson 1997, 4.1).  An M-layer net's first layer
+    is h_1 = g, so ``error_bound(*budget_from_operator(op), M - 1)``
+    bounds its last.  Both numbers must be finite and non-negative, and
+    q below 1."""
     if steps < 0:
         raise ValidationError(f"step count {steps} must be >= 0")
-    _require_contraction(budget)
-    return budget.q ** steps / (1.0 - budget.q) * budget.residual
+    if not all(np.isfinite(v) and v >= 0.0 for v in (q, residual)):
+        raise ValidationError(f"budget entries must be finite and "
+                              f"non-negative, got {(q, residual)}")
+    if q >= 1.0:
+        raise ValidationError(
+            f"contraction estimate q={q:.6g} is not below 1; the "
+            f"geometric bound does not apply")
+    return q ** steps / (1.0 - q) * residual
 
 
-def plan_layers(budget: ErrorBudget, eps: float) -> int:
+def plan_layers(q: float, residual: float, eps: float) -> int:
     """Smallest step count k whose error bound is at most eps; a net
     needs k + 1 layers to take them.
 
@@ -273,20 +258,19 @@ def plan_layers(budget: ErrorBudget, eps: float) -> int:
     then verified against the bound directly.  Targets looser than the
     zero-step bound plan zero steps.
     """
-    _require_contraction(budget)
+    zero = error_bound(q, residual, 0)  # refuses q >= 1 and bad entries
     if not (np.isfinite(eps) and eps > 0.0):
         raise ValidationError(f"target accuracy {eps!r} must be positive")
-    c = budget.residual
-    if c == 0.0 or error_bound(budget, 0) <= eps:
+    if residual == 0.0 or zero <= eps:
         return 0
-    if budget.q == 0.0:
+    if q == 0.0:
         steps = 1
     else:
-        x = (math.log(eps * (1.0 - budget.q)) - math.log(c)) / math.log(budget.q)
+        x = (math.log(eps * (1.0 - q)) - math.log(residual)) / math.log(q)
         steps = max(0, math.ceil(x - 1e-9))
-    while error_bound(budget, steps) > eps:
+    while error_bound(q, residual, steps) > eps:
         steps += 1
-    while steps > 0 and error_bound(budget, steps - 1) <= eps:
+    while steps > 0 and error_bound(q, residual, steps - 1) <= eps:
         steps -= 1
     return steps
 

@@ -131,7 +131,7 @@ def test_criterion_06_contraction_bound(const_kernel_factory, bvp_p_operator,
     for name, op in (("ex1", const_kernel_factory(n=2000, scheme="closed")),
                      ("bvp_p", bvp_p_operator)):
         q = estimate_contraction(op)
-        star, _ = dense_solve(op)
+        star = dense_solve(op)
         g_norm = float(np.max(np.abs(op.source)))
         field = forward(build_network(op, 20, KMSchedule(1.0)), 20)
         margin = 0.0
@@ -148,10 +148,10 @@ def test_criterion_06_contraction_bound(const_kernel_factory, bvp_p_operator,
 
 
 def test_criterion_07_layer_planning(const_kernel_factory, capsys):
-    budget = budget_from_operator(const_kernel_factory(n=2000,
-                                                       scheme="closed"))
-    m_star = plan_layers(budget, 1e-6)
-    bound = error_bound(budget, m_star)
+    q, residual = budget_from_operator(const_kernel_factory(n=2000,
+                                                            scheme="closed"))
+    m_star = plan_layers(q, residual, 1e-6)
+    bound = error_bound(q, residual, m_star)
     ok = m_star == 14 and bound <= 1e-6
     _report(capsys, 7, ok,
             f"plan_layers(eps=1e-6) = {m_star} (expected 14) with bound "

@@ -211,8 +211,8 @@ def test_polar_query_validation_before_allocation(monkeypatch, queries):
 
 def test_footprint_guard_cap_edge(monkeypatch, capsys):
     _refuse_allocation(monkeypatch)
-    # 7070^2 + 2 * 7070 + 140 cells fit under the 50e6 cap, 7071^2 +
-    # 2 * 7071 + 140 do not
+    # 7070^2 + 2 * 7070 + 200 cells fit under the 50e6 cap, 7071^2 +
+    # 2 * 7071 + 200 do not
     with pytest.raises(_Allocated):
         run_config(dict(LINEAR_CONFIG, grid_n=7070, queries=[0.5]))
     with pytest.raises(ValidationError):
@@ -227,14 +227,14 @@ def test_footprint_guard_charges_each_query_point(monkeypatch):
         raise _Allocated
 
     monkeypatch.setitem(cli._KINDS["linear_fie"], "setup", setup)
-    # on 3 nodes a query point costs 68 cells, not 3: 9 + 68 P, 2 * 32 * 3
-    # for the readout's row block and 9 for each of the 8 layers against
+    # on 3 nodes a query point costs 128 cells, not 3: 9 + 128 P, 2 * 32 *
+    # 3 for the readout's row block and 9 for each of the 8 layers against
     # 50e6
     coarse = dict(LINEAR_CONFIG, grid_n=3)
     with pytest.raises(_Allocated):
-        run_config(dict(coarse, queries="0:1:735290"))
+        run_config(dict(coarse, queries="0:1:390622"))
     with pytest.raises(ValidationError, match="dense cells"):
-        run_config(dict(coarse, queries="0:1:735291"))
+        run_config(dict(coarse, queries="0:1:390623"))
     with pytest.raises(ValidationError, match="dense cells"):
         run_config(dict(coarse, queries="0:1:16600000"))
 
@@ -271,12 +271,12 @@ def test_short_kappa_sequence_refused_before_allocation(monkeypatch):
 
 def test_work_guard_refuses_before_allocation(monkeypatch, capsys):
     _refuse_allocation(monkeypatch)
-    # one node: 1 + 68 + 2 cells and 9 cells per layer, so the cell cap
-    # stops the run at 5555547 layers, long before their fixed cost of
+    # one node: 1 + 128 + 2 cells and 9 cells per layer, so the cell cap
+    # stops the run at 5555541 layers, long before their fixed cost of
     # _LAYER_WORK multiply-adds each reaches the work cap
     one_node = dict(LINEAR_CONFIG, grid_n=1, grid_scheme="left",
                     queries=[0.5])
-    layers = (cli._MAX_CELLS - 71) // 9
+    layers = (cli._MAX_CELLS - 131) // 9
     with pytest.raises(_Allocated):
         run_config(dict(one_node, layers=layers))
     with pytest.raises(ValidationError, match="dense cells"):
@@ -315,7 +315,7 @@ def test_work_guard_refuses_before_allocation(monkeypatch, capsys):
 
 def test_many_query_points_fit_the_cap_they_are_charged():
     # nl3 holds 9e6 matrix cells; its 20001 query points are charged
-    # 68 cells each plus one 32-row block of kernel rows, 10552158 cells in
+    # 128 cells each plus one 32-row block of kernel rows, 11752218 cells in
     # all, and the run's peak stays under even the 9512106 cells of 16
     # cells per point at the cap's 1.03 doubles
     tracemalloc.start()
@@ -329,25 +329,33 @@ def test_many_query_points_fit_the_cap_they_are_charged():
     assert peak < 1.03 * 8 * (3000 ** 2 + 16 * 20001 + 2 * 32 * 3000 + 90)
 
 
-def test_query_points_hold_no_more_than_their_charge(monkeypatch):
-    # on 3 nodes nearly all a run holds grows with its query points: their
-    # vectors, the report rows with exact values and the CSV text.  The
-    # guard charges each point 68 cells, ~560 B at the cap's 1.03 doubles
-    config = {"kind": "linear_fie", "kernel": "1/e", "source": "e^x",
+def test_query_points_hold_no_more_than_their_charge():
+    # on 3 nodes, or 64 boundary nodes on the disc, nearly all a run holds
+    # grows with its query points: their vectors, the report rows with
+    # exact values and the rendered text, where JSON holds nearly twice
+    # what CSV does.  The guard charges each point 128 cells, ~1050 B at
+    # the cap's 1.03 doubles, whichever renderer follows
+    linear = {"kind": "linear_fie", "kernel": "1/e", "source": "e^x",
               "domain": [0, 1], "grid_n": 3, "layers": 8,
-              "queries": "0:1:20001", "exact": "e^x + 1"}
-    tracemalloc.start()
-    try:
-        text = render_csv(run_config(config))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert text.count("\n") > 20001
-    assert peak / 20001 < 1.03 * 8 * 68
-    # so a cap of the cells the run held refuses it: it is charged more
-    monkeypatch.setattr(cli, "_MAX_CELLS", int(peak / (1.03 * 8)))
-    with pytest.raises(ValidationError, match="dense cells"):
-        run_config(config)
+              "queries": "0:1:10001", "exact": "e^x + 1"}
+    disc = dict(get_example("laplace_disc").config, theta_n=64,
+                queries={"r": "0:1:101", "phi": f"0:{2.0 * np.pi!r}:101"})
+    for config, count in ((linear, 10001), (disc, 101 * 101)):
+        for render in (render_csv, render_json):
+            tracemalloc.start()
+            try:
+                text = render(run_config(config))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert text.count("\n") > count
+            assert peak / count < 1.03 * 8 * 128, (config["kind"], render)
+            # so a cap of the cells the run held refuses it: it is charged
+            # more
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cli, "_MAX_CELLS", int(peak / (1.03 * 8)))
+                with pytest.raises(ValidationError, match="dense cells"):
+                    run_config(config)
 
 
 def test_shallow_sweep_keeps_only_its_iterates(monkeypatch):
@@ -823,7 +831,7 @@ def test_nonlinear_and_disc_runs_scan_no_contraction(monkeypatch):
 
 def test_overflowing_contraction_estimate_gives_no_error_figure():
     # |A| row sums of 10 x 2e307 overflow, yet the zero source runs: Q is
-    # inf, which no ErrorBudget accepts, so the figure is empty, and the
+    # inf, which error_bound refuses, so the figure is empty, and the
     # overflow is no numpy warning
     config = {"kind": "linear_fie", "kernel": "1e308", "source": "0",
               "domain": [0, 2], "grid_n": 10, "layers": 3}

@@ -6,10 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fredholm.errors import (BoundUnavailableError, DivergenceError,
-                             SingularSystemError, ValidationError)
+from fredholm.errors import (DivergenceError, SingularSystemError,
+                             ValidationError)
 from fredholm.grid import uniform_grid
-from fredholm.network import (ErrorBudget, budget_from_operator, build_network,
+from fredholm.network import (budget_from_operator, build_network,
                               dense_solve, error_bound, evaluation_layer,
                               forward, layer_sweep, plan_layers, query)
 from fredholm.operator import (_BLOCK, DiscreteOperator, FieProblem,
@@ -248,9 +248,8 @@ def test_dense_solve_two_node_oracle():
     op = DiscreteOperator(grid=grid,
                           matrix=np.array([[0.1, 0.2], [0.3, 0.4]]),
                           source=np.array([1.0, 1.0]), problem=_NO_PROBLEM)
-    field, cond = dense_solve(op)
+    field = dense_solve(op)
     assert np.allclose(field.values, [5.0 / 3.0, 2.5], rtol=1e-14, atol=0)
-    assert cond == pytest.approx(2.75, rel=1e-12)
     # fixed point of f = g + A f
     residual = field.values - (op.source + op.matrix @ field.values)
     assert np.max(np.abs(residual)) <= 1e-14
@@ -259,9 +258,8 @@ def test_dense_solve_two_node_oracle():
 def test_dense_solve_zero_kernel_returns_source():
     problem = FieProblem(kernel=lambda x, z: 0.0, source=lambda x: np.sin(x))
     op = discretize(problem, uniform_grid(0.0, 1.0, 12))
-    field, cond = dense_solve(op)
+    field = dense_solve(op)
     assert np.allclose(field.values, op.source, rtol=0, atol=1e-15)
-    assert cond == pytest.approx(1.0)
 
 
 def test_dense_solve_singular_system():
@@ -275,70 +273,78 @@ def test_dense_solve_singular_system():
 # ---------------------------------------------------------------------------
 # error accounting
 
-def _analytic_budget():
-    return ErrorBudget(q=1.0 / math.e, residual=(math.e - 1.0) / math.e)
+_ANALYTIC_Q, _ANALYTIC_RESIDUAL = 1.0 / math.e, (math.e - 1.0) / math.e
+_NO_BOUND = "contraction estimate q=.* is not below 1"
+_BAD_ENTRIES = "budget entries must be finite and non-negative"
 
 
 def test_error_bound_closed_form():
-    b = _analytic_budget()
-    expected = ((b.q ** 10) / (1.0 - b.q)) * b.residual
-    assert error_bound(b, 10) == expected
-    assert error_bound(b, 10) == pytest.approx(4.54e-5, rel=1e-2)
-    assert error_bound(b, 0) == pytest.approx(b.residual / (1.0 - b.q))
+    q, r = _ANALYTIC_Q, _ANALYTIC_RESIDUAL
+    expected = ((q ** 10) / (1.0 - q)) * r
+    assert error_bound(q, r, 10) == expected
+    assert error_bound(q, r, 10) == pytest.approx(4.54e-5, rel=1e-2)
+    assert error_bound(q, r, 0) == pytest.approx(r / (1.0 - q))
 
 
 def test_error_bound_measured_operator(const_kernel_factory):
-    budget = budget_from_operator(const_kernel_factory(n=2000, scheme="closed"))
-    assert error_bound(budget, 10) == pytest.approx(4.566554697606891e-05,
-                                                    rel=1e-9)
+    q, r = budget_from_operator(const_kernel_factory(n=2000, scheme="closed"))
+    assert error_bound(q, r, 10) == pytest.approx(4.566554697606891e-05,
+                                                  rel=1e-9)
 
 
 def test_error_bound_validation():
-    b = _analytic_budget()
-    with pytest.raises(ValidationError):
-        error_bound(b, -1)
-    with pytest.raises(BoundUnavailableError):
-        error_bound(ErrorBudget(q=1.0, residual=0.5), 3)
+    with pytest.raises(ValidationError, match="step count -1 must be >= 0"):
+        error_bound(_ANALYTIC_Q, _ANALYTIC_RESIDUAL, -1)
+    for q in (1.0, 1.2):
+        with pytest.raises(ValidationError, match=_NO_BOUND):
+            error_bound(q, 0.5, 3)
 
 
 def test_budget_validation():
-    with pytest.raises(ValidationError):
-        ErrorBudget(q=-0.1, residual=0.0)
+    for q, residual in ((-0.1, 0.0), (0.5, float("inf")),
+                        (0.5, float("nan")), (float("nan"), 0.5)):
+        with pytest.raises(ValidationError, match=_BAD_ENTRIES):
+            error_bound(q, residual, 0)
 
 
 def test_plan_layers_hits_target(const_kernel_factory):
-    budget = budget_from_operator(const_kernel_factory(n=2000, scheme="closed"))
-    m_star = plan_layers(budget, 1e-6)
+    q, r = budget_from_operator(const_kernel_factory(n=2000, scheme="closed"))
+    m_star = plan_layers(q, r, 1e-6)
     assert m_star == 14
-    assert error_bound(budget, 14) <= 1e-6
-    assert error_bound(budget, 14) == pytest.approx(8.380685484833296e-07,
-                                                    rel=1e-9)
-    assert error_bound(budget, 13) > 1e-6
+    assert error_bound(q, r, 14) <= 1e-6
+    assert error_bound(q, r, 14) == pytest.approx(8.380685484833296e-07,
+                                                  rel=1e-9)
+    assert error_bound(q, r, 13) > 1e-6
 
 
 def test_plan_layers_round_trips_through_bound(const_kernel_factory):
-    budget = budget_from_operator(const_kernel_factory(n=500, scheme="closed"))
+    q, r = budget_from_operator(const_kernel_factory(n=500, scheme="closed"))
     for m in (0, 1, 5, 9):
-        assert plan_layers(budget, error_bound(budget, m)) == m
+        assert plan_layers(q, r, error_bound(q, r, m)) == m
 
 
 def test_plan_layers_exact_power_of_two_boundary():
     # bound(M) is exactly 2^-M here, so eps = 2^-10 must plan 10 layers
-    b = ErrorBudget(q=0.5, residual=0.5)
-    assert error_bound(b, 10) == 2.0 ** -10
-    assert plan_layers(b, 2.0 ** -10) == 10
-    assert plan_layers(b, 2.0 ** -10 * 1.001) == 10
-    assert plan_layers(b, 0.6) == 1
-    assert plan_layers(b, 2.0) == 0
+    assert error_bound(0.5, 0.5, 10) == 2.0 ** -10
+    assert plan_layers(0.5, 0.5, 2.0 ** -10) == 10
+    assert plan_layers(0.5, 0.5, 2.0 ** -10 * 1.001) == 10
+    assert plan_layers(0.5, 0.5, 0.6) == 1
+    assert plan_layers(0.5, 0.5, 2.0) == 0
 
 
 def test_plan_layers_degenerate_and_invalid():
-    b = ErrorBudget(q=0.5, residual=0.0)
-    assert plan_layers(b, 1e-12) == 0
-    with pytest.raises(ValidationError):
-        plan_layers(_analytic_budget(), 0.0)
-    with pytest.raises(BoundUnavailableError):
-        plan_layers(ErrorBudget(q=1.2, residual=0.5), 1e-3)
+    assert plan_layers(0.5, 0.0, 1e-12) == 0
+    # q = 0: one step reaches h* exactly, and ln 0 has no value
+    assert plan_layers(0.0, 0.5, 0.1) == 1
+    for eps in (0.0, -1e-3, float("nan")):
+        with pytest.raises(ValidationError,
+                           match=f"target accuracy {eps!r} must be positive"):
+            plan_layers(_ANALYTIC_Q, _ANALYTIC_RESIDUAL, eps)
+    for q, residual, message in ((1.2, 0.5, _NO_BOUND), (1.0, 0.5, _NO_BOUND),
+                                 (-0.1, 0.5, _BAD_ENTRIES),
+                                 (0.5, float("inf"), _BAD_ENTRIES)):
+        with pytest.raises(ValidationError, match=message):
+            plan_layers(q, residual, 1e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -320,7 +320,7 @@ def test_unit_kernel_row_sums_equal_interval_length():
 
 def test_dense_fixed_point_is_km_idempotent(const_kernel_factory):
     op = const_kernel_factory(n=200, scheme="closed")
-    field, _ = dense_solve(op)
+    field = dense_solve(op)
     scale = float(np.max(np.abs(field.values)))
     for kappa in (1.0, 0.3):
         stepped = _km_step(op, field.values, kappa)
