@@ -9,7 +9,7 @@ figure and the depth planner, a dense reference and an FD comparison.
 from .errors import (DivergenceError, DomainError, ExprSyntaxError,
                      FredholmError, NumericalError, SingularSystemError,
                      UnboundVariableError, ValidationError)
-from .exprlang import compile_fn, evaluate, parse
+from .exprlang import compile_fn, parse
 from .grid import Grid1D, uniform_grid
 from .operator import (DiscreteOperator, FieProblem, KMSchedule, discretize,
                        estimate_contraction, residual_norm)
@@ -30,7 +30,7 @@ __all__ = [
     "DivergenceError", "DomainError", "ExprSyntaxError", "FredholmError",
     "NumericalError", "SingularSystemError", "UnboundVariableError",
     "ValidationError",
-    "compile_fn", "evaluate", "parse",
+    "compile_fn", "parse",
     "Grid1D", "uniform_grid",
     "DiscreteOperator", "FieProblem", "KMSchedule", "discretize",
     "estimate_contraction", "residual_norm",

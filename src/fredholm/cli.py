@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from typing import Callable, Dict, Optional
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from . import exprlang
 from .bvp import BvpSpec, bvp_to_fie, ode_residual, recover_solution
 from .errors import NumericalError, ValidationError
-from .grid import uniform_grid
+from .grid import _SCHEMES, uniform_grid
 from .laplace import build_bie, evaluate_potential, projected_potential
 from .network import (SolutionField, build_network, error_bound, forward,
                       layer_sweep, query)
@@ -53,6 +54,15 @@ _LAYER_WORK = 25_000
 
 def _fail(key: str, reason: str):
     raise ValidationError(f"config key {key!r}: {reason}")
+
+
+@contextmanager
+def _under(key: str):
+    """Refuse the library's ValidationError under config key ``key``."""
+    try:
+        yield
+    except ValidationError as exc:
+        _fail(key, str(exc))
 
 
 def _kind_spec(kind) -> dict:
@@ -200,10 +210,8 @@ def _schedule(config: dict, default_kappa: float) -> KMSchedule:
         _fail("kappa", f"must be a number or number list, got {kappa!r}")
     else:
         values = float(kappa)
-    try:
+    with _under("kappa"):
         return KMSchedule(values)
-    except ValidationError as exc:
-        _fail("kappa", str(exc))
 
 
 def _exact(exact, names, columns) -> np.ndarray:
@@ -222,7 +230,9 @@ def _rows(points, values, exact=None):
 
 
 def _grid(config: dict, a: float, b: float, n: int):
-    return uniform_grid(a, b, n, scheme=config.get("grid_scheme", "left"))
+    scheme = config.get("grid_scheme", "left")
+    with _under("grid_n" if scheme in _SCHEMES else "grid_scheme"):
+        return uniform_grid(a, b, n, scheme=scheme)
 
 
 def _contraction(q, net, field) -> dict:
@@ -272,7 +282,8 @@ def _bvp(config, fn, n):
 
 
 def _laplace_disc(config, fn, n):
-    op = build_bie(fn["boundary"], n)
+    with _under("theta_n"):
+        op = build_bie(fn["boundary"], n)
 
     def readout(net, field, pairs):  # the field is the boundary density
         r, phi, values = evaluate_potential(field, pairs)
@@ -372,7 +383,8 @@ def run_config(config: dict, exact_override: Optional[Callable] = None,
     deep = forward(net, sweep_n)  # a deeper sweep's pass is the one judged
     h_m = deep.history[layers - 1] if layers <= sweep_n else deep.values
     field = SolutionField(op.grid, h_m, deltas=deep.deltas[:layers])
-    columns, values, kind_meta = readout(net, field, pts)
+    with _under("queries"):  # the readout refuses only query points
+        columns, values, kind_meta = readout(net, field, pts)
     exact = (None if fn["exact"] is None
              else _exact(fn["exact"], spec["exact"], columns))
     target = exact if spec["oracle"] else None
@@ -495,12 +507,9 @@ def _selftest(stream) -> int:
         config = get_example(name).config
         _check_schema(config)
         _compile_all(config, None)
-    smoke = run_config({
-        "kind": "linear_fie",
-        "kernel": "1/e", "source": "e^x", "domain": [0.0, 1.0],
-        "grid_n": 64, "layers": 12, "kappa": 1.0,
-        "queries": "0:1:11", "exact": "e^x + 1",
-    })
+    smoke = run_example("ex1", overrides={
+        "grid_n": 64, "grid_scheme": "left", "layers": 12,
+        "queries": "0:1:11"})
     worst = smoke.max_abs_err()
     if worst is None or worst > 0.05:
         raise NumericalError(
@@ -517,7 +526,7 @@ def _add_common_flags(sp):
                     help="override hidden layer count")
     sp.add_argument("--kappa", type=float, metavar="K",
                     help="override the constant relaxation in (0, 1]")
-    sp.add_argument("--scheme", choices=("left", "midpoint", "closed"),
+    sp.add_argument("--scheme", choices=_SCHEMES,
                     help="override the grid node placement")
     sp.add_argument("--queries", metavar="A:B:N",
                     help="override query points (1-D kinds)")

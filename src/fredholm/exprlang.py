@@ -18,7 +18,7 @@ negative value, 0 raised to a negative power, a negative base raised to a
 non-integer power, and division by zero all raise DomainError rather than
 producing NaN or inf, with a message that names the offending value.
 ``compile_fn`` builds a numpy-vectorized callable and is the one
-interpreter of the tree; ``evaluate`` runs it on scalar bindings.
+interpreter of the tree.
 """
 
 import math
@@ -31,7 +31,7 @@ from .errors import DomainError, ExprSyntaxError, UnboundVariableError
 
 __all__ = [
     "Num", "Var", "Neg", "BinOp", "Call",
-    "parse", "evaluate", "compile_fn",
+    "parse", "compile_fn",
     "FUNCTIONS", "CONSTANTS",
 ]
 
@@ -287,12 +287,4 @@ def compile_fn(expr, params):
         return body(args)
 
     return call
-
-
-def evaluate(expr, env=None):
-    """Evaluate an AST at scalar bindings: ``compile_fn`` run on floats.
-    Pure and deterministic: the same tree and bindings always produce the
-    same float."""
-    env = env or {}
-    return float(compile_fn(expr, env)(*map(float, env.values())))
 

@@ -31,8 +31,8 @@ MAX_NODES = 16_000_000
 
 @dataclass(frozen=True, eq=False)
 class PolarGrid:
-    """FD solution on the polar grid: interior rings, boundary ring and
-    center value, plus solver diagnostics.  ``iterations`` is always 0:
+    """FD solution on the polar grid: interior rings and center value,
+    plus solver diagnostics.  ``iterations`` is always 0:
     a direct solve takes no iterations.  ``residual`` is the relative
     residual max|A x - b| / max|b| of the 5-point system."""
 
@@ -40,17 +40,11 @@ class PolarGrid:
     nt: int
     values: np.ndarray          # (nr-1, nt) at r_i = i/nr, theta_j
     center: float
-    boundary_values: np.ndarray
     iterations: int
     residual: float
 
     def __post_init__(self):
         self.values.setflags(write=False)
-        self.boundary_values.setflags(write=False)
-
-    @property
-    def spacing_theta(self) -> float:
-        return 2.0 * np.pi / self.nt
 
     @property
     def radii(self) -> np.ndarray:
@@ -58,7 +52,7 @@ class PolarGrid:
 
     @property
     def theta(self) -> np.ndarray:
-        return np.arange(self.nt) * self.spacing_theta
+        return np.arange(self.nt) * (2.0 * np.pi / self.nt)
 
 
 def _coefficients(nr: int, nt: int):
@@ -120,8 +114,7 @@ def solve_fd(boundary_f, nr: int, nt: int) -> PolarGrid:
         raise ValidationError(f"grid {nr}x{nt} has {(nr - 1) * nt} ring "
                               f"nodes; the limit is {MAX_NODES}")
     th = np.arange(nt) * (2.0 * np.pi / nt)
-    f = _sample(boundary_f, (th,), "boundary",
-                "node phi[{i}]={v[0]!r}").copy()
+    f = _sample(boundary_f, (th,), "boundary", "node phi[{i}]={v[0]!r}")
 
     # The system is linear and the discrete maximum principle bounds the
     # solution by max|f|, so solving for f / max|f| and scaling back
@@ -144,5 +137,5 @@ def solve_fd(boundary_f, nr: int, nt: int) -> PolarGrid:
         raise SingularSystemError(
             f"FD solve on {nr}x{nt} produced non-finite values")
     return PolarGrid(nr=nr, nt=nt, values=values, center=center,
-                     boundary_values=f, iterations=0, residual=residual)
+                     iterations=0, residual=residual)
 

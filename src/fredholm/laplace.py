@@ -95,8 +95,8 @@ def evaluate_potential(density: SolutionField,
                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Smoothed double-layer potential of ``density``, the density's
     samples on the periodic theta grid (such as ``forward``'s result), at
-    polar points (r, phi); returns r, phi wrapped to [0, 2 pi) and the
-    values.
+    a (P, 2) list of polar points (r, phi); returns r, phi wrapped to
+    [0, 2 pi) and the values.
 
     Radii must lie in [0, 1]; angles wrap.  Boundary queries (r = 1) use
     the degenerate form mu*/2 + P* directly since the smoothed bracket is
@@ -109,8 +109,6 @@ def evaluate_potential(density: SolutionField,
     if not np.all(np.isfinite(mu)):
         raise ValidationError("density values must be finite")
     q = np.asarray(queries, dtype=float)
-    if q.ndim == 1:
-        q = q.reshape(1, -1)
     if q.ndim != 2 or q.shape[1] != 2:
         raise ValidationError("queries must be (r, phi) pairs")
     r = q[:, 0].copy()

@@ -88,10 +88,6 @@ class FixedPointNet:
         self.layers = int(layers)
         self.schedule = schedule
 
-    def __repr__(self):
-        return (f"FixedPointNet(n={self.op.n}, layers={self.layers}, "
-                f"schedule={self.schedule!r})")
-
 
 def build_network(op: DiscreteOperator, layers: int,
                   schedule: KMSchedule) -> FixedPointNet:
@@ -150,13 +146,17 @@ def evaluation_layer(problem, grid: Grid1D, points: Sequence[float],
     points x, with sigma the problem's ``activation``.
 
     ``problem`` supplies the ``kernel``, ``source`` and ``activation``.
-    Points outside the grid's [a, b] are refused.  ``values`` may be one
-    grid field (N,) or a stack of fields (N, k), giving (P,) or (P, k).
+    ``values`` may be one grid field (N,) or a stack of fields (N, k),
+    giving (P,) or (P, k); fields of another length than the grid's, and
+    points outside its [a, b], are refused.
     The points are scanned in blocks of ``_BLOCK`` rows, so no P x N
     kernel rows are held.  A kernel or source sample
     that is undefined or not finite is named at its query point (and
     node), as is a sum that is not finite.
     """
+    if np.shape(values)[:1] != (grid.n,):
+        raise ValidationError(f"field of size {np.shape(values)} does not "
+                              f"match grid of size {grid.n}")
     pts = np.asarray(points, dtype=float).ravel()
     bad = (pts < grid.a) | (pts > grid.b) | ~np.isfinite(pts)
     if bad.any():
@@ -195,14 +195,10 @@ def query(net: FixedPointNet, field: SolutionField,
     Applies one undamped step of the net's map through fresh kernel rows
     K(x, z_j) dz, so a converged field queried at a grid node reproduces
     the node value up to one extra contraction factor.  Points outside
-    the grid's [a, b] are refused.
+    the grid's [a, b] are refused, as is a field of another size.
     """
-    op = net.op
-    if field.values.shape != (op.n,):
-        raise ValidationError(
-            f"field of size {field.values.shape} does not match grid of "
-            f"size {op.n}")
-    return evaluation_layer(op.problem, op.grid, points, field.values)
+    return evaluation_layer(net.op.problem, net.op.grid, points,
+                            field.values)
 
 
 def dense_solve(op: DiscreteOperator) -> SolutionField:
@@ -300,5 +296,6 @@ def layer_sweep(op: DiscreteOperator, field: SolutionField,
             raise ValidationError(f"{target.size} target values for "
                                   f"{pts.size} points")
         vals = evaluation_layer(op.problem, op.grid, pts, np.stack(h, axis=1))
-        sizes = np.max(np.abs(vals - target[:, None]), axis=0)
+        with np.errstate(over="ignore"):  # an overflowed error reads inf
+            sizes = np.max(np.abs(vals - target[:, None]), axis=0)
     return [(m, float(size)) for m, size in enumerate(sizes, start=1)]

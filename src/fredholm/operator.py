@@ -122,11 +122,6 @@ class KMSchedule:
     def is_constant(self):
         return self.constant is not None
 
-    def __repr__(self):
-        if self.sequence is None:
-            return f"KMSchedule(constant={self.constant})"
-        return f"KMSchedule(sequence={self.sequence})"
-
 
 def discretize(problem: FieProblem, grid: Grid1D) -> DiscreteOperator:
     """Sample kernel and source on the grid.

@@ -16,7 +16,7 @@ import pytest
 from fredholm.bvp import BvpSpec, bvp_to_fie
 from fredholm.cli import run_example
 from fredholm.errors import DomainError, ExprSyntaxError
-from fredholm.exprlang import evaluate, parse
+from fredholm.exprlang import compile_fn, parse
 from fredholm.fd import solve_fd
 from fredholm.grid import uniform_grid
 from fredholm.network import (budget_from_operator, build_network, dense_solve,
@@ -193,6 +193,9 @@ def test_criterion_09_fd_reference(capsys):
 
 
 def test_criterion_10_expression_language(capsys):
+    def evaluate(tree):
+        return float(compile_fn(tree, ())())
+
     ok = True
     ok &= evaluate(parse("2+3*4")) == 14.0
     ok &= evaluate(parse("2^3^2")) == 512.0

@@ -8,7 +8,8 @@ import pytest
 from fredholm.bvp import BvpSpec, bvp_to_fie, ode_residual, recover_solution
 from fredholm.errors import ValidationError
 from fredholm.grid import uniform_grid
-from fredholm.network import build_network, evaluation_layer, forward
+from fredholm.network import (SolutionField, build_network, evaluation_layer,
+                              forward)
 from fredholm.operator import FieProblem, KMSchedule, discretize
 from fredholm.registry import airy_like_solution
 
@@ -171,6 +172,10 @@ def test_recovery_points_validated():
     with pytest.raises(ValidationError):
         recover_solution(net, field, spec, [0.5, 1.5])
     assert recover_solution(net, field, spec, []).size == 0
+    short = SolutionField(field.grid, field.values[:-1])
+    with pytest.raises(ValidationError, match=r"field of size \(49,\) does "
+                       "not match grid of size 50"):
+        recover_solution(net, short, spec, [0.5])
 
 
 def test_ode_residual_validation():

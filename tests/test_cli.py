@@ -48,6 +48,15 @@ def _run_cli(*argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def _as_example(name, **changes):
+    """A config mutation that turns the config into registry entry
+    ``name``'s, with ``changes``."""
+    def mutate(config):
+        config.clear()
+        config.update(get_example(name).config, **changes)
+    return mutate
+
+
 # ---------------------------------------------------------------------------
 # run_config library surface
 
@@ -82,14 +91,36 @@ def test_run_config_runtime_reported_when_not_deterministic():
     (lambda c: c.update(queries=["0.25", "1e-1"]), "queries"),
     (lambda c: c.update(kappa=2.0), "kappa"),
     (lambda c: c.update(kappa="big"), "kappa"),
-    (lambda c: c.update(grid_scheme="gauss"), "scheme"),
+    # the library's own refusals, under the config key that caused them
+    pytest.param(lambda c: c.update(grid_scheme="gauss"),
+                 "config key 'grid_scheme': unknown scheme 'gauss'; pick from",
+                 id="<lambda>-scheme"),
+    pytest.param(lambda c: c.update(grid_n=1),
+                 "config key 'grid_n': closed scheme needs at least 2 nodes",
+                 id="grid_n-closed"),
+    pytest.param(_as_example("laplace_disc", theta_n=1),
+                 "config key 'theta_n': theta_n 1 must be >= 2",
+                 id="theta_n"),
+    pytest.param(lambda c: c.update(queries=[0.5, 1.5]),
+                 "config key 'queries': query point 1.5 outside [0.0, 1.0]",
+                 id="queries-linear_fie"),
+    pytest.param(_as_example("bvp_p", queries="-1:1:5"),
+                 "config key 'queries': query point -1.0 outside [0.0, 1.0]",
+                 id="queries-bvp"),
+    pytest.param(_as_example("laplace_disc",
+                             queries=[[0.5, 0.0], [1.5, 0.0]]),
+                 "config key 'queries': query radius outside [0, 1]",
+                 id="queries-laplace_disc"),
 ])
 def test_run_config_validation_messages(mutate, fragment):
     config = dict(LINEAR_CONFIG)
     mutate(config)
     with pytest.raises(ValidationError) as exc:
         run_config(config)
-    assert fragment in str(exc.value)
+    message = str(exc.value)
+    assert fragment in message
+    if fragment.startswith("config key"):
+        assert message.startswith(fragment)
 
 
 _META_COMMON = {"config", "deterministic", "runtime_seconds", "example",
@@ -856,6 +887,22 @@ def test_json_report_writes_a_non_finite_figure_as_null(tmp_path, capsys):
     assert doc["metadata"]["q_est"] is None
     assert main(["solve", path, "--deterministic"]) == 0
     assert "# q_est = inf" in capsys.readouterr().out.splitlines()
+
+
+def test_overflowing_sweep_error_reads_inf_without_a_numpy_warning():
+    # a value of 1e308 against an exact -1e308 overflows |value - exact|:
+    # the table and the sweep read inf (the JSON null), and numpy warns
+    # nothing
+    config = {"kind": "linear_fie", "kernel": "z", "source": "1e308",
+              "domain": [0.0, 1.0], "grid_n": 1, "layers": 1,
+              "exact": "-(1e308)"}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bundle = run_config(config, sweep_layers=3)
+        doc = json.loads(render_json(bundle), parse_constant=_refuse_constant)
+    assert bundle.sweep == [(1, np.inf), (2, np.inf), (3, np.inf)]
+    assert all(row[3] == np.inf for row in bundle.rows)
+    assert doc["sweep"]["rows"] == [[1, None], [2, None], [3, None]]
 
 
 @pytest.mark.parametrize("config,code,err", [

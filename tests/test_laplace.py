@@ -140,6 +140,8 @@ def test_evaluate_potential_validation():
         evaluate_potential(den, [(0.5, float("nan"))])
     with pytest.raises(ValidationError):
         evaluate_potential(den, np.zeros((2, 3)))
+    with pytest.raises(ValidationError, match=r"must be \(r, phi\) pairs"):
+        evaluate_potential(den, (0.5, 0.0))
 
 
 def test_evaluate_potential_refuses_bad_density():

@@ -9,9 +9,10 @@ import pytest
 from fredholm.errors import (DivergenceError, SingularSystemError,
                              ValidationError)
 from fredholm.grid import uniform_grid
-from fredholm.network import (budget_from_operator, build_network,
-                              dense_solve, error_bound, evaluation_layer,
-                              forward, layer_sweep, plan_layers, query)
+from fredholm.network import (SolutionField, budget_from_operator,
+                              build_network, dense_solve, error_bound,
+                              evaluation_layer, forward, layer_sweep,
+                              plan_layers, query)
 from fredholm.operator import (_BLOCK, DiscreteOperator, FieProblem,
                                KMSchedule, discretize, estimate_contraction)
 
@@ -193,7 +194,8 @@ def test_query_rejects_mismatched_field(const_kernel_factory):
     net = build_network(op, 2, KMSchedule(1.0))
     other = forward(build_network(const_kernel_factory(n=8, scheme="left"), 2,
                                   KMSchedule(1.0)))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"field of size \(8,\) does "
+                       "not match grid of size 16"):
         query(net, other, [0.5])
 
 
@@ -408,3 +410,10 @@ def test_layer_sweep_validation(const_kernel_factory):
     # one exact value per point
     with pytest.raises(ValidationError, match="2 target values for 16"):
         layer_sweep(op, forward(net, 3), [1.0, 2.0])
+    # a history of fields shorter than the grid
+    field = forward(net, 3)
+    short = SolutionField(field.grid, field.values[:-1],
+                          history=tuple(h[:-1] for h in field.history))
+    with pytest.raises(ValidationError, match=r"field of size \(15, 3\) does "
+                       "not match grid of size 16"):
+        layer_sweep(op, short, np.ones(16))
