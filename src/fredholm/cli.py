@@ -21,9 +21,10 @@ from . import exprlang
 from .bvp import BvpSpec, bvp_to_fie, ode_residual, recover_solution
 from .errors import NumericalError, ValidationError
 from .grid import _SCHEMES, uniform_grid
-from .laplace import build_bie, evaluate_potential, projected_potential
-from .network import (SolutionField, build_network, error_bound, forward,
-                      layer_sweep, query)
+from .laplace import (_polar_points, build_bie, evaluate_potential,
+                      projected_potential)
+from .network import (SolutionField, _query_points, build_network,
+                      error_bound, forward, layer_sweep, query)
 from .operator import (_BLOCK, FieProblem, KMSchedule, _sample, discretize,
                        estimate_contraction)
 from .registry import EXAMPLES, example_names, get_example
@@ -75,12 +76,10 @@ def _check_schema(config: dict):
     kind = config.get("kind")
     spec = _kind_spec(kind)
     keys = set(config) - {"kind"}
-    missing = spec["required"] - keys
-    if missing:
+    if missing := spec["required"] - keys:
         raise ValidationError(
             f"config for kind {kind!r} is missing {sorted(missing)}")
-    unknown = keys - spec["required"] - spec["optional"]
-    if unknown:
+    if unknown := keys - spec["required"] - spec["optional"]:
         raise ValidationError(
             f"config for kind {kind!r} has unknown keys {sorted(unknown)}")
 
@@ -184,7 +183,7 @@ def _queries_polar(config: dict):
             _fail("queries", "lattice ranges must be start:stop:count strings")
         rs = _parse_linspace(q["r"], "queries.r")
         phis = _parse_linspace(q["phi"], "queries.phi")
-        return rs[2] * phis[2], lambda grid: np.stack(np.meshgrid(
+        return rs[2] * phis[2], lambda: np.stack(np.meshgrid(
             np.linspace(*rs), np.linspace(*phis), indexing="ij"),
             -1).reshape(-1, 2)
     if isinstance(q, (list, tuple)):
@@ -196,7 +195,7 @@ def _queries_polar(config: dict):
                     or not all(map(_is_number, item))):
                 _fail("queries", f"entries must be [r, phi] pairs, got {item!r}")
             pairs.append((float(item[0]), float(item[1])))
-        return len(pairs), lambda grid: np.asarray(pairs)
+        return len(pairs), lambda: np.asarray(pairs)
     _fail("queries", f"must be an r/phi lattice or a pair list, got {q!r}")
 
 
@@ -229,10 +228,13 @@ def _rows(points, values, exact=None):
             for *p, v, e in zip(*points, map(float, values), exact)]
 
 
-def _grid(config: dict, a: float, b: float, n: int):
+def _grid(config: dict, a: float, b: float, n: int, make_points):
+    """The grid on [a, b], then the query points judged on it."""
     scheme = config.get("grid_scheme", "left")
     with _under("grid_n" if scheme in _SCHEMES else "grid_scheme"):
-        return uniform_grid(a, b, n, scheme=scheme)
+        grid = uniform_grid(a, b, n, scheme=scheme)
+    with _under("queries"):  # before any kernel sample
+        return grid, _query_points(grid, make_points(grid))
 
 
 def _contraction(q, net, field) -> dict:
@@ -244,29 +246,29 @@ def _contraction(q, net, field) -> dict:
         error_bound(lip, field.deltas[-1], 1) if lip < 1.0 else None)}
 
 
-def _fie(config, fn, n):
+def _fie(config, fn, n, make_points):
     """linear_fie and nonlinear_fie; only a linear map reports ||A||."""
     a, b = _domain(config)
+    grid, pts = _grid(config, a, b, n, make_points)
     problem = FieProblem(kernel=fn["kernel"], source=fn["source"],
                          nonlinearity=fn.get("nonlinearity"))
-    op = discretize(problem, _grid(config, a, b, n))
+    op = discretize(problem, grid)
     q = estimate_contraction(op) if problem.nonlinearity is None else None
-    return op, lambda net, field, pts: (
+    return op, pts, lambda net, field: (
         (pts,), query(net, field, pts),
         {} if q is None else _contraction(q, net, field))
 
 
-def _bvp(config, fn, n):
-    alpha = _as_float(config, "alpha")
-    beta = _as_float(config, "beta")
-    spec = BvpSpec(g=fn["g"], h=fn["h"], alpha=alpha, beta=beta)
-    grid = _grid(config, 0.0, 1.0, n)
+def _bvp(config, fn, n, make_points):
+    spec = BvpSpec(g=fn["g"], h=fn["h"], alpha=_as_float(config, "alpha"),
+                   beta=_as_float(config, "beta"))
+    grid, pts = _grid(config, 0.0, 1.0, n, make_points)
     for key in ("g", "h"):  # named here, not after the FIE they build
         _sample(fn[key], (grid.nodes,), key, "node x[{i}]={v[0]!r}")
     op = discretize(bvp_to_fie(spec), grid)
     q = estimate_contraction(op)
 
-    def readout(net, field, pts):
+    def readout(net, field):
         y = recover_solution(net, field, spec, pts)
         try:
             residual = ode_residual(spec, pts, y)
@@ -275,46 +277,39 @@ def _bvp(config, fn, n):
         return (pts,), y, {
             **_contraction(q, net, field),
             "ode_residual": residual,
-            "alpha": alpha, "beta": beta,
+            "alpha": spec.alpha, "beta": spec.beta,
         }
 
-    return op, readout
+    return op, pts, readout
 
 
-def _laplace_disc(config, fn, n):
+def _laplace_disc(config, fn, n, make_points):
+    pairs = make_points()
+    with _under("queries"):  # judged before the data is sampled
+        _polar_points(pairs)
     with _under("theta_n"):
         op = build_bie(fn["boundary"], n)
 
-    def readout(net, field, pairs):  # the field is the boundary density
+    def readout(net, field):  # the field is the boundary density
         r, phi, values = evaluate_potential(field, pairs)
         return (r, phi), values, {
             "density_mean": float(np.mean(field.values)),
             "projected_potential": projected_potential(field),
         }
 
-    return op, readout
+    return op, pairs, readout
 
 
 # Per kind: config keys, then each expression key with its parameters
 # (compiled in this order) and those of the optional "exact", which name
 # the point columns; then the grid-size key, the default kappa, the query
-# parser, the setup, which returns the operator and its readout, and
-# whether the sweep measures errors against "exact".
+# parser, the setup, which returns the operator, the query points and
+# their readout, and whether the sweep measures errors against "exact".
 _KINDS = {
     "linear_fie": {
         "required": {"kernel", "source", "domain", "grid_n", "layers"},
         "optional": {"grid_scheme", "kappa", "queries", "exact"},
         "exprs": (("kernel", ("x", "z")), ("source", ("x",))),
-        "exact": ("x",),
-        "size": "grid_n", "kappa": 1.0,
-        "queries": _queries_1d, "setup": _fie, "oracle": True,
-    },
-    "nonlinear_fie": {
-        "required": {"kernel", "source", "nonlinearity", "domain", "grid_n",
-                     "layers"},
-        "optional": {"grid_scheme", "kappa", "queries", "exact"},
-        "exprs": (("kernel", ("x", "z")), ("source", ("x",)),
-                  ("nonlinearity", ("u",))),
         "exact": ("x",),
         "size": "grid_n", "kappa": 1.0,
         "queries": _queries_1d, "setup": _fie, "oracle": True,
@@ -336,15 +331,19 @@ _KINDS = {
         "queries": _queries_polar, "setup": _laplace_disc, "oracle": False,
     },
 }
+_KINDS["nonlinear_fie"] = dict(  # linear_fie with the activation G(u)
+    _KINDS["linear_fie"],
+    required=_KINDS["linear_fie"]["required"] | {"nonlinearity"},
+    exprs=_KINDS["linear_fie"]["exprs"] + (("nonlinearity", ("u",)),))
 
 
 def run_config(config: dict, exact_override: Optional[Callable] = None,
                sweep_layers: Optional[int] = None,
                deterministic: bool = True) -> ReportBundle:
     """Validate a config mapping and run the one solve pipeline: resource
-    guards, the kind's setup, query points, schedule, network (whose
-    activation, G for nonlinear_fie, comes from the operator's problem),
-    forward pass and its verdict, the kind's readout, depth sweep."""
+    guards, the kind's setup (grid, judged query points, operator), network
+    (whose activation, G for nonlinear_fie, comes from the operator's
+    problem), forward pass and its verdict, the kind's readout, sweep."""
     if not isinstance(config, dict):
         raise ValidationError("config must be a JSON object")
     _check_schema(config)
@@ -363,28 +362,27 @@ def run_config(config: dict, exact_override: Optional[Callable] = None,
         _fail("kappa", f"sequence has {len(schedule.sequence)} values, but "
                        f"{needs} {depth} layers")
     # one pass of depth max(layers, S) serves every kind's solve and sweep
-    cells = (n * n + 128 * count + 2 * min(count, _BLOCK) * n
-             + sweep_n * max(n, count) + 9 * depth)
-    if cells > _MAX_CELLS:
-        raise ValidationError(
-            f"grid {n}, {count} query points, {layers} layers and sweep "
-            f"{sweep_n} need {cells:.3g} dense cells, over the cap of "
-            f"{_MAX_CELLS:.3g}")
+    charge = {spec["size"]: n * n,
+              "queries": 128 * count + 2 * min(count, _BLOCK) * n,
+              "layers": sweep_n * max(n, count) + 9 * depth}
+    if (cells := sum(charge.values())) > _MAX_CELLS:
+        _fail(max(charge, key=charge.get),
+              f"grid {n}, {count} query points, {layers} layers and sweep "
+              f"{sweep_n} need {cells:.3g} dense cells, over the cap of "
+              f"{_MAX_CELLS:.3g}")
     work = (depth - 1) * max(n * n, _LAYER_WORK) + sweep_n * n * count
     if work > _MAX_WORK:
-        raise ValidationError(
-            f"{layers} layers and sweep {sweep_n} on grid {n} need "
-            f"{work:.3g} multiply-adds, over the cap of {_MAX_WORK:.3g}")
+        _fail("layers", f"{layers} layers and sweep {sweep_n} on grid {n} "
+                        f"need {work:.3g} multiply-adds, over the cap of "
+                        f"{_MAX_WORK:.3g}")
 
     started = time.perf_counter()
-    op, readout = spec["setup"](config, fn, n)
-    pts = make_points(op.grid)
+    op, pts, readout = spec["setup"](config, fn, n, make_points)
     net = build_network(op, depth, schedule)
     deep = forward(net, sweep_n)  # a deeper sweep's pass is the one judged
     h_m = deep.history[layers - 1] if layers <= sweep_n else deep.values
     field = SolutionField(op.grid, h_m, deltas=deep.deltas[:layers])
-    with _under("queries"):  # the readout refuses only query points
-        columns, values, kind_meta = readout(net, field, pts)
+    columns, values, kind_meta = readout(net, field)
     exact = (None if fn["exact"] is None
              else _exact(fn["exact"], spec["exact"], columns))
     target = exact if spec["oracle"] else None
@@ -414,13 +412,9 @@ def run_config(config: dict, exact_override: Optional[Callable] = None,
 def _overrides(kind, args) -> dict:
     """Config keys set by the command-line flags for a config of ``kind``."""
     spec = _kind_spec(kind)
-    out = {}
-    if args.grid is not None:
-        out[spec["size"]] = args.grid
-    if args.layers is not None:
-        out["layers"] = args.layers
-    if args.kappa is not None:
-        out["kappa"] = args.kappa
+    out = {key: v for key, v in ((spec["size"], args.grid),
+                                 ("layers", args.layers),
+                                 ("kappa", args.kappa)) if v is not None}
     if args.scheme is not None:
         if "grid_scheme" not in spec["optional"]:
             raise ValidationError(

@@ -22,6 +22,7 @@ interpreter of the tree.
 """
 
 import math
+import operator
 import re
 from typing import NamedTuple
 
@@ -236,6 +237,8 @@ _VEC_FUNCS = {
     "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
     "log": _vec_log, "sqrt": _vec_sqrt, "abs": np.abs,
 }
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": _vec_div, "^": _vec_pow}
 
 
 def compile_fn(expr, params):
@@ -262,18 +265,9 @@ def compile_fn(expr, params):
         if isinstance(node, Neg):
             f = build(node.child)
             return lambda args: -f(args)
-        if isinstance(node, BinOp):
-            fl = build(node.left)
-            fr = build(node.right)
-            if node.op == "+":
-                return lambda args: fl(args) + fr(args)
-            if node.op == "-":
-                return lambda args: fl(args) - fr(args)
-            if node.op == "*":
-                return lambda args: fl(args) * fr(args)
-            if node.op == "/":
-                return lambda args: _vec_div(fl(args), fr(args))
-            return lambda args: _vec_pow(fl(args), fr(args))
+        if isinstance(node, BinOp):  # the left operand is evaluated first
+            fl, fr, op = build(node.left), build(node.right), _BINARY[node.op]
+            return lambda args: op(fl(args), fr(args))
         fa = build(node.arg)
         fn = _VEC_FUNCS[node.func]
         return lambda args: fn(fa(args))

@@ -90,6 +90,20 @@ def projected_potential(density: SolutionField) -> float:
                      * np.sum(density.values))
 
 
+def _polar_points(queries) -> Tuple[np.ndarray, np.ndarray]:
+    """r and phi, wrapped to [0, 2 pi), of (P, 2) polar points; a radius
+    outside [0, 1] or an angle that is not finite is refused."""
+    q = np.asarray(queries, dtype=float)
+    if q.ndim != 2 or q.shape[1] != 2:
+        raise ValidationError("queries must be (r, phi) pairs")
+    r = q[:, 0].copy()
+    if np.any(~np.isfinite(r) | (r < 0.0) | (r > 1.0)):
+        raise ValidationError("query radius outside [0, 1]")
+    if np.any(~np.isfinite(q[:, 1])):
+        raise ValidationError("query angle must be finite")
+    return r, np.mod(q[:, 1], TWO_PI)
+
+
 def evaluate_potential(density: SolutionField,
                        queries: Sequence[Tuple[float, float]]
                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -108,15 +122,7 @@ def evaluate_potential(density: SolutionField,
             f"density shape {mu.shape} != ({density.grid.n},)")
     if not np.all(np.isfinite(mu)):
         raise ValidationError("density values must be finite")
-    q = np.asarray(queries, dtype=float)
-    if q.ndim != 2 or q.shape[1] != 2:
-        raise ValidationError("queries must be (r, phi) pairs")
-    r = q[:, 0].copy()
-    if np.any(~np.isfinite(r) | (r < 0.0) | (r > 1.0)):
-        raise ValidationError("query radius outside [0, 1]")
-    if np.any(~np.isfinite(q[:, 1])):
-        raise ValidationError("query angle must be finite")
-    phi = np.mod(q[:, 1], TWO_PI)
+    r, phi = _polar_points(queries)
     th = density.grid.nodes
     dth = density.grid.spacing
     # mu* interpolates mu linearly on the periodic grid at the radial

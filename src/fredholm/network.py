@@ -140,6 +140,18 @@ def forward(net: FixedPointNet, keep_history: int = 0) -> SolutionField:
                          deltas=tuple(deltas))
 
 
+def _query_points(grid: Grid1D, points: Sequence[float]) -> np.ndarray:
+    """``points`` as a flat float array; one that is not finite or lies
+    outside the grid's [a, b] is refused."""
+    pts = np.asarray(points, dtype=float).ravel()
+    bad = (pts < grid.a) | (pts > grid.b) | ~np.isfinite(pts)
+    if bad.any():
+        raise ValidationError(
+            f"query point {float(pts[np.argmax(bad)])!r} outside "
+            f"[{grid.a}, {grid.b}]")
+    return pts
+
+
 def evaluation_layer(problem, grid: Grid1D, points: Sequence[float],
                      values: np.ndarray) -> np.ndarray:
     """The output layer g(x) + sum_j K(x, z_j) dz sigma(values[j]) at
@@ -157,12 +169,7 @@ def evaluation_layer(problem, grid: Grid1D, points: Sequence[float],
     if np.shape(values)[:1] != (grid.n,):
         raise ValidationError(f"field of size {np.shape(values)} does not "
                               f"match grid of size {grid.n}")
-    pts = np.asarray(points, dtype=float).ravel()
-    bad = (pts < grid.a) | (pts > grid.b) | ~np.isfinite(pts)
-    if bad.any():
-        raise ValidationError(
-            f"query point {float(pts[np.argmax(bad)])!r} outside "
-            f"[{grid.a}, {grid.b}]")
+    pts = _query_points(grid, points)
     values = problem.activation(values)
     z = grid.nodes
     out = np.empty(pts.shape + np.shape(values)[1:])
@@ -272,16 +279,15 @@ def plan_layers(q: float, residual: float, eps: float) -> int:
 
 
 def layer_sweep(op: DiscreteOperator, field: SolutionField,
-                target: Optional[Sequence[float]] = None,
-                points: Optional[Sequence[float]] = None
-                ) -> List[Tuple[int, float]]:
+                target: Optional[Sequence[float]],
+                points: Sequence[float]) -> List[Tuple[int, float]]:
     """Error (or update size) as a function of depth.
 
     Tabulates the history ``forward(net, k)`` left in ``field``: each
     m-layer iterate is composed with the evaluation layer at ``points``
-    (grid nodes by default) and compared with ``target``, the exact
-    solution's values there; without it the sweep is the field's own
-    updates ||h_m - h_(m-1)|| for the layers its history holds.
+    and compared with ``target``, the exact solution's values there; with
+    ``target`` None the sweep is the field's own updates ||h_m - h_(m-1)||
+    for the layers its history holds, and ``points`` is not read.
     """
     if not field.history:
         raise ValidationError("sweep needs a field with its layer history")
@@ -289,8 +295,7 @@ def layer_sweep(op: DiscreteOperator, field: SolutionField,
     if target is None:
         sizes = field.deltas[:len(h)]
     else:
-        pts = np.asarray(op.grid.nodes if points is None else points,
-                         dtype=float).ravel()
+        pts = np.asarray(points, dtype=float).ravel()
         target = np.asarray(target, dtype=float)
         if target.shape != pts.shape:
             raise ValidationError(f"{target.size} target values for "

@@ -123,6 +123,44 @@ def test_run_config_validation_messages(mutate, fragment):
         assert message.startswith(fragment)
 
 
+def _without(*keys):
+    def mutate(config):
+        for key in keys:
+            del config[key]
+    return mutate
+
+
+@pytest.mark.parametrize("name,mutate,text", [
+    ("ex1", _without("kernel"),
+     "config for kind 'linear_fie' is missing ['kernel']"),
+    ("nl1", _without("nonlinearity"),
+     "config for kind 'nonlinear_fie' is missing ['nonlinearity']"),
+    ("nl1", _without("kernel", "domain"),
+     "config for kind 'nonlinear_fie' is missing ['domain', 'kernel']"),
+    ("ex1", lambda c: c.update(nonlinearity="u"),
+     "config for kind 'linear_fie' has unknown keys ['nonlinearity']"),
+    ("nl1", lambda c: c.update(extra=1, theta_n=8),
+     "config for kind 'nonlinear_fie' has unknown keys ['extra', 'theta_n']"),
+], ids=["linear_missing", "nonlinear_missing_g", "nonlinear_missing_two",
+        "linear_unknown", "nonlinear_unknown"])
+def test_fredholm_kinds_schema_refusals(name, mutate, text):
+    config = dict(get_example(name).config)
+    mutate(config)
+    with pytest.raises(ValidationError) as exc:
+        run_config(config)
+    assert str(exc.value) == text
+
+
+def test_nonlinear_fie_compiles_kernel_source_then_nonlinearity():
+    good = get_example("nl1").config
+    config = dict(good, kernel="x +", source="y", nonlinearity="log(")
+    for key in ("kernel", "source", "nonlinearity"):
+        with pytest.raises(ValidationError) as exc:
+            run_config(config)
+        assert str(exc.value).startswith(f"config key {key!r}: ")
+        config[key] = good[key]
+
+
 _META_COMMON = {"config", "deterministic", "runtime_seconds", "example",
                 "layers", "grid_iterations", "kappa", "layer_deltas",
                 "final_delta"}
@@ -238,6 +276,71 @@ def test_polar_query_validation_before_allocation(monkeypatch, queries):
     with pytest.raises(ValidationError) as exc:
         run_config(config)
     assert "'queries'" in str(exc.value)
+
+
+@pytest.mark.parametrize("name,queries,message", [
+    ("ex1", [0.5, 1.5], "query point 1.5 outside [0.0, 1.0]"),
+    ("ex1", [0.5, float("nan")], "query point nan outside [0.0, 1.0]"),
+    ("nl1", "0:2:3", "query point 2.0 outside [0.0, 1.0]"),
+    ("bvp_p", "-1:1:5", "query point -1.0 outside [0.0, 1.0]"),
+    ("laplace_disc", [[0.5, 0.0], [1.5, 0.0]], "query radius outside [0, 1]"),
+    ("laplace_disc", {"r": "0:1.5:4", "phi": "0:1:2"},
+     "query radius outside [0, 1]"),
+    ("laplace_disc", [[0.5, float("inf")]], "query angle must be finite"),
+], ids=["linear_fie", "nan", "nonlinear_fie", "bvp", "disc_pairs",
+        "disc_lattice", "disc_angle"])
+def test_query_points_refused_before_any_sample(monkeypatch, name, queries,
+                                                message):
+    # the output layer's own check runs on the grid (before build_bie on
+    # the disc), ahead of the kernel, source and bvp coefficient samples
+    _refuse_allocation(monkeypatch)
+
+    def sample(*args, **kwargs):
+        raise _Allocated
+
+    monkeypatch.setattr(cli, "_sample", sample)
+    with pytest.raises(ValidationError) as exc:
+        run_example(name, overrides={"queries": queries})
+    assert str(exc.value) == f"config key 'queries': {message}"
+
+
+def test_query_flag_refused_before_any_sample(monkeypatch, capsys):
+    _refuse_allocation(monkeypatch)
+    assert main(["example", "ex1", "--queries", "0.5:1.5:3"]) == 2
+    assert capsys.readouterr().err == (
+        "error: config key 'queries': query point 1.5 outside [0.0, 1.0]\n")
+
+
+@pytest.mark.parametrize("name,overrides,sweep,text", [
+    ("ex1", {"grid_n": 8000}, None,
+     "config key 'grid_n': grid 8000, 201 query points, 10 layers and "
+     "sweep 0 need 6.45e+07 dense cells, over the cap of 5e+07"),
+    ("laplace_disc", {"theta_n": 8000}, None,
+     "config key 'theta_n': grid 8000, 861 query points, 15 layers and "
+     "sweep 0 need 6.46e+07 dense cells, over the cap of 5e+07"),
+    ("ex1", {"queries": "0:1:400000"}, None,
+     "config key 'queries': grid 2000, 400000 query points, 10 layers and "
+     "sweep 0 need 5.53e+07 dense cells, over the cap of 5e+07"),
+    ("ex1", {"grid_n": 3, "layers": 6 * 10 ** 6}, None,
+     "config key 'layers': grid 3, 201 query points, 6000000 layers and "
+     "sweep 0 need 5.4e+07 dense cells, over the cap of 5e+07"),
+    ("ex2", {}, 10 ** 5,
+     "config key 'layers': grid 2000, 201 query points, 15 layers and "
+     "sweep 100000 need 2.05e+08 dense cells, over the cap of 5e+07"),
+    ("ex1", {"layers": 10 ** 6}, None,
+     "config key 'layers': 1000000 layers and sweep 0 on grid 2000 need "
+     "4e+12 multiply-adds, over the cap of 9e+11"),
+], ids=["grid_n", "theta_n", "queries", "layers", "sweep", "work"])
+def test_guard_refusals_name_the_key_charged_most(monkeypatch, name,
+                                                   overrides, sweep, text):
+    # the cell guard names the key whose terms charge the most cells: the
+    # N^2 matrix, the query points, or the per-layer records and the
+    # sweep's history, which grow with the depth; the work guard names
+    # layers
+    _refuse_allocation(monkeypatch)
+    with pytest.raises(ValidationError) as exc:
+        run_example(name, overrides=overrides, sweep_layers=sweep)
+    assert str(exc.value) == text
 
 
 def test_footprint_guard_cap_edge(monkeypatch, capsys):

@@ -11,15 +11,22 @@ error, and the run must either report or refuse cleanly:
 * a ValidationError names the config key, or the kind, it refuses;
 * the JSON report is strict JSON (no Infinity or NaN);
 * the second run renders byte for byte as the first.
+
+Configs drawn just above one of the resource guards must be refused
+before any kernel sample, under the key that guard charges.
 """
 
 import functools
 import json
+import math
 import warnings
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fredholm import cli
 from fredholm.cli import run_config
 from fredholm.errors import NumericalError, ValidationError
 from fredholm.exprlang import FUNCTIONS
@@ -129,3 +136,76 @@ def test_every_run_reports_or_refuses_cleanly(config, sweep):
         second = _renders(config, sweep)
     assert first == second
     json.loads(first[1], parse_constant=_refuse_constant)
+
+
+# one valid config of each kind, whose sizes the guard draws replace
+_BASE = {
+    "linear_fie": {"kind": "linear_fie", "kernel": "x*z", "source": "1",
+                   "domain": [0.0, 1.0], "grid_n": 8, "layers": 4},
+    "nonlinear_fie": {"kind": "nonlinear_fie", "kernel": "x*z",
+                      "source": "1", "nonlinearity": "u^2",
+                      "domain": [0.0, 1.0], "grid_n": 8, "layers": 4},
+    "bvp": {"kind": "bvp", "g": "x", "h": "1", "alpha": 0.0, "beta": 1.0,
+            "grid_n": 8, "layers": 4},
+    "laplace_disc": {"kind": "laplace_disc", "boundary": "cos(phi)",
+                     "theta_n": 8, "layers": 4},
+}
+
+
+def _queries(kind, count, rings):
+    """A query set of ``count`` points or more of ``kind``."""
+    if kind != "laplace_disc":
+        return f"0:1:{count}"
+    return {"r": f"0:1:{rings}", "phi": f"0:6:{-(-count // rings)}"}
+
+
+def _over_a_guard(kind, guard, over, small, n, rings):
+    """(config, sweep, key, text): a config of ``kind`` ``over`` units
+    above ``guard``, and the key and text its refusal must carry."""
+    config = dict(_BASE[kind])
+    size = "theta_n" if kind == "laplace_disc" else "grid_n"
+    sweep = None
+    if guard == "size":  # the N^2 matrix alone is over the cap
+        config[size] = math.isqrt(cli._MAX_CELLS) + over
+        return config, sweep, size, "dense cells"
+    config[size] = small
+    if guard == "queries":
+        config["queries"] = _queries(kind, cli._MAX_CELLS // 128 + over,
+                                     rings)
+        return config, sweep, "queries", "dense cells"
+    if guard == "layers":  # each layer records its update
+        config["layers"] = cli._MAX_CELLS // 9 + over
+    elif guard == "sweep":  # S x P errors and 9 cells a layer, P > N
+        config["queries"] = _queries(kind, 101, 1)
+        sweep = cli._MAX_CELLS // (101 + 9) + over
+    else:
+        config[size] = n
+        config["layers"] = cli._MAX_WORK // (n * n) + 1 + over
+        return config, sweep, "layers", "multiply-adds"
+    return config, sweep, "layers", "dense cells"
+
+
+@pytest.mark.parametrize("guard", ("size", "queries", "layers", "sweep",
+                                   "work"))
+@pytest.mark.parametrize("kind", sorted(_BASE))
+@settings(derandomize=True, database=None, max_examples=10, deadline=None)
+@given(over=st.integers(1, 1000), small=st.integers(2, 40),
+       n=st.integers(1000, 6000), rings=st.sampled_from((1, 7, 625)))
+def test_runs_just_above_a_guard_are_refused_under_its_key(
+        kind, guard, over, small, n, rings):
+    config, sweep, key, text = _over_a_guard(kind, guard, over, small, n,
+                                             rings)
+
+    def sample(*args, **kwargs):
+        raise AssertionError("a guarded run reached its setup")
+
+    with mock.patch.object(cli, "discretize", sample), \
+            mock.patch.object(cli, "build_bie", sample):
+        try:
+            run_config(config, sweep_layers=sweep)
+        except ValidationError as exc:
+            message = str(exc)
+        else:
+            raise AssertionError("the run was not refused")
+    assert message.startswith(f"config key {key!r}: "), message
+    assert text in message, message

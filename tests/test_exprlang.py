@@ -118,6 +118,18 @@ def test_compile_domain_error_names_the_value():
                               "power 0.5")
 
 
+@pytest.mark.parametrize("op", "+-*/^")
+def test_binary_operators_evaluate_their_left_operand_first(op):
+    # both operands are undefined at x = -1; the left one is named
+    for left, right, message in (
+            ("log(x)", "sqrt(x)", "log of non-positive value -1.0"),
+            ("sqrt(x)", "log(x)", "sqrt of negative value -1.0")):
+        f = compile_fn(parse(f"{left} {op} {right}"), ("x",))
+        with pytest.raises(DomainError) as exc:
+            f(np.array([2.0, -1.0]))
+        assert str(exc.value) == message
+
+
 # A scalar oracle on Python's math module, independent of compile_fn: its
 # log, sqrt, pow and division raise ValueError or ZeroDivisionError where
 # the expression language raises DomainError.

@@ -24,7 +24,8 @@ def _km_step(op, f, kappa):
 def _sweep(op, schedule, depth, exact=None):
     field = forward(build_network(op, depth, schedule), depth)
     return layer_sweep(op, field,
-                       None if exact is None else exact(op.grid.nodes))
+                       None if exact is None else exact(op.grid.nodes),
+                       op.grid.nodes)
 
 
 def _iterate(op, schedule, layers):
@@ -394,7 +395,7 @@ def test_layer_sweep_update_mode_holds_no_stack(const_kernel_factory):
     expected = np.max(np.abs(np.diff(stacked, axis=1, prepend=0.0)), axis=0)
     tracemalloc.start()
     try:
-        table = layer_sweep(op, field)
+        table = layer_sweep(op, field, None, None)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -406,14 +407,14 @@ def test_layer_sweep_validation(const_kernel_factory):
     op = const_kernel_factory(n=16, scheme="left")
     net = build_network(op, 3, KMSchedule(1.0))
     with pytest.raises(ValidationError, match="layer history"):
-        layer_sweep(op, forward(net))
+        layer_sweep(op, forward(net), None, None)
     # one exact value per point
     with pytest.raises(ValidationError, match="2 target values for 16"):
-        layer_sweep(op, forward(net, 3), [1.0, 2.0])
+        layer_sweep(op, forward(net, 3), [1.0, 2.0], op.grid.nodes)
     # a history of fields shorter than the grid
     field = forward(net, 3)
     short = SolutionField(field.grid, field.values[:-1],
                           history=tuple(h[:-1] for h in field.history))
     with pytest.raises(ValidationError, match=r"field of size \(15, 3\) does "
                        "not match grid of size 16"):
-        layer_sweep(op, short, np.ones(16))
+        layer_sweep(op, short, np.ones(16), op.grid.nodes)

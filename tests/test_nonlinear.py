@@ -134,7 +134,8 @@ def test_query_applies_the_nonlinear_map():
     sweep = layer_sweep(base, field, exact, pts)
     assert [m for m, _ in sweep] == list(range(1, 21))
     assert sweep[-1][1] == pytest.approx(err, rel=1e-12)
-    assert layer_sweep(base, field) == list(enumerate(field.deltas, 1))
+    assert layer_sweep(base, field, None, None) == list(
+        enumerate(field.deltas, 1))
 
 
 def test_solve_nonlinear_refuses_another_problems_operator():
@@ -160,7 +161,8 @@ def test_layer_deltas_are_the_sweep_update_sizes():
     problem, base = _sin_problem()
     field, trace = solve_nonlinear(problem, base, 9, KMSchedule(1.0),
                                    keep_history=9)
-    assert layer_sweep(base, field) == list(enumerate(trace.deltas, 1))
+    assert layer_sweep(base, field, None, None) == list(
+        enumerate(trace.deltas, 1))
     # the first layer's update is the bias g itself
     assert trace.deltas[0] == float(np.max(np.abs(base.source)))
 
