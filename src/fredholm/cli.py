@@ -34,27 +34,42 @@ from .fd import solve_fd
 __all__ = ["main", "run_config", "run_example", "run_compare_fd"]
 
 _DEFAULT_POLAR_QUERIES = {"r": "0:1:11", "phi": f"0:{2.0 * np.pi!r}:17"}
+# compare-fd's default --boundary data and --exact solution
+_FD_BOUNDARY, _FD_EXACT = "1 + cos(2*phi)", "1 + r^2*cos(2*phi)"
 
 # Cap on the dense cells of one run: N^2 for the kernel matrix, 9 (~73 B)
 # per layer for its recorded update, 128 per query point (~1050 B: its
 # P-vectors, report row and JSON text, the larger renderer's, which peaks
 # at ~1010 B on a polar lattice with exact values), 2 * min(P, 32) * N for
 # the kernel rows the blocked readouts hold (two buffers on the disc, one
-# elsewhere) and S * max(N, P) for a sweep of depth S.  Under tracemalloc
-# an N x N cell peaks at ~1.03 doubles (the matrix, filled and scanned for
-# q_est in 32-row blocks) and an S x N sweep cell at ~1.0 (update sizes,
-# the history itself) or 2.1 (errors).  At 1.03 doubles the cap is
-# ~390 MiB: N <= 7070.
+# elsewhere) and, per layer of a sweep, its iterate in the (N, S) history
+# and a 20-cell table row, plus against an exact 9/8 per error (the P x S
+# table and its finite mask) and per G of the history under G.  Under
+# tracemalloc an N x N cell peaks at ~1.03 doubles (the matrix, filled and
+# scanned for q_est in 32-row blocks); sweeps on 100 nodes peak at
+# 0.80-0.92 of their charge.  At 1.03 doubles the cap is ~390 MiB:
+# N <= 7070.
 _MAX_CELLS = 50_000_000
 # Cap on the multiply-adds of one run, max(N^2, _LAYER_WORK) per matvec of
-# its forward pass (a layer costs ~17 us on 3 nodes) plus S N P for a
-# sweep: ~10 minutes at the 1.5e9/s measured on a core.
+# its forward pass (a layer costs ~17 us on 3 nodes) plus S N P for an
+# error sweep: ~10 minutes at the 1.5e9/s measured on a core.
 _MAX_WORK = 900_000_000_000
 _LAYER_WORK = 25_000
 
 
 def _fail(key: str, reason: str):
     raise ValidationError(f"config key {key!r}: {reason}")
+
+
+def _guard(charge: dict, cap, unit: str, sweep_n: int, what: str):
+    """Refuse ``what`` when its ``charge``, config key (or "sweep", the
+    sweep depth) to amount, sums over ``cap``, under the key charged most."""
+    if (total := sum(charge.values())) <= cap:
+        return
+    reason = f"{what} need {total:.3g} {unit}, over the cap of {cap:.3g}"
+    if (key := max(charge, key=charge.get)) == "sweep":
+        raise ValidationError(f"sweep depth {sweep_n}: {reason}")
+    _fail(key, reason)
 
 
 @contextmanager
@@ -362,31 +377,34 @@ def run_config(config: dict, exact_override: Optional[Callable] = None,
         _fail("kappa", f"sequence has {len(schedule.sequence)} values, but "
                        f"{needs} {depth} layers")
     # one pass of depth max(layers, S) serves every kind's solve and sweep
-    charge = {spec["size"]: n * n,
-              "queries": 128 * count + 2 * min(count, _BLOCK) * n,
-              "layers": sweep_n * max(n, count) + 9 * depth}
-    if (cells := sum(charge.values())) > _MAX_CELLS:
-        _fail(max(charge, key=charge.get),
-              f"grid {n}, {count} query points, {layers} layers and sweep "
-              f"{sweep_n} need {cells:.3g} dense cells, over the cap of "
-              f"{_MAX_CELLS:.3g}")
-    work = (depth - 1) * max(n * n, _LAYER_WORK) + sweep_n * n * count
-    if work > _MAX_WORK:
-        _fail("layers", f"{layers} layers and sweep {sweep_n} on grid {n} "
-                        f"need {work:.3g} multiply-adds, over the cap of "
-                        f"{_MAX_WORK:.3g}")
+    errors = spec["oracle"] and fn["exact"] is not None
+    held = n + 20  # per sweep layer: its iterate and table row
+    if errors:  # its P errors and, under G, G of its iterate, each masked
+        held += 9 * (count + (n if "nonlinearity" in fn else 0)) // 8
+    extra, matvec = max(sweep_n - layers, 0), max(n * n, _LAYER_WORK)
+    _guard({spec["size"]: n * n,
+            "queries": 128 * count + 2 * min(count, _BLOCK) * n,
+            "layers": 9 * layers, "sweep": 9 * extra + sweep_n * held},
+           _MAX_CELLS, "dense cells", sweep_n, f"grid {n}, {count} query "
+           f"points, {layers} layers and sweep {sweep_n}")
+    _guard({"layers": (layers - 1) * matvec,
+            "sweep": extra * matvec + errors * sweep_n * n * count},
+           _MAX_WORK, "multiply-adds", sweep_n,
+           f"{layers} layers and sweep {sweep_n} on grid {n}")
 
     started = time.perf_counter()
     op, pts, readout = spec["setup"](config, fn, n, make_points)
     net = build_network(op, depth, schedule)
     deep = forward(net, sweep_n)  # a deeper sweep's pass is the one judged
-    h_m = deep.history[layers - 1] if layers <= sweep_n else deep.values
+    h_m = (deep.values if layers == depth
+           else np.ascontiguousarray(deep.history[:, layers - 1]))
     field = SolutionField(op.grid, h_m, deltas=deep.deltas[:layers])
     columns, values, kind_meta = readout(net, field)
     exact = (None if fn["exact"] is None
              else _exact(fn["exact"], spec["exact"], columns))
-    target = exact if spec["oracle"] else None
-    sweep = layer_sweep(op, deep, target, pts) if sweep_n else None
+    sweep = None if not sweep_n else (  # errors, else the pass's updates
+        layer_sweep(op, deep, exact, pts) if errors
+        else list(enumerate(deep.deltas[:sweep_n], start=1)))
     elapsed = time.perf_counter() - started
     meta = {
         "config": config,
@@ -405,8 +423,8 @@ def run_config(config: dict, exact_override: Optional[Callable] = None,
                         columns=(*spec["exact"], "value", "exact", "abs_err"),
                         rows=_rows(columns, values, exact),
                         sweep=sweep, metadata=meta,
-                        sweep_column="max_update" if target is None
-                        else "max_err")
+                        sweep_column="max_err" if errors
+                        else "max_update")
 
 
 def _overrides(kind, args) -> dict:
@@ -444,8 +462,8 @@ def run_example(name: str, sweep_layers: Optional[int] = None,
 
 
 def run_compare_fd(nr: int, nt: int,
-                   boundary_text: str = "1 + cos(2*phi)",
-                   exact_text: Optional[str] = "1 + r^2*cos(2*phi)",
+                   boundary_text: str = _FD_BOUNDARY,
+                   exact_text: Optional[str] = _FD_EXACT,
                    deterministic: bool = True) -> ReportBundle:
     """Finite-difference reference run with error statistics.
 
@@ -560,9 +578,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="run the finite-difference disc reference")
     sp.add_argument("--nr", type=int, default=100, help="radial cells")
     sp.add_argument("--nt", type=int, default=100, help="angular cells")
-    sp.add_argument("--boundary", default="1 + cos(2*phi)",
+    sp.add_argument("--boundary", default=_FD_BOUNDARY,
                     help="Dirichlet data, expression in phi")
-    sp.add_argument("--exact", default="1 + r^2*cos(2*phi)",
+    sp.add_argument("--exact", default=_FD_EXACT,
                     help="exact solution in r, phi ('' disables the "
                     "error columns)")
     _add_output_flags(sp)

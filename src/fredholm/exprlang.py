@@ -37,7 +37,6 @@ __all__ = [
 ]
 
 CONSTANTS = {"pi": math.pi, "e": math.e}
-FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs")
 
 _NUMBER = re.compile(r"(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -237,6 +236,7 @@ _VEC_FUNCS = {
     "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
     "log": _vec_log, "sqrt": _vec_sqrt, "abs": np.abs,
 }
+FUNCTIONS = tuple(_VEC_FUNCS)  # the names the parser takes as calls
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
            "/": _vec_div, "^": _vec_pow}
 

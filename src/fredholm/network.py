@@ -52,19 +52,18 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class SolutionField:
-    """Samples of the iterate on the grid, optionally with the per-layer
-    history that produced them, and the sup-norm update of each layer."""
+    """Samples of the iterate on the grid, the sup-norm update of each layer
+    and optionally the (N, k) history, column m - 1 holding layer m."""
 
     grid: Grid1D
     values: np.ndarray
-    history: Optional[Tuple[np.ndarray, ...]] = None
+    history: Optional[np.ndarray] = None
     deltas: Tuple[float, ...] = ()
 
     def __post_init__(self):
-        self.values.setflags(write=False)
-        if self.history is not None:
-            for h in self.history:
-                h.setflags(write=False)
+        for a in (self.values, self.history):
+            if a is not None:
+                a.setflags(write=False)
 
 
 class FixedPointNet:
@@ -96,10 +95,10 @@ def build_network(op: DiscreteOperator, layers: int,
 
 
 def forward(net: FixedPointNet, keep_history: int = 0) -> SolutionField:
-    """Run all hidden layers and return the final grid iterate, with the
-    iterates of the first ``keep_history`` layers (all of them at the
-    net's depth or more) as its history, and the sup-norm update
-    ||h_m - h_{m-1}|| of every layer (h_0 = 0) as its deltas.
+    """Run all hidden layers and return the last grid iterate, with the
+    first ``keep_history`` iterates (all at the net's depth or more) as
+    its (N, k) history, column m - 1 holding layer m, and the sup-norm
+    update ||h_m - h_{m-1}|| of every layer (h_0 = 0) as its deltas.
 
     Layer m computes kappa (A sigma(h)) + (1 - kappa) h + kappa g.  This
     is the one verdict on every run.  DivergenceError is raised the moment
@@ -115,7 +114,7 @@ def forward(net: FixedPointNet, keep_history: int = 0) -> SolutionField:
             f"history length {keep_history!r} must be a count >= 0")
     a, g, act = net.op.matrix, net.op.source, net.op.problem.activation
     h, prev = net.schedule.at(1) * g, 0.0
-    history: List[np.ndarray] = []
+    history = np.empty((net.op.n, min(keep_history, net.layers)))
     deltas: List[float] = []
     with np.errstate(all="ignore"):
         for m in range(1, net.layers + 1):
@@ -128,7 +127,7 @@ def forward(net: FixedPointNet, keep_history: int = 0) -> SolutionField:
                 raise DivergenceError(f"non-finite values at layer {m}{grew}")
             deltas.append(float(np.max(np.abs(h - prev))))
             if m <= keep_history:
-                history.append(h)
+                history[:, m - 1] = h
     res = [d / net.schedule.at(m) for m, d in enumerate(deltas, start=1)]
     first = max(res[:2])
     if res[-1] > first:
@@ -136,7 +135,7 @@ def forward(net: FixedPointNet, keep_history: int = 0) -> SolutionField:
             f"iteration diverging: its residual grew from {first!r} at layer "
             f"{res.index(first) + 1} to {res[-1]!r} at layer {net.layers}")
     return SolutionField(grid=net.op.grid, values=h,
-                         history=tuple(history) if keep_history else None,
+                         history=history if keep_history else None,
                          deltas=tuple(deltas))
 
 
@@ -279,28 +278,24 @@ def plan_layers(q: float, residual: float, eps: float) -> int:
 
 
 def layer_sweep(op: DiscreteOperator, field: SolutionField,
-                target: Optional[Sequence[float]],
+                target: Sequence[float],
                 points: Sequence[float]) -> List[Tuple[int, float]]:
-    """Error (or update size) as a function of depth.
+    """Error as a function of depth.
 
-    Tabulates the history ``forward(net, k)`` left in ``field``: each
-    m-layer iterate is composed with the evaluation layer at ``points``
-    and compared with ``target``, the exact solution's values there; with
-    ``target`` None the sweep is the field's own updates ||h_m - h_(m-1)||
-    for the layers its history holds, and ``points`` is not read.
+    Composes the history ``forward(net, k)`` left in ``field`` with the
+    evaluation layer at ``points`` and compares each m-layer value with
+    ``target``, the exact solution's values there; the (P, k) values
+    become their errors in place.
     """
-    if not field.history:
+    if field.history is None:
         raise ValidationError("sweep needs a field with its layer history")
-    h = field.history
-    if target is None:
-        sizes = field.deltas[:len(h)]
-    else:
-        pts = np.asarray(points, dtype=float).ravel()
-        target = np.asarray(target, dtype=float)
-        if target.shape != pts.shape:
-            raise ValidationError(f"{target.size} target values for "
-                                  f"{pts.size} points")
-        vals = evaluation_layer(op.problem, op.grid, pts, np.stack(h, axis=1))
-        with np.errstate(over="ignore"):  # an overflowed error reads inf
-            sizes = np.max(np.abs(vals - target[:, None]), axis=0)
-    return [(m, float(size)) for m, size in enumerate(sizes, start=1)]
+    pts = np.asarray(points, dtype=float).ravel()
+    target = np.asarray(target, dtype=float)
+    if target.shape != pts.shape:
+        raise ValidationError(f"{target.size} target values for "
+                              f"{pts.size} points")
+    err = evaluation_layer(op.problem, op.grid, pts, field.history)
+    with np.errstate(over="ignore"):  # an overflowed error reads inf
+        err -= target[:, None]
+    np.abs(err, out=err)
+    return [(m, float(e)) for m, e in enumerate(err.max(axis=0), start=1)]

@@ -73,7 +73,7 @@ def test_criterion_02_linear_separable_kernel(timed_bundles,
     worst_law = 0.0
     for m in range(2, 11):
         target = (2.0 - 2.0 ** (1 - m)) * sin_z
-        dev = float(np.max(np.abs(field.history[m - 1] - target)))
+        dev = float(np.max(np.abs(field.history[:, m - 1] - target)))
         worst_law = max(worst_law, dev)
     ok = err <= 2e-3 and worst_law <= 2e-3
     _report(capsys, 2, ok,
@@ -136,7 +136,7 @@ def test_criterion_06_contraction_bound(const_kernel_factory, bvp_p_operator,
         field = forward(build_network(op, 20, KMSchedule(1.0)), 20)
         margin = 0.0
         for m in range(2, 21):
-            lhs = float(np.max(np.abs(field.history[m - 1] - star.values)))
+            lhs = float(np.max(np.abs(field.history[:, m - 1] - star.values)))
             rhs = (q ** m / (1.0 - q)) * g_norm
             margin = max(margin, lhs - (rhs * (1.0 + 1e-5) + 1e-12))
         worst[name] = margin

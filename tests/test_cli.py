@@ -1,6 +1,7 @@
 """Command-line interface: schemas, exit codes, determinism, overrides."""
 
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -325,8 +326,8 @@ def test_query_flag_refused_before_any_sample(monkeypatch, capsys):
      "config key 'layers': grid 3, 201 query points, 6000000 layers and "
      "sweep 0 need 5.4e+07 dense cells, over the cap of 5e+07"),
     ("ex2", {}, 10 ** 5,
-     "config key 'layers': grid 2000, 201 query points, 15 layers and "
-     "sweep 100000 need 2.05e+08 dense cells, over the cap of 5e+07"),
+     "sweep depth 100000: grid 2000, 201 query points, 15 layers and "
+     "sweep 100000 need 2.3e+08 dense cells, over the cap of 5e+07"),
     ("ex1", {"layers": 10 ** 6}, None,
      "config key 'layers': 1000000 layers and sweep 0 on grid 2000 need "
      "4e+12 multiply-adds, over the cap of 9e+11"),
@@ -334,9 +335,9 @@ def test_query_flag_refused_before_any_sample(monkeypatch, capsys):
 def test_guard_refusals_name_the_key_charged_most(monkeypatch, name,
                                                    overrides, sweep, text):
     # the cell guard names the key whose terms charge the most cells: the
-    # N^2 matrix, the query points, or the per-layer records and the
-    # sweep's history, which grow with the depth; the work guard names
-    # layers
+    # N^2 matrix, the query points, the per-layer records, or the sweep
+    # depth for its history, error table and rows; the work guard names
+    # layers for the solve's matvecs
     _refuse_allocation(monkeypatch)
     with pytest.raises(ValidationError) as exc:
         run_example(name, overrides=overrides, sweep_layers=sweep)
@@ -445,6 +446,12 @@ def test_work_guard_refuses_before_allocation(monkeypatch, capsys):
         run_config(dict(one_node, layers=layers))
     with pytest.raises(ValidationError, match="multiply-adds"):
         run_config(dict(one_node, layers=layers + 1))
+    # and the matvecs a deeper sweep adds to the pass are the sweep's
+    with pytest.raises(ValidationError) as exc:
+        run_config(dict(one_node, layers=5), sweep_layers=layers + 1)
+    assert str(exc.value).startswith(
+        f"sweep depth {layers + 1}: 5 layers and sweep {layers + 1} on grid 1 "
+        f"need 9e+11 multiply-adds")
 
 
 def test_many_query_points_fit_the_cap_they_are_charged():
@@ -492,6 +499,30 @@ def test_query_points_hold_no_more_than_their_charge():
                     run_config(config)
 
 
+@pytest.mark.parametrize("name,overrides", [
+    ("ex2", {"grid_n": 100, "queries": "0:1.5:101"}),
+    ("nl2", {"grid_n": 100, "queries": "0:3:101"}),
+    ("bvp_p", {"grid_n": 100, "queries": "0:1:101"}),
+], ids=["linear_errors", "nonlinear_errors", "updates"])
+def test_sweep_holds_no_more_than_its_charge(name, overrides):
+    # 2000 layers on 100 nodes: the sweep's S x N history, its table rows
+    # and, against an exact, its P x S errors (and G of the history for
+    # nl2) are over 90% of the run's charge
+    tracemalloc.start()
+    try:
+        bundle = run_example(name, sweep_layers=2000, overrides=overrides)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(bundle.sweep) == 2000
+    # so a cap of the cells the run held refuses it under the sweep depth
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_MAX_CELLS", int(peak / (1.03 * 8)))
+        with pytest.raises(ValidationError,
+                           match="^sweep depth 2000: .* dense cells"):
+            run_example(name, sweep_layers=2000, overrides=overrides)
+
+
 def test_shallow_sweep_keeps_only_its_iterates(monkeypatch):
     # the pass runs all 400 layers of the solve but holds two iterates
     fields = []
@@ -503,7 +534,7 @@ def test_shallow_sweep_keeps_only_its_iterates(monkeypatch):
     monkeypatch.setattr(cli, "forward", spy)
     config = dict(LINEAR_CONFIG, layers=400)
     bundle = run_config(config, sweep_layers=2)
-    assert [len(f.history) for f in fields] == [2]
+    assert [f.history.shape[1] for f in fields] == [2]
     assert bundle.rows == run_config(config).rows
     # the first two iterates do not depend on the depth of the solve
     assert bundle.sweep == run_config(LINEAR_CONFIG, sweep_layers=2).sweep
@@ -873,6 +904,26 @@ def test_main_scheme_override_rejected_for_laplace(capsys):
     assert "--scheme" in capsys.readouterr().err
 
 
+def test_main_scheme_override_reaches_the_config(capsys):
+    assert main(["example", "ex2", "--scheme", "midpoint",
+                 "--deterministic"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "# scheme = midpoint" in lines
+    echo = next(line for line in lines if line.startswith("# config = "))
+    assert json.loads(echo[len("# config = "):])["grid_scheme"] == "midpoint"
+
+
+def test_bvp_ode_residual_is_empty_off_a_uniform_grid():
+    # ode_residual refuses points that are not uniformly spaced; the run
+    # still reports, with that figure empty
+    bundle = run_example("bvp_p", overrides={"queries": [0.0, 0.1, 0.5, 1.0]})
+    assert len(bundle.rows) == 4
+    assert bundle.metadata["ode_residual"] is None
+    assert "# ode_residual = " in render_csv(bundle).splitlines()
+    doc = json.loads(render_json(bundle))
+    assert doc["metadata"]["ode_residual"] is None
+
+
 def test_main_queries_override_rejected_for_laplace(capsys):
     assert main(["example", "laplace_disc", "--queries", "0:1:5"]) == 2
     assert "--queries" in capsys.readouterr().err
@@ -1029,23 +1080,42 @@ def test_overflowing_readouts_raise_no_numpy_warning(tmp_path, capsys,
         assert "# ode_residual = inf" in out.splitlines()
 
 
+_ROOT = Path(__file__).parent.parent
+# (example, overrides, sweep) of the damped and sweep runs in CI's
+# determinism loop, in the workflow's order
+_CI_EXAMPLE_RUNS = (
+    ("ex1", {"kappa": 0.7}, None), ("ex1", {"kappa": 0.7}, 12),
+    ("ex2", {"kappa": 0.5}, None), ("ex1", {}, 12), ("nl2", {}, 25),
+    ("nl3", {}, 12), ("laplace_disc", {}, 20), ("bvp_airy", {}, 20),
+    ("bvp_p", {}, 12))
+
+
 def _ci_runs():
     """The runs of CI's determinism loop: the shipped configs, the
     registry examples, compare-fd and the damped and sweep runs."""
-    configs = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
+    configs = sorted((_ROOT / "configs").glob("*.json"))
     runs = [lambda p=p: run_config(json.loads(p.read_text()))
             for p in configs]
     runs += [lambda name=name: run_example(name) for name in example_names()]
     runs.append(lambda: run_compare_fd(60, 64))
-    for name, kappa, sweep in (
-            ("ex1", 0.7, None), ("ex1", 0.7, 12), ("ex2", 0.5, None),
-            ("ex1", None, 12), ("nl2", None, 25), ("nl3", None, 12),
-            ("laplace_disc", None, 20), ("bvp_airy", None, 20),
-            ("bvp_p", None, 12)):
-        overrides = {} if kappa is None else {"kappa": kappa}
+    for name, overrides, sweep in _CI_EXAMPLE_RUNS:
         runs.append(lambda name=name, sweep=sweep, overrides=overrides:
                     run_example(name, sweep_layers=sweep, overrides=overrides))
     return runs
+
+
+def test_ci_example_runs_are_the_workflows():
+    # the tier-1 copy of the loop's `for run in ...` list must not drift
+    # from the workflow, whose byte-identity check it repeats in process
+    text = (_ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    listed = re.search(r"for run in (.*?); do", text, re.S).group(1)
+    parser = cli._build_parser()
+    runs = []
+    for run in re.findall(r'"([^"]*)"', listed):
+        args = parser.parse_args(["example", *run.split()])
+        kind = get_example(args.name).config["kind"]
+        runs.append((args.name, cli._overrides(kind, args), args.sweep))
+    assert runs == list(_CI_EXAMPLE_RUNS)
 
 
 def test_ci_determinism_runs_repeat_byte_for_byte_without_warnings():

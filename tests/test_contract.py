@@ -161,7 +161,8 @@ def _queries(kind, count, rings):
 
 def _over_a_guard(kind, guard, over, small, n, rings):
     """(config, sweep, key, text): a config of ``kind`` ``over`` units
-    above ``guard``, and the key and text its refusal must carry."""
+    above ``guard``, and the key (None for the sweep depth) and text its
+    refusal must carry."""
     config = dict(_BASE[kind])
     size = "theta_n" if kind == "laplace_disc" else "grid_n"
     sweep = None
@@ -175,9 +176,15 @@ def _over_a_guard(kind, guard, over, small, n, rings):
         return config, sweep, "queries", "dense cells"
     if guard == "layers":  # each layer records its update
         config["layers"] = cli._MAX_CELLS // 9 + over
-    elif guard == "sweep":  # S x P errors and 9 cells a layer, P > N
+    elif guard == "sweep":  # S iterates, rows and records, P > N
         config["queries"] = _queries(kind, 101, 1)
-        sweep = cli._MAX_CELLS // (101 + 9) + over
+        held = small + 20 + 9
+        if kind.endswith("_fie"):  # errors against an exact and G's copy
+            config["exact"] = "1"
+            held += 9 * (101 + small * (kind == "nonlinear_fie")) // 8
+        fixed = small ** 2 + 128 * 101 + 2 * 32 * small
+        sweep = (cli._MAX_CELLS - fixed) // held + over
+        return config, sweep, None, "dense cells"
     else:
         config[size] = n
         config["layers"] = cli._MAX_WORK // (n * n) + 1 + over
@@ -207,5 +214,7 @@ def test_runs_just_above_a_guard_are_refused_under_its_key(
             message = str(exc)
         else:
             raise AssertionError("the run was not refused")
-    assert message.startswith(f"config key {key!r}: "), message
+    prefix = (f"sweep depth {sweep}: " if key is None
+              else f"config key {key!r}: ")
+    assert message.startswith(prefix), message
     assert text in message, message

@@ -21,11 +21,9 @@ def _km_step(op, f, kappa):
     return kappa * (op.source + op.matrix @ f) + (1.0 - kappa) * f
 
 
-def _sweep(op, schedule, depth, exact=None):
+def _sweep(op, schedule, depth, exact):
     field = forward(build_network(op, depth, schedule), depth)
-    return layer_sweep(op, field,
-                       None if exact is None else exact(op.grid.nodes),
-                       op.grid.nodes)
+    return layer_sweep(op, field, exact(op.grid.nodes), op.grid.nodes)
 
 
 def _iterate(op, schedule, layers):
@@ -70,11 +68,12 @@ def test_forward_history(const_kernel_factory):
     op = const_kernel_factory(n=16, scheme="left")
     net = build_network(op, 6, KMSchedule(1.0))
     field = forward(net, 6)
-    assert field.history is not None and len(field.history) == 6
-    assert np.array_equal(field.history[0], op.source)
-    assert np.array_equal(field.history[-1], field.values)
-    with pytest.raises(ValueError):
-        field.values[0] = 0.0
+    assert field.history.shape == (16, 6)  # column m - 1 holds layer m
+    assert np.array_equal(field.history[:, 0], op.source)
+    assert np.array_equal(field.history[:, -1], field.values)
+    for held in (field.values, field.history):
+        with pytest.raises(ValueError):
+            held[0] = 0.0
 
 
 def test_forward_keeps_the_first_k_iterates(const_kernel_factory):
@@ -83,9 +82,8 @@ def test_forward_keeps_the_first_k_iterates(const_kernel_factory):
     full = forward(net, 6)
     for k in (1, 4, 6, 9):
         field = forward(net, keep_history=k)
-        assert len(field.history) == min(k, 6)
-        assert all(np.array_equal(a, b)
-                   for a, b in zip(field.history, full.history))
+        assert field.history.shape == (16, min(k, 6))
+        assert np.array_equal(field.history, full.history[:, :k])
         assert np.array_equal(field.values, full.values)
     assert forward(net, keep_history=0).history is None
     # a count only: True is no depth
@@ -107,8 +105,8 @@ def test_forward_update_sizes_contract(const_kernel_factory):
     q = estimate_contraction(op)
     field = forward(build_network(op, 12, KMSchedule(1.0)), 12)
     h = field.history
-    deltas = [float(np.max(np.abs(h[i + 1] - h[i])))
-              for i in range(len(h) - 1)]
+    deltas = [float(np.max(np.abs(h[:, i + 1] - h[:, i])))
+              for i in range(h.shape[1] - 1)]
     for a, b in zip(deltas, deltas[1:]):
         assert b <= q * a * (1.0 + 1e-9)
 
@@ -231,7 +229,7 @@ def test_blocked_evaluation_layer_matches_full_rows(p):
     assert np.array_equal(got, _full_rows_layer(problem, grid, pts,
                                                 field.values))
     # a stack of fields is a gemm, which a 32-row block may round apart
-    history = np.stack(field.history, axis=1)
+    history = field.history
     got = evaluation_layer(problem, grid, pts, history)
     assert got.shape == (p, 15)
     np.testing.assert_allclose(
@@ -366,55 +364,61 @@ def test_layer_sweep_error_mode(const_kernel_factory):
     assert 1e-4 < errs[-1] < 5e-3
 
 
-def test_layer_sweep_delta_mode_ratios(const_kernel_factory):
+def test_forward_deltas_are_the_history_updates(const_kernel_factory):
+    # a run's update table is forward's deltas ||h_m - h_(m-1)||, h_0 = 0
     op = const_kernel_factory(n=400, scheme="left")
     q = estimate_contraction(op)
-    table = _sweep(op, KMSchedule(1.0), 12)
-    deltas = [e for _, e in table]
+    field = forward(build_network(op, 12, KMSchedule(1.0)), 12)
+    steps = np.diff(field.history, axis=1, prepend=0.0)
+    assert list(field.deltas) == np.max(np.abs(steps), axis=0).tolist()
     # the constant kernel has rank one, so updates decay by exactly q
-    for a, b in zip(deltas[2:], deltas[3:]):
+    for a, b in zip(field.deltas[2:], field.deltas[3:]):
         assert b / a == pytest.approx(q, rel=1e-9)
 
 
 def test_layer_sweep_zero_kernel():
     problem = FieProblem(kernel=lambda x, z: 0.0, source=lambda x: np.exp(x))
     op = discretize(problem, uniform_grid(0.0, 1.0, 30))
-    table = _sweep(op, KMSchedule(1.0), 5,
-                   exact=lambda x: np.exp(x))
+    table = _sweep(op, KMSchedule(1.0), 5, exact=lambda x: np.exp(x))
     assert all(e == 0.0 for _, e in table)
-    deltas = _sweep(op, KMSchedule(1.0), 5)
-    assert deltas[0][1] > 0.0
-    assert all(e == 0.0 for _, e in deltas[1:])
+    deltas = forward(build_network(op, 5, KMSchedule(1.0))).deltas
+    assert deltas[0] > 0.0
+    assert all(e == 0.0 for e in deltas[1:])
 
 
-def test_layer_sweep_update_mode_holds_no_stack(const_kernel_factory):
-    # update norms are the deltas forward recorded, with no S x N copy
+def test_layer_sweep_holds_only_its_error_table(const_kernel_factory):
+    # the (N, S) history goes to the evaluation layer as it is, and the
+    # (P, S) values become their errors in place: no copy of either
     op = const_kernel_factory(n=2000, scheme="left")
     field = forward(build_network(op, 200, KMSchedule(0.5)), 200)
-    stacked = np.stack(field.history, axis=1)
-    expected = np.max(np.abs(np.diff(stacked, axis=1, prepend=0.0)), axis=0)
+    pts = np.linspace(0.0, 1.0, 101)
+    target = np.full(pts.shape, 1.5)
+    expected = np.max(np.abs(evaluation_layer(
+        op.problem, op.grid, pts, field.history) - target[:, None]), axis=0)
     tracemalloc.start()
     try:
-        table = layer_sweep(op, field, None, None)
+        table = layer_sweep(op, field, target, pts)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert [e for _, e in table] == expected.tolist()
-    assert peak < 4 * op.n * 8 + 65536
+    # the error table with its finite mask, its 200 rows as a list (20
+    # cells each, as the guard charges) and one block of kernel rows
+    assert peak < 8 * (101 * 200 * 9 / 8 + 200 * 20 + _BLOCK * op.n) + 65536
 
 
 def test_layer_sweep_validation(const_kernel_factory):
     op = const_kernel_factory(n=16, scheme="left")
     net = build_network(op, 3, KMSchedule(1.0))
     with pytest.raises(ValidationError, match="layer history"):
-        layer_sweep(op, forward(net), None, None)
+        layer_sweep(op, forward(net), np.ones(16), op.grid.nodes)
     # one exact value per point
     with pytest.raises(ValidationError, match="2 target values for 16"):
         layer_sweep(op, forward(net, 3), [1.0, 2.0], op.grid.nodes)
     # a history of fields shorter than the grid
     field = forward(net, 3)
     short = SolutionField(field.grid, field.values[:-1],
-                          history=tuple(h[:-1] for h in field.history))
+                          history=field.history[:-1])
     with pytest.raises(ValidationError, match=r"field of size \(15, 3\) does "
                        "not match grid of size 16"):
         layer_sweep(op, short, np.ones(16), op.grid.nodes)

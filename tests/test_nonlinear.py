@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fredholm.cli import run_config
 from fredholm.errors import DivergenceError, DomainError, ValidationError
 from fredholm.grid import uniform_grid
 from fredholm.network import (SolutionField, build_network, forward,
@@ -134,8 +135,6 @@ def test_query_applies_the_nonlinear_map():
     sweep = layer_sweep(base, field, exact, pts)
     assert [m for m, _ in sweep] == list(range(1, 21))
     assert sweep[-1][1] == pytest.approx(err, rel=1e-12)
-    assert layer_sweep(base, field, None, None) == list(
-        enumerate(field.deltas, 1))
 
 
 def test_solve_nonlinear_refuses_another_problems_operator():
@@ -161,8 +160,15 @@ def test_layer_deltas_are_the_sweep_update_sizes():
     problem, base = _sin_problem()
     field, trace = solve_nonlinear(problem, base, 9, KMSchedule(1.0),
                                    keep_history=9)
-    assert layer_sweep(base, field, None, None) == list(
-        enumerate(trace.deltas, 1))
+    steps = np.diff(field.history, axis=1, prepend=0.0)
+    assert list(trace.deltas) == np.max(np.abs(steps), axis=0).tolist()
+    # without an exact solution a run's sweep is its pass's own updates
+    config = {"kind": "nonlinear_fie", "kernel": "z/36", "source": "sin(x)",
+              "nonlinearity": "u + u^2", "domain": [0, 3], "grid_n": 50,
+              "layers": 9}
+    bundle = run_config(config, sweep_layers=9)
+    assert bundle.sweep_column == "max_update"
+    assert bundle.sweep == list(enumerate(bundle.metadata["layer_deltas"], 1))
     # the first layer's update is the bias g itself
     assert trace.deltas[0] == float(np.max(np.abs(base.source)))
 

@@ -239,7 +239,7 @@ def test_km_step_two_node_damped():
 def test_km_step_undamped_is_plain_iteration():
     op = _two_node_op()
     net = build_network(op, 3, KMSchedule(1.0))
-    h = forward(net, 3).history
+    h = forward(net, 3).history.T.copy()  # one row per layer
     for prev, cur in zip(h, h[1:]):
         assert np.array_equal(cur, op.source + op.matrix @ prev)
 
