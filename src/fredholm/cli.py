@@ -42,13 +42,14 @@ _FD_BOUNDARY, _FD_EXACT = "1 + cos(2*phi)", "1 + r^2*cos(2*phi)"
 # P-vectors, report row and JSON text, the larger renderer's, which peaks
 # at ~1010 B on a polar lattice with exact values), 2 * min(P, 32) * N for
 # the kernel rows the blocked readouts hold (two buffers on the disc, one
-# elsewhere) and, per layer of a sweep, its iterate in the (N, S) history
-# and a 20-cell table row, plus against an exact 9/8 per error (the P x S
-# table and its finite mask) and per G of the history under G.  Under
-# tracemalloc an N x N cell peaks at ~1.03 doubles (the matrix, filled and
-# scanned for q_est in 32-row blocks); sweeps on 100 nodes peak at
-# 0.80-0.92 of their charge.  At 1.03 doubles the cap is ~390 MiB:
-# N <= 7070.
+# elsewhere) and, per layer of a sweep, a 20-cell table row.  An error
+# sweep adds per layer its iterate in the (N, S) history and 9/8 per
+# error (the P x S table and its finite mask) and per G of the history
+# under G; a sweep of updates deeper than the run keeps N x layers
+# iterates.  Under tracemalloc an N x N cell peaks at ~1.03 doubles (the
+# matrix, filled and scanned for q_est in 32-row blocks); on 100 nodes
+# error sweeps peak at 0.87-0.88 of their charge, update sweeps at 0.43.
+# At 1.03 doubles the cap is ~390 MiB: N <= 7070.
 _MAX_CELLS = 50_000_000
 # Cap on the multiply-adds of one run, max(N^2, _LAYER_WORK) per matvec of
 # its forward pass (a layer costs ~17 us on 3 nodes) plus S N P for an
@@ -376,15 +377,18 @@ def run_config(config: dict, exact_override: Optional[Callable] = None,
         needs = "the sweep needs" if sweep_n > layers else "the run has"
         _fail("kappa", f"sequence has {len(schedule.sequence)} values, but "
                        f"{needs} {depth} layers")
-    # one pass of depth max(layers, S) serves every kind's solve and sweep
+    # one pass of depth max(layers, S) serves every kind's solve and sweep;
+    # it keeps every iterate for an error sweep, else the run's of a deeper
     errors = spec["oracle"] and fn["exact"] is not None
-    held = n + 20  # per sweep layer: its iterate and table row
+    keep = sweep_n if errors else layers * (sweep_n > layers)
+    held = 20  # per sweep layer: its table row
     if errors:  # its P errors and, under G, G of its iterate, each masked
         held += 9 * (count + (n if "nonlinearity" in fn else 0)) // 8
     extra, matvec = max(sweep_n - layers, 0), max(n * n, _LAYER_WORK)
     _guard({spec["size"]: n * n,
             "queries": 128 * count + 2 * min(count, _BLOCK) * n,
-            "layers": 9 * layers, "sweep": 9 * extra + sweep_n * held},
+            "layers": 9 * layers,
+            "sweep": 9 * extra + sweep_n * held + keep * n},
            _MAX_CELLS, "dense cells", sweep_n, f"grid {n}, {count} query "
            f"points, {layers} layers and sweep {sweep_n}")
     _guard({"layers": (layers - 1) * matvec,
@@ -395,7 +399,7 @@ def run_config(config: dict, exact_override: Optional[Callable] = None,
     started = time.perf_counter()
     op, pts, readout = spec["setup"](config, fn, n, make_points)
     net = build_network(op, depth, schedule)
-    deep = forward(net, sweep_n)  # a deeper sweep's pass is the one judged
+    deep = forward(net, keep)  # a deeper sweep's pass is the one judged
     h_m = (deep.values if layers == depth
            else np.ascontiguousarray(deep.history[:, layers - 1]))
     field = SolutionField(op.grid, h_m, deltas=deep.deltas[:layers])

@@ -26,9 +26,15 @@ smoothed rearrangement
     u = sum_j (mu_j - mu*) [k - 1/(4 pi)] dtheta + mu*/2 + P*,
 
 where mu* interpolates mu at the radial projection of the query and
-P* = (dtheta/(4 pi)) sum_j mu_j.  The bracket vanishes identically at
-r = 1, which makes boundary queries exact up to interpolation error
-instead of numerically explosive.
+P* = (dtheta/(4 pi)) sum_j mu_j.  The bracket is half the Poisson kernel
+(Kress, Linear Integral Equations, 2014, ch. 6),
+
+    k - 1/(4 pi) = (1 - r)(1 + r) / (4 pi ((1 - r)^2 + 4 r s^2)),
+    s = sin((theta - phi)/2),
+
+whose denominator is positive for every r < 1, even at a node angle as r
+rounds to just below 1, where 1 - 2 r c + r^2 cancels to 0.  It vanishes
+at r = 1, which makes boundary queries exact up to interpolation error.
 """
 
 from typing import Callable, Sequence, Tuple
@@ -44,22 +50,6 @@ from .operator import (_BLOCK, DiscreteOperator, FieProblem, _sample,
 __all__ = ["build_bie", "evaluate_potential", "projected_potential"]
 
 TWO_PI = 2.0 * np.pi
-
-
-def _kernel_over_cos(r, c, den):
-    """Overwrite c = cos(theta - phi) with the kernel k at radii r < 1
-    (which broadcast against c); den is scratch of c's shape."""
-    np.multiply(2.0 * r, c, out=den)
-    np.subtract(1.0, den, out=den)
-    np.add(den, r * r, out=den)
-    if np.any(den == 0.0):
-        raise DomainError(
-            "kernel evaluated exactly at its boundary singularity "
-            "(r=1, theta=phi); use the limit value 1/(4 pi)")
-    np.multiply(r, c, out=c)
-    np.subtract(1.0, c, out=c)
-    np.multiply(TWO_PI, den, out=den)
-    return np.divide(c, den, out=c)
 
 
 def build_bie(boundary: Callable, theta_n: int) -> DiscreteOperator:
@@ -112,9 +102,10 @@ def evaluate_potential(density: SolutionField,
     a (P, 2) list of polar points (r, phi); returns r, phi wrapped to
     [0, 2 pi) and the values.
 
-    Radii must lie in [0, 1]; angles wrap.  Boundary queries (r = 1) use
-    the degenerate form mu*/2 + P* directly since the smoothed bracket is
-    identically zero there.
+    Radii must lie in [0, 1]; angles wrap.  Interior queries, on a
+    lattice or scattered, take one blocked scan of the closed-form
+    bracket; boundary queries (r = 1) take mu*/2 + P* directly, since the
+    bracket is zero there.
     """
     mu = density.values
     if mu.shape != (density.grid.n,):
@@ -130,23 +121,23 @@ def evaluate_potential(density: SolutionField,
     mu_star = np.interp(np.where(r == 0.0, 0.0, phi), np.append(th, TWO_PI),
                         np.append(mu, mu[0]))
     values = 0.5 * mu_star + projected_potential(density)
-    # Interior rows in blocks, sorted by angle: the kernel sees the angle
-    # only through cos(theta - phi), so each block takes one cosine row
-    # per distinct angle.  Each row's arithmetic and pairwise sum are the
-    # full P x N formula's, so the blocking does not change a result.
+    # Interior rows in blocks: s = sin(theta/2) cos(phi/2) - cos(theta/2)
+    # sin(phi/2), exactly 0 at theta = phi, then the bracket.  Each row's
+    # arithmetic and pairwise sum are the full P x N formula's, so the
+    # blocking does not change a result.
+    half_sin, half_cos = np.sin(0.5 * th), np.cos(0.5 * th)
     interior = np.flatnonzero(r < 1.0)
-    order = interior[np.argsort(phi[interior], kind="stable")]
-    rows = np.empty((2, min(_BLOCK, len(order)), len(th)))
-    for lo in range(0, len(order), _BLOCK):
-        idx = order[lo:lo + _BLOCK]
-        c, scratch = rows[:, :len(idx)]
-        angles, which = np.unique(phi[idx], return_inverse=True)
-        cos_rows = np.subtract(th, angles[:, None], out=scratch[:len(angles)])
-        np.cos(cos_rows, out=cos_rows)
-        # indices are in range; "clip" lets take write into c unbuffered
-        np.take(cos_rows, which, axis=0, out=c, mode="clip")
-        k = _kernel_over_cos(r[idx, None], c, scratch)
-        np.subtract(k, 1.0 / (2.0 * TWO_PI), out=k)
+    rows = np.empty((2, min(_BLOCK, len(interior)), len(th)))
+    for lo in range(0, len(interior), _BLOCK):
+        idx = interior[lo:lo + _BLOCK]
+        s, scratch = rows[:, :len(idx)]
+        ri, half = r[idx, None], 0.5 * phi[idx, None]
+        np.multiply(half_sin, np.cos(half), out=s)
+        np.subtract(s, np.multiply(half_cos, np.sin(half), out=scratch),
+                    out=s)
+        den = np.multiply(4.0 * ri, np.multiply(s, s, out=s), out=s)
+        np.add(den, (1.0 - ri) ** 2, out=den)
+        k = np.divide((1.0 - ri) * (1.0 + ri) / (2.0 * TWO_PI), den, out=den)
         diff = np.subtract(mu, mu_star[idx, None], out=scratch)
         values[idx] += np.multiply(diff, k, out=k).sum(axis=1) * dth
     ok = np.isfinite(values)

@@ -58,11 +58,19 @@ class FieProblem:
         """sigma of the hidden and the output layers of a net over the
         problem's discretization: G, or the identity without one.  A NaN
         of G is named at its node; an infinite G (overflow) is left to
-        the verdict of ``forward`` or the evaluation layer's sum check."""
+        the verdict of ``forward`` or the evaluation layer's sum check.
+        A stack (N, k) goes ``_BLOCK`` columns at a time into one output."""
         if self.nonlinearity is None:
             return values
-        return _sample(self.nonlinearity, (values,), "nonlinearity",
-                       "node {i} (iterate value {v[0]!r})", nan_only=True)
+        if values.ndim == 1:
+            return _sample(self.nonlinearity, (values,), "nonlinearity",
+                           "node {i} (iterate value {v[0]!r})", nan_only=True)
+        out = np.empty(values.shape)
+        for lo in range(0, values.shape[1], _BLOCK):
+            _sample(self.nonlinearity, (values[:, lo:lo + _BLOCK],),
+                    "nonlinearity", "node {i} (iterate value {v[0]!r})",
+                    nan_only=True, out=out[:, lo:lo + _BLOCK])
+        return out
 
 
 @dataclass(frozen=True)

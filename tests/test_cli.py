@@ -499,18 +499,34 @@ def test_query_points_hold_no_more_than_their_charge():
                     run_config(config)
 
 
-@pytest.mark.parametrize("name,overrides", [
-    ("ex2", {"grid_n": 100, "queries": "0:1.5:101"}),
-    ("nl2", {"grid_n": 100, "queries": "0:3:101"}),
-    ("bvp_p", {"grid_n": 100, "queries": "0:1:101"}),
-], ids=["linear_errors", "nonlinear_errors", "updates"])
-def test_sweep_holds_no_more_than_its_charge(name, overrides):
-    # 2000 layers on 100 nodes: the sweep's S x N history, its table rows
-    # and, against an exact, its P x S errors (and G of the history for
-    # nl2) are over 90% of the run's charge
+# G of a 2000-deep history, taken 32 columns at a time
+_G_STACK_CONFIG = {"kind": "nonlinear_fie", "kernel": "x*z/10", "source": "1",
+                   "nonlinearity": "u/(1 + u^2) + sin(u)*cos(u)",
+                   "domain": [0, 1], "grid_n": 100, "layers": 5,
+                   "queries": [0.1, 0.5, 0.9], "exact": "1"}
+_SWEEP_RUNS = {
+    "linear_errors": lambda s: run_example(
+        "ex2", sweep_layers=s, overrides={"grid_n": 100,
+                                          "queries": "0:1.5:101"}),
+    "nonlinear_errors": lambda s: run_example(
+        "nl2", sweep_layers=s, overrides={"grid_n": 100,
+                                          "queries": "0:3:101"}),
+    "updates": lambda s: run_example(
+        "bvp_p", sweep_layers=s, overrides={"grid_n": 100,
+                                            "queries": "0:1:101"}),
+    "nonlinear_stack": lambda s: run_config(_G_STACK_CONFIG, sweep_layers=s),
+}
+
+
+@pytest.mark.parametrize("name", list(_SWEEP_RUNS))
+def test_sweep_holds_no_more_than_its_charge(name):
+    # 2000 layers on 100 nodes: the sweep's table rows and, against an
+    # exact, its S x N history, its P x S errors (and G of the history
+    # under G) are most of the run's charge
+    run = _SWEEP_RUNS[name]
     tracemalloc.start()
     try:
-        bundle = run_example(name, sweep_layers=2000, overrides=overrides)
+        bundle = run(2000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -520,7 +536,7 @@ def test_sweep_holds_no_more_than_its_charge(name, overrides):
         mp.setattr(cli, "_MAX_CELLS", int(peak / (1.03 * 8)))
         with pytest.raises(ValidationError,
                            match="^sweep depth 2000: .* dense cells"):
-            run_example(name, sweep_layers=2000, overrides=overrides)
+            run(2000)
 
 
 def test_shallow_sweep_keeps_only_its_iterates(monkeypatch):
@@ -538,6 +554,26 @@ def test_shallow_sweep_keeps_only_its_iterates(monkeypatch):
     assert bundle.rows == run_config(config).rows
     # the first two iterates do not depend on the depth of the solve
     assert bundle.sweep == run_config(LINEAR_CONFIG, sweep_layers=2).sweep
+
+
+def test_update_sweep_keeps_only_the_runs_iterate(monkeypatch):
+    # a sweep of updates reads the pass's deltas, so the pass keeps
+    # layer `layers` of a deeper sweep's pass and nothing of a shallower
+    asked = []
+
+    def spy(net, keep_history=0):
+        asked.append((net.layers, keep_history))
+        return forward(net, keep_history)
+
+    monkeypatch.setattr(cli, "forward", spy)
+    layers = get_example("bvp_p").config["layers"]
+    plain = run_example("bvp_p")
+    deep = run_example("bvp_p", sweep_layers=layers + 7)
+    shallow = run_example("bvp_p", sweep_layers=layers - 1)
+    assert asked == [(layers, 0), (layers + 7, layers), (layers, 0)]
+    assert deep.rows == shallow.rows == plain.rows
+    assert [m for m, _ in deep.sweep] == list(range(1, layers + 8))
+    assert shallow.sweep == deep.sweep[:layers - 1]
 
 
 @pytest.mark.parametrize("sweep", [3, 8, 12])
@@ -1120,7 +1156,7 @@ def test_ci_example_runs_are_the_workflows():
 
 def test_ci_determinism_runs_repeat_byte_for_byte_without_warnings():
     runs = _ci_runs()
-    assert len(runs) == 23
+    assert len(runs) == 24
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for run in runs:

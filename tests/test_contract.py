@@ -176,13 +176,14 @@ def _over_a_guard(kind, guard, over, small, n, rings):
         return config, sweep, "queries", "dense cells"
     if guard == "layers":  # each layer records its update
         config["layers"] = cli._MAX_CELLS // 9 + over
-    elif guard == "sweep":  # S iterates, rows and records, P > N
+    elif guard == "sweep":  # S rows and records, P > N
         config["queries"] = _queries(kind, 101, 1)
-        held = small + 20 + 9
-        if kind.endswith("_fie"):  # errors against an exact and G's copy
+        held, kept = 20 + 9, 4  # an update sweep keeps the run's iterate
+        if kind.endswith("_fie"):  # errors: S iterates, errors, G's copy
             config["exact"] = "1"
-            held += 9 * (101 + small * (kind == "nonlinear_fie")) // 8
-        fixed = small ** 2 + 128 * 101 + 2 * 32 * small
+            held += small + 9 * (101 + small * (kind == "nonlinear_fie")) // 8
+            kept = 0
+        fixed = small ** 2 + 128 * 101 + 2 * 32 * small + kept * small
         sweep = (cli._MAX_CELLS - fixed) // held + over
         return config, sweep, None, "dense cells"
     else:

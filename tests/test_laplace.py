@@ -1,18 +1,20 @@
 """Boundary integral equation on the unit disc and potential evaluation."""
 
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from fredholm.cli import run_example
-from fredholm.errors import DomainError, ValidationError
+from fredholm.cli import main, run_example
+from fredholm.errors import ValidationError
 from fredholm.grid import uniform_grid
 from fredholm.laplace import (build_bie, evaluate_potential,
                               projected_potential)
 from fredholm.network import SolutionField, build_network, forward
 from fredholm.operator import KMSchedule, estimate_contraction
+from fredholm.registry import get_example
 
 TWO_PI = 2.0 * math.pi
 
@@ -171,12 +173,12 @@ def _dense_potential(density, queries):
                         np.append(mu, mu[0]))
     values = 0.5 * mu_star + projected_potential(density)
     inner = r < 1.0
-    ri = r[inner, None]
-    c = np.cos(th[None, :] - phi[inner, None])
-    k = (1.0 - ri * c) / (TWO_PI * (1.0 - 2.0 * ri * c + ri * ri))
+    ri, half = r[inner, None], 0.5 * phi[inner, None]
+    s = np.sin(0.5 * th) * np.cos(half) - np.cos(0.5 * th) * np.sin(half)
+    k = ((1.0 - ri) * (1.0 + ri) / (2.0 * TWO_PI)
+         / (4.0 * ri * (s * s) + (1.0 - ri) ** 2))
     diff = mu[None, :] - mu_star[inner, None]
-    values[inner] += ((diff * (k - 1.0 / (2.0 * TWO_PI))).sum(axis=1)
-                      * density.grid.spacing)
+    values[inner] += (diff * k).sum(axis=1) * density.grid.spacing
     return values
 
 
@@ -230,12 +232,27 @@ def test_potential_scan_holds_a_few_row_blocks():
     assert _peak_bytes(lambda: run_example("laplace_disc")) <= 1.25 * n * n * 8
 
 
-def test_singular_query_in_a_later_block_raises():
+def test_query_just_inside_a_node_reads_the_boundary_value():
+    # at r = 1 - 2^-53 and a node angle, 1 - 2 r cos + r^2 cancels to 0;
+    # the closed-form bracket's denominator (1 - r)^2 stays positive
     den = _random_density(64)
     th5 = float(den.grid.nodes[5])
-    # 40 smaller angles put it in the second block of the angle order
+    # 40 queries before it put it in the second block
     queries = [(0.5, p) for p in np.linspace(0.0, th5, 40, endpoint=False)]
     queries.append((float(np.nextafter(1.0, 0.0)), th5))
-    with pytest.raises(DomainError, match="kernel evaluated exactly at its "
-                                          "boundary singularity"):
-        evaluate_potential(den, queries)
+    _, _, values = evaluate_potential(den, queries)
+    boundary = 0.5 * den.values[5] + projected_potential(den)
+    assert abs(float(values[-1]) - boundary) <= 1e-12
+
+
+def test_disc_run_at_a_node_just_inside_the_circle_exits_zero(tmp_path):
+    config = dict(get_example("laplace_disc").config,
+                  queries=[[0.9999999999, 0.0]], exact="1 + r^2*cos(2*phi)")
+    path = tmp_path / "disc.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out.json"
+    assert main(["solve", str(path), "--deterministic", "--format", "json",
+                 "--out", str(out)]) == 0
+    solution = json.loads(out.read_text())["solution"]
+    (row,) = solution["rows"]
+    assert row[solution["columns"].index("abs_err")] <= 1e-12
