@@ -19,7 +19,7 @@ import numpy as np
 
 from . import exprlang
 from .bvp import BvpSpec, bvp_to_fie, ode_residual, recover_solution
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, as_count
 from .grid import _SCHEMES, uniform_grid
 from .laplace import (_polar_points, build_bie, evaluate_potential,
                       projected_potential)
@@ -141,10 +141,8 @@ def _as_float(config: dict, key: str) -> float:
 
 
 def _as_pos_int(config: dict, key: str) -> int:
-    v = config[key]
-    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-        _fail(key, f"must be a positive integer, got {v!r}")
-    return v
+    with _under(key):
+        return as_count(config[key], 1, key)
 
 
 def _domain(config: dict):
@@ -363,15 +361,14 @@ def run_config(config: dict, exact_override: Optional[Callable] = None,
     if not isinstance(config, dict):
         raise ValidationError("config must be a JSON object")
     _check_schema(config)
-    if sweep_layers is not None and sweep_layers < 1:
-        raise ValidationError(f"sweep depth {sweep_layers} must be >= 1")
+    sweep_n = (0 if sweep_layers is None
+               else as_count(sweep_layers, 1, "sweep depth"))
     spec = _KINDS[config["kind"]]
     fn = _compile_all(config, exact_override)
     n = _as_pos_int(config, spec["size"])
     layers = _as_pos_int(config, "layers")
     count, make_points = spec["queries"](config)
     schedule = _schedule(config, spec["kappa"])  # checked before any setup
-    sweep_n = sweep_layers or 0
     depth = max(layers, sweep_n)
     if schedule.sequence and len(schedule.sequence) < depth:
         needs = "the sweep needs" if sweep_n > layers else "the run has"

@@ -7,6 +7,8 @@ occur while computing (domain violations, divergent iterations, singular
 systems).  The CLI maps them to exit codes 2 and 3 respectively.
 """
 
+from numbers import Integral
+
 
 class FredholmError(Exception):
     """Base class for all package errors."""
@@ -14,6 +16,16 @@ class FredholmError(Exception):
 
 class ValidationError(FredholmError):
     """Invalid input: configuration, arguments, or contract violations."""
+
+
+def as_count(value, least: int, name: str) -> int:
+    """``value`` as a Python int, refused unless it is an integer (a numpy
+    integer too, but not a bool) of at least ``least``."""
+    if (isinstance(value, bool) or not isinstance(value, Integral)
+            or value < least):
+        raise ValidationError(
+            f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 class ExprSyntaxError(ValidationError):

@@ -10,16 +10,17 @@ property).
 The stencil is invariant under rotation, so a real FFT over theta splits
 the system into one tridiagonal radial system per Fourier mode (the fast
 Poisson solver of Hockney 1965 and Buzbee, Golub & Nielson 1970).  Each
-system is diagonally dominant, and one vectorized Thomas sweep over the
-rings solves all modes at once without pivoting.  The solve is direct and
-deterministic: there is no tolerance and no iteration count.
+system is diagonally dominant with data on its rim row alone, so one
+vectorized Thomas sweep solves all modes at once without pivoting: real
+pivots outward, then the rim over its pivot and each inner ring as -c_i
+times the ring outside it.  The solve is direct and deterministic.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularSystemError, ValidationError
+from .errors import SingularSystemError, ValidationError, as_count
 from .operator import _sample
 
 __all__ = ["PolarGrid", "solve_fd"]
@@ -66,23 +67,19 @@ def _coefficients(nr: int, nt: int):
     return crp, crm, ct, dg
 
 
-def _thomas(sub, diag, sup, rhs):
-    """Solve tridiagonal systems along axis 0, one per column.
-
-    ``sub`` and ``sup`` hold one value per row, shared by every column;
-    ``diag`` and ``rhs`` are (rows, columns).  No pivoting: every system
-    must be diagonally dominant.
-    """
+def _rim_sweep(sub, diag, sup, rim):
+    """Solve diagonally dominant tridiagonal systems along axis 0, one
+    per column of ``diag``, whose right-hand side is zero on every row but
+    the last, ``rim``; ``sub`` and ``sup`` hold one value per row."""
     cp = np.empty_like(diag)
-    x = np.empty_like(rhs)
-    cp[0] = sup[0] / diag[0]
-    x[0] = rhs[0] / diag[0]
+    pivot = diag[0]
     for i in range(1, diag.shape[0]):
+        cp[i - 1] = sup[i - 1] / pivot
         pivot = diag[i] - sub[i] * cp[i - 1]
-        cp[i] = sup[i] / pivot
-        x[i] = (rhs[i] - sub[i] * x[i - 1]) / pivot
+    x = np.empty(diag.shape, dtype=rim.dtype)
+    x[-1] = rim / pivot
     for i in range(diag.shape[0] - 2, -1, -1):
-        x[i] -= cp[i] * x[i + 1]
+        x[i] = -cp[i] * x[i + 1]
     return x
 
 
@@ -103,13 +100,12 @@ def _residual(values, center, f, coeffs) -> float:
 def solve_fd(boundary_f, nr: int, nt: int) -> PolarGrid:
     """Solve the Dirichlet problem with data ``boundary_f(theta)``.
 
-    Direct and deterministic.  Refuses grids coarser than 8 cells or with
-    more than ``MAX_NODES`` ring nodes before evaluating the data, and
-    data undefined or not finite at a node with a DomainError naming it.
+    Direct and deterministic.  Refuses an ``nr`` or ``nt`` that is not an
+    integer >= 8, or more than ``MAX_NODES`` ring nodes, before evaluating
+    the data, and data undefined or not finite at a node with a
+    DomainError naming it.
     """
-    if nr < 8 or nt < 8:
-        raise ValidationError(f"grid {nr}x{nt} too coarse; need >= 8 cells "
-                              f"in each direction")
+    nr, nt = as_count(nr, 8, "nr"), as_count(nt, 8, "nt")
     if (nr - 1) * nt > MAX_NODES:
         raise ValidationError(f"grid {nr}x{nt} has {(nr - 1) * nt} ring "
                               f"nodes; the limit is {MAX_NODES}")
@@ -126,9 +122,8 @@ def solve_fd(boundary_f, nr: int, nt: int) -> PolarGrid:
     diag = dg[:, None] + 2.0 * ct[:, None] * cos_k
     # the center unknown equals ring 1's mean, which only mode 0 carries
     diag[0, 0] += crm[0]
-    rhs = np.zeros(diag.shape, dtype=complex)
-    rhs[-1] = -crp[-1] * np.fft.rfft(unit_f)
-    values = np.fft.irfft(_thomas(crm, diag, crp, rhs), n=nt, axis=1)
+    rim = -crp[-1] * np.fft.rfft(unit_f)
+    values = np.fft.irfft(_rim_sweep(crm, diag, crp, rim), n=nt, axis=1)
     center = float(np.mean(values[0]))
     residual = _residual(values, center, unit_f, coeffs)
     values *= scale

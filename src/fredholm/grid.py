@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, as_count
 
 __all__ = ["Grid1D", "uniform_grid"]
 
@@ -39,8 +39,8 @@ def uniform_grid(a, b, n, scheme="left"):
     """Build a uniform grid with n nodes on [a, b].
 
     Nodes are strictly increasing and the spacing is exactly uniform by
-    construction.  Raises ValidationError for n < 1 (n < 2 for closed),
-    a >= b, or an unknown scheme.
+    construction.  Raises ValidationError for a >= b, an unknown scheme,
+    or an n that is not an integer >= 1 (>= 2 for closed).
     """
     a = float(a)
     b = float(b)
@@ -48,14 +48,11 @@ def uniform_grid(a, b, n, scheme="left"):
         raise ValidationError(f"invalid interval [{a}, {b}]")
     if scheme not in _SCHEMES:
         raise ValidationError(f"unknown scheme {scheme!r}; pick from {_SCHEMES}")
+    n = as_count(n, 2 if scheme == "closed" else 1, f"{scheme} grid size")
     if scheme == "closed":
-        if n < 2:
-            raise ValidationError("closed scheme needs at least 2 nodes")
         dz = (b - a) / (n - 1)
         nodes = np.linspace(a, b, n)
     else:
-        if n < 1:
-            raise ValidationError("grid needs at least 1 node")
         dz = (b - a) / n
         offset = 0.0 if scheme == "left" else 0.5
         nodes = a + (np.arange(n) + offset) * dz

@@ -41,7 +41,7 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, as_count
 from .grid import uniform_grid
 from .network import SolutionField
 from .operator import (_BLOCK, DiscreteOperator, FieProblem, _sample,
@@ -57,10 +57,9 @@ def build_bie(boundary: Callable, theta_n: int) -> DiscreteOperator:
     ``boundary`` = f(phi) on ``theta_n`` left-rule nodes of [0, 2 pi).
 
     The matrix is the constant -dtheta/(2 pi); the source is 2 f(theta).
+    Refuses a ``theta_n`` that is not an integer >= 2.
     """
-    if theta_n < 2:
-        raise ValidationError(f"theta_n {theta_n} must be >= 2")
-    grid = uniform_grid(0.0, TWO_PI, theta_n)
+    grid = uniform_grid(0.0, TWO_PI, as_count(theta_n, 2, "theta_n"))
 
     def source(x):
         return 2.0 * np.asarray(boundary(np.asarray(x, dtype=float)),

@@ -37,7 +37,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import (DivergenceError, DomainError, SingularSystemError,
-                     ValidationError)
+                     ValidationError, as_count)
 from .grid import Grid1D
 from .operator import (_BLOCK, DiscreteOperator, KMSchedule, _sample,
                        estimate_contraction, residual_norm)
@@ -69,22 +69,22 @@ class SolutionField:
 class FixedPointNet:
     """Explicit-weight network equivalent to M damped fixed-point steps.
 
-    A validated record of the operator, the depth and the relaxation
-    schedule; the activation is that of the operator's problem.  Layer
-    m's weight W_m = kappa_m A + (1 - kappa_m) I and bias kappa_m g are
-    applied implicitly by ``forward`` and never stored, so memory stays
-    the operator's one N x N block plus a few N-vectors at any depth.
+    A validated record of the operator, the depth (an integer >= 1) and
+    the relaxation schedule; the activation is that of the operator's
+    problem.  Layer m's weight W_m = kappa_m A + (1 - kappa_m) I and bias
+    kappa_m g are applied implicitly by ``forward`` and never stored, so
+    memory stays the operator's one N x N block plus a few N-vectors at
+    any depth.
     """
 
     def __init__(self, op: DiscreteOperator, layers: int, schedule: KMSchedule):
-        if not isinstance(layers, (int, np.integer)) or layers < 1:
-            raise ValidationError(f"layer count {layers!r} must be >= 1")
+        layers = as_count(layers, 1, "layer count")
         if schedule.sequence is not None and len(schedule.sequence) < layers:
             raise ValidationError(
                 f"schedule length {len(schedule.sequence)} shorter than "
                 f"{layers} layers")
         self.op = op
-        self.layers = int(layers)
+        self.layers = layers
         self.schedule = schedule
 
 
@@ -99,6 +99,7 @@ def forward(net: FixedPointNet, keep_history: int = 0) -> SolutionField:
     first ``keep_history`` iterates (all at the net's depth or more) as
     its (N, k) history, column m - 1 holding layer m, and the sup-norm
     update ||h_m - h_{m-1}|| of every layer (h_0 = 0) as its deltas.
+    ``keep_history`` must be an integer >= 0.
 
     Layer m computes kappa (A sigma(h)) + (1 - kappa) h + kappa g.  This
     is the one verdict on every run.  DivergenceError is raised the moment
@@ -109,9 +110,7 @@ def forward(net: FixedPointNet, keep_history: int = 0) -> SolutionField:
     (the first step of T); on a non-expansive map the residual of a damped
     iteration never grows.
     """
-    if isinstance(keep_history, bool) or keep_history < 0:
-        raise ValidationError(
-            f"history length {keep_history!r} must be a count >= 0")
+    keep_history = as_count(keep_history, 0, "history length")
     a, g, act = net.op.matrix, net.op.source, net.op.problem.activation
     h, prev = net.schedule.at(1) * g, 0.0
     history = np.empty((net.op.n, min(keep_history, net.layers)))

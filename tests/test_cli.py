@@ -82,8 +82,12 @@ def test_run_config_runtime_reported_when_not_deterministic():
     (lambda c: c.update(extra=1), "unknown keys"),
     (lambda c: c.update(kernel="sin(x*")," at offset 6"),
     (lambda c: c.update(kernel="sin(q)*z"), "unexpected variable"),
-    (lambda c: c.update(grid_n=-5), "positive integer"),
-    (lambda c: c.update(grid_n=2.5), "positive integer"),
+    pytest.param(lambda c: c.update(grid_n=-5),
+                 "config key 'grid_n': grid_n must be an integer >= 1, "
+                 "got -5", id="<lambda>-positive integer0"),
+    pytest.param(lambda c: c.update(grid_n=2.5),
+                 "config key 'grid_n': grid_n must be an integer >= 1, "
+                 "got 2.5", id="<lambda>-positive integer1"),
     (lambda c: c.update(domain=[1.0, 0.0]), "domain"),
     (lambda c: c.update(domain=[0.0]), "domain"),
     (lambda c: c.update(queries="0:1"), "start:stop:count"),
@@ -97,10 +101,12 @@ def test_run_config_runtime_reported_when_not_deterministic():
                  "config key 'grid_scheme': unknown scheme 'gauss'; pick from",
                  id="<lambda>-scheme"),
     pytest.param(lambda c: c.update(grid_n=1),
-                 "config key 'grid_n': closed scheme needs at least 2 nodes",
+                 "config key 'grid_n': closed grid size must be an integer "
+                 ">= 2, got 1",
                  id="grid_n-closed"),
     pytest.param(_as_example("laplace_disc", theta_n=1),
-                 "config key 'theta_n': theta_n 1 must be >= 2",
+                 "config key 'theta_n': theta_n must be an integer >= 2, "
+                 "got 1",
                  id="theta_n"),
     pytest.param(lambda c: c.update(queries=[0.5, 1.5]),
                  "config key 'queries': query point 1.5 outside [0.0, 1.0]",
@@ -122,6 +128,43 @@ def test_run_config_validation_messages(mutate, fragment):
     assert fragment in message
     if fragment.startswith("config key"):
         assert message.startswith(fragment)
+
+
+def _no_setup(monkeypatch):
+    def setup(*args):
+        raise AssertionError("the grid or a kernel was sampled")
+
+    monkeypatch.setitem(cli._KINDS["linear_fie"], "setup", setup)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("grid_n", 2.5), ("grid_n", True), ("layers", 2.0), ("layers", True)])
+def test_config_counts_must_be_integers(tmp_path, capsys, monkeypatch, key,
+                                        value):
+    _no_setup(monkeypatch)
+    path = _write_config(tmp_path, dict(LINEAR_CONFIG, **{key: value}))
+    assert main(["solve", path]) == 2
+    assert capsys.readouterr().err == (
+        f"error: config key {key!r}: {key} must be an integer >= 1, "
+        f"got {value!r}\n")
+
+
+@pytest.mark.parametrize("sweep", [1.5, True, 0])
+def test_sweep_depth_must_be_an_integer(monkeypatch, sweep):
+    # 1.5 once died with a TypeError; True was refused as a history length
+    _no_setup(monkeypatch)
+    with pytest.raises(ValidationError) as exc:
+        run_config(LINEAR_CONFIG, sweep_layers=sweep)
+    assert str(exc.value) == (
+        f"sweep depth must be an integer >= 1, got {sweep!r}")
+
+
+def test_numpy_integer_counts_run_as_their_ints():
+    config = dict(LINEAR_CONFIG, grid_n=np.int64(200), layers=np.int32(8))
+    bundle = run_config(config, sweep_layers=np.int64(6))
+    plain = run_config(LINEAR_CONFIG, sweep_layers=6)
+    for render in (render_csv, render_json):
+        assert render(bundle) == render(plain)
 
 
 def _without(*keys):
@@ -1124,6 +1167,8 @@ _CI_EXAMPLE_RUNS = (
     ("ex2", {"kappa": 0.5}, None), ("ex1", {}, 12), ("nl2", {}, 25),
     ("nl3", {}, 12), ("laplace_disc", {}, 20), ("bvp_airy", {}, 20),
     ("bvp_p", {}, 12))
+# (nr, nt) of its compare-fd runs, in the workflow's order
+_CI_FD_GRIDS = ((60, 64), (200, 200))
 
 
 def _ci_runs():
@@ -1133,7 +1178,8 @@ def _ci_runs():
     runs = [lambda p=p: run_config(json.loads(p.read_text()))
             for p in configs]
     runs += [lambda name=name: run_example(name) for name in example_names()]
-    runs.append(lambda: run_compare_fd(60, 64))
+    runs += [lambda nr=nr, nt=nt: run_compare_fd(nr, nt)
+             for nr, nt in _CI_FD_GRIDS]
     for name, overrides, sweep in _CI_EXAMPLE_RUNS:
         runs.append(lambda name=name, sweep=sweep, overrides=overrides:
                     run_example(name, sweep_layers=sweep, overrides=overrides))
@@ -1141,22 +1187,30 @@ def _ci_runs():
 
 
 def test_ci_example_runs_are_the_workflows():
-    # the tier-1 copy of the loop's `for run in ...` list must not drift
-    # from the workflow, whose byte-identity check it repeats in process
+    # the tier-1 copies of the loop's `for run in ...` and `for fd in ...`
+    # lists must not drift from the workflow, whose byte-identity check
+    # they repeat in process
     text = (_ROOT / ".github" / "workflows" / "tests.yml").read_text()
-    listed = re.search(r"for run in (.*?); do", text, re.S).group(1)
     parser = cli._build_parser()
+
+    def listed(loop):
+        block = re.search(rf"for {loop} in (.*?); do", text, re.S).group(1)
+        return re.findall(r'"([^"]*)"', block)
+
     runs = []
-    for run in re.findall(r'"([^"]*)"', listed):
+    for run in listed("run"):
         args = parser.parse_args(["example", *run.split()])
         kind = get_example(args.name).config["kind"]
         runs.append((args.name, cli._overrides(kind, args), args.sweep))
     assert runs == list(_CI_EXAMPLE_RUNS)
+    grids = [parser.parse_args(["compare-fd", *run.split()])
+             for run in listed("fd")]
+    assert [(args.nr, args.nt) for args in grids] == list(_CI_FD_GRIDS)
 
 
 def test_ci_determinism_runs_repeat_byte_for_byte_without_warnings():
     runs = _ci_runs()
-    assert len(runs) == 24
+    assert len(runs) == 25
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for run in runs:

@@ -107,6 +107,38 @@ def test_direct_solve_matches_sparse_reference(nr, nt):
     assert stencil == pytest.approx(sparse_residual(y), rel=1e-12)
 
 
+def _thomas(sub, diag, sup, rhs):
+    """General Thomas elimination of tridiagonal systems along axis 0, one
+    per column, with a full right-hand side ``rhs``: the reference the
+    solve's rim-only sweep must match bit for bit."""
+    cp = np.empty_like(diag)
+    x = np.empty_like(rhs)
+    cp[0] = sup[0] / diag[0]
+    x[0] = rhs[0] / diag[0]
+    for i in range(1, diag.shape[0]):
+        pivot = diag[i] - sub[i] * cp[i - 1]
+        cp[i] = sup[i] / pivot
+        x[i] = (rhs[i] - sub[i] * x[i - 1]) / pivot
+    for i in range(diag.shape[0] - 2, -1, -1):
+        x[i] -= cp[i] * x[i + 1]
+    return x
+
+
+@pytest.mark.parametrize("nr,nt", [(8, 8), (60, 64), (101, 37), (200, 200)])
+def test_rim_sweep_matches_the_general_elimination(monkeypatch, nr, nt):
+    calls = []
+    sweep = fd._rim_sweep
+    monkeypatch.setattr(fd, "_rim_sweep",
+                        lambda *args: calls.append(args) or sweep(*args))
+    # every Fourier mode of this data is nonzero
+    solve_fd(lambda t: np.exp(np.sin(3.0 * t)) + t, nr, nt)
+    (sub, diag, sup, rim), = calls
+    rhs = np.zeros(diag.shape, dtype=complex)
+    rhs[-1] = rim
+    assert np.array_equal(sweep(sub, diag, sup, rim),
+                          _thomas(sub, diag, sup, rhs))
+
+
 def test_constant_data_reproduced_exactly():
     sol = solve_fd(lambda t: np.ones(np.shape(t)), 32, 32)
     assert float(np.max(np.abs(sol.values - 1.0))) < 1e-9
@@ -170,6 +202,26 @@ def test_grid_properties():
 def test_coarse_grids_rejected(nr, nt):
     with pytest.raises(ValidationError):
         solve_fd(_cos2, nr, nt)
+
+
+@pytest.mark.parametrize("nr,nt,name,bad", [
+    (8.5, 8, "nr", 8.5), (8, 8.5, "nt", 8.5), (True, 8, "nr", True),
+    (4, 32, "nr", 4), (32, 4, "nt", 4)])
+def test_cell_counts_must_be_integers_before_the_data_is_sampled(nr, nt, name,
+                                                                 bad):
+    # 8.5 cells once solved silently on rings at i/8.5
+    def data(t):
+        raise AssertionError("boundary data evaluated")
+
+    with pytest.raises(ValidationError) as exc:
+        solve_fd(data, nr, nt)
+    assert str(exc.value) == f"{name} must be an integer >= 8, got {bad!r}"
+
+
+def test_compare_fd_refuses_a_coarse_grid_with_the_count_message(capsys):
+    assert main(["compare-fd", "--nr", "4", "--nt", "4"]) == 2
+    assert capsys.readouterr().err == (
+        "error: nr must be an integer >= 8, got 4\n")
 
 
 def test_oversized_grid_refused_before_data_is_evaluated(capsys):

@@ -44,6 +44,22 @@ def test_invalid_grids_rejected(kwargs):
         uniform_grid(**kwargs)
 
 
+@pytest.mark.parametrize("n", [2.5, True, 2.0])
+@pytest.mark.parametrize("scheme,least", [("left", 1), ("closed", 2)])
+def test_grid_size_must_be_an_integer(n, scheme, least):
+    # 2.5 nodes once built 3 nodes whose weights summed to 1.2 on [0, 1]
+    with pytest.raises(ValidationError) as exc:
+        uniform_grid(0.0, 1.0, n, scheme=scheme)
+    assert str(exc.value) == (
+        f"{scheme} grid size must be an integer >= {least}, got {n!r}")
+
+
+def test_numpy_integer_grid_size_builds_the_same_grid():
+    g = uniform_grid(0.0, 1.0, np.int64(4))
+    assert type(g.n) is int
+    assert np.array_equal(g.nodes, uniform_grid(0.0, 1.0, 4).nodes)
+
+
 def test_nodes_are_read_only():
     g = uniform_grid(0.0, 1.0, 4)
     with pytest.raises(ValueError):

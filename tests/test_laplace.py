@@ -155,8 +155,17 @@ def test_evaluate_potential_refuses_bad_density():
 
 
 def test_problem_validation():
-    with pytest.raises(ValidationError, match="theta_n 1 must be >= 2"):
+    with pytest.raises(ValidationError,
+                       match="^theta_n must be an integer >= 2, got 1$"):
         build_bie(lambda t: t, 1)
+
+
+@pytest.mark.parametrize("theta_n", [2.5, True, 4.0])
+def test_theta_n_must_be_an_integer(theta_n):
+    with pytest.raises(ValidationError) as exc:
+        build_bie(np.cos, theta_n)
+    assert str(exc.value) == (
+        f"theta_n must be an integer >= 2, got {theta_n!r}")
 
 
 def _random_density(n, seed=0):

@@ -88,8 +88,38 @@ def test_forward_keeps_the_first_k_iterates(const_kernel_factory):
     assert forward(net, keep_history=0).history is None
     # a count only: True is no depth
     for keep in (True, -1):
-        with pytest.raises(ValidationError, match="must be a count"):
+        with pytest.raises(ValidationError, match="^history length must be "
+                                                  "an integer >= 0, got"):
             forward(net, keep)
+
+
+@pytest.mark.parametrize("layers", [True, 2.0, 0])
+def test_layer_count_must_be_an_integer(const_kernel_factory, layers):
+    # True once built one layer; 2.0 was refused as "must be >= 1"
+    op = const_kernel_factory(n=8, scheme="left")
+    with pytest.raises(ValidationError) as exc:
+        build_network(op, layers, KMSchedule(1.0))
+    assert str(exc.value) == (
+        f"layer count must be an integer >= 1, got {layers!r}")
+
+
+@pytest.mark.parametrize("keep", [2.0, False])
+def test_history_length_must_be_an_integer(const_kernel_factory, keep):
+    net = build_network(const_kernel_factory(n=8, scheme="left"), 3,
+                        KMSchedule(1.0))
+    with pytest.raises(ValidationError) as exc:
+        forward(net, keep)
+    assert str(exc.value) == (
+        f"history length must be an integer >= 0, got {keep!r}")
+
+
+def test_numpy_integer_counts_run(const_kernel_factory):
+    op = const_kernel_factory(n=8, scheme="left")
+    net = build_network(op, np.int64(3), KMSchedule(1.0))
+    assert type(net.layers) is int
+    field = forward(net, np.int32(2))
+    plain = forward(build_network(op, 3, KMSchedule(1.0)), 2)
+    assert np.array_equal(field.history, plain.history)
 
 
 def test_forward_zero_kernel_is_source_every_depth():
