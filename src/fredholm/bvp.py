@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, as_number
 from .network import FixedPointNet, SolutionField, evaluation_layer
 from .operator import FieProblem, _sample
 
@@ -32,7 +32,8 @@ __all__ = ["BvpSpec", "bvp_to_fie", "recover_solution", "ode_residual"]
 
 @dataclass(frozen=True)
 class BvpSpec:
-    """y'' + g y = h on (0, 1) with y(0) = alpha, y(1) = beta."""
+    """y'' + g y = h on (0, 1) with y(0) = alpha, y(1) = beta; each
+    boundary value must be a finite number and is kept as a float."""
 
     g: Callable
     h: Callable
@@ -40,9 +41,8 @@ class BvpSpec:
     beta: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
-            raise ValidationError(
-                f"boundary values ({self.alpha}, {self.beta}) must be finite")
+        for key in ("alpha", "beta"):  # frozen: set through object
+            object.__setattr__(self, key, as_number(getattr(self, key), key))
 
 
 def bvp_to_fie(spec: BvpSpec) -> FieProblem:

@@ -13,13 +13,14 @@ import json
 import sys
 import time
 from contextlib import contextmanager
+from decimal import Decimal
 from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from . import exprlang
 from .bvp import BvpSpec, bvp_to_fie, ode_residual, recover_solution
-from .errors import NumericalError, ValidationError, as_count
+from .errors import NumericalError, ValidationError, as_count, as_number
 from .grid import _SCHEMES, uniform_grid
 from .laplace import (_polar_points, build_bie, evaluate_potential,
                       projected_potential)
@@ -67,7 +68,8 @@ def _guard(charge: dict, cap, unit: str, sweep_n: int, what: str):
     sweep depth) to amount, sums over ``cap``, under the key charged most."""
     if (total := sum(charge.values())) <= cap:
         return
-    reason = f"{what} need {total:.3g} {unit}, over the cap of {cap:.3g}"
+    need = f"{total if total <= sys.float_info.max else Decimal(total):.3g}"
+    reason = f"{what} need {need} {unit}, over the cap of {cap:.3g}"
     if (key := max(charge, key=charge.get)) == "sweep":
         raise ValidationError(f"sweep depth {sweep_n}: {reason}")
     _fail(key, reason)
@@ -127,32 +129,20 @@ def _compile_all(config: dict,
     return fns
 
 
-def _is_number(v) -> bool:
-    return not isinstance(v, bool) and isinstance(v, (int, float))
-
-
-def _as_float(config: dict, key: str) -> float:
-    v = config[key]
-    if not _is_number(v):
-        _fail(key, f"must be a number, got {v!r}")
-    if not np.isfinite(v):
-        _fail(key, f"must be finite, got {v!r}")
-    return float(v)
-
-
-def _as_pos_int(config: dict, key: str) -> int:
+def _judged(rule, config: dict, key: str, *least):
+    """``rule(config[key], *least, key)``, refused under config key ``key``."""
     with _under(key):
-        return as_count(config[key], 1, key)
+        return rule(config[key], *least, key)
 
 
 def _domain(config: dict):
     dom = config["domain"]
-    if (not isinstance(dom, (list, tuple)) or len(dom) != 2
-            or not all(map(_is_number, dom))):
+    if not isinstance(dom, (list, tuple)) or len(dom) != 2:
         _fail("domain", f"must be a [a, b] number pair, got {dom!r}")
-    a, b = float(dom[0]), float(dom[1])
-    if not (np.isfinite(a) and np.isfinite(b) and a < b):
-        _fail("domain", f"needs finite a < b, got [{a}, {b}]")
+    with _under("domain"):
+        a, b = map(as_number, dom, ("domain start", "domain end"))
+    if not a < b:
+        _fail("domain", f"needs a < b, got [{a}, {b}]")
     return a, b
 
 
@@ -180,9 +170,11 @@ def _queries_1d(config: dict):
         a, b, count = _parse_linspace(q, "queries")
         return count, lambda grid: np.linspace(a, b, count)
     if isinstance(q, (list, tuple)):
-        if not q or not all(map(_is_number, q)):
-            _fail("queries", f"list must hold one or more numbers, got {q!r}")
-        return len(q), lambda grid: np.asarray([float(v) for v in q])
+        if not q:
+            _fail("queries", "number list must not be empty")
+        with _under("queries"):
+            points = [as_number(v, "query point") for v in q]
+        return len(points), lambda grid: np.asarray(points)
     _fail("queries", f"must be a start:stop:count string or a number list, "
                      f"got {q!r}")
 
@@ -200,31 +192,16 @@ def _queries_polar(config: dict):
         return rs[2] * phis[2], lambda: np.stack(np.meshgrid(
             np.linspace(*rs), np.linspace(*phis), indexing="ij"),
             -1).reshape(-1, 2)
-    if isinstance(q, (list, tuple)):
-        if not q:
-            _fail("queries", "pair list must not be empty")
+    if isinstance(q, (list, tuple)):  # _polar_points refuses an empty one
         pairs = []
         for item in q:
-            if (not isinstance(item, (list, tuple)) or len(item) != 2
-                    or not all(map(_is_number, item))):
+            if not isinstance(item, (list, tuple)) or len(item) != 2:
                 _fail("queries", f"entries must be [r, phi] pairs, got {item!r}")
-            pairs.append((float(item[0]), float(item[1])))
+            with _under("queries"):
+                pairs.append(tuple(map(as_number, item,
+                                       ("query radius", "query angle"))))
         return len(pairs), lambda: np.asarray(pairs)
     _fail("queries", f"must be an r/phi lattice or a pair list, got {q!r}")
-
-
-def _schedule(config: dict, default_kappa: float) -> KMSchedule:
-    kappa = config.get("kappa", default_kappa)
-    if isinstance(kappa, (list, tuple)):
-        if not all(map(_is_number, kappa)):
-            _fail("kappa", f"sequence entries must be numbers, got {kappa!r}")
-        values = [float(v) for v in kappa]
-    elif not _is_number(kappa):
-        _fail("kappa", f"must be a number or number list, got {kappa!r}")
-    else:
-        values = float(kappa)
-    with _under("kappa"):
-        return KMSchedule(values)
 
 
 def _exact(exact, names, columns) -> np.ndarray:
@@ -274,8 +251,8 @@ def _fie(config, fn, n, make_points):
 
 
 def _bvp(config, fn, n, make_points):
-    spec = BvpSpec(g=fn["g"], h=fn["h"], alpha=_as_float(config, "alpha"),
-                   beta=_as_float(config, "beta"))
+    spec = BvpSpec(fn["g"], fn["h"], *(_judged(as_number, config, key)
+                                       for key in ("alpha", "beta")))
     grid, pts = _grid(config, 0.0, 1.0, n, make_points)
     for key in ("g", "h"):  # named here, not after the FIE they build
         _sample(fn[key], (grid.nodes,), key, "node x[{i}]={v[0]!r}")
@@ -365,10 +342,11 @@ def run_config(config: dict, exact_override: Optional[Callable] = None,
                else as_count(sweep_layers, 1, "sweep depth"))
     spec = _KINDS[config["kind"]]
     fn = _compile_all(config, exact_override)
-    n = _as_pos_int(config, spec["size"])
-    layers = _as_pos_int(config, "layers")
+    n = _judged(as_count, config, spec["size"], 1)
+    layers = _judged(as_count, config, "layers", 1)
     count, make_points = spec["queries"](config)
-    schedule = _schedule(config, spec["kappa"])  # checked before any setup
+    with _under("kappa"):  # checked before any setup
+        schedule = KMSchedule(config.get("kappa", spec["kappa"]))
     depth = max(layers, sweep_n)
     if schedule.sequence and len(schedule.sequence) < depth:
         needs = "the sweep needs" if sweep_n > layers else "the run has"
@@ -599,7 +577,7 @@ def _load_config(path: str) -> dict:
         raise ValidationError(f"cannot read config {path!r}: {exc}") from exc
     try:
         config = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int past the str digit limit
         raise ValidationError(
             f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):

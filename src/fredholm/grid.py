@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, as_count
+from .errors import ValidationError, as_count, as_number
 
 __all__ = ["Grid1D", "uniform_grid"]
 
@@ -39,12 +39,12 @@ def uniform_grid(a, b, n, scheme="left"):
     """Build a uniform grid with n nodes on [a, b].
 
     Nodes are strictly increasing and the spacing is exactly uniform by
-    construction.  Raises ValidationError for a >= b, an unknown scheme,
-    or an n that is not an integer >= 1 (>= 2 for closed).
+    construction.  Raises ValidationError for an end that is not a finite
+    number, a >= b, an unknown scheme, or an n that is not an integer >= 1
+    (>= 2 for closed).
     """
-    a = float(a)
-    b = float(b)
-    if not np.isfinite(a) or not np.isfinite(b) or a >= b:
+    a, b = as_number(a, "interval start"), as_number(b, "interval end")
+    if a >= b:
         raise ValidationError(f"invalid interval [{a}, {b}]")
     if scheme not in _SCHEMES:
         raise ValidationError(f"unknown scheme {scheme!r}; pick from {_SCHEMES}")

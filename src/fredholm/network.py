@@ -37,7 +37,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import (DivergenceError, DomainError, SingularSystemError,
-                     ValidationError, as_count)
+                     ValidationError, as_count, as_number)
 from .grid import Grid1D
 from .operator import (_BLOCK, DiscreteOperator, KMSchedule, _sample,
                        estimate_contraction, residual_norm)
@@ -236,13 +236,13 @@ def error_bound(q: float, residual: float, steps: int) -> float:
     updates, a bound on ||h_(n+k) - h*|| for the iterate k = ``steps``
     steps after h_n (Atkinson 1997, 4.1).  An M-layer net's first layer
     is h_1 = g, so ``error_bound(*budget_from_operator(op), M - 1)``
-    bounds its last.  Both numbers must be finite and non-negative, and
-    q below 1."""
-    if steps < 0:
-        raise ValidationError(f"step count {steps} must be >= 0")
-    if not all(np.isfinite(v) and v >= 0.0 for v in (q, residual)):
-        raise ValidationError(f"budget entries must be finite and "
-                              f"non-negative, got {(q, residual)}")
+    bounds its last.  Both numbers must be finite and non-negative, q
+    below 1, and ``steps`` an integer >= 0."""
+    steps = as_count(steps, 0, "step count")
+    q, residual = as_number(q, "q"), as_number(residual, "residual")
+    if min(q, residual) < 0.0:
+        raise ValidationError(f"budget entries must be non-negative, "
+                              f"got {(q, residual)}")
     if q >= 1.0:
         raise ValidationError(
             f"contraction estimate q={q:.6g} is not below 1; the "
@@ -257,10 +257,10 @@ def plan_layers(q: float, residual: float, eps: float) -> int:
     Closed form k >= [ln(eps (1-q)) - ln residual] / ln q, rounded up with
     a small tolerance so that eps = error_bound(k) maps back to exactly k,
     then verified against the bound directly.  Targets looser than the
-    zero-step bound plan zero steps.
+    zero-step bound plan zero steps; eps must be a positive finite number.
     """
     zero = error_bound(q, residual, 0)  # refuses q >= 1 and bad entries
-    if not (np.isfinite(eps) and eps > 0.0):
+    if (eps := as_number(eps, "target accuracy")) <= 0.0:
         raise ValidationError(f"target accuracy {eps!r} must be positive")
     if residual == 0.0 or zero <= eps:
         return 0

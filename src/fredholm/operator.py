@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, as_number
 from .grid import Grid1D
 
 __all__ = [
@@ -59,18 +59,17 @@ class FieProblem:
         problem's discretization: G, or the identity without one.  A NaN
         of G is named at its node; an infinite G (overflow) is left to
         the verdict of ``forward`` or the evaluation layer's sum check.
-        A stack (N, k) goes ``_BLOCK`` columns at a time into one output."""
+        A field (N,) or a stack (N, k) goes ``_BLOCK`` columns at a time
+        into one output of its shape."""
         if self.nonlinearity is None:
             return values
-        if values.ndim == 1:
-            return _sample(self.nonlinearity, (values,), "nonlinearity",
-                           "node {i} (iterate value {v[0]!r})", nan_only=True)
-        out = np.empty(values.shape)
-        for lo in range(0, values.shape[1], _BLOCK):
-            _sample(self.nonlinearity, (values[:, lo:lo + _BLOCK],),
+        columns = values.reshape(len(values), -1)
+        out = np.empty(columns.shape)
+        for lo in range(0, columns.shape[1], _BLOCK):
+            _sample(self.nonlinearity, (columns[:, lo:lo + _BLOCK],),
                     "nonlinearity", "node {i} (iterate value {v[0]!r})",
                     nan_only=True, out=out[:, lo:lo + _BLOCK])
-        return out
+        return out.reshape(values.shape)
 
 
 @dataclass(frozen=True)
@@ -99,18 +98,17 @@ class DiscreteOperator:
 
 
 class KMSchedule:
-    """Relaxation sequence kappa_1..kappa_M (or a constant), every kappa
-    in (0, 1]."""
+    """Relaxation sequence kappa_1..kappa_M (a list, tuple or array) or a
+    constant, every kappa a finite number in (0, 1]."""
 
     def __init__(self, kappa: Union[float, Sequence[float]]):
-        if np.isscalar(kappa):
-            k = float(kappa)
+        if not isinstance(kappa, (list, tuple, np.ndarray)):
+            k = as_number(kappa, "kappa")
             if not (0.0 < k <= 1.0):
                 raise ValidationError(f"kappa={k} outside (0, 1]")
-            self.constant = k
-            self.sequence = None
+            self.constant, self.sequence = k, None
         else:
-            seq = tuple(float(k) for k in kappa)
+            seq = tuple(as_number(k, "kappa sequence entry") for k in kappa)
             if not seq:
                 raise ValidationError("empty kappa sequence")
             if any(not (0.0 < k <= 1.0) for k in seq):

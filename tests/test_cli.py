@@ -167,6 +167,94 @@ def test_numpy_integer_counts_run_as_their_ints():
         assert render(bundle) == render(plain)
 
 
+_BVP_CONFIG = get_example("bvp_p").config
+_DISC_CONFIG = get_example("laplace_disc").config
+_RANGE = "needs finite start <= stop and count >= 1"
+
+
+@pytest.mark.parametrize("config,line", [
+    (dict(LINEAR_CONFIG, kernel=1),
+     "config key 'kernel': must be an expression string, got int"),
+    (dict(_BVP_CONFIG, alpha="1"),
+     "config key 'alpha': alpha must be a finite number, got '1'"),
+    (dict(_BVP_CONFIG, beta=float("nan")),
+     "config key 'beta': beta must be a finite number, got nan"),
+    (dict(LINEAR_CONFIG, queries="0:x:3"),
+     "config key 'queries': cannot parse range '0:x:3'"),
+    (dict(LINEAR_CONFIG, queries="1:0:3"),
+     f"config key 'queries': range '1:0:3' {_RANGE}"),
+    (dict(LINEAR_CONFIG, queries="0:inf:3"),
+     f"config key 'queries': range '0:inf:3' {_RANGE}"),
+    (dict(LINEAR_CONFIG, queries="0:1:0"),
+     f"config key 'queries': range '0:1:0' {_RANGE}"),
+    (dict(LINEAR_CONFIG, queries=5),
+     "config key 'queries': must be a start:stop:count string or a number "
+     "list, got 5"),
+    (dict(_DISC_CONFIG, queries={"r": 1, "phi": "0:1:3"}),
+     "config key 'queries': lattice ranges must be start:stop:count "
+     "strings"),
+    (dict(_DISC_CONFIG, queries="0:1:3"),
+     "config key 'queries': must be an r/phi lattice or a pair list, got "
+     "'0:1:3'"),
+    (dict(LINEAR_CONFIG, kappa=[0.5, "x"]),
+     "config key 'kappa': kappa sequence entry must be a finite number, "
+     "got 'x'"),
+    ([LINEAR_CONFIG], "config {path!r} must be a JSON object"),
+], ids=["expression", "alpha", "beta", "range_parse", "range_order",
+        "range_finite", "range_count", "queries_type", "lattice_ranges",
+        "polar_queries_type", "kappa_entry", "not_an_object"])
+def test_config_refusals_exit_2_before_any_sample(tmp_path, capsys,
+                                                  monkeypatch, config, line):
+    _refuse_allocation(monkeypatch)  # discretize and build_bie must not run
+    path = _write_config(tmp_path, config)
+    assert main(["solve", path]) == 2
+    assert capsys.readouterr().err == f"error: {line.format(path=path)}\n"
+
+
+def test_run_config_refuses_a_config_that_is_not_a_mapping(monkeypatch):
+    _refuse_allocation(monkeypatch)
+    with pytest.raises(ValidationError) as exc:
+        run_config([LINEAR_CONFIG])
+    assert str(exc.value) == "config must be a JSON object"
+
+
+_PAST_A_FLOAT = 10 ** 400
+
+
+@pytest.mark.parametrize("argv,head,need", [
+    (["solve", {"grid_n": _PAST_A_FLOAT}], "config key 'grid_n': grid 1000",
+     "need 1.00e+800 dense cells"),
+    (["solve", {"layers": _PAST_A_FLOAT}], "config key 'layers': grid 200,",
+     "need 9.00e+400 dense cells"),
+    (["solve", {"queries": f"0:1:{_PAST_A_FLOAT}"}],
+     "config key 'queries': grid 200,", "need 1.28e+402 dense cells"),
+    (["example", "laplace_disc", "--grid", str(_PAST_A_FLOAT)],
+     "config key 'theta_n': grid 1000", "need 1.00e+800 dense cells"),
+    (["example", "ex1", "--sweep", str(_PAST_A_FLOAT)],
+     "sweep depth 1000", "need 2.26e+403 dense cells"),
+], ids=["grid_n", "layers", "queries", "theta_n_flag", "sweep_flag"])
+def test_counts_past_a_float_are_refused_under_their_key(
+        tmp_path, capsys, monkeypatch, argv, head, need):
+    # the guard's total once overflowed its float format (exit 1)
+    _refuse_allocation(monkeypatch)
+    if isinstance(argv[1], dict):
+        argv = ["solve", _write_config(tmp_path, dict(LINEAR_CONFIG,
+                                                      **argv[1]))]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {head}") and need in err, err
+
+
+def test_an_integer_past_the_str_digit_limit_is_invalid_json(tmp_path,
+                                                              capsys):
+    path = tmp_path / "long.json"
+    path.write_text('{"kind": "linear_fie", "grid_n": ' + "1" * 5000 + "}",
+                    encoding="utf-8")
+    assert main(["solve", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: config {str(path)!r} is not valid JSON: Exceeds the limit")
+
+
 def _without(*keys):
     def mutate(config):
         for key in keys:
@@ -324,13 +412,15 @@ def test_polar_query_validation_before_allocation(monkeypatch, queries):
 
 @pytest.mark.parametrize("name,queries,message", [
     ("ex1", [0.5, 1.5], "query point 1.5 outside [0.0, 1.0]"),
-    ("ex1", [0.5, float("nan")], "query point nan outside [0.0, 1.0]"),
+    ("ex1", [0.5, float("nan")],
+     "query point must be a finite number, got nan"),
     ("nl1", "0:2:3", "query point 2.0 outside [0.0, 1.0]"),
     ("bvp_p", "-1:1:5", "query point -1.0 outside [0.0, 1.0]"),
     ("laplace_disc", [[0.5, 0.0], [1.5, 0.0]], "query radius outside [0, 1]"),
     ("laplace_disc", {"r": "0:1.5:4", "phi": "0:1:2"},
      "query radius outside [0, 1]"),
-    ("laplace_disc", [[0.5, float("inf")]], "query angle must be finite"),
+    ("laplace_disc", [[0.5, float("inf")]],
+     "query angle must be a finite number, got inf"),
 ], ids=["linear_fie", "nan", "nonlinear_fie", "bvp", "disc_pairs",
         "disc_lattice", "disc_angle"])
 def test_query_points_refused_before_any_sample(monkeypatch, name, queries,
@@ -419,7 +509,7 @@ def test_footprint_guard_charges_each_query_point(monkeypatch):
 
 @pytest.mark.parametrize("kappa,message", [
     (2.0, "kappa=2.0 outside (0, 1]"),
-    ("big", "must be a number or number list, got 'big'"),
+    ("big", "kappa must be a finite number, got 'big'"),
     ([0.5, 1.5], "kappa sequence (0.5, 1.5) leaves (0, 1]"),
     ([], "empty kappa sequence"),
 ], ids=["above_one", "string", "sequence", "empty"])

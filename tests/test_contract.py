@@ -13,7 +13,8 @@ error, and the run must either report or refuse cleanly:
 * the second run renders byte for byte as the first.
 
 Configs drawn just above one of the resource guards must be refused
-before any kernel sample, under the key that guard charges.
+before any kernel sample, under the key that guard charges; so must a
+valid config with one number or count replaced by a value that is none.
 """
 
 import functools
@@ -219,3 +220,71 @@ def test_runs_just_above_a_guard_are_refused_under_its_key(
               else f"config key {key!r}: ")
     assert message.startswith(prefix), message
     assert text in message, message
+
+
+_NOT_NUMBERS = (True, "1", math.nan, math.inf, -math.inf, 10 ** 400)
+_COUNTS = ("grid_n", "theta_n", "layers")
+_CORRUPTIBLE = {*_COUNTS, "domain", "alpha", "beta", "kappa", "queries"}
+_UNIT = st.floats(min_value=0.0, max_value=1.0)
+_POSITIVE_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+
+
+@st.composite
+def _corrupted(draw):
+    """(valid config, corrupted copy, key): a drawn valid config of a drawn
+    kind, and a copy with one number or count under config key ``key`` (an
+    end of ``domain``, ``alpha``, ``beta``, ``kappa`` or one of its
+    entries, a ``queries`` entry or pair coordinate, a size or ``layers``)
+    replaced by a value no rule accepts."""
+    kind = draw(st.sampled_from(sorted(_BASE)))
+    config = dict(_BASE[kind], kappa=draw(st.one_of(
+        _POSITIVE_UNIT, st.lists(_POSITIVE_UNIT, min_size=4, max_size=6))))
+    if kind == "laplace_disc":
+        config["queries"] = draw(st.lists(st.tuples(_UNIT, st.floats(
+            -10.0, 10.0)).map(list), min_size=1, max_size=4))
+    else:
+        config["queries"] = draw(st.lists(_UNIT, min_size=1, max_size=4))
+    if kind == "bvp":
+        config.update(alpha=draw(st.floats(-5.0, 5.0)),
+                      beta=draw(st.floats(-5.0, 5.0)))
+    key = draw(st.sampled_from(sorted(set(config) & _CORRUPTIBLE)))
+    path, value = (key,), config[key]
+    # down to one number: an end, entry or coordinate, or kappa whole
+    while isinstance(value, list) and (key != "kappa" or draw(st.booleans())):
+        i = draw(st.integers(0, len(value) - 1))
+        path, value = path + (i,), value[i]
+    bad = draw(st.sampled_from(_NOT_NUMBERS + (2.5,) * (key in _COUNTS)))
+    corrupt = json.loads(json.dumps(config))
+    if path == ("layers",) and isinstance(config["kappa"], list):
+        corrupt["kappa"] = 0.5  # else the short kappa list is refused first
+    *parents, last = path
+    target = corrupt
+    for step in parents:
+        target = target[step]
+    target[last] = bad
+    return config, corrupt, key
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_corrupted())
+def test_a_corrupted_number_or_count_is_refused_under_its_key(drawn):
+    config, corrupt, key = drawn
+    try:  # the drawn config is valid: it reports or fails numerically
+        run_config(config)
+    except NumericalError:
+        pass
+
+    def sample(*args, **kwargs):
+        raise AssertionError("a corrupted config reached a kernel sample")
+
+    with mock.patch.object(cli, "discretize", sample), \
+            mock.patch.object(cli, "build_bie", sample), \
+            mock.patch.object(cli, "_sample", sample):
+        with pytest.raises(ValidationError) as exc:
+            run_config(corrupt)
+    message = str(exc.value)
+    assert message.startswith(f"config key {key!r}: "), message
+    # a count of 10**400 is an integer, refused by the cell guard
+    reasons = (("must be an integer >= 1, got ", " dense cells, over the cap")
+               if key in _COUNTS else ("must be a finite number, got ",))
+    assert any(reason in message for reason in reasons), message

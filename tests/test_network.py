@@ -306,7 +306,7 @@ def test_dense_solve_singular_system():
 
 _ANALYTIC_Q, _ANALYTIC_RESIDUAL = 1.0 / math.e, (math.e - 1.0) / math.e
 _NO_BOUND = "contraction estimate q=.* is not below 1"
-_BAD_ENTRIES = "budget entries must be finite and non-negative"
+_BAD_ENTRIES = "budget entries must be non-negative"
 
 
 def test_error_bound_closed_form():
@@ -324,7 +324,8 @@ def test_error_bound_measured_operator(const_kernel_factory):
 
 
 def test_error_bound_validation():
-    with pytest.raises(ValidationError, match="step count -1 must be >= 0"):
+    with pytest.raises(ValidationError,
+                       match="step count must be an integer >= 0, got -1"):
         error_bound(_ANALYTIC_Q, _ANALYTIC_RESIDUAL, -1)
     for q in (1.0, 1.2):
         with pytest.raises(ValidationError, match=_NO_BOUND):
@@ -332,9 +333,12 @@ def test_error_bound_validation():
 
 
 def test_budget_validation():
-    for q, residual in ((-0.1, 0.0), (0.5, float("inf")),
-                        (0.5, float("nan")), (float("nan"), 0.5)):
-        with pytest.raises(ValidationError, match=_BAD_ENTRIES):
+    for q, residual, message in (
+            (-0.1, 0.0, _BAD_ENTRIES),
+            (0.5, float("inf"), "residual must be a finite number, got inf"),
+            (0.5, float("nan"), "residual must be a finite number, got nan"),
+            (float("nan"), 0.5, "q must be a finite number, got nan")):
+        with pytest.raises(ValidationError, match=message):
             error_bound(q, residual, 0)
 
 
@@ -367,13 +371,17 @@ def test_plan_layers_degenerate_and_invalid():
     assert plan_layers(0.5, 0.0, 1e-12) == 0
     # q = 0: one step reaches h* exactly, and ln 0 has no value
     assert plan_layers(0.0, 0.5, 0.1) == 1
-    for eps in (0.0, -1e-3, float("nan")):
+    for eps in (0.0, -1e-3):
         with pytest.raises(ValidationError,
                            match=f"target accuracy {eps!r} must be positive"):
             plan_layers(_ANALYTIC_Q, _ANALYTIC_RESIDUAL, eps)
+    with pytest.raises(ValidationError, match="target accuracy must be a "
+                       "finite number, got nan"):
+        plan_layers(_ANALYTIC_Q, _ANALYTIC_RESIDUAL, float("nan"))
     for q, residual, message in ((1.2, 0.5, _NO_BOUND), (1.0, 0.5, _NO_BOUND),
                                  (-0.1, 0.5, _BAD_ENTRIES),
-                                 (0.5, float("inf"), _BAD_ENTRIES)):
+                                 (0.5, float("inf"),
+                                  "residual must be a finite number")):
         with pytest.raises(ValidationError, match=message):
             plan_layers(q, residual, 1e-3)
 
