@@ -42,9 +42,10 @@ _FD_BOUNDARY, _FD_EXACT = "1 + cos(2*phi)", "1 + r^2*cos(2*phi)"
 # per layer for its recorded update, 128 per query point (~1050 B: its
 # P-vectors, report row and JSON text, the larger renderer's, which peaks
 # at ~1010 B on a polar lattice with exact values), 2 * min(P, 32) * N for
-# the kernel rows the blocked readouts hold (two buffers on the disc, one
-# elsewhere) and, per layer of a sweep, a 20-cell table row.  An error
-# sweep adds per layer its iterate in the (N, S) history and 9/8 per
+# the kernel rows the 1-D kinds' blocked evaluation layer holds (one
+# buffer; the disc's potential holds only P- and N-vectors, so there the
+# charge is conservative) and, per layer of a sweep, a 20-cell table row.
+# An error sweep adds per layer its iterate in the (N, S) history and 9/8 per
 # error (the P x S table and its finite mask) and per G of the history
 # under G; a sweep of updates deeper than the run keeps N x layers
 # iterates.  Under tracemalloc an N x N cell peaks at ~1.03 doubles (the

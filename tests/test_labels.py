@@ -9,6 +9,8 @@ itself.  Three verdicts that contradict the spectral radius of the layer
 map are pinned as strict xfails.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -213,3 +215,15 @@ def test_growing_run_has_spectral_radius_above_one():
 def test_run_with_spectral_radius_above_one_is_refused():
     with pytest.raises(NumericalError):
         run_config(_GROWING)
+
+
+# a run whose residual stays at 1.0, read as 1.0000000000000002 at its
+# last layer: one ulp of rounding is not growth
+_FLAT = {"kind": "bvp", "g": "x", "h": "1", "alpha": 0.0, "beta": 0.0,
+         "grid_n": 8, "layers": 4, "kappa": 1.175494351e-38, "queries": [0.0]}
+
+
+def test_run_whose_residual_rounds_one_ulp_up_exits_zero(tmp_path):
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(_FLAT))
+    assert cli.main(["solve", str(path)]) == 0

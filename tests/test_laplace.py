@@ -3,11 +3,12 @@
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fredholm.cli import main, run_example
+from fredholm.cli import main, run_config, run_example
 from fredholm.errors import ValidationError
 from fredholm.grid import uniform_grid
 from fredholm.laplace import (build_bie, evaluate_potential,
@@ -172,23 +173,32 @@ def _random_density(n, seed=0):
     return _given_density(np.random.default_rng(seed).uniform(-2.0, 2.0, n))
 
 
-def _dense_potential(density, queries):
-    """The smoothed sum over full P x N arrays: the reference that the
-    blocked scan in evaluate_potential must match bit for bit."""
-    q = np.asarray(queries, dtype=float)
-    r, phi = q[:, 0], np.mod(q[:, 1], TWO_PI)
-    th, mu = density.grid.nodes, density.values
-    mu_star = np.interp(np.where(r == 0.0, 0.0, phi), np.append(th, TWO_PI),
-                        np.append(mu, mu[0]))
-    values = 0.5 * mu_star + projected_potential(density)
-    inner = r < 1.0
-    ri, half = r[inner, None], 0.5 * phi[inner, None]
-    s = np.sin(0.5 * th) * np.cos(half) - np.cos(0.5 * th) * np.sin(half)
-    k = ((1.0 - ri) * (1.0 + ri) / (2.0 * TWO_PI)
-         / (4.0 * ri * (s * s) + (1.0 - ri) ** 2))
-    diff = mu[None, :] - mu_star[inner, None]
-    values[inner] += (diff * k).sum(axis=1) * density.grid.spacing
-    return values
+def _trig_density(n, seed=0):
+    """A density of degree < N/2 with random coefficients: its samples on
+    the N-node grid, the degrees k and the coefficients a_k, b_k."""
+    k = np.arange((n + 1) // 2)
+    a, b = np.random.default_rng(seed).uniform(-1.0, 1.0, (2, len(k)))
+    b[0] = 0.0
+    # k theta_j = 2 pi (k j mod N) / N, its multiple reduced in integers
+    th = np.arange(n) * (np.longdouble(TWO_PI) / n)
+    m = np.outer(k, np.arange(n)) % n
+    mu = a @ np.cos(th)[m] + b @ np.sin(th)[m]
+    return _given_density(mu.astype(float)), k, a, b
+
+
+def _trig_potential(k, a, b, r, phi):
+    """a_0 + 1/2 sum r^k (a_k cos k phi + b_k sin k phi), the exact
+    potential of that density, summed in extended precision where the
+    platform has it."""
+    kr = k[1:].astype(np.longdouble)
+    r = np.asarray(r, dtype=np.longdouble)[:, None]
+    phi = np.asarray(phi, dtype=np.longdouble)[:, None]
+    terms = r ** kr * (a[1:] * np.cos(kr * phi) + b[1:] * np.sin(kr * phi))
+    return np.asarray(a[0] + 0.5 * terms.sum(axis=1), dtype=float)
+
+
+def _relative_error(values, exact):
+    return np.max(np.abs(values - exact)) / np.max(np.abs(exact))
 
 
 def _query_sets():
@@ -211,13 +221,56 @@ def _query_sets():
     return sets
 
 
-@pytest.mark.parametrize("theta_n", [64, 2000])
+@pytest.mark.parametrize("theta_n", [63, 64, 2000])
 @pytest.mark.parametrize("name", sorted(_query_sets()))
-def test_blocked_potential_matches_dense_reference(theta_n, name):
-    den = _random_density(theta_n)
-    queries = _query_sets()[name]
-    _, _, values = evaluate_potential(den, queries)
-    assert np.array_equal(values, _dense_potential(den, queries))
+def test_potential_of_a_trigonometric_density_is_exact(theta_n, name):
+    den, k, a, b = _trig_density(theta_n)
+    r, phi, values = evaluate_potential(den, _query_sets()[name])
+    assert _relative_error(values, _trig_potential(k, a, b, r, phi)) <= 1e-13
+
+
+@pytest.mark.parametrize("theta_n", [63, 64, 2000])
+def test_potential_off_the_nodes_near_the_circle(theta_n):
+    # 0.3 and 0.5 node spacings past five nodes, where a left-rule sum of
+    # the kernel no longer resolves its peak
+    den, k, a, b = _trig_density(theta_n, seed=1)
+    nodes = den.grid.nodes[[0, 5, 17, theta_n // 3, theta_n - 1]]
+    phi = np.concatenate([nodes + f * den.grid.spacing for f in (0.3, 0.5)])
+    for gap in (1e-3, 1e-6, 0.0):
+        r, wrapped, values = evaluate_potential(
+            den, np.column_stack([np.full(len(phi), 1.0 - gap), phi]))
+        exact = _trig_potential(k, a, b, r, wrapped)
+        assert _relative_error(values, exact) <= 1e-13, gap
+
+
+@pytest.mark.parametrize("theta_n", [64, 2000])
+def test_angles_equal_after_wrapping_give_equal_values(theta_n):
+    r, phi, values = evaluate_potential(_random_density(theta_n),
+                                        _query_sets()["wrapped"])
+    same = (r[:, None] == r) & (phi[:, None] == phi)
+    # per radius 0, 2 pi and -2 pi wrap to one angle, 1.0 comes twice
+    # and -pi, pi and 3 pi share one too
+    assert same.sum() > 2 * len(r)
+    assert np.array_equal(same, values[:, None] == values)
+
+
+def test_nyquist_density_takes_half_its_cosine():
+    # (-1)^j on 64 nodes interpolates as cos(32 theta), whose potential
+    # is r^32 cos(32 phi) / 2
+    den = _given_density(np.tile([1.0, -1.0], 32))
+    queries = np.column_stack([np.linspace(0.0, 1.0, 9),
+                               np.linspace(-1.0, 7.0, 9)])
+    r, phi, values = evaluate_potential(den, queries)
+    assert np.allclose(values, 0.5 * r ** 32 * np.cos(32.0 * phi),
+                       rtol=0, atol=1e-14)
+
+
+def test_scattered_config_reads_its_near_circle_points_to_the_solve_error():
+    # 1 - r down to 1e-10 at angles off the 1000 nodes: the potential adds
+    # nothing to the iteration's own error (about 1e-7 after 15 layers)
+    config = json.loads((Path(__file__).parent.parent / "configs"
+                         / "laplace_scattered.json").read_text())
+    assert run_config(config).max_abs_err() <= 2e-7
 
 
 def _peak_bytes(fn):
@@ -230,23 +283,24 @@ def _peak_bytes(fn):
 
 
 def test_potential_scan_holds_a_few_row_blocks():
-    # a P x N formula would hold about four P x N blocks
+    # a P x N formula would hold about four P x N blocks; the transform
+    # and the Horner sum hold a few P- and N-vectors
     p, n = 861, 2000
     den = _random_density(n)
     queries = np.column_stack([np.random.default_rng(3).uniform(0, 1, p),
                                np.linspace(0.0, 20.0, p)])
     assert _peak_bytes(lambda: evaluate_potential(den, queries)) <= (
-        0.1 * p * n * 8)
+        16 * (p + n) * 8)
     # the whole example stays within the kernel matrix's own budget
     assert _peak_bytes(lambda: run_example("laplace_disc")) <= 1.25 * n * n * 8
 
 
 def test_query_just_inside_a_node_reads_the_boundary_value():
-    # at r = 1 - 2^-53 and a node angle, 1 - 2 r cos + r^2 cancels to 0;
-    # the closed-form bracket's denominator (1 - r)^2 stays positive
+    # at r = 1 - 2^-53 and a node angle, 1 - 2 r cos + r^2 cancels to 0,
+    # which the kernel's own form would divide by; the polynomial in z
+    # has no denominator
     den = _random_density(64)
     th5 = float(den.grid.nodes[5])
-    # 40 queries before it put it in the second block
     queries = [(0.5, p) for p in np.linspace(0.0, th5, 40, endpoint=False)]
     queries.append((float(np.nextafter(1.0, 0.0)), th5))
     _, _, values = evaluate_potential(den, queries)
