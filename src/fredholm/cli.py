@@ -24,8 +24,8 @@ from .errors import NumericalError, ValidationError, as_count, as_number
 from .grid import _SCHEMES, uniform_grid
 from .laplace import (_polar_points, build_bie, evaluate_potential,
                       projected_potential)
-from .network import (SolutionField, _query_points, build_network,
-                      error_bound, forward, layer_sweep, query)
+from .network import (_query_points, build_network, error_bound, forward,
+                      layer_sweep, query)
 from .operator import (_BLOCK, FieProblem, KMSchedule, _sample, discretize,
                        estimate_contraction)
 from .registry import EXAMPLES, example_names, get_example
@@ -47,11 +47,10 @@ _FD_BOUNDARY, _FD_EXACT = "1 + cos(2*phi)", "1 + r^2*cos(2*phi)"
 # charge is conservative) and, per layer of a sweep, a 20-cell table row.
 # An error sweep adds per layer its iterate in the (N, S) history and 9/8 per
 # error (the P x S table and its finite mask) and per G of the history
-# under G; a sweep of updates deeper than the run keeps N x layers
-# iterates.  Under tracemalloc an N x N cell peaks at ~1.03 doubles (the
-# matrix, filled and scanned for q_est in 32-row blocks); on 100 nodes
-# error sweeps peak at 0.87-0.88 of their charge, update sweeps at 0.43.
-# At 1.03 doubles the cap is ~390 MiB: N <= 7070.
+# under G.  Under tracemalloc an N x N cell peaks at ~1.03 doubles (the
+# matrix, filled and scanned for q_est in 32-row blocks); on 100 nodes at
+# S = layers = 2000 error sweeps peak at 0.84-0.86 of their charge, update
+# sweeps at 0.40.  At 1.03 doubles the cap is ~390 MiB: N <= 7070.
 _MAX_CELLS = 50_000_000
 # Cap on the multiply-adds of one run, max(N^2, _LAYER_WORK) per matvec of
 # its forward pass (a layer costs ~17 us on 3 nodes) plus S N P for an
@@ -335,7 +334,9 @@ def run_config(config: dict, exact_override: Optional[Callable] = None,
     """Validate a config mapping and run the one solve pipeline: resource
     guards, the kind's setup (grid, judged query points, operator), network
     (whose activation, G for nonlinear_fie, comes from the operator's
-    problem), forward pass and its verdict, the kind's readout, sweep."""
+    problem), forward pass and its verdict, the kind's readout, sweep.
+    Every run is exactly ``layers`` layers deep; a sweep tabulates the
+    first ``sweep_layers`` of them, and a deeper one is refused."""
     if not isinstance(config, dict):
         raise ValidationError("config must be a JSON object")
     _check_schema(config)
@@ -345,46 +346,37 @@ def run_config(config: dict, exact_override: Optional[Callable] = None,
     fn = _compile_all(config, exact_override)
     n = _judged(as_count, config, spec["size"], 1)
     layers = _judged(as_count, config, "layers", 1)
+    if sweep_n > layers:
+        raise ValidationError(f"sweep depth {sweep_n}: the run has {layers} "
+                              f"layers; set --layers {sweep_n} to sweep them")
     count, make_points = spec["queries"](config)
     with _under("kappa"):  # checked before any setup
         schedule = KMSchedule(config.get("kappa", spec["kappa"]))
-    depth = max(layers, sweep_n)
-    if schedule.sequence and len(schedule.sequence) < depth:
-        needs = "the sweep needs" if sweep_n > layers else "the run has"
-        _fail("kappa", f"sequence has {len(schedule.sequence)} values, but "
-                       f"{needs} {depth} layers")
-    # one pass of depth max(layers, S) serves every kind's solve and sweep;
-    # it keeps every iterate for an error sweep, else the run's of a deeper
+        schedule.at(layers)
     errors = spec["oracle"] and fn["exact"] is not None
-    keep = sweep_n if errors else layers * (sweep_n > layers)
     held = 20  # per sweep layer: its table row
-    if errors:  # its P errors and, under G, G of its iterate, each masked
-        held += 9 * (count + (n if "nonlinearity" in fn else 0)) // 8
-    extra, matvec = max(sweep_n - layers, 0), max(n * n, _LAYER_WORK)
+    if errors:  # its iterate, P errors and, under G, G of it, each masked
+        held += n + 9 * (count + (n if "nonlinearity" in fn else 0)) // 8
     _guard({spec["size"]: n * n,
             "queries": 128 * count + 2 * min(count, _BLOCK) * n,
-            "layers": 9 * layers,
-            "sweep": 9 * extra + sweep_n * held + keep * n},
+            "layers": 9 * layers, "sweep": sweep_n * held},
            _MAX_CELLS, "dense cells", sweep_n, f"grid {n}, {count} query "
            f"points, {layers} layers and sweep {sweep_n}")
-    _guard({"layers": (layers - 1) * matvec,
-            "sweep": extra * matvec + errors * sweep_n * n * count},
+    _guard({"layers": (layers - 1) * max(n * n, _LAYER_WORK),
+            "sweep": errors * sweep_n * n * count},
            _MAX_WORK, "multiply-adds", sweep_n,
            f"{layers} layers and sweep {sweep_n} on grid {n}")
 
     started = time.perf_counter()
     op, pts, readout = spec["setup"](config, fn, n, make_points)
-    net = build_network(op, depth, schedule)
-    deep = forward(net, keep)  # a deeper sweep's pass is the one judged
-    h_m = (deep.values if layers == depth
-           else np.ascontiguousarray(deep.history[:, layers - 1]))
-    field = SolutionField(op.grid, h_m, deltas=deep.deltas[:layers])
+    net = build_network(op, layers, schedule)
+    field = forward(net, errors * sweep_n)  # an error sweep's history too
     columns, values, kind_meta = readout(net, field)
     exact = (None if fn["exact"] is None
              else _exact(fn["exact"], spec["exact"], columns))
     sweep = None if not sweep_n else (  # errors, else the pass's updates
-        layer_sweep(op, deep, exact, pts) if errors
-        else list(enumerate(deep.deltas[:sweep_n], start=1)))
+        layer_sweep(op, field, exact, pts) if errors
+        else list(enumerate(field.deltas[:sweep_n], start=1)))
     elapsed = time.perf_counter() - started
     meta = {
         "config": config,
@@ -522,8 +514,9 @@ def _add_common_flags(sp):
                     help="override the grid node placement")
     sp.add_argument("--queries", metavar="A:B:N",
                     help="override query points (1-D kinds)")
-    sp.add_argument("--sweep", type=int, metavar="MMAX",
-                    help="also tabulate error/update size for 1..MMAX layers")
+    sp.add_argument("--sweep", type=int, metavar="S",
+                    help="also tabulate error/update size for the run's "
+                    "layers 1..S (S <= its layers)")
     _add_output_flags(sp)
 
 

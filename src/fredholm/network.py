@@ -79,10 +79,7 @@ class FixedPointNet:
 
     def __init__(self, op: DiscreteOperator, layers: int, schedule: KMSchedule):
         layers = as_count(layers, 1, "layer count")
-        if schedule.sequence is not None and len(schedule.sequence) < layers:
-            raise ValidationError(
-                f"schedule length {len(schedule.sequence)} shorter than "
-                f"{layers} layers")
+        schedule.at(layers)  # a kappa sequence must reach the last layer
         self.op = op
         self.layers = layers
         self.schedule = schedule

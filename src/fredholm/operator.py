@@ -117,12 +117,13 @@ class KMSchedule:
             self.sequence = seq
 
     def at(self, m):
-        """kappa for layer m (1-based)."""
+        """kappa for layer m (1-based); a sequence refuses a layer past its
+        end, which is how a run's depth is judged against it."""
         if self.sequence is None:
             return self.constant
         if not 1 <= m <= len(self.sequence):
-            raise ValidationError(
-                f"layer {m} outside schedule of length {len(self.sequence)}")
+            raise ValidationError(f"kappa sequence has {len(self.sequence)} "
+                                  f"values, but the run has {m} layers")
         return self.sequence[m - 1]
 
     def is_constant(self):

@@ -230,8 +230,8 @@ _PAST_A_FLOAT = 10 ** 400
      "config key 'queries': grid 200,", "need 1.28e+402 dense cells"),
     (["example", "laplace_disc", "--grid", str(_PAST_A_FLOAT)],
      "config key 'theta_n': grid 1000", "need 1.00e+800 dense cells"),
-    (["example", "ex1", "--sweep", str(_PAST_A_FLOAT)],
-     "sweep depth 1000", "need 2.26e+403 dense cells"),
+    (["example", "ex1", "--layers", str(_PAST_A_FLOAT), "--sweep",
+      str(_PAST_A_FLOAT)], "sweep depth 1000", "need 2.26e+403 dense cells"),
 ], ids=["grid_n", "layers", "queries", "theta_n_flag", "sweep_flag"])
 def test_counts_past_a_float_are_refused_under_their_key(
         tmp_path, capsys, monkeypatch, argv, head, need):
@@ -383,7 +383,7 @@ def _refuse_allocation(monkeypatch):
     (dict(LINEAR_CONFIG, grid_n=7072), None),
     (dict(LINEAR_CONFIG, queries="0:1:3200000"), None),
     (dict(LINEAR_CONFIG, queries=[0.5] * 3200000), None),
-    (LINEAR_CONFIG, 10 ** 12),
+    (dict(LINEAR_CONFIG, layers=10 ** 12), 10 ** 12),
     (dict(get_example("nl3").config, grid_n=10 ** 6), None),
     (dict(get_example("bvp_p").config, grid_n=10 ** 5), 3),
     (dict(get_example("laplace_disc").config, theta_n=10 ** 5), None),
@@ -458,8 +458,8 @@ def test_query_flag_refused_before_any_sample(monkeypatch, capsys):
     ("ex1", {"grid_n": 3, "layers": 6 * 10 ** 6}, None,
      "config key 'layers': grid 3, 201 query points, 6000000 layers and "
      "sweep 0 need 5.4e+07 dense cells, over the cap of 5e+07"),
-    ("ex2", {}, 10 ** 5,
-     "sweep depth 100000: grid 2000, 201 query points, 15 layers and "
+    ("ex2", {"layers": 10 ** 5}, 10 ** 5,
+     "sweep depth 100000: grid 2000, 201 query points, 100000 layers and "
      "sweep 100000 need 2.3e+08 dense cells, over the cap of 5e+07"),
     ("ex1", {"layers": 10 ** 6}, None,
      "config key 'layers': 1000000 layers and sweep 0 on grid 2000 need "
@@ -486,7 +486,9 @@ def test_footprint_guard_cap_edge(monkeypatch, capsys):
     with pytest.raises(ValidationError):
         run_config(dict(LINEAR_CONFIG, grid_n=7071, queries=[0.5]))
     assert main(["example", "ex1", "--grid", "7072"]) == 2
-    assert main(["example", "ex2", "--sweep", "10000000000"]) == 2
+    assert "dense cells" in capsys.readouterr().err
+    assert main(["example", "ex2", "--layers", "10000000000", "--sweep",
+                 "10000000000"]) == 2
     assert "dense cells" in capsys.readouterr().err
 
 
@@ -525,14 +527,14 @@ def test_bad_kappa_refused_before_allocation(monkeypatch, kappa, message):
 
 def test_short_kappa_sequence_refused_before_allocation(monkeypatch):
     _refuse_allocation(monkeypatch)
-    # ex2 runs 15 layers; a sweep deeper than that runs as many as it asks
-    for kappa, sweep, reason in (
-            ([0.5] * 3, None, "the run has 15 layers"),
-            ([0.5] * 15, 20, "the sweep needs 20 layers")):
+    # ex2 runs 15 layers; a sweep never runs more than the run's own
+    for kappa, layers in (([0.5] * 3, 15), ([0.5] * 15, 20)):
         with pytest.raises(ValidationError) as exc:
-            run_example("ex2", overrides={"kappa": kappa}, sweep_layers=sweep)
-        assert str(exc.value) == (f"config key 'kappa': sequence has "
-                                  f"{len(kappa)} values, but {reason}")
+            run_example("ex2", overrides={"kappa": kappa, "layers": layers},
+                        sweep_layers=layers)
+        assert str(exc.value) == (
+            f"config key 'kappa': kappa sequence has {len(kappa)} values, "
+            f"but the run has {layers} layers")
     with pytest.raises(_Allocated):
         run_example("ex2", overrides={"kappa": [0.5] * 15}, sweep_layers=15)
 
@@ -579,12 +581,13 @@ def test_work_guard_refuses_before_allocation(monkeypatch, capsys):
         run_config(dict(one_node, layers=layers))
     with pytest.raises(ValidationError, match="multiply-adds"):
         run_config(dict(one_node, layers=layers + 1))
-    # and the matvecs a deeper sweep adds to the pass are the sweep's
+    # a sweep as deep as the run adds no matvecs of its own: they are
+    # charged under the run's layers
     with pytest.raises(ValidationError) as exc:
-        run_config(dict(one_node, layers=5), sweep_layers=layers + 1)
+        run_config(dict(one_node, layers=layers + 1), sweep_layers=layers + 1)
     assert str(exc.value).startswith(
-        f"sweep depth {layers + 1}: 5 layers and sweep {layers + 1} on grid 1 "
-        f"need 9e+11 multiply-adds")
+        f"config key 'layers': {layers + 1} layers and sweep {layers + 1} on "
+        f"grid 1 need 9e+11 multiply-adds")
 
 
 def test_many_query_points_fit_the_cap_they_are_charged():
@@ -639,15 +642,16 @@ _G_STACK_CONFIG = {"kind": "nonlinear_fie", "kernel": "x*z/10", "source": "1",
                    "queries": [0.1, 0.5, 0.9], "exact": "1"}
 _SWEEP_RUNS = {
     "linear_errors": lambda s: run_example(
-        "ex2", sweep_layers=s, overrides={"grid_n": 100,
+        "ex2", sweep_layers=s, overrides={"grid_n": 100, "layers": s,
                                           "queries": "0:1.5:101"}),
     "nonlinear_errors": lambda s: run_example(
-        "nl2", sweep_layers=s, overrides={"grid_n": 100,
+        "nl2", sweep_layers=s, overrides={"grid_n": 100, "layers": s,
                                           "queries": "0:3:101"}),
     "updates": lambda s: run_example(
-        "bvp_p", sweep_layers=s, overrides={"grid_n": 100,
+        "bvp_p", sweep_layers=s, overrides={"grid_n": 100, "layers": s,
                                             "queries": "0:1:101"}),
-    "nonlinear_stack": lambda s: run_config(_G_STACK_CONFIG, sweep_layers=s),
+    "nonlinear_stack": lambda s: run_config(dict(_G_STACK_CONFIG, layers=s),
+                                            sweep_layers=s),
 }
 
 
@@ -690,8 +694,8 @@ def test_shallow_sweep_keeps_only_its_iterates(monkeypatch):
 
 
 def test_update_sweep_keeps_only_the_runs_iterate(monkeypatch):
-    # a sweep of updates reads the pass's deltas, so the pass keeps
-    # layer `layers` of a deeper sweep's pass and nothing of a shallower
+    # a sweep of updates reads the pass's deltas, so the pass keeps no
+    # history; a sweep deeper than the run is refused before any pass
     asked = []
 
     def spy(net, keep_history=0):
@@ -701,12 +705,46 @@ def test_update_sweep_keeps_only_the_runs_iterate(monkeypatch):
     monkeypatch.setattr(cli, "forward", spy)
     layers = get_example("bvp_p").config["layers"]
     plain = run_example("bvp_p")
-    deep = run_example("bvp_p", sweep_layers=layers + 7)
+    full = run_example("bvp_p", sweep_layers=layers)
     shallow = run_example("bvp_p", sweep_layers=layers - 1)
-    assert asked == [(layers, 0), (layers + 7, layers), (layers, 0)]
-    assert deep.rows == shallow.rows == plain.rows
-    assert [m for m, _ in deep.sweep] == list(range(1, layers + 8))
-    assert shallow.sweep == deep.sweep[:layers - 1]
+    with pytest.raises(ValidationError, match="set --layers"):
+        run_example("bvp_p", sweep_layers=layers + 7)
+    assert asked == [(layers, 0)] * 3
+    assert full.rows == shallow.rows == plain.rows
+    assert full.sweep == list(enumerate(plain.metadata["layer_deltas"], 1))
+    assert shallow.sweep == full.sweep[:layers - 1]
+
+
+@pytest.mark.parametrize("argv,layers", [
+    (["solve"], 8), (["example", "nl1"], 7), (["example", "bvp_p"], 10),
+    (["example", "laplace_disc"], 15)],
+    ids=["linear_fie", "nonlinear_fie", "bvp", "laplace_disc"])
+def test_sweep_deeper_than_the_run_is_refused_before_any_sample(
+        tmp_path, capsys, monkeypatch, argv, layers):
+    _refuse_allocation(monkeypatch)
+    if argv == ["solve"]:
+        argv = ["solve", _write_config(tmp_path, LINEAR_CONFIG)]
+    assert main([*argv, "--sweep", str(layers + 1)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: sweep depth {layers + 1}: the run has {layers} layers; set "
+        f"--layers {layers + 1} to sweep them\n")
+
+
+def test_update_sweep_is_a_prefix_of_the_layer_deltas():
+    for sweep in (20, 5):
+        bundle = run_example("laplace_disc", sweep_layers=sweep,
+                             overrides={"layers": 20})
+        assert bundle.sweep == list(
+            enumerate(bundle.metadata["layer_deltas"][:sweep], 1))
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2"])
+def test_error_sweep_ends_at_the_runs_own_error(name):
+    # row S is the history's last column through the blocked gemm; the
+    # table's error comes from the same iterate through one gemv
+    bundle = run_example(name, sweep_layers=12, overrides={"layers": 12})
+    assert bundle.sweep_column == "max_err" and len(bundle.sweep) == 12
+    assert bundle.sweep[-1][1] == pytest.approx(bundle.max_abs_err())
 
 
 @pytest.mark.parametrize("sweep", [3, 8, 12])
@@ -718,9 +756,10 @@ def test_sweep_shares_the_forward_pass(monkeypatch, sweep):
         return forward(net, keep_history)
 
     monkeypatch.setattr(cli, "forward", spy)
-    bundle = run_config(LINEAR_CONFIG, sweep_layers=sweep)
-    assert calls == [(max(LINEAR_CONFIG["layers"], sweep), sweep)]
-    assert bundle.rows == run_config(LINEAR_CONFIG).rows
+    config = dict(LINEAR_CONFIG, layers=max(LINEAR_CONFIG["layers"], sweep))
+    bundle = run_config(config, sweep_layers=sweep)
+    assert calls == [(config["layers"], sweep)]
+    assert bundle.rows == run_config(config).rows
 
     def fn(key, params):
         return compile_fn(parse(LINEAR_CONFIG[key]), params)
@@ -735,8 +774,9 @@ def test_sweep_shares_the_forward_pass(monkeypatch, sweep):
                                        fn("exact", ("x",))(pts), pts)
     for name in ("bvp_p", "laplace_disc"):
         calls.clear()
-        run_example(name, sweep_layers=sweep)
-        assert len(calls) == 1
+        layers = max(get_example(name).config["layers"], sweep)
+        run_example(name, sweep_layers=sweep, overrides={"layers": layers})
+        assert calls == [(layers, 0)]
 
 
 def test_evaluation_rows_stay_within_a_block():
@@ -975,13 +1015,19 @@ def test_main_expansive_linear_run_exits_numerical(tmp_path, capsys):
     assert "at layer 2 to " in cap.err and "at layer 30" in cap.err
 
 
-def test_deeper_sweep_pass_is_judged(tmp_path, capsys):
-    # two layers cannot show the growth, but the 5-deep pass that serves
-    # the sweep does
+def test_exit_code_does_not_depend_on_the_sweep(tmp_path, capsys):
+    # two layers cannot show the growth and five can, with or without a
+    # sweep; a sweep deeper than the run is refused, never run
     path = _write_config(tmp_path, dict(_EXPANSIVE, layers=2))
     assert main(["solve", path, "--out", str(tmp_path / "out.csv")]) == 0
-    assert main(["solve", path, "--sweep", "5"]) == 3
-    assert "at layer 5" in capsys.readouterr().err
+    assert main(["solve", path, "--sweep", "5"]) == 2
+    assert capsys.readouterr().err == (
+        "error: sweep depth 5: the run has 2 layers; set --layers 5 to "
+        "sweep them\n")
+    assert main(["solve", path, "--layers", "5"]) == 3
+    verdict = capsys.readouterr().err
+    assert main(["solve", path, "--layers", "5", "--sweep", "5"]) == 3
+    assert capsys.readouterr().err == verdict and "at layer 5" in verdict
 
 
 # strictly lower triangular on the left grid, so rho(A) = 0 and the
@@ -1155,10 +1201,10 @@ def test_nonlinear_sweep_reads_the_run_pass(monkeypatch):
     for name in ("nl1", "nl2", "nl3"):
         layers = get_example(name).config["layers"]
         plain = run_example(name)
-        for sweep in (4, layers + 3):
+        for sweep in (4, layers):
             calls.clear()
             bundle = run_example(name, sweep_layers=sweep)
-            assert calls == [(max(layers, sweep), sweep)]
+            assert calls == [(layers, sweep)]
             assert bundle.rows == plain.rows
             assert bundle.metadata == plain.metadata
             assert bundle.sweep_column == "max_err"
@@ -1217,7 +1263,7 @@ def test_overflowing_sweep_error_reads_inf_without_a_numpy_warning():
     # the table and the sweep read inf (the JSON null), and numpy warns
     # nothing
     config = {"kind": "linear_fie", "kernel": "z", "source": "1e308",
-              "domain": [0.0, 1.0], "grid_n": 1, "layers": 1,
+              "domain": [0.0, 1.0], "grid_n": 1, "layers": 3,
               "exact": "-(1e308)"}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1253,10 +1299,11 @@ _ROOT = Path(__file__).parent.parent
 # (example, overrides, sweep) of the damped and sweep runs in CI's
 # determinism loop, in the workflow's order
 _CI_EXAMPLE_RUNS = (
-    ("ex1", {"kappa": 0.7}, None), ("ex1", {"kappa": 0.7}, 12),
-    ("ex2", {"kappa": 0.5}, None), ("ex1", {}, 12), ("nl2", {}, 25),
-    ("nl3", {}, 12), ("laplace_disc", {}, 20), ("bvp_airy", {}, 20),
-    ("bvp_p", {}, 12))
+    ("ex1", {"kappa": 0.7}, None), ("ex1", {"layers": 12, "kappa": 0.7}, 12),
+    ("ex2", {"kappa": 0.5}, None), ("ex1", {"layers": 12}, 12),
+    ("nl2", {"layers": 25}, 25), ("nl3", {"layers": 12}, 12),
+    ("laplace_disc", {"layers": 20}, 20), ("bvp_airy", {"layers": 20}, 20),
+    ("bvp_p", {"layers": 12}, 12))
 # (nr, nt) of its compare-fd runs, in the workflow's order
 _CI_FD_GRIDS = ((60, 64), (200, 200))
 

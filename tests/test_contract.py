@@ -125,6 +125,8 @@ def _renders(config, sweep):
 @settings(derandomize=True, database=None, max_examples=250, deadline=None)
 @given(_configs(), st.sampled_from((None, 3, 15)))
 def test_every_run_reports_or_refuses_cleanly(config, sweep):
+    if sweep is not None:  # 3 layers or, from 15, all the run has
+        sweep = min(sweep, config["layers"])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
@@ -137,6 +139,24 @@ def test_every_run_reports_or_refuses_cleanly(config, sweep):
         second = _renders(config, sweep)
     assert first == second
     json.loads(first[1], parse_constant=_refuse_constant)
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(_configs(), st.integers(1, 20))
+def test_a_sweep_deeper_than_the_run_is_refused_before_any_sample(config,
+                                                                  more):
+    layers = config["layers"]
+    sweep = layers + more
+
+    def sample(*args, **kwargs):
+        raise AssertionError("a refused sweep reached its setup")
+
+    with mock.patch.object(cli, "discretize", sample), \
+            mock.patch.object(cli, "build_bie", sample), \
+            pytest.raises(ValidationError) as exc:
+        run_config(config, sweep_layers=sweep)
+    assert str(exc.value) == (f"sweep depth {sweep}: the run has {layers} "
+                              f"layers; set --layers {sweep} to sweep them")
 
 
 # one valid config of each kind, whose sizes the guard draws replace
@@ -177,15 +197,14 @@ def _over_a_guard(kind, guard, over, small, n, rings):
         return config, sweep, "queries", "dense cells"
     if guard == "layers":  # each layer records its update
         config["layers"] = cli._MAX_CELLS // 9 + over
-    elif guard == "sweep":  # S rows and records, P > N
+    elif guard == "sweep":  # S = layers records and rows, P > N
         config["queries"] = _queries(kind, 101, 1)
-        held, kept = 20 + 9, 4  # an update sweep keeps the run's iterate
+        held = 9 + 20
         if kind.endswith("_fie"):  # errors: S iterates, errors, G's copy
             config["exact"] = "1"
             held += small + 9 * (101 + small * (kind == "nonlinear_fie")) // 8
-            kept = 0
-        fixed = small ** 2 + 128 * 101 + 2 * 32 * small + kept * small
-        sweep = (cli._MAX_CELLS - fixed) // held + over
+        fixed = small ** 2 + 128 * 101 + 2 * 32 * small
+        sweep = config["layers"] = (cli._MAX_CELLS - fixed) // held + over
         return config, sweep, None, "dense cells"
     else:
         config[size] = n
