@@ -161,20 +161,21 @@ def _parse_linspace(text: str, key: str):
 
 
 def _queries_1d(config: dict):
-    """Query count, then a maker of the points on the grid's [a, b]; the
-    footprint guard sees the count before anything is allocated."""
+    """Query count, then a maker of the points given the judged interval
+    [a, b], whose ends make the default points; the guards see the count
+    before any point is built."""
     q = config.get("queries")
     if q is None:
-        return 101, lambda grid: np.linspace(grid.a, grid.b, 101)
+        return 101, lambda a, b: np.linspace(a, b, 101)
     if isinstance(q, str):
-        a, b, count = _parse_linspace(q, "queries")
-        return count, lambda grid: np.linspace(a, b, count)
+        lo, hi, count = _parse_linspace(q, "queries")
+        return count, lambda a, b: np.linspace(lo, hi, count)
     if isinstance(q, (list, tuple)):
         if not q:
             _fail("queries", "number list must not be empty")
         with _under("queries"):
             points = [as_number(v, "query point") for v in q]
-        return len(points), lambda grid: np.asarray(points)
+        return len(points), lambda a, b: np.asarray(points)
     _fail("queries", f"must be a start:stop:count string or a number list, "
                      f"got {q!r}")
 
@@ -189,7 +190,7 @@ def _queries_polar(config: dict):
             _fail("queries", "lattice ranges must be start:stop:count strings")
         rs = _parse_linspace(q["r"], "queries.r")
         phis = _parse_linspace(q["phi"], "queries.phi")
-        return rs[2] * phis[2], lambda: np.stack(np.meshgrid(
+        return rs[2] * phis[2], lambda *_: np.stack(np.meshgrid(
             np.linspace(*rs), np.linspace(*phis), indexing="ij"),
             -1).reshape(-1, 2)
     if isinstance(q, (list, tuple)):  # _polar_points refuses an empty one
@@ -200,7 +201,7 @@ def _queries_polar(config: dict):
             with _under("queries"):
                 pairs.append(tuple(map(as_number, item,
                                        ("query radius", "query angle"))))
-        return len(pairs), lambda: np.asarray(pairs)
+        return len(pairs), lambda *_: np.asarray(pairs)
     _fail("queries", f"must be an r/phi lattice or a pair list, got {q!r}")
 
 
@@ -219,15 +220,6 @@ def _rows(points, values, exact=None):
             for *p, v, e in zip(*points, map(float, values), exact)]
 
 
-def _grid(config: dict, a: float, b: float, n: int, make_points):
-    """The grid on [a, b], then the query points judged on it."""
-    scheme = config.get("grid_scheme", "left")
-    with _under("grid_n" if scheme in _SCHEMES else "grid_scheme"):
-        grid = uniform_grid(a, b, n, scheme=scheme)
-    with _under("queries"):  # before any kernel sample
-        return grid, _query_points(grid, make_points(grid))
-
-
 def _contraction(q, net, field) -> dict:
     """``q_est`` = ||A||_inf and the bound Q/(1 - Q) delta_M on the last
     layer's ||h_M - h*||, Q = kappa_M q + 1 - kappa_M (None if >= 1)."""
@@ -237,23 +229,19 @@ def _contraction(q, net, field) -> dict:
         error_bound(lip, field.deltas[-1], 1) if lip < 1.0 else None)}
 
 
-def _fie(config, fn, n, make_points):
+def _fie(fn, grid, pts):
     """linear_fie and nonlinear_fie; only a linear map reports ||A||."""
-    a, b = _domain(config)
-    grid, pts = _grid(config, a, b, n, make_points)
     problem = FieProblem(kernel=fn["kernel"], source=fn["source"],
                          nonlinearity=fn.get("nonlinearity"))
     op = discretize(problem, grid)
     q = estimate_contraction(op) if problem.nonlinearity is None else None
-    return op, pts, lambda net, field: (
+    return op, lambda net, field: (
         (pts,), query(net, field, pts),
         {} if q is None else _contraction(q, net, field))
 
 
-def _bvp(config, fn, n, make_points):
-    spec = BvpSpec(fn["g"], fn["h"], *(_judged(as_number, config, key)
-                                       for key in ("alpha", "beta")))
-    grid, pts = _grid(config, 0.0, 1.0, n, make_points)
+def _bvp(fn, grid, pts):
+    spec = BvpSpec(fn["g"], fn["h"], fn["alpha"], fn["beta"])
     for key in ("g", "h"):  # named here, not after the FIE they build
         _sample(fn[key], (grid.nodes,), key, "node x[{i}]={v[0]!r}")
     op = discretize(bvp_to_fie(spec), grid)
@@ -271,15 +259,11 @@ def _bvp(config, fn, n, make_points):
             "alpha": spec.alpha, "beta": spec.beta,
         }
 
-    return op, pts, readout
+    return op, readout
 
 
-def _laplace_disc(config, fn, n, make_points):
-    pairs = make_points()
-    with _under("queries"):  # judged before the data is sampled
-        _polar_points(pairs)
-    with _under("theta_n"):
-        op = build_bie(fn["boundary"], n)
+def _laplace_disc(fn, theta_n, pairs):
+    op = build_bie(fn["boundary"], theta_n)
 
     def readout(net, field):  # the field is the boundary density
         r, phi, values = evaluate_potential(field, pairs)
@@ -288,21 +272,23 @@ def _laplace_disc(config, fn, n, make_points):
             "projected_potential": projected_potential(field),
         }
 
-    return op, pairs, readout
+    return op, readout
 
 
 # Per kind: config keys, then each expression key with its parameters
 # (compiled in this order) and those of the optional "exact", which name
-# the point columns; then the grid-size key, the default kappa, the query
-# parser, the setup, which returns the operator, the query points and
-# their readout, and whether the sweep measures errors against "exact".
+# the point columns; then the grid-size key and its least, the default
+# scheme (None: build_bie lays the disc's grid), the default kappa, the
+# query parser, the setup, which only builds the operator and its readout
+# from the judged pieces, and whether the sweep measures errors against
+# "exact".
 _KINDS = {
     "linear_fie": {
         "required": {"kernel", "source", "domain", "grid_n", "layers"},
         "optional": {"grid_scheme", "kappa", "queries", "exact"},
         "exprs": (("kernel", ("x", "z")), ("source", ("x",))),
         "exact": ("x",),
-        "size": "grid_n", "kappa": 1.0,
+        "size": "grid_n", "least": 1, "scheme": "left", "kappa": 1.0,
         "queries": _queries_1d, "setup": _fie, "oracle": True,
     },
     "bvp": {
@@ -310,7 +296,7 @@ _KINDS = {
         "optional": {"grid_scheme", "kappa", "queries", "exact"},
         "exprs": (("g", ("x",)), ("h", ("x",))),
         "exact": ("x",),
-        "size": "grid_n", "kappa": 1.0,
+        "size": "grid_n", "least": 1, "scheme": "left", "kappa": 1.0,
         "queries": _queries_1d, "setup": _bvp, "oracle": False,
     },
     "laplace_disc": {
@@ -318,7 +304,7 @@ _KINDS = {
         "optional": {"kappa", "queries", "exact"},
         "exprs": (("boundary", ("phi",)),),
         "exact": ("r", "phi"),
-        "size": "theta_n", "kappa": 0.5,
+        "size": "theta_n", "least": 2, "scheme": None, "kappa": 0.5,
         "queries": _queries_polar, "setup": _laplace_disc, "oracle": False,
     },
 }
@@ -331,12 +317,13 @@ _KINDS["nonlinear_fie"] = dict(  # linear_fie with the activation G(u)
 def run_config(config: dict, exact_override: Optional[Callable] = None,
                sweep_layers: Optional[int] = None,
                deterministic: bool = True) -> ReportBundle:
-    """Validate a config mapping and run the one solve pipeline: resource
-    guards, the kind's setup (grid, judged query points, operator), network
-    (whose activation, G for nonlinear_fie, comes from the operator's
-    problem), forward pass and its verdict, the kind's readout, sweep.
-    Every run is exactly ``layers`` layers deep; a sweep tabulates the
-    first ``sweep_layers`` of them, and a deeper one is refused."""
+    """Judge every key of a config mapping, then run the one solve
+    pipeline: resource guards, the grid and the query points, whose range
+    check is the last refusal, the kind's setup (operator and readout),
+    network (whose activation, G for nonlinear_fie, comes from the
+    operator's problem), forward pass and its verdict, the kind's readout,
+    sweep.  Every run is exactly ``layers`` layers deep; a sweep tabulates
+    the first ``sweep_layers`` of them, and a deeper one is refused."""
     if not isinstance(config, dict):
         raise ValidationError("config must be a JSON object")
     _check_schema(config)
@@ -344,15 +331,24 @@ def run_config(config: dict, exact_override: Optional[Callable] = None,
                else as_count(sweep_layers, 1, "sweep depth"))
     spec = _KINDS[config["kind"]]
     fn = _compile_all(config, exact_override)
-    n = _judged(as_count, config, spec["size"], 1)
+    scheme = config.get("grid_scheme", spec["scheme"])
+    n = _judged(as_count, config, spec["size"],
+                2 if scheme == "closed" else spec["least"])
     layers = _judged(as_count, config, "layers", 1)
     if sweep_n > layers:
         raise ValidationError(f"sweep depth {sweep_n}: the run has {layers} "
                               f"layers; set --layers {sweep_n} to sweep them")
-    count, make_points = spec["queries"](config)
-    with _under("kappa"):  # checked before any setup
+    with _under("kappa"):
         schedule = KMSchedule(config.get("kappa", spec["kappa"]))
         schedule.at(layers)
+    # the interval (bvp's is [0, 1]), bvp's boundary values and the scheme
+    a, b = _domain(config) if "domain" in config else (0.0, 1.0)
+    fn.update((key, _judged(as_number, config, key))
+              for key in ("alpha", "beta") if key in config)
+    if "grid_scheme" in config and scheme not in _SCHEMES:
+        _fail("grid_scheme", f"unknown scheme {scheme!r}; pick from "
+                             f"{_SCHEMES}")
+    count, make_points = spec["queries"](config)
     errors = spec["oracle"] and fn["exact"] is not None
     held = 20  # per sweep layer: its table row
     if errors:  # its iterate, P errors and, under G, G of it, each masked
@@ -368,7 +364,11 @@ def run_config(config: dict, exact_override: Optional[Callable] = None,
            f"{layers} layers and sweep {sweep_n} on grid {n}")
 
     started = time.perf_counter()
-    op, pts, readout = spec["setup"](config, fn, n, make_points)
+    grid = n if scheme is None else uniform_grid(a, b, n, scheme=scheme)
+    pts = make_points(a, b)
+    with _under("queries"):  # the last refusal, by the library's checks
+        _polar_points(pts) if scheme is None else _query_points(a, b, pts)
+    op, readout = spec["setup"](fn, grid, pts)
     net = build_network(op, layers, schedule)
     field = forward(net, errors * sweep_n)  # an error sweep's history too
     columns, values, kind_meta = readout(net, field)
@@ -389,8 +389,8 @@ def run_config(config: dict, exact_override: Optional[Callable] = None,
         "final_delta": field.deltas[-1],
         **kind_meta,
     }
-    if "grid_scheme" in spec["optional"]:
-        meta["scheme"] = config.get("grid_scheme", "left")
+    if scheme is not None:
+        meta["scheme"] = scheme
     return ReportBundle(kind=config["kind"],
                         columns=(*spec["exact"], "value", "exact", "abs_err"),
                         rows=_rows(columns, values, exact),

@@ -135,15 +135,14 @@ def forward(net: FixedPointNet, keep_history: int = 0) -> SolutionField:
                          deltas=tuple(deltas))
 
 
-def _query_points(grid: Grid1D, points: Sequence[float]) -> np.ndarray:
+def _query_points(a: float, b: float, points: Sequence[float]) -> np.ndarray:
     """``points`` as a flat float array; one that is not finite or lies
-    outside the grid's [a, b] is refused."""
+    outside [a, b] is refused."""
     pts = np.asarray(points, dtype=float).ravel()
-    bad = (pts < grid.a) | (pts > grid.b) | ~np.isfinite(pts)
+    bad = (pts < a) | (pts > b) | ~np.isfinite(pts)
     if bad.any():
         raise ValidationError(
-            f"query point {float(pts[np.argmax(bad)])!r} outside "
-            f"[{grid.a}, {grid.b}]")
+            f"query point {float(pts[np.argmax(bad)])!r} outside [{a}, {b}]")
     return pts
 
 
@@ -164,7 +163,7 @@ def evaluation_layer(problem, grid: Grid1D, points: Sequence[float],
     if np.shape(values)[:1] != (grid.n,):
         raise ValidationError(f"field of size {np.shape(values)} does not "
                               f"match grid of size {grid.n}")
-    pts = _query_points(grid, points)
+    pts = _query_points(grid.a, grid.b, points)
     values = problem.activation(values)
     z = grid.nodes
     out = np.empty(pts.shape + np.shape(values)[1:])

@@ -82,11 +82,12 @@ def test_run_config_runtime_reported_when_not_deterministic():
     (lambda c: c.update(extra=1), "unknown keys"),
     (lambda c: c.update(kernel="sin(x*")," at offset 6"),
     (lambda c: c.update(kernel="sin(q)*z"), "unexpected variable"),
+    # LINEAR_CONFIG's grid is closed: it needs two nodes at least
     pytest.param(lambda c: c.update(grid_n=-5),
-                 "config key 'grid_n': grid_n must be an integer >= 1, "
+                 "config key 'grid_n': grid_n must be an integer >= 2, "
                  "got -5", id="<lambda>-positive integer0"),
     pytest.param(lambda c: c.update(grid_n=2.5),
-                 "config key 'grid_n': grid_n must be an integer >= 1, "
+                 "config key 'grid_n': grid_n must be an integer >= 2, "
                  "got 2.5", id="<lambda>-positive integer1"),
     (lambda c: c.update(domain=[1.0, 0.0]), "domain"),
     (lambda c: c.update(domain=[0.0]), "domain"),
@@ -101,8 +102,7 @@ def test_run_config_runtime_reported_when_not_deterministic():
                  "config key 'grid_scheme': unknown scheme 'gauss'; pick from",
                  id="<lambda>-scheme"),
     pytest.param(lambda c: c.update(grid_n=1),
-                 "config key 'grid_n': closed grid size must be an integer "
-                 ">= 2, got 1",
+                 "config key 'grid_n': grid_n must be an integer >= 2, got 1",
                  id="grid_n-closed"),
     pytest.param(_as_example("laplace_disc", theta_n=1),
                  "config key 'theta_n': theta_n must be an integer >= 2, "
@@ -132,7 +132,7 @@ def test_run_config_validation_messages(mutate, fragment):
 
 def _no_setup(monkeypatch):
     def setup(*args):
-        raise AssertionError("the grid or a kernel was sampled")
+        raise AssertionError("a kernel was sampled")
 
     monkeypatch.setitem(cli._KINDS["linear_fie"], "setup", setup)
 
@@ -144,8 +144,9 @@ def test_config_counts_must_be_integers(tmp_path, capsys, monkeypatch, key,
     _no_setup(monkeypatch)
     path = _write_config(tmp_path, dict(LINEAR_CONFIG, **{key: value}))
     assert main(["solve", path]) == 2
+    least = 2 if key == "grid_n" else 1  # LINEAR_CONFIG's grid is closed
     assert capsys.readouterr().err == (
-        f"error: config key {key!r}: {key} must be an integer >= 1, "
+        f"error: config key {key!r}: {key} must be an integer >= {least}, "
         f"got {value!r}\n")
 
 
@@ -377,6 +378,41 @@ def _refuse_allocation(monkeypatch):
 
     for name in ("discretize", "build_bie"):
         monkeypatch.setattr(cli, name, allocate)
+
+
+@pytest.mark.parametrize("value", [0, 1, True])
+@pytest.mark.parametrize("key", ["grid_n", "theta_n"])
+def test_a_size_that_needs_two_nodes_has_one_least(monkeypatch, key, value):
+    # a closed grid and the disc's angle grid need two nodes: 0, 1 and True
+    # are refused alike, under the size key, before any allocation
+    _refuse_allocation(monkeypatch)
+    config = (dict(LINEAR_CONFIG, grid_n=value) if key == "grid_n"
+              else dict(_DISC_CONFIG, theta_n=value))
+    assert LINEAR_CONFIG["grid_scheme"] == "closed"
+    with pytest.raises(ValidationError) as exc:
+        run_config(config)
+    assert str(exc.value) == (f"config key {key!r}: {key} must be an "
+                              f"integer >= 2, got {value!r}")
+
+
+@pytest.mark.parametrize("config,key,reason", [
+    (dict(LINEAR_CONFIG, domain="oops"), "domain",
+     "must be a [a, b] number pair, got 'oops'"),
+    (dict(LINEAR_CONFIG, domain=[1, 0]), "domain",
+     "needs a < b, got [1.0, 0.0]"),
+    (dict(_BVP_CONFIG, alpha="a"), "alpha",
+     "alpha must be a finite number, got 'a'"),
+    (dict(LINEAR_CONFIG, grid_scheme="bogus"), "grid_scheme",
+     "unknown scheme 'bogus'; pick from ('left', 'midpoint', 'closed')"),
+], ids=["domain_pair", "domain_order", "alpha", "grid_scheme"])
+def test_a_malformed_key_is_refused_before_the_guards(monkeypatch, config,
+                                                      key, reason):
+    # every key is judged before the guards charge the run: with a grid
+    # the cell guard refuses, the malformed key is still the one named
+    _refuse_allocation(monkeypatch)
+    with pytest.raises(ValidationError) as exc:
+        run_config(dict(config, grid_n=10 ** 6))
+    assert str(exc.value) == f"config key {key!r}: {reason}"
 
 
 @pytest.mark.parametrize("config,sweep", [
@@ -633,6 +669,32 @@ def test_query_points_hold_no_more_than_their_charge():
                 mp.setattr(cli, "_MAX_CELLS", int(peak / (1.03 * 8)))
                 with pytest.raises(ValidationError, match="dense cells"):
                     run_config(config)
+
+
+def test_a_grid_refused_by_a_small_margin_would_have_held_its_cap(
+        monkeypatch):
+    # the cell guard refuses 600 nodes, whose 360000 matrix cells alone are
+    # over a cap of 300000 and the whole charge under twice it; at twice
+    # the cap the run holds more than the cap's 8 B per cell, so the guard
+    # charges a grid no more than twice what it holds
+    config = {"kind": "linear_fie", "kernel": "x*z/2", "source": "1",
+              "domain": [0, 1], "grid_n": 600, "layers": 4,
+              "queries": [0.5]}
+    cap = 300_000
+    monkeypatch.setattr(cli, "_MAX_CELLS", cap)
+    with pytest.raises(ValidationError) as exc:
+        run_config(config)
+    need = float(re.search(r"need (\S+) dense cells", str(exc.value))[1])
+    assert str(exc.value).startswith("config key 'grid_n': ")
+    assert cap < 600 ** 2 and need < 2 * cap
+    monkeypatch.setattr(cli, "_MAX_CELLS", 2 * cap)
+    tracemalloc.start()
+    try:
+        run_config(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak > 8 * cap
 
 
 # G of a 2000-deep history, taken 32 columns at a time
@@ -1296,57 +1358,39 @@ def test_overflowing_readouts_raise_no_numpy_warning(tmp_path, capsys,
 
 
 _ROOT = Path(__file__).parent.parent
-# (example, overrides, sweep) of the damped and sweep runs in CI's
-# determinism loop, in the workflow's order
-_CI_EXAMPLE_RUNS = (
-    ("ex1", {"kappa": 0.7}, None), ("ex1", {"layers": 12, "kappa": 0.7}, 12),
-    ("ex2", {"kappa": 0.5}, None), ("ex1", {"layers": 12}, 12),
-    ("nl2", {"layers": 25}, 25), ("nl3", {"layers": 12}, 12),
-    ("laplace_disc", {"layers": 20}, 20), ("bvp_airy", {"layers": 20}, 20),
-    ("bvp_p", {"layers": 12}, 12))
-# (nr, nt) of its compare-fd runs, in the workflow's order
-_CI_FD_GRIDS = ((60, 64), (200, 200))
+
+
+def _ci_listed(loop):
+    """The argument strings of the workflow's ``for <loop> in ...`` list,
+    each parsed as the command line parses it."""
+    text = (_ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    block = re.search(rf"for {loop} in (.*?); do", text, re.S).group(1)
+    command = {"fd": "compare-fd", "run": "example"}[loop]
+    return [cli._build_parser().parse_args([command, *run.split()])
+            for run in re.findall(r'"([^"]*)"', block)]
 
 
 def _ci_runs():
     """The runs of CI's determinism loop: the shipped configs, the
-    registry examples, compare-fd and the damped and sweep runs."""
+    registry examples, and the compare-fd grids and example runs of its
+    ``for fd`` and ``for run`` lists, read from the workflow."""
     configs = sorted((_ROOT / "configs").glob("*.json"))
     runs = [lambda p=p: run_config(json.loads(p.read_text()))
             for p in configs]
     runs += [lambda name=name: run_example(name) for name in example_names()]
-    runs += [lambda nr=nr, nt=nt: run_compare_fd(nr, nt)
-             for nr, nt in _CI_FD_GRIDS]
-    for name, overrides, sweep in _CI_EXAMPLE_RUNS:
-        runs.append(lambda name=name, sweep=sweep, overrides=overrides:
-                    run_example(name, sweep_layers=sweep, overrides=overrides))
-    return runs
-
-
-def test_ci_example_runs_are_the_workflows():
-    # the tier-1 copies of the loop's `for run in ...` and `for fd in ...`
-    # lists must not drift from the workflow, whose byte-identity check
-    # they repeat in process
-    text = (_ROOT / ".github" / "workflows" / "tests.yml").read_text()
-    parser = cli._build_parser()
-
-    def listed(loop):
-        block = re.search(rf"for {loop} in (.*?); do", text, re.S).group(1)
-        return re.findall(r'"([^"]*)"', block)
-
-    runs = []
-    for run in listed("run"):
-        args = parser.parse_args(["example", *run.split()])
-        kind = get_example(args.name).config["kind"]
-        runs.append((args.name, cli._overrides(kind, args), args.sweep))
-    assert runs == list(_CI_EXAMPLE_RUNS)
-    grids = [parser.parse_args(["compare-fd", *run.split()])
-             for run in listed("fd")]
-    assert [(args.nr, args.nt) for args in grids] == list(_CI_FD_GRIDS)
+    grids, examples = _ci_listed("fd"), _ci_listed("run")
+    runs += [lambda args=args: run_compare_fd(args.nr, args.nt)
+             for args in grids]
+    for args in examples:
+        overrides = cli._overrides(get_example(args.name).config["kind"], args)
+        runs.append(lambda args=args, overrides=overrides: run_example(
+            args.name, sweep_layers=args.sweep, overrides=overrides))
+    return runs, len(grids), len(examples)
 
 
 def test_ci_determinism_runs_repeat_byte_for_byte_without_warnings():
-    runs = _ci_runs()
+    runs, grids, examples = _ci_runs()
+    assert (grids, examples) == (2, 9)  # a regex miss fails, not runs none
     assert len(runs) == 25
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -8,7 +8,8 @@ drawn config is run and rendered twice in-process with every warning an
 error, and the run must either report or refuse cleanly:
 
 * only ValidationError (exit 2) or NumericalError (exit 3) escapes;
-* a ValidationError names the config key, or the kind, it refuses;
+* a ValidationError names the config key, or the kind, it refuses, and
+  comes before the kind's setup, which only builds;
 * the JSON report is strict JSON (no Infinity or NaN);
 * the second run renders byte for byte as the first.
 
@@ -122,12 +123,25 @@ def _renders(config, sweep):
     return render_csv(bundle), render_json(bundle)
 
 
+def _refusing_nothing(setup):
+    """``setup``, failing the test on a ValidationError: every key is
+    judged before a setup samples anything."""
+    def run(*args):
+        try:
+            return setup(*args)
+        except ValidationError as exc:
+            raise AssertionError(f"a setup refused: {exc}") from exc
+    return run
+
+
 @settings(derandomize=True, database=None, max_examples=250, deadline=None)
 @given(_configs(), st.sampled_from((None, 3, 15)))
 def test_every_run_reports_or_refuses_cleanly(config, sweep):
     if sweep is not None:  # 3 layers or, from 15, all the run has
         sweep = min(sweep, config["layers"])
-    with warnings.catch_warnings():
+    spec = cli._KINDS[config["kind"]]
+    with warnings.catch_warnings(), mock.patch.dict(
+            spec, setup=_refusing_nothing(spec["setup"])):
         warnings.simplefilter("error")
         try:
             first = _renders(config, sweep)
@@ -155,6 +169,13 @@ def test_a_sweep_deeper_than_the_run_is_refused_before_any_sample(config,
             mock.patch.object(cli, "build_bie", sample), \
             pytest.raises(ValidationError) as exc:
         run_config(config, sweep_layers=sweep)
+    size = "theta_n" if config["kind"] == "laplace_disc" else "grid_n"
+    if config[size] < 2 and (size == "theta_n"
+                             or config.get("grid_scheme") == "closed"):
+        # a size below its least of two nodes is judged first
+        assert str(exc.value) == (f"config key {size!r}: {size} must be "
+                                  f"an integer >= 2, got 1")
+        return
     assert str(exc.value) == (f"sweep depth {sweep}: the run has {layers} "
                               f"layers; set --layers {sweep} to sweep them")
 
@@ -303,7 +324,10 @@ def test_a_corrupted_number_or_count_is_refused_under_its_key(drawn):
             run_config(corrupt)
     message = str(exc.value)
     assert message.startswith(f"config key {key!r}: "), message
-    # a count of 10**400 is an integer, refused by the cell guard
-    reasons = (("must be an integer >= 1, got ", " dense cells, over the cap")
+    # a count of 10**400 is an integer, refused by the cell guard; the
+    # disc's angle grid needs two nodes
+    least = 2 if key == "theta_n" else 1
+    reasons = ((f"must be an integer >= {least}, got ",
+                " dense cells, over the cap")
                if key in _COUNTS else ("must be a finite number, got ",))
     assert any(reason in message for reason in reasons), message
