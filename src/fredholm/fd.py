@@ -33,9 +33,10 @@ MAX_NODES = 16_000_000
 @dataclass(frozen=True, eq=False)
 class PolarGrid:
     """FD solution on the polar grid: interior rings and center value,
-    plus solver diagnostics.  ``iterations`` is always 0:
-    a direct solve takes no iterations.  ``residual`` is the relative
-    residual max|A x - b| / max|b| of the 5-point system."""
+    plus solver diagnostics.  ``iterations`` is always 0 (a direct
+    solve), read only by ``bench/spans.py``'s ``fd.iterations`` counter.
+    ``residual`` is the relative residual max|A x - b| / max|b| of the
+    5-point system."""
 
     nr: int
     nt: int

@@ -18,7 +18,6 @@ from fredholm.exprlang import compile_fn, parse
 from fredholm.grid import uniform_grid
 from fredholm.network import (build_network, evaluation_layer, forward,
                               layer_sweep)
-from fredholm.nonlinear import linearized_source
 from fredholm.operator import FieProblem, KMSchedule, discretize
 from fredholm.registry import example_names, get_example
 from fredholm.report import render_csv, render_json
@@ -893,7 +892,7 @@ def test_error_texts_print_plain_floats():
         (lambda: run_config(_LOG_KERNEL_CONFIG), "(x[100]=1.0, z[0]=0.0)"),
         (lambda: evaluation_layer(base.problem, grid, [1.5], np.ones(8)),
          "query point 1.5 outside"),
-        (lambda: linearized_source(nonlinear, base, -np.ones(8)),
+        (lambda: nonlinear.activation(-np.ones(8)),
          "(iterate value -1.0)"),
     ]
     for call, text in cases:
@@ -1402,13 +1401,12 @@ def test_ci_determinism_runs_repeat_byte_for_byte_without_warnings():
 
 def test_linear_runs_compute_no_a_priori_budget(monkeypatch):
     # the linear kinds read their error figure off forward's last update,
-    # so neither the derivative scan nor the ||A g|| product runs
+    # so the ||A g|| product does not run
     def scan(op):
         raise AssertionError("computed an a priori budget entry")
 
     runs = ("ex1", "ex2", "bvp_p")
     plain = [run_example(name) for name in runs]
-    monkeypatch.setattr("fredholm.operator.estimate_derivative_bound", scan)
     monkeypatch.setattr("fredholm.network.residual_norm", scan)
     for name, expected in zip(runs, plain):
         bundle = run_example(name)

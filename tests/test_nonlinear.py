@@ -9,10 +9,8 @@ import pytest
 from fredholm.cli import run_config
 from fredholm.errors import DivergenceError, DomainError, ValidationError
 from fredholm.grid import uniform_grid
-from fredholm.network import (SolutionField, build_network, forward,
-                               layer_sweep, query)
-from fredholm.nonlinear import (IterationTrace, evaluate_nonlinear,
-                                linearized_source, solve_nonlinear)
+from fredholm.network import (SolutionField, build_network,
+                               evaluation_layer, forward, layer_sweep, query)
 from fredholm.operator import FieProblem, KMSchedule, discretize
 
 
@@ -37,30 +35,6 @@ def _log_problem():
         nonlinearity=lambda u: u * u)
     grid = uniform_grid(0.0, 1.0, 1000, scheme="midpoint")
     return problem, grid
-
-
-def test_linearized_source_identity_nonlinearity_is_noop():
-    problem, grid = _identity_problem()
-    base = discretize(problem, grid)
-    f = np.cos(grid.nodes)
-    out = linearized_source(problem, base, f)
-    assert np.array_equal(out, base.source)
-
-
-def test_linearized_source_zero_iterate_quadratic():
-    problem, grid = _identity_problem()
-    problem = FieProblem(kernel=problem.kernel, source=problem.source,
-                         nonlinearity=lambda u: u * u)
-    base = discretize(problem, grid)
-    out = linearized_source(problem, base, np.zeros(base.n))
-    assert np.array_equal(out, base.source)
-
-
-def test_linearized_source_shape_check():
-    problem, grid = _identity_problem()
-    base = discretize(problem, grid)
-    with pytest.raises(ValidationError):
-        linearized_source(problem, base, np.zeros(base.n + 1))
 
 
 def test_log_problem_exact_solution_is_discrete_fixed_point():
@@ -91,10 +65,10 @@ def test_identity_nonlinearity_reduces_to_linear_solve():
         plain = discretize(_linear_part(problem), grid)
         for layers in (1, 2, 5, 6):
             linear = forward(build_network(plain, layers, schedule))
-            field, trace = solve_nonlinear(problem, base, layers, schedule)
+            field = forward(build_network(base, layers, schedule))
             assert np.array_equal(field.values, linear.values)
-            assert trace.deltas == linear.deltas
-            assert len(trace.deltas) == layers
+            assert field.deltas == linear.deltas
+            assert len(field.deltas) == layers
 
 
 def _sin_problem():
@@ -128,8 +102,8 @@ def test_query_applies_the_nonlinear_map():
     pts = np.linspace(0.0, math.pi, 21)
     exact = np.sin(pts) + 1.0
     values = query(net, field, pts)
-    assert np.array_equal(values,
-                          evaluate_nonlinear(problem, base, field, pts))
+    assert np.array_equal(values, evaluation_layer(problem, base.grid, pts,
+                                                   field.values))
     err = np.abs(values - exact).max()
     assert err < 5e-3
     sweep = layer_sweep(base, field, exact, pts)
@@ -137,31 +111,21 @@ def test_query_applies_the_nonlinear_map():
     assert sweep[-1][1] == pytest.approx(err, rel=1e-12)
 
 
-def test_solve_nonlinear_refuses_another_problems_operator():
-    problem, base = _sin_problem()
-    linear = discretize(_linear_part(problem), base.grid)
-    quadratic = replace(problem, nonlinearity=lambda u: u * u)
-    for other, op in ((quadratic, base), (problem, linear)):
-        with pytest.raises(ValidationError, match="does not discretize"):
-            solve_nonlinear(other, op, 5, KMSchedule(1.0))
-
-
 def test_layer_deltas_shrink_monotonically():
     problem, base = _sin_problem()
-    _, trace = solve_nonlinear(problem, base, 20, KMSchedule(1.0))
-    assert len(trace.deltas) == 20
+    deltas = forward(build_network(base, 20, KMSchedule(1.0))).deltas
+    assert len(deltas) == 20
     floor = 1e-13
-    for a, b in zip(trace.deltas, trace.deltas[1:]):
+    for a, b in zip(deltas, deltas[1:]):
         if a > floor:
             assert b < a
 
 
 def test_layer_deltas_are_the_sweep_update_sizes():
     problem, base = _sin_problem()
-    field, trace = solve_nonlinear(problem, base, 9, KMSchedule(1.0),
-                                   keep_history=9)
+    field = forward(build_network(base, 9, KMSchedule(1.0)), 9)
     steps = np.diff(field.history, axis=1, prepend=0.0)
-    assert list(trace.deltas) == np.max(np.abs(steps), axis=0).tolist()
+    assert list(field.deltas) == np.max(np.abs(steps), axis=0).tolist()
     # without an exact solution a run's sweep is its pass's own updates
     config = {"kind": "nonlinear_fie", "kernel": "z/36", "source": "sin(x)",
               "nonlinearity": "u + u^2", "domain": [0, 3], "grid_n": 50,
@@ -170,7 +134,7 @@ def test_layer_deltas_are_the_sweep_update_sizes():
     assert bundle.sweep_column == "max_update"
     assert bundle.sweep == list(enumerate(bundle.metadata["layer_deltas"], 1))
     # the first layer's update is the bias g itself
-    assert trace.deltas[0] == float(np.max(np.abs(base.source)))
+    assert field.deltas[0] == float(np.max(np.abs(base.source)))
 
 
 def _quadratic_blowup(layers):
@@ -180,7 +144,7 @@ def _quadratic_blowup(layers):
                       nonlinearity=lambda u: u * u)
     base = discretize(problem,
                       uniform_grid(0.0, math.pi, 50, scheme="left"))
-    return lambda: solve_nonlinear(problem, base, layers, KMSchedule(1.0))
+    return lambda: forward(build_network(base, layers, KMSchedule(1.0)))
 
 
 def test_growing_residuals_raise_divergence_error():
@@ -210,9 +174,9 @@ def test_small_source_with_nonzero_g0_converges():
             source=lambda x, s=source: np.full(np.shape(x), s),
             nonlinearity=lambda u: 1.0 + u)
         base = discretize(problem, grid)
-        field, trace = solve_nonlinear(problem, base, layers, KMSchedule(1.0))
-        assert trace.deltas[0] == source
-        assert trace.deltas[-1] <= trace.deltas[1]
+        field = forward(build_network(base, layers, KMSchedule(1.0)))
+        assert field.deltas[0] == source
+        assert field.deltas[-1] <= field.deltas[1]
         # the fixed point of u = s + k (1 + u) is (s + k) / (1 - k)
         assert np.allclose(field.values, (source + kernel) / (1.0 - kernel),
                            atol=kernel ** (layers - 1) / (1.0 - kernel))
@@ -221,10 +185,10 @@ def test_small_source_with_nonzero_g0_converges():
 def test_final_iterate_is_consistent_fixed_point():
     problem, grid = _log_problem()
     base = discretize(problem, grid)
-    field, trace = solve_nonlinear(problem, base, 7, KMSchedule(1.0))
+    field = forward(build_network(base, 7, KMSchedule(1.0)))
     mapped = base.source + base.matrix @ (field.values ** 2)
     drift = float(np.max(np.abs(mapped - field.values)))
-    assert drift <= max(trace.deltas[-1], 1e-13) * 10.0 + 1e-10
+    assert drift <= max(field.deltas[-1], 1e-13) * 10.0 + 1e-10
 
 
 def test_nonlinearity_domain_violation_names_node():
@@ -235,66 +199,47 @@ def test_nonlinearity_domain_violation_names_node():
     base = discretize(problem,
                       uniform_grid(0.0, 1.0, 10, scheme="left"))
     with pytest.raises(DomainError) as exc:
-        solve_nonlinear(problem, base, 4, KMSchedule(1.0))
+        forward(build_network(base, 4, KMSchedule(1.0)))
     # a raw numpy G gives NaN where exprlang's would raise
     assert str(exc.value) == (
         "nonlinearity is not finite at node 0 (iterate value -1.0): nan")
 
 
-def test_evaluate_nonlinear_zero_kernel_is_source():
+def test_query_zero_kernel_is_source():
     problem = FieProblem(kernel=lambda x, z: 0.0,
                          source=lambda x: np.exp(x),
                          nonlinearity=lambda u: u * u)
     grid = uniform_grid(0.0, 1.0, 16, scheme="left")
-    base = discretize(problem, grid)
-    field = forward(build_network(base, 2, KMSchedule(1.0)))
+    net = build_network(discretize(problem, grid), 2, KMSchedule(1.0))
     pts = np.array([0.0, 0.4, 1.0])
-    assert np.array_equal(evaluate_nonlinear(problem, base, field, pts),
-                          np.exp(pts))
+    assert np.array_equal(query(net, forward(net), pts), np.exp(pts))
 
 
-def test_evaluate_nonlinear_rejects_outside_points():
+def test_query_rejects_outside_points():
     problem, grid = _identity_problem()
-    base = discretize(problem, grid)
-    field = forward(build_network(base, 3, KMSchedule(1.0)))
-    with pytest.raises(ValidationError):
-        evaluate_nonlinear(problem, base, field, [1.2])
+    net = build_network(discretize(problem, grid), 3, KMSchedule(1.0))
+    with pytest.raises(ValidationError, match="query point 1.2 outside"):
+        query(net, forward(net), [1.2])
 
 
-def test_evaluate_nonlinear_refuses_another_problems_operator():
-    # G from one problem over another's grid and kernel is no solution's map
-    problem, base = _sin_problem()
-    field = forward(build_network(base, 5, KMSchedule(1.0)))
-    linear = discretize(_linear_part(problem), base.grid)
-    quadratic = replace(problem, nonlinearity=lambda u: u * u)
-    for other, op in ((quadratic, base), (problem, linear)):
-        with pytest.raises(ValidationError, match="does not discretize"):
-            evaluate_nonlinear(other, op, field, [1.0])
-
-
-def test_evaluate_nonlinear_domain_violation():
+def test_query_domain_violation():
     problem, grid = _identity_problem()
     sqrt_problem = FieProblem(kernel=problem.kernel,
                               source=lambda x: np.full(np.shape(x), -5.0),
                               nonlinearity=lambda u: np.sqrt(u))
-    sqrt_base = discretize(sqrt_problem, grid)
+    sqrt_net = build_network(discretize(sqrt_problem, grid), 2,
+                             KMSchedule(1.0))
     bad = SolutionField(grid=grid, values=np.full(grid.n, -5.0))
     with pytest.raises(DomainError) as exc:
-        evaluate_nonlinear(sqrt_problem, sqrt_base, bad, [0.5])
+        query(sqrt_net, bad, [0.5])
     assert str(exc.value) == (
         "nonlinearity is not finite at node 0 (iterate value -5.0): nan")
     # an infinite G value makes the sum infinite at its query point
     inv_problem = replace(sqrt_problem, nonlinearity=lambda u: 1.0 / u)
+    inv_net = build_network(discretize(inv_problem, grid), 2,
+                            KMSchedule(1.0))
     zero = replace(bad, values=np.where(grid.nodes > 0.3, 1.0, 0.0))
     with pytest.raises(DomainError) as exc:
-        evaluate_nonlinear(inv_problem, discretize(inv_problem, grid), zero,
-                           [0.5])
+        query(inv_net, zero, [0.5])
     assert str(exc.value) == (
         "evaluation layer is not finite at query point x[0]=0.5: inf")
-
-
-def test_trace_validation():
-    for deltas in ((-1.0,), (0.5, float("nan"))):
-        with pytest.raises(ValidationError):
-            IterationTrace(deltas=deltas)
-    assert IterationTrace(deltas=(0.5, 0.0)).deltas == (0.5, 0.0)

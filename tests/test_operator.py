@@ -10,8 +10,7 @@ from fredholm.exprlang import compile_fn, parse
 from fredholm.grid import uniform_grid
 from fredholm.operator import (_BLOCK, DiscreteOperator, FieProblem,
                                KMSchedule, _sample, discretize,
-                               estimate_contraction,
-                               estimate_derivative_bound, residual_norm)
+                               estimate_contraction, residual_norm)
 from fredholm.network import build_network, dense_solve, forward
 
 
@@ -100,13 +99,6 @@ def _dense_contraction(op):
     return float(np.max(np.sum(np.abs(op.matrix), axis=1)))
 
 
-def _dense_derivative_bound(op):
-    dz = op.grid.spacing
-    prod = (op.matrix / dz) * op.source[None, :]
-    diff = np.abs(prod[:, 2:] - prod[:, :-2]) / (2.0 * dz)
-    return float(np.max(diff))
-
-
 _KERNELS = {
     "constant": lambda x, z: 1.0 / np.e,
     "compiled_constant": compile_fn(parse("1/e"), ("x", "z")),
@@ -133,7 +125,6 @@ def test_blocked_kernels_match_dense_reference(kernel, scheme, n):
     assert np.array_equal(op.matrix, ref.matrix)
     assert np.array_equal(op.source, ref.source)
     assert estimate_contraction(op) == _dense_contraction(ref)
-    assert estimate_derivative_bound(op) == _dense_derivative_bound(ref)
 
 
 def test_bad_kernel_pair_in_a_later_block():
@@ -275,40 +266,6 @@ def test_residual_norm_separable(separable_kernel_factory):
     # sup_x |sin x| * I cos(z) sin(z) dz over [0, pi/2] is 1/2
     r = residual_norm(separable_kernel_factory(n=2000))
     assert abs(r - 0.5) < 1e-3
-
-
-def test_derivative_bound_const_kernel(const_kernel_factory):
-    op = const_kernel_factory(n=2000, scheme="closed")
-    d = estimate_derivative_bound(op)
-    assert d == pytest.approx(0.9994999166668258, rel=1e-9)
-    assert abs(d - 1.0) < 1.1e-3
-
-
-def test_derivative_bound_of_a_constant_integrand_is_positive_zero():
-    # every difference is 0; the bound must not print as -0
-    problem = FieProblem(kernel=lambda x, z: 0.5, source=lambda x: 1.0)
-    d = estimate_derivative_bound(
-        discretize(problem, uniform_grid(0.0, 1.0, 50)))
-    assert d == 0.0 and math.copysign(1.0, d) == 1.0
-
-
-def test_derivative_bound_separable(separable_kernel_factory):
-    # max |d/dz sin(x) cos(z) sin(z)| = max |sin(x) cos(2z)| = 1
-    d = estimate_derivative_bound(separable_kernel_factory(n=2000))
-    assert abs(d - 1.0) < 1e-3
-
-
-def test_derivative_bound_linear_integrand_is_unit_slope():
-    problem = FieProblem(kernel=lambda x, z: 1.0, source=lambda x: x)
-    op = discretize(problem, uniform_grid(0.0, 1.0, 11, scheme="left"))
-    assert estimate_derivative_bound(op) == pytest.approx(1.0, rel=1e-9)
-
-
-def test_derivative_bound_needs_three_nodes():
-    problem = FieProblem(kernel=lambda x, z: 1.0, source=lambda x: 1.0)
-    op = discretize(problem, uniform_grid(0.0, 1.0, 2))
-    with pytest.raises(ValidationError):
-        estimate_derivative_bound(op)
 
 
 def test_unit_kernel_row_sums_equal_interval_length():
