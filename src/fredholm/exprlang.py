@@ -41,6 +41,13 @@ CONSTANTS = {"pi": math.pi, "e": math.e}
 _NUMBER = re.compile(r"(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
+# The deepest an expression may nest.  Each '(' group, function call,
+# unary minus and binary operator is one level above its operands; the
+# parser returns each node with its height in levels.  It recurses about
+# 6 frames a level, ``compile_fn`` and its callable one, so this depth
+# stays far below the interpreter's recursion limit of 1000.
+_MAX_DEPTH = 100
+
 
 # ---------------------------------------------------------------------------
 # AST nodes: immutable tuples.  Each type's fields hold a different kind of
@@ -107,13 +114,14 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # levels open above the operand being parsed
 
     def accept(self, ops):
-        """The next token's text, consumed, if it is an operator in ops."""
+        """The next token, consumed, if it is an operator in ops."""
         tok = self.tokens[self.pos]
         if tok.kind == "op" and tok.text in ops:
             self.pos += 1
-            return tok.text
+            return tok
         return None
 
     def expect_op(self, text):
@@ -121,64 +129,83 @@ class _Parser:
             raise ExprSyntaxError(f"expected {text!r}",
                                   self.tokens[self.pos].offset)
 
+    def below(self, tok, parse, left=0):
+        """``parse()`` as the operand one level below the construct at
+        ``tok``, whose left operand, if any, is ``left`` levels high: the
+        operand and the construct's height.  A construct that would nest
+        past _MAX_DEPTH is refused at ``tok`` before its operand is read."""
+        if self.depth + left >= _MAX_DEPTH:
+            raise ExprSyntaxError(
+                f"expression nested deeper than {_MAX_DEPTH} levels",
+                tok.offset)
+        self.depth += 1
+        node, height = parse()
+        self.depth -= 1
+        return node, 1 + max(left, height)
+
     def expr(self):
-        node = self.term()
-        while op := self.accept("+-"):
-            node = BinOp(op, node, self.term())
-        return node
+        node, height = self.term()
+        while tok := self.accept("+-"):
+            right, height = self.below(tok, self.term, height)
+            node = BinOp(tok.text, node, right)
+        return node, height
 
     def term(self):
-        node = self.factor()
-        while op := self.accept("*/"):
-            node = BinOp(op, node, self.factor())
-        return node
+        node, height = self.factor()
+        while tok := self.accept("*/"):
+            right, height = self.below(tok, self.factor, height)
+            node = BinOp(tok.text, node, right)
+        return node, height
 
     def factor(self):
-        if self.accept("-"):
-            return Neg(self.factor())
+        if tok := self.accept("-"):
+            child, height = self.below(tok, self.factor)
+            return Neg(child), height
         return self.power()
 
     def power(self):
-        base = self.atom()
-        if self.accept("^"):
+        base, height = self.atom()
+        if tok := self.accept("^"):
             # recurse through factor so the exponent may be negative and
             # chained powers associate to the right
-            return BinOp("^", base, self.factor())
-        return base
+            exponent, height = self.below(tok, self.factor, height)
+            return BinOp("^", base, exponent), height
+        return base, height
 
     def atom(self):
-        if self.accept("("):
-            node = self.expr()
-            self.expect_op(")")
-            return node
         tok = self.tokens[self.pos]
+        if self.accept("("):
+            group = self.below(tok, self.expr)
+            self.expect_op(")")
+            return group
         if tok.kind == "num":
             self.pos += 1
-            return Num(float(tok.text))
+            return Num(float(tok.text)), 0
         if tok.kind == "name":
             self.pos += 1
             if self.accept("("):
                 if tok.text not in FUNCTIONS:
                     raise ExprSyntaxError(
                         f"unknown function {tok.text!r}", tok.offset)
-                arg = self.expr()
+                arg, height = self.below(tok, self.expr)
                 self.expect_op(")")
-                return Call(tok.text, arg)
+                return Call(tok.text, arg), height
             if tok.text in CONSTANTS:
-                return Num(CONSTANTS[tok.text])
+                return Num(CONSTANTS[tok.text]), 0
             if tok.text in FUNCTIONS:
                 raise ExprSyntaxError(
                     f"function {tok.text!r} used without arguments", tok.offset)
-            return Var(tok.text)
+            return Var(tok.text), 0
         raise ExprSyntaxError(
             "expected a number, name, '(' or unary '-'", tok.offset)
 
 
 def parse(text):
     """Parse expression text into an AST.  Raises ExprSyntaxError with the
-    byte offset of the first problem."""
+    byte offset of the first problem, one being a construct nested past
+    _MAX_DEPTH levels."""
     parser = _Parser(_tokenize(text))
-    node = parser.expr()
+    node, _ = parser.expr()
     tail = parser.tokens[parser.pos]
     if tail.kind != "end":
         raise ExprSyntaxError(f"unexpected trailing input {tail.text!r}",

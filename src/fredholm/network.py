@@ -30,7 +30,6 @@ and, through ``plan_layers(q, residual, eps)``, plans the depth for a
 target accuracy.
 """
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -233,7 +232,8 @@ def error_bound(q: float, residual: float, steps: int) -> float:
     steps after h_n (Atkinson 1997, 4.1).  An M-layer net's first layer
     is h_1 = g, so ``error_bound(*budget_from_operator(op), M - 1)``
     bounds its last.  Both numbers must be finite and non-negative, q
-    below 1, and ``steps`` an integer >= 0."""
+    below 1, and ``steps`` any integer >= 0, read as k = min(steps, 2^63):
+    there q^k is 0.0 for every q < 1, as (1 - 2^-53)^(2^63) ~ e^-1024."""
     steps = as_count(steps, 0, "step count")
     q, residual = as_number(q, "q"), as_number(residual, "residual")
     if min(q, residual) < 0.0:
@@ -243,33 +243,29 @@ def error_bound(q: float, residual: float, steps: int) -> float:
         raise ValidationError(
             f"contraction estimate q={q:.6g} is not below 1; the "
             f"geometric bound does not apply")
-    return q ** steps / (1.0 - q) * residual
+    return q ** min(steps, 2 ** 63) / (1.0 - q) * residual
 
 
 def plan_layers(q: float, residual: float, eps: float) -> int:
     """Smallest step count k whose error bound is at most eps; a net
     needs k + 1 layers to take them.
 
-    Closed form k >= [ln(eps (1-q)) - ln residual] / ln q, rounded up with
-    a small tolerance so that eps = error_bound(k) maps back to exactly k,
-    then verified against the bound directly.  Targets looser than the
-    zero-step bound plan zero steps; eps must be a positive finite number.
+    k is found by bisection over [0, 2^63] on ``error_bound`` itself,
+    which never rises with k and is 0.0 at 2^63, so every call returns
+    after at most 64 evaluations of it.  eps must be a positive finite
+    number; one at or above the zero-step bound plans zero steps.
     """
     zero = error_bound(q, residual, 0)  # refuses q >= 1 and bad entries
     if (eps := as_number(eps, "target accuracy")) <= 0.0:
         raise ValidationError(f"target accuracy {eps!r} must be positive")
-    if residual == 0.0 or zero <= eps:
+    if zero <= eps:
         return 0
-    if q == 0.0:
-        steps = 1
-    else:
-        x = (math.log(eps * (1.0 - q)) - math.log(residual)) / math.log(q)
-        steps = max(0, math.ceil(x - 1e-9))
-    while error_bound(q, residual, steps) > eps:
-        steps += 1
-    while steps > 0 and error_bound(q, residual, steps - 1) <= eps:
-        steps -= 1
-    return steps
+    lo, hi = 0, 2 ** 63  # bound(lo) > eps >= bound(hi) = 0.0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        met = error_bound(q, residual, mid) <= eps
+        lo, hi = (lo, mid) if met else (mid, hi)
+    return hi
 
 
 def layer_sweep(op: DiscreteOperator, field: SolutionField,

@@ -101,11 +101,13 @@ class DiscreteOperator:
 
 
 class KMSchedule:
-    """Relaxation sequence kappa_1..kappa_M (a list, tuple or array) or a
-    constant, every kappa a finite number in (0, 1]."""
+    """Relaxation sequence kappa_1..kappa_M (a list, tuple or array of one
+    or more dimensions) or a constant, every kappa a finite number in
+    (0, 1]."""
 
     def __init__(self, kappa: Union[float, Sequence[float]]):
-        if not isinstance(kappa, (list, tuple, np.ndarray)):
+        if not (isinstance(kappa, (list, tuple, np.ndarray))
+                and np.ndim(kappa)):  # a 0-d array is one number
             k = as_number(kappa, "kappa")
             if not (0.0 < k <= 1.0):
                 raise ValidationError(f"kappa={k} outside (0, 1]")

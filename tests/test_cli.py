@@ -1044,6 +1044,15 @@ def test_main_bad_expression_offset(tmp_path, capsys):
     assert "at offset 6" in capsys.readouterr().err
 
 
+def test_main_deep_expression_is_refused(tmp_path, capsys):
+    # 500 nested parentheses once raised RecursionError (exit 1)
+    config = dict(LINEAR_CONFIG, kernel="(" * 500 + "x" + ")" * 500)
+    assert main(["solve", _write_config(tmp_path, config)]) == 2
+    assert capsys.readouterr().err == (
+        "error: config key 'kernel': expression nested deeper than 100 "
+        "levels at offset 100\n")
+
+
 def test_main_divergent_run_exits_numerical(tmp_path, capsys):
     config = {
         "kind": "linear_fie",

@@ -16,7 +16,8 @@ from fredholm.operator import KMSchedule
 _NOT_NUMBERS = [(True, "True"), ("1", "'1'"), (float("nan"), "nan"),
                 (float("inf"), "inf"), (float("-inf"), "-inf"),
                 (10 ** 400, repr(10 ** 400)), (None, "None"),
-                (np.bool_(True), repr(np.bool_(True)))]
+                (np.bool_(True), repr(np.bool_(True))),
+                (np.array(0.5), "array(0.5)")]
 
 
 @pytest.mark.parametrize("value", [2, -0.5, np.float32(0.5), np.int64(3),
@@ -55,11 +56,12 @@ _SITES = {
 }
 
 
-@pytest.mark.parametrize("value,shown", _NOT_NUMBERS[:6])
+@pytest.mark.parametrize("value,shown", _NOT_NUMBERS[:6] + _NOT_NUMBERS[-1:])
 @pytest.mark.parametrize("site", sorted(_SITES))
 def test_every_library_site_refuses_what_is_not_a_finite_number(
         site, value, shown):
-    # True, "1" and 10**400 once ran or died with TypeError here
+    # True, "1" and 10**400 once ran or died with TypeError here, and
+    # KMSchedule took a 0-d array for a sequence (TypeError)
     call, name = _SITES[site]
     with pytest.raises(ValidationError) as exc:
         call(value)

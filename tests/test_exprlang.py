@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fredholm.errors import DomainError, ExprSyntaxError, UnboundVariableError
-from fredholm.exprlang import (FUNCTIONS, BinOp, Call, Neg, Num, Var,
-                               compile_fn, parse)
+from fredholm.exprlang import (_MAX_DEPTH, FUNCTIONS, BinOp, Call, Neg, Num,
+                               Var, compile_fn, parse)
 
 
 def _evaluate(tree, env=None):
@@ -79,6 +79,61 @@ def test_syntax_error_offsets(text, offset):
         parse(text)
     assert exc.value.offset == offset
     assert f"at offset {offset}" in str(exc.value)
+
+
+def _nest(levels, value, opener, closer="", step=lambda v: v):
+    """(text, value, offset of the last opener) of ``levels`` nested
+    ``opener``/``closer`` pairs around x, with ``step`` applied to x as
+    often."""
+    for _ in range(levels):
+        value = step(value)
+    return (opener * levels + "x" + closer * levels, value,
+            len(opener) * (levels - 1))
+
+
+def _chain(levels, value, op, fold):
+    """(text, value, offset of the last operator) of a chain x op x op ...
+    with ``levels`` one-character operators."""
+    for _ in range(levels):
+        value = fold(value)
+    return op.join("x" * (levels + 1)), value, 2 * levels - 1
+
+
+# each deep shape at a level count, with x = 1.2
+_DEEP = {
+    "parentheses": lambda n: _nest(n, 1.2, "(", ")"),
+    "calls": lambda n: _nest(n, 1.2, "sin(", ")", math.sin),
+    "unary minus": lambda n: _nest(n, 1.2, "-", "", operator.neg),
+    "power chain": lambda n: _chain(n, 1.2, "^", lambda v: 1.2 ** v),
+    "sum chain": lambda n: _chain(n, 1.2, "+", lambda v: v + 1.2),
+    "product chain": lambda n: _chain(n, 1.2, "*", lambda v: v * 1.2),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_DEEP))
+def test_nesting_past_the_limit_is_refused_where_it_crosses(shape):
+    # 197 parentheses or a 992-term sum once raised RecursionError
+    text, value, _ = _DEEP[shape](_MAX_DEPTH)
+    got = compile_fn(parse(text), ("x",))(np.array([1.2]))
+    assert got == pytest.approx([value], rel=1e-12)  # numpy's sin and pow
+    text, _, offset = _DEEP[shape](_MAX_DEPTH + 1)
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse(text)
+    assert str(exc.value) == (f"expression nested deeper than {_MAX_DEPTH} "
+                              f"levels at offset {offset}")
+
+
+def test_nesting_counts_the_deepest_path():
+    # an operand at the limit puts its sum one level past it, and so do
+    # parentheses around a chain at the limit
+    deep = _DEEP["parentheses"](_MAX_DEPTH)[0]
+    for text, offset in ((f"x + {deep}", 4 + _MAX_DEPTH - 1),
+                         (f"{deep} + x", 2 * _MAX_DEPTH + 2),
+                         ("(" + "x+" * _MAX_DEPTH + "x)", 2 * _MAX_DEPTH)):
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse(text)
+        assert exc.value.offset == offset
+    parse(_DEEP["parentheses"](_MAX_DEPTH - 1)[0] + " + x")
 
 
 @pytest.mark.parametrize("text", [

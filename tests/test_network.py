@@ -5,7 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from fredholm import network
 from fredholm.errors import (DivergenceError, SingularSystemError,
                              ValidationError)
 from fredholm.grid import uniform_grid
@@ -384,6 +387,49 @@ def test_plan_layers_degenerate_and_invalid():
                                   "residual must be a finite number")):
         with pytest.raises(ValidationError, match=message):
             plan_layers(q, residual, 1e-3)
+
+
+_Q = st.floats(0.0, 1.0, exclude_max=True)
+_POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_Q, st.floats(0.0, 1e300), st.integers(0, 2000),
+       st.sampled_from([1.0]) | st.floats(0.5, 2.0))
+@example(0.9, 5e-324, 0, 0.5)  # eps (1 - q) underflows: a math domain error
+def test_plan_layers_is_the_least_count_a_linear_scan_finds(q, residual,
+                                                            steps, scale):
+    eps = error_bound(q, residual, steps) * scale
+    assume(0.0 < eps < math.inf)  # the bound may overflow
+    scan = next((k for k in range(2001)
+                 if error_bound(q, residual, k) <= eps), None)
+    assume(scan is not None)
+    assert plan_layers(q, residual, eps) == scan
+
+
+@settings(max_examples=200, deadline=None)
+@given(_Q, st.just(0.0) | _POSITIVE, _POSITIVE)
+@example(1.0 - 2.0 ** -53, 1.0, 1e-300)  # about 7e7 steps
+def test_plan_layers_returns_after_at_most_64_bounds(q, residual, eps):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        if len(calls) > 64:
+            raise AssertionError("a 65th error bound")
+        return error_bound(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(network, "error_bound", counted)
+        steps = plan_layers(q, residual, eps)
+    assert error_bound(q, residual, steps) <= eps
+    assert steps == 0 or error_bound(q, residual, steps - 1) > eps
+
+
+def test_error_bound_takes_any_count():
+    # a count past a float's range once raised OverflowError
+    assert error_bound(0.5, 1.0, 10 ** 400) == 0.0
+    assert error_bound(1.0 - 2.0 ** -53, 1.0, 2 ** 63) == 0.0
 
 
 # ---------------------------------------------------------------------------
