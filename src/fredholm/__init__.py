@@ -17,7 +17,8 @@ from .network import (FixedPointNet, SolutionField, budget_from_operator,
                       build_network, dense_solve, error_bound, forward,
                       layer_sweep, plan_layers, query)
 from . import nonlinear  # noqa: F401  (bench/spans.py traces its names)
-from .bvp import BvpSpec, bvp_to_fie, ode_residual, recover_solution
+from .bvp import (BvpSpec, bvp_to_fie, green_operator, ode_residual,
+                  recover_solution)
 from .laplace import build_bie, evaluate_potential, projected_potential
 from .fd import PolarGrid, solve_fd
 from .registry import EXAMPLES, ExampleSpec, example_names, get_example
@@ -37,7 +38,8 @@ __all__ = [
     "FixedPointNet", "SolutionField", "budget_from_operator",
     "build_network", "dense_solve", "error_bound", "forward",
     "layer_sweep", "plan_layers", "query",
-    "BvpSpec", "bvp_to_fie", "ode_residual", "recover_solution",
+    "BvpSpec", "bvp_to_fie", "green_operator", "ode_residual",
+    "recover_solution",
     "build_bie", "evaluate_potential", "projected_potential",
     "PolarGrid", "solve_fd",
     "EXAMPLES", "ExampleSpec", "example_names", "get_example",

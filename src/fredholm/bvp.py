@@ -17,6 +17,9 @@ continuous across t = x by construction.  After the network solves for u,
 y is read through the evaluation layer of the first identity, its Nystrom
 interpolation with kernel G0 and source alpha (1-x) + beta x, so nothing
 divides by g and y(0) = alpha, y(1) = beta hold exactly whatever g does.
+
+``green_operator`` applies the weights K(z_i, z_j) dz as two running
+sums (``GreenWeights``), O(N) per layer, with no N x N matrix.
 """
 
 from dataclasses import dataclass
@@ -26,9 +29,11 @@ import numpy as np
 
 from .errors import ValidationError, as_number
 from .network import FixedPointNet, SolutionField, evaluation_layer
-from .operator import FieProblem, _sample
+from .grid import Grid1D
+from .operator import DiscreteOperator, FieProblem, _sample, discretize
 
-__all__ = ["BvpSpec", "bvp_to_fie", "recover_solution", "ode_residual"]
+__all__ = ["BvpSpec", "bvp_to_fie", "green_operator", "recover_solution",
+           "ode_residual"]
 
 @dataclass(frozen=True)
 class BvpSpec:
@@ -65,6 +70,72 @@ def bvp_to_fie(spec: BvpSpec) -> FieProblem:
         return np.asarray(h(x), dtype=float) - (alpha + slope * x) * gx
 
     return FieProblem(kernel=kernel, source=source)
+
+
+class GreenWeights:
+    """The weights A[i, j] = K(z_i, z_j) dz of ``bvp_to_fie``'s kernel on
+    a grid of [0, 1], applied without being stored:
+
+        (A v)_i = g_i [(1 - z_i) sum_{j<=i} z_j dz v_j
+                       + z_i sum_{j>i} (1 - z_j) dz v_j]
+
+    for a field v of shape (N,), two ``np.cumsum`` calls.  With dz in the
+    summands and every node in [0, 1], no partial sum exceeds max|v|, so a
+    product overflows no sooner than the dense one (to inf, unwarned).
+    ``np.asarray`` gives the explicit weights, bitwise ``discretize``'s.
+    """
+
+    def __init__(self, problem: FieProblem, grid: Grid1D, g: np.ndarray):
+        z, dz = grid.nodes, grid.spacing
+        self.problem, self.grid, self.shape = problem, grid, (grid.n, grid.n)
+        self._z, self._g = z, np.array(g, dtype=float)
+        self._zc = 1.0 - z
+        self._below, self._above = z * dz, self._zc * dz
+
+    def setflags(self, write: bool):
+        for a in (self._g, self._zc, self._below, self._above):
+            a.setflags(write=write)
+
+    def __matmul__(self, v):
+        return self._apply(v, self._g)
+
+    def _apply(self, v, g):
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.cumsum(self._below * v)
+            out *= self._zc
+            above = np.cumsum((self._above * v)[:0:-1])[::-1]  # j > i
+            out[:-1] += self._z[:-1] * above
+            out *= g
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("the weights are computed, not stored")
+        return np.asarray(discretize(self.problem, self.grid).matrix, dtype)
+
+    def sup_norm(self) -> float:
+        """||A||_inf, the largest row sum of |A[i, j]|: the product of a
+        field of ones with |g|, as every node in [0, 1] makes z_j and
+        1 - z_j non-negative."""
+        return float(np.max(self._apply(np.ones(self.grid.n),
+                                        np.abs(self._g))))
+
+
+def green_operator(spec: BvpSpec, grid: Grid1D) -> DiscreteOperator:
+    """The operator of ``bvp_to_fie(spec)`` on ``grid``, a grid of [0, 1],
+    with its weights a ``GreenWeights``: ``discretize``'s operator, source
+    bitwise, without its N x N matrix.  The first node where g or h is
+    undefined or not finite is named (as x[i]), then one of the source."""
+    if (grid.a, grid.b) != (0.0, 1.0):
+        raise ValidationError(f"a bvp grid spans [0, 1], not "
+                              f"[{grid.a}, {grid.b}]")
+    z = grid.nodes
+    g = _sample(spec.g, (z,), "g", "node x[{i}]={v[0]!r}")
+    _sample(spec.h, (z,), "h", "node x[{i}]={v[0]!r}")
+    problem = bvp_to_fie(spec)
+    source = _sample(problem.source, (z,), "source", "node z[{i}]={v[0]!r}")
+    return DiscreteOperator(grid, GreenWeights(problem, grid, g),
+                            source.copy(), problem)
 
 
 def recover_solution(net: FixedPointNet, field: SolutionField, spec: BvpSpec,

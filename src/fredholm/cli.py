@@ -19,7 +19,7 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from . import exprlang
-from .bvp import BvpSpec, bvp_to_fie, ode_residual, recover_solution
+from .bvp import BvpSpec, green_operator, ode_residual, recover_solution
 from .errors import NumericalError, ValidationError, as_count, as_number
 from .grid import _SCHEMES, uniform_grid
 from .laplace import (_polar_points, build_bie, evaluate_potential,
@@ -48,9 +48,10 @@ _FD_BOUNDARY, _FD_EXACT = "1 + cos(2*phi)", "1 + r^2*cos(2*phi)"
 # An error sweep adds per layer its iterate in the (N, S) history and 9/8 per
 # error (the P x S table and its finite mask) and per G of the history
 # under G.  Under tracemalloc an N x N cell peaks at ~1.03 doubles (the
-# matrix, filled and scanned for q_est in 32-row blocks); on 100 nodes at
-# S = layers = 2000 error sweeps peak at 0.84-0.86 of their charge, update
-# sweeps at 0.40.  At 1.03 doubles the cap is ~390 MiB: N <= 7070.
+# matrix, filled and scanned for q_est in 32-row blocks; a bvp holds
+# none, yet keeps its N^2 charge here and below); on 100 nodes at S =
+# layers = 2000 error sweeps peak at 0.84-0.86 of their charge, bvp_p's
+# update sweep at 0.37.  At 1.03 doubles the cap is ~390 MiB: N <= 7070.
 _MAX_CELLS = 50_000_000
 # Cap on the multiply-adds of one run, max(N^2, _LAYER_WORK) per matvec of
 # its forward pass (a layer costs ~17 us on 3 nodes) plus S N P for an
@@ -242,9 +243,7 @@ def _fie(fn, grid, pts):
 
 def _bvp(fn, grid, pts):
     spec = BvpSpec(fn["g"], fn["h"], fn["alpha"], fn["beta"])
-    for key in ("g", "h"):  # named here, not after the FIE they build
-        _sample(fn[key], (grid.nodes,), key, "node x[{i}]={v[0]!r}")
-    op = discretize(bvp_to_fie(spec), grid)
+    op = green_operator(spec, grid)  # names g and h, not the FIE's kernel
     q = estimate_contraction(op)
 
     def readout(net, field):
@@ -571,7 +570,8 @@ def _load_config(path: str) -> dict:
         raise ValidationError(f"cannot read config {path!r}: {exc}") from exc
     try:
         config = json.loads(text)
-    except ValueError as exc:  # also an int past the str digit limit
+    # also an int past the str digit limit, or arrays nested too deep
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(
             f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):

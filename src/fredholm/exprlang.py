@@ -45,7 +45,9 @@ _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 # unary minus and binary operator is one level above its operands; the
 # parser returns each node with its height in levels.  It recurses about
 # 6 frames a level, ``compile_fn`` and its callable one, so this depth
-# stays far below the interpreter's recursion limit of 1000.
+# stays far below the interpreter's recursion limit of 1000.  A tree built
+# by code is measured by ``compile_fn`` without recursion and refused
+# past the same depth.
 _MAX_DEPTH = 100
 
 
@@ -268,14 +270,31 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
            "/": _vec_div, "^": _vec_pow}
 
 
+def _check_height(expr):
+    """Refuse a tree more than _MAX_DEPTH levels high, as ``parse``
+    refuses its text, walking it with a stack instead of recursion.  A
+    node's children are its fields that are nodes (tuples)."""
+    stack = [(expr, 0)]
+    while stack:
+        node, level = stack.pop()
+        kids = [kid for kid in node if isinstance(kid, tuple)]
+        if kids and level >= _MAX_DEPTH:
+            raise ExprSyntaxError(
+                f"expression nested deeper than {_MAX_DEPTH} levels")
+        stack.extend((kid, level + 1) for kid in kids)
+
+
 def compile_fn(expr, params):
     """Compile an AST into a numpy-broadcasting callable f(*arrays).
 
     ``params`` fixes the positional argument order.  Free variables must be
-    a subset of params.  Domain violations raise DomainError naming the
-    first offending value, never a silent NaN or inf; an overflow (exp of
-    a large value) still gives inf.
+    a subset of params.  A tree more than _MAX_DEPTH levels high is
+    refused with ExprSyntaxError, as ``parse`` refuses its text.  Domain
+    violations raise DomainError naming the first offending value, never
+    a silent NaN or inf; an overflow (exp of a large value) still gives
+    inf.
     """
+    _check_height(expr)
     params = tuple(params)
     extra = set()
 

@@ -12,12 +12,13 @@ discretizes: A from K dz, the bias from g, and sigma from the problem's
 ``activation``, which is G for u = g + A G(u) and the identity for a
 linear equation (layer m is then W_m h_{m-1} + kappa_m g, W_m = kappa_m A
 + (1 - kappa_m) I).  Nothing is trained.  W_m is never stored, so the
-network costs one N x N block (A itself) whatever its depth and
-relaxations.  Every run, whatever its kind, gets its verdict in
-``forward``: an overflow, or a map residual ||T h - h|| at the last layer
-above that of the first two by more than rounding, raises
-DivergenceError.  One evaluation layer, the output layer of every 1-D
-kind, applies one undamped step at arbitrary points,
+network costs A itself whatever its depth and relaxations: one N x N
+block, or for a bvp an O(N) map (``bvp.GreenWeights``), which the one
+layer loop applies with the same ``@``.  Every run, whatever its kind,
+gets its verdict in ``forward``: an overflow, or a map residual
+||T h - h|| at the last layer above that of the first two by more than
+rounding, raises DivergenceError.  One evaluation layer, the output
+layer of every 1-D kind, applies one undamped step at arbitrary points,
 
     f(x) = g(x) + sum_j K(x, z_j) sigma(h_M[j]) dz,
 
@@ -72,8 +73,8 @@ class FixedPointNet:
     the relaxation schedule; the activation is that of the operator's
     problem.  Layer m's weight W_m = kappa_m A + (1 - kappa_m) I and bias
     kappa_m g are applied implicitly by ``forward`` and never stored, so
-    memory stays the operator's one N x N block plus a few N-vectors at
-    any depth.
+    memory stays the operator's weights (one N x N block, or a bvp's O(N)
+    map) plus a few N-vectors at any depth.
     """
 
     def __init__(self, op: DiscreteOperator, layers: int, schedule: KMSchedule):
@@ -202,7 +203,8 @@ def query(net: FixedPointNet, field: SolutionField,
 
 
 def dense_solve(op: DiscreteOperator) -> SolutionField:
-    """Solve (I - A) f = g directly.
+    """Solve (I - A) f = g directly, on the explicit weights
+    ``np.asarray(op.matrix)``.
 
     This is the exact limit of the undamped iteration and serves as the
     oracle separating iteration error from quadrature error.  A singular
@@ -210,7 +212,8 @@ def dense_solve(op: DiscreteOperator) -> SolutionField:
     SingularSystemError.
     """
     try:
-        f = np.linalg.solve(np.eye(op.n) - op.matrix, op.source)
+        f = np.linalg.solve(np.eye(op.n) - np.asarray(op.matrix),
+                            op.source)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"I - A is singular: {exc}") from exc
     if not np.all(np.isfinite(f)):

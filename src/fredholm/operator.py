@@ -77,17 +77,20 @@ class FieProblem:
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Kernel matrix and source samples on a grid.
+    """Kernel weights and source samples on a grid.
 
     ``matrix[i, j] = K(z_i, z_j) * dz`` and ``source[i] = g(z_i)``.  The
-    arrays are marked read-only so a network built on top can share them
+    weights are an N x N array, or for a bvp a map with ``shape``, ``@``
+    on a field of shape (N,) and ``np.asarray`` for the explicit array,
+    applied in O(N) (``bvp.GreenWeights``).  Either form and the source
+    are marked read-only so a network built on top can share them
     safely.  ``problem`` is the continuous problem discretized: its
     callables serve off-grid evaluation and its ``activation`` the hidden
     layers of a net over the operator.
     """
 
     grid: Grid1D
-    matrix: np.ndarray
+    matrix: np.ndarray  # or, for a bvp, a GreenWeights map
     source: np.ndarray
     problem: FieProblem
 
@@ -225,8 +228,11 @@ def estimate_contraction(op: DiscreteOperator) -> float:
     A value below 1 certifies a strict contraction of the discrete map;
     values can exceed 1 slightly for operators that are non-expansive in
     the continuum, purely through quadrature.  A row sum that overflows
-    gives inf, without a warning.
+    gives inf, without a warning.  Weights applied as a map bring their
+    own closed-form norm.
     """
+    if not isinstance(op.matrix, np.ndarray):
+        return op.matrix.sup_norm()
     buf = np.empty((min(_BLOCK, op.n), op.n))
     blocks = np.split(op.matrix, range(_BLOCK, op.n, _BLOCK))
     with np.errstate(over="ignore"):

@@ -1,17 +1,20 @@
 """Two-point boundary problems through the equivalent integral equation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fredholm.bvp import BvpSpec, bvp_to_fie, ode_residual, recover_solution
+from fredholm.bvp import (BvpSpec, bvp_to_fie, green_operator, ode_residual,
+                          recover_solution)
 from fredholm.cli import run_example
 from fredholm.errors import ValidationError
 from fredholm.grid import uniform_grid
 from fredholm.network import (SolutionField, build_network, evaluation_layer,
                               forward)
-from fredholm.operator import FieProblem, KMSchedule, discretize
+from fredholm.operator import (FieProblem, KMSchedule, discretize,
+                               estimate_contraction)
 from fredholm.registry import airy_like_solution
 
 
@@ -62,6 +65,47 @@ def test_kernel_matches_branch_form_bitwise(p):
     values = np.random.default_rng(0).standard_normal(grid.n)
     assert np.array_equal(evaluation_layer(fie, grid, pts, values),
                           evaluation_layer(ref, grid, pts, values))
+
+
+@pytest.mark.parametrize("scheme,n", [
+    (scheme, n) for scheme in ("left", "midpoint", "closed")
+    for n in (1, 2, 31, 32, 33, 2001) if (scheme, n) != ("closed", 1)])
+def test_green_weights_match_dense_reference(scheme, n):
+    # g changes sign; the map's products are its two running sums
+    spec = BvpSpec(g=_as_arr(lambda x: np.exp(x) - 1.7),
+                   h=_as_arr(lambda x: np.cos(3.0 * x)), alpha=0.4, beta=-1.1)
+    grid = uniform_grid(0.0, 1.0, n, scheme=scheme)
+    op, ref = green_operator(spec, grid), discretize(bvp_to_fie(spec), grid)
+    assert op.matrix.shape == (n, n)
+    assert np.array_equal(np.asarray(op.matrix), ref.matrix)
+    assert np.array_equal(op.source, ref.source)
+    assert not op.source.flags.writeable
+    eps = np.finfo(float).eps
+    for seed in range(3):
+        v = np.random.default_rng(seed).standard_normal(n)
+        scale = np.max(np.abs(ref.matrix) @ np.abs(v))
+        assert np.max(np.abs(op.matrix @ v - ref.matrix @ v)) <= 4 * eps * scale
+    assert estimate_contraction(op) == pytest.approx(
+        estimate_contraction(ref), rel=1e-14, abs=0.0)
+
+
+def test_green_operator_refuses_a_grid_off_the_unit_interval():
+    with pytest.raises(ValidationError, match=r"spans \[0, 1\], not "
+                       r"\[0.0, 2.0\]"):
+        green_operator(_poly_spec(), uniform_grid(0.0, 2.0, 8))
+
+
+def test_bvp_run_holds_no_matrix():
+    # the dense weights of 2000 nodes were one 30.5 MiB array
+    run_example("bvp_p")  # lazy imports first
+    tracemalloc.start()
+    try:
+        bundle = run_example("bvp_p")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert bundle.metadata["grid_n"] == 2000
+    assert peak < 4 * 2 ** 20
 
 
 def test_kernel_continuous_across_diagonal():

@@ -255,6 +255,17 @@ def test_an_integer_past_the_str_digit_limit_is_invalid_json(tmp_path,
         f"error: config {str(path)!r} is not valid JSON: Exceeds the limit")
 
 
+def test_json_nested_past_the_recursion_limit_is_invalid(tmp_path, capsys):
+    # 100000 open arrays under "kind" once ended in a RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text('{"kind": ' + "[" * 100_000 + "}", encoding="utf-8")
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {str(path)!r} is not valid JSON: "
+                          "maximum recursion depth exceeded"), err
+    assert err.count("\n") == 1
+
+
 def _without(*keys):
     def mutate(config):
         for key in keys:

@@ -166,6 +166,7 @@ def test_a_sweep_deeper_than_the_run_is_refused_before_any_sample(config,
         raise AssertionError("a refused sweep reached its setup")
 
     with mock.patch.object(cli, "discretize", sample), \
+            mock.patch.object(cli, "green_operator", sample), \
             mock.patch.object(cli, "build_bie", sample), \
             pytest.raises(ValidationError) as exc:
         run_config(config, sweep_layers=sweep)
@@ -249,6 +250,7 @@ def test_runs_just_above_a_guard_are_refused_under_its_key(
         raise AssertionError("a guarded run reached its setup")
 
     with mock.patch.object(cli, "discretize", sample), \
+            mock.patch.object(cli, "green_operator", sample), \
             mock.patch.object(cli, "build_bie", sample):
         try:
             run_config(config, sweep_layers=sweep)
@@ -318,6 +320,7 @@ def test_a_corrupted_number_or_count_is_refused_under_its_key(drawn):
         raise AssertionError("a corrupted config reached a kernel sample")
 
     with mock.patch.object(cli, "discretize", sample), \
+            mock.patch.object(cli, "green_operator", sample), \
             mock.patch.object(cli, "build_bie", sample), \
             mock.patch.object(cli, "_sample", sample):
         with pytest.raises(ValidationError) as exc:

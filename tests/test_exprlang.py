@@ -123,6 +123,26 @@ def test_nesting_past_the_limit_is_refused_where_it_crosses(shape):
                               f"levels at offset {offset}")
 
 
+@pytest.mark.parametrize("levels", [_MAX_DEPTH, _MAX_DEPTH + 1, 5000])
+@pytest.mark.parametrize("node", [Neg, lambda t: Call("sin", t),
+                                  lambda t: BinOp("+", Num(1.0), t),
+                                  lambda t: BinOp("*", t, Var("x"))],
+                         ids=["neg", "call", "right operand", "left operand"])
+def test_a_hand_built_tree_past_the_limit_is_refused(node, levels):
+    # a 5000-deep chain of Neg once raised RecursionError in compile_fn
+    tree = Var("x")
+    for _ in range(levels):
+        tree = node(tree)
+    if levels <= _MAX_DEPTH:
+        assert np.isfinite(compile_fn(tree, ("x",))(np.array([0.5])))
+        return
+    with pytest.raises(ExprSyntaxError) as exc:
+        compile_fn(tree, ("x",))
+    assert str(exc.value) == (f"expression nested deeper than {_MAX_DEPTH} "
+                              "levels")
+    assert exc.value.offset is None
+
+
 def test_nesting_counts_the_deepest_path():
     # an operand at the limit puts its sum one level past it, and so do
     # parentheses around a chain at the limit
