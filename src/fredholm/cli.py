@@ -38,20 +38,23 @@ _DEFAULT_POLAR_QUERIES = {"r": "0:1:11", "phi": f"0:{2.0 * np.pi!r}:17"}
 # compare-fd's default --boundary data and --exact solution
 _FD_BOUNDARY, _FD_EXACT = "1 + cos(2*phi)", "1 + r^2*cos(2*phi)"
 
-# Cap on the dense cells of one run: N^2 for the kernel matrix, 9 (~73 B)
-# per layer for its recorded update, 128 per query point (~1050 B: its
-# P-vectors, report row and JSON text, the larger renderer's, which peaks
-# at ~1010 B on a polar lattice with exact values), 2 * min(P, 32) * N for
-# the kernel rows the 1-D kinds' blocked evaluation layer holds (one
-# buffer; the disc's potential holds only P- and N-vectors, so there the
-# charge is conservative) and, per layer of a sweep, a 20-cell table row.
-# An error sweep adds per layer its iterate in the (N, S) history and 9/8 per
-# error (the P x S table and its finite mask) and per G of the history
-# under G.  Under tracemalloc an N x N cell peaks at ~1.03 doubles (the
-# matrix, filled and scanned for q_est in 32-row blocks; a bvp holds
-# none, yet keeps its N^2 charge here and below); on 100 nodes at S =
-# layers = 2000 error sweeps peak at 0.84-0.86 of their charge, bvp_p's
-# update sweep at 0.37.  At 1.03 doubles the cap is ~390 MiB: N <= 7070.
+# Cap on the dense cells of one run: N^2 for the kernel matrix, 20 per
+# layer for its recorded update (~150 B once JSON renders it as a
+# layer_deltas entry), 128 per query point (~1050 B: its P-vectors, report
+# row and JSON text, the larger renderer's, which peaks at ~1010 B on a
+# polar lattice with exact values), 2 * min(P, 32) * N for the kernel rows
+# the 1-D kinds' blocked evaluation layer holds (one buffer; the disc's
+# potential holds only P- and N-vectors, so there the charge is
+# conservative) and, per layer of a sweep, a 60-cell table row (~460 B of
+# indented JSON, ~225 B of CSV).  An error sweep adds per layer its
+# iterate in the (N, S) history and 9/8 per error (the P x S table and its
+# finite mask) and per G of the history under G.  Under tracemalloc an
+# N x N cell peaks at ~1.03 doubles (the matrix, filled and scanned for
+# q_est in 32-row blocks; a bvp holds none, yet keeps its N^2 charge here
+# and below); on 100 nodes at S = layers = 2000 error sweeps peak at
+# 0.70-0.75 of their charge, and bvp_p on 200 nodes at S = layers = 20000
+# with its JSON at 0.82 (0.92 when every update prints at full length).
+# At 1.03 doubles the cap is ~390 MiB: N <= 7070.
 _MAX_CELLS = 50_000_000
 # Cap on the multiply-adds of one run, max(N^2, _LAYER_WORK) per matvec of
 # its forward pass (a layer costs ~17 us on 3 nodes) plus S N P for an
@@ -349,12 +352,12 @@ def run_config(config: dict, exact_override: Optional[Callable] = None,
                              f"{_SCHEMES}")
     count, make_points = spec["queries"](config)
     errors = spec["oracle"] and fn["exact"] is not None
-    held = 20  # per sweep layer: its table row
+    held = 60  # per sweep layer: its table row
     if errors:  # its iterate, P errors and, under G, G of it, each masked
         held += n + 9 * (count + (n if "nonlinearity" in fn else 0)) // 8
     _guard({spec["size"]: n * n,
             "queries": 128 * count + 2 * min(count, _BLOCK) * n,
-            "layers": 9 * layers, "sweep": sweep_n * held},
+            "layers": 20 * layers, "sweep": sweep_n * held},
            _MAX_CELLS, "dense cells", sweep_n, f"grid {n}, {count} query "
            f"points, {layers} layers and sweep {sweep_n}")
     _guard({"layers": (layers - 1) * max(n * n, _LAYER_WORK),

@@ -52,12 +52,10 @@ def as_number(value, name: str) -> float:
 
 
 class ExprSyntaxError(ValidationError):
-    """Malformed expression text.  Carries the byte offset of the failure,
-    or None for a tree built without text."""
+    """Malformed expression text.  Carries the byte offset of the failure."""
 
-    def __init__(self, message, offset=None):
-        super().__init__(message if offset is None
-                         else f"{message} at offset {offset}")
+    def __init__(self, message, offset):
+        super().__init__(f"{message} at offset {offset}")
         self.offset = offset
 
 

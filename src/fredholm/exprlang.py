@@ -18,7 +18,10 @@ negative value, 0 raised to a negative power, a negative base raised to a
 non-integer power, and division by zero all raise DomainError rather than
 producing NaN or inf, with a message that names the offending value.
 ``compile_fn`` builds a numpy-vectorized callable and is the one
-interpreter of the tree.
+interpreter of the tree: it flattens the tree into a postfix program run
+on a value stack, so a tree of any depth compiles and evaluates.  Only
+the parser's own nesting is limited, to _MAX_DEPTH levels of groups,
+calls, unary minus and exponents.
 """
 
 import math
@@ -41,13 +44,11 @@ CONSTANTS = {"pi": math.pi, "e": math.e}
 _NUMBER = re.compile(r"(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
-# The deepest an expression may nest.  Each '(' group, function call,
-# unary minus and binary operator is one level above its operands; the
-# parser returns each node with its height in levels.  It recurses about
-# 6 frames a level, ``compile_fn`` and its callable one, so this depth
-# stays far below the interpreter's recursion limit of 1000.  A tree built
-# by code is measured by ``compile_fn`` without recursion and refused
-# past the same depth.
+# The deepest the parser nests: each '(' group, function call, unary minus
+# and '^' exponent is one level below the construct that opens it, while a
+# '+ - * /' chain is parsed in a loop and adds none.  The parser recurses
+# about 6 frames a level, so this depth stays far below the interpreter's
+# recursion limit of 1000; ``compile_fn`` and its callable do not recurse.
 _MAX_DEPTH = 100
 
 
@@ -131,48 +132,43 @@ class _Parser:
             raise ExprSyntaxError(f"expected {text!r}",
                                   self.tokens[self.pos].offset)
 
-    def below(self, tok, parse, left=0):
+    def below(self, tok, parse):
         """``parse()`` as the operand one level below the construct at
-        ``tok``, whose left operand, if any, is ``left`` levels high: the
-        operand and the construct's height.  A construct that would nest
-        past _MAX_DEPTH is refused at ``tok`` before its operand is read."""
-        if self.depth + left >= _MAX_DEPTH:
+        ``tok``.  A construct that would nest past _MAX_DEPTH is refused at
+        ``tok`` before its operand is read."""
+        if self.depth >= _MAX_DEPTH:
             raise ExprSyntaxError(
                 f"expression nested deeper than {_MAX_DEPTH} levels",
                 tok.offset)
         self.depth += 1
-        node, height = parse()
+        node = parse()
         self.depth -= 1
-        return node, 1 + max(left, height)
+        return node
 
     def expr(self):
-        node, height = self.term()
+        node = self.term()
         while tok := self.accept("+-"):
-            right, height = self.below(tok, self.term, height)
-            node = BinOp(tok.text, node, right)
-        return node, height
+            node = BinOp(tok.text, node, self.term())
+        return node
 
     def term(self):
-        node, height = self.factor()
+        node = self.factor()
         while tok := self.accept("*/"):
-            right, height = self.below(tok, self.factor, height)
-            node = BinOp(tok.text, node, right)
-        return node, height
+            node = BinOp(tok.text, node, self.factor())
+        return node
 
     def factor(self):
         if tok := self.accept("-"):
-            child, height = self.below(tok, self.factor)
-            return Neg(child), height
+            return Neg(self.below(tok, self.factor))
         return self.power()
 
     def power(self):
-        base, height = self.atom()
+        base = self.atom()
         if tok := self.accept("^"):
             # recurse through factor so the exponent may be negative and
             # chained powers associate to the right
-            exponent, height = self.below(tok, self.factor, height)
-            return BinOp("^", base, exponent), height
-        return base, height
+            return BinOp("^", base, self.below(tok, self.factor))
+        return base
 
     def atom(self):
         tok = self.tokens[self.pos]
@@ -182,32 +178,32 @@ class _Parser:
             return group
         if tok.kind == "num":
             self.pos += 1
-            return Num(float(tok.text)), 0
+            return Num(float(tok.text))
         if tok.kind == "name":
             self.pos += 1
             if self.accept("("):
                 if tok.text not in FUNCTIONS:
                     raise ExprSyntaxError(
                         f"unknown function {tok.text!r}", tok.offset)
-                arg, height = self.below(tok, self.expr)
+                arg = self.below(tok, self.expr)
                 self.expect_op(")")
-                return Call(tok.text, arg), height
+                return Call(tok.text, arg)
             if tok.text in CONSTANTS:
-                return Num(CONSTANTS[tok.text]), 0
+                return Num(CONSTANTS[tok.text])
             if tok.text in FUNCTIONS:
                 raise ExprSyntaxError(
                     f"function {tok.text!r} used without arguments", tok.offset)
-            return Var(tok.text), 0
+            return Var(tok.text)
         raise ExprSyntaxError(
             "expected a number, name, '(' or unary '-'", tok.offset)
 
 
 def parse(text):
     """Parse expression text into an AST.  Raises ExprSyntaxError with the
-    byte offset of the first problem, one being a construct nested past
-    _MAX_DEPTH levels."""
+    byte offset of the first problem, one being a '(' group, function
+    call, unary minus or '^' exponent nested past _MAX_DEPTH levels."""
     parser = _Parser(_tokenize(text))
-    node, _ = parser.expr()
+    node = parser.expr()
     tail = parser.tokens[parser.pos]
     if tail.kind != "end":
         raise ExprSyntaxError(f"unexpected trailing input {tail.text!r}",
@@ -270,61 +266,55 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
            "/": _vec_div, "^": _vec_pow}
 
 
-def _check_height(expr):
-    """Refuse a tree more than _MAX_DEPTH levels high, as ``parse``
-    refuses its text, walking it with a stack instead of recursion.  A
-    node's children are its fields that are nodes (tuples)."""
-    stack = [(expr, 0)]
-    while stack:
-        node, level = stack.pop()
-        kids = [kid for kid in node if isinstance(kid, tuple)]
-        if kids and level >= _MAX_DEPTH:
-            raise ExprSyntaxError(
-                f"expression nested deeper than {_MAX_DEPTH} levels")
-        stack.extend((kid, level + 1) for kid in kids)
-
-
 def compile_fn(expr, params):
     """Compile an AST into a numpy-broadcasting callable f(*arrays).
 
     ``params`` fixes the positional argument order.  Free variables must be
-    a subset of params.  A tree more than _MAX_DEPTH levels high is
-    refused with ExprSyntaxError, as ``parse`` refuses its text.  Domain
-    violations raise DomainError naming the first offending value, never
-    a silent NaN or inf; an overflow (exp of a large value) still gives
-    inf.
+    a subset of params.  The tree is flattened into a postfix program, each
+    node after its operands and a left operand before its right one, and
+    the callable runs that program on a value stack, so neither compiling
+    nor calling recurses, however tall the tree.  Domain violations raise
+    DomainError naming the first offending value, never a silent NaN or
+    inf; an overflow (exp of a large value) still gives inf.
     """
-    _check_height(expr)
     params = tuple(params)
     extra = set()
-
-    def build(node):
+    # (arity, f) steps: f(args) pushes a leaf, f(*operands) a node's value.
+    # They are listed in a preorder that visits right operands first, the
+    # postfix order reversed; a node's operands are its fields that are
+    # nodes (tuples).
+    program, pending = [], [expr]
+    while pending:
+        node = pending.pop()
+        pending.extend(kid for kid in node if isinstance(kid, tuple))
         if isinstance(node, Num):
-            v = node.value
-            return lambda args: v
-        if isinstance(node, Var):
+            program.append((0, lambda args, v=node.value: v))
+        elif isinstance(node, Var):
             if node.name not in params:
                 extra.add(node.name)
-                return None
-            i = params.index(node.name)
-            return lambda args: args[i]
-        if isinstance(node, Neg):
-            f = build(node.child)
-            return lambda args: -f(args)
-        if isinstance(node, BinOp):  # the left operand is evaluated first
-            fl, fr, op = build(node.left), build(node.right), _BINARY[node.op]
-            return lambda args: op(fl(args), fr(args))
-        fa = build(node.arg)
-        fn = _VEC_FUNCS[node.func]
-        return lambda args: fn(fa(args))
-
-    body = build(expr)
+                continue
+            program.append((0, operator.itemgetter(params.index(node.name))))
+        elif isinstance(node, Neg):
+            program.append((1, operator.neg))
+        elif isinstance(node, BinOp):
+            program.append((2, _BINARY[node.op]))
+        else:
+            program.append((1, _VEC_FUNCS[node.func]))
+    program.reverse()
     if extra:
         raise UnboundVariableError(f"unexpected variable(s) {sorted(extra)}; "
                                    f"allowed: {list(params)}")
 
     def call(*args):
-        return body(args)
+        stack = []
+        for arity, f in program:
+            if arity == 0:
+                stack.append(f(args))
+            elif arity == 1:
+                stack[-1] = f(stack[-1])
+            else:
+                right = stack.pop()
+                stack[-1] = f(stack[-1], right)
+        return stack[0]
 
     return call
-

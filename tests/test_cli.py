@@ -225,13 +225,13 @@ _PAST_A_FLOAT = 10 ** 400
     (["solve", {"grid_n": _PAST_A_FLOAT}], "config key 'grid_n': grid 1000",
      "need 1.00e+800 dense cells"),
     (["solve", {"layers": _PAST_A_FLOAT}], "config key 'layers': grid 200,",
-     "need 9.00e+400 dense cells"),
+     "need 2.00e+401 dense cells"),
     (["solve", {"queries": f"0:1:{_PAST_A_FLOAT}"}],
      "config key 'queries': grid 200,", "need 1.28e+402 dense cells"),
     (["example", "laplace_disc", "--grid", str(_PAST_A_FLOAT)],
      "config key 'theta_n': grid 1000", "need 1.00e+800 dense cells"),
     (["example", "ex1", "--layers", str(_PAST_A_FLOAT), "--sweep",
-      str(_PAST_A_FLOAT)], "sweep depth 1000", "need 2.26e+403 dense cells"),
+      str(_PAST_A_FLOAT)], "sweep depth 1000", "need 2.31e+403 dense cells"),
 ], ids=["grid_n", "layers", "queries", "theta_n_flag", "sweep_flag"])
 def test_counts_past_a_float_are_refused_under_their_key(
         tmp_path, capsys, monkeypatch, argv, head, need):
@@ -503,10 +503,10 @@ def test_query_flag_refused_before_any_sample(monkeypatch, capsys):
      "sweep 0 need 5.53e+07 dense cells, over the cap of 5e+07"),
     ("ex1", {"grid_n": 3, "layers": 6 * 10 ** 6}, None,
      "config key 'layers': grid 3, 201 query points, 6000000 layers and "
-     "sweep 0 need 5.4e+07 dense cells, over the cap of 5e+07"),
+     "sweep 0 need 1.2e+08 dense cells, over the cap of 5e+07"),
     ("ex2", {"layers": 10 ** 5}, 10 ** 5,
      "sweep depth 100000: grid 2000, 201 query points, 100000 layers and "
-     "sweep 100000 need 2.3e+08 dense cells, over the cap of 5e+07"),
+     "sweep 100000 need 2.35e+08 dense cells, over the cap of 5e+07"),
     ("ex1", {"layers": 10 ** 6}, None,
      "config key 'layers': 1000000 layers and sweep 0 on grid 2000 need "
      "4e+12 multiply-adds, over the cap of 9e+11"),
@@ -587,12 +587,12 @@ def test_short_kappa_sequence_refused_before_allocation(monkeypatch):
 
 def test_work_guard_refuses_before_allocation(monkeypatch, capsys):
     _refuse_allocation(monkeypatch)
-    # one node: 1 + 128 + 2 cells and 9 cells per layer, so the cell cap
-    # stops the run at 5555541 layers, long before their fixed cost of
+    # one node: 1 + 128 + 2 cells and 20 cells per layer, so the cell cap
+    # stops the run at 2499993 layers, long before their fixed cost of
     # _LAYER_WORK multiply-adds each reaches the work cap
     one_node = dict(LINEAR_CONFIG, grid_n=1, grid_scheme="left",
                     queries=[0.5])
-    layers = (cli._MAX_CELLS - 131) // 9
+    layers = (cli._MAX_CELLS - 131) // 20
     with pytest.raises(_Allocated):
         run_config(dict(one_node, layers=layers))
     with pytest.raises(ValidationError, match="dense cells"):
@@ -746,6 +746,36 @@ def test_sweep_holds_no_more_than_its_charge(name):
         with pytest.raises(ValidationError,
                            match="^sweep depth 2000: .* dense cells"):
             run(2000)
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1e-4])
+def test_deep_sweep_rendered_as_json_holds_no_more_than_its_charge(
+        monkeypatch, kappa):
+    # bvp_p on 200 nodes with layers = sweep = 20000: JSON's indented text
+    # holds ~150 B per layer for its layer_deltas entry and ~460 B per
+    # sweep row, most of the run.  At kappa 1e-4 no update reaches 0.0,
+    # so every value prints at full length; at 9 cells per layer and 20
+    # per row the run with its JSON peaked at 2.1 and 2.4 times the charge
+    charged = []
+
+    def spy(charge, cap, unit, *rest):
+        if unit == "dense cells":
+            charged.append(sum(charge.values()))
+        return guard(charge, cap, unit, *rest)
+
+    guard = cli._guard
+    monkeypatch.setattr(cli, "_guard", spy)
+    overrides = {"grid_n": 200, "layers": 20000, "kappa": kappa}
+    run_example("bvp_p", overrides=dict(overrides, layers=10))  # imports
+    tracemalloc.start()
+    try:
+        text = render_json(run_example("bvp_p", sweep_layers=20000,
+                                       overrides=overrides))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert json.loads(text)["sweep"]["rows"][-1][0] == 20000
+    assert peak < charged[-1] * 8 * 1.03
 
 
 def test_shallow_sweep_keeps_only_its_iterates(monkeypatch):

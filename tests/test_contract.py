@@ -218,10 +218,10 @@ def _over_a_guard(kind, guard, over, small, n, rings):
                                      rings)
         return config, sweep, "queries", "dense cells"
     if guard == "layers":  # each layer records its update
-        config["layers"] = cli._MAX_CELLS // 9 + over
+        config["layers"] = cli._MAX_CELLS // 20 + over
     elif guard == "sweep":  # S = layers records and rows, P > N
         config["queries"] = _queries(kind, 101, 1)
-        held = 9 + 20
+        held = 20 + 60
         if kind.endswith("_fie"):  # errors: S iterates, errors, G's copy
             config["exact"] = "1"
             held += small + 9 * (101 + small * (kind == "nonlinear_fie")) // 8

@@ -110,12 +110,20 @@ _DEEP = {
 }
 
 
+# the chains of '+ - * /' are parsed in a loop and add no level
+_LOOPED = {"sum chain", "product chain"}
+
+
 @pytest.mark.parametrize("shape", sorted(_DEEP))
 def test_nesting_past_the_limit_is_refused_where_it_crosses(shape):
-    # 197 parentheses or a 992-term sum once raised RecursionError
-    text, value, _ = _DEEP[shape](_MAX_DEPTH)
+    # 197 parentheses or a 992-term sum once raised RecursionError; a
+    # 1000-operator chain never crosses the limit, so it parses and runs
+    levels = 1000 if shape in _LOOPED else _MAX_DEPTH
+    text, value, _ = _DEEP[shape](levels)
     got = compile_fn(parse(text), ("x",))(np.array([1.2]))
     assert got == pytest.approx([value], rel=1e-12)  # numpy's sin and pow
+    if shape in _LOOPED:
+        return
     text, _, offset = _DEEP[shape](_MAX_DEPTH + 1)
     with pytest.raises(ExprSyntaxError) as exc:
         parse(text)
@@ -124,36 +132,38 @@ def test_nesting_past_the_limit_is_refused_where_it_crosses(shape):
 
 
 @pytest.mark.parametrize("levels", [_MAX_DEPTH, _MAX_DEPTH + 1, 5000])
-@pytest.mark.parametrize("node", [Neg, lambda t: Call("sin", t),
-                                  lambda t: BinOp("+", Num(1.0), t),
-                                  lambda t: BinOp("*", t, Var("x"))],
-                         ids=["neg", "call", "right operand", "left operand"])
-def test_a_hand_built_tree_past_the_limit_is_refused(node, levels):
-    # a 5000-deep chain of Neg once raised RecursionError in compile_fn
-    tree = Var("x")
+@pytest.mark.parametrize("node,fold", [
+    (Neg, operator.neg),
+    (lambda t: Call("sin", t), math.sin),
+    (lambda t: BinOp("+", Num(1.0), t), lambda v: 1.0 + v),
+    (lambda t: BinOp("*", t, Var("x")), lambda v: v * 0.5)],
+    ids=["neg", "call", "right operand", "left operand"])
+def test_a_hand_built_tree_past_the_limit_is_refused(node, fold, levels):
+    # only the parser's nesting is limited: a hand-built tree of any height
+    # compiles and runs (a 5000-deep chain of Neg once raised
+    # RecursionError in compile_fn)
+    tree, value = Var("x"), 0.5
     for _ in range(levels):
-        tree = node(tree)
-    if levels <= _MAX_DEPTH:
-        assert np.isfinite(compile_fn(tree, ("x",))(np.array([0.5])))
-        return
-    with pytest.raises(ExprSyntaxError) as exc:
-        compile_fn(tree, ("x",))
-    assert str(exc.value) == (f"expression nested deeper than {_MAX_DEPTH} "
-                              "levels")
-    assert exc.value.offset is None
+        tree, value = node(tree), fold(value)
+    got = compile_fn(tree, ("x",))(np.array([0.5]))
+    assert got == pytest.approx([value], rel=1e-12)
 
 
 def test_nesting_counts_the_deepest_path():
-    # an operand at the limit puts its sum one level past it, and so do
-    # parentheses around a chain at the limit
+    # operators add no level: 100 parentheses parse on either side of a
+    # sum and around a 100-operator chain, and the 101st opener is
+    # refused at its own offset wherever it stands
     deep = _DEEP["parentheses"](_MAX_DEPTH)[0]
-    for text, offset in ((f"x + {deep}", 4 + _MAX_DEPTH - 1),
-                         (f"{deep} + x", 2 * _MAX_DEPTH + 2),
-                         ("(" + "x+" * _MAX_DEPTH + "x)", 2 * _MAX_DEPTH)):
+    for text in (f"x + {deep}", f"{deep} + x",
+                 "(" * _MAX_DEPTH + "x+" * _MAX_DEPTH + "x" + ")" * _MAX_DEPTH):
+        parse(text)
+    deeper = _DEEP["parentheses"](_MAX_DEPTH + 1)[0]
+    for text, offset in ((f"x + {deeper}", 4 + _MAX_DEPTH),
+                         (f"{deeper} * x", _MAX_DEPTH),
+                         ("-(" * 50 + "(x)" + ")" * 50, _MAX_DEPTH)):
         with pytest.raises(ExprSyntaxError) as exc:
             parse(text)
         assert exc.value.offset == offset
-    parse(_DEEP["parentheses"](_MAX_DEPTH - 1)[0] + " + x")
 
 
 @pytest.mark.parametrize("text", [
@@ -214,17 +224,17 @@ _MATH_FUNCS = {name: getattr(math, name) for name in FUNCTIONS
                if name != "abs"} | {"abs": abs}
 
 
-def _math_eval(node, env):
+def _math_eval(node, env, ops=_MATH_OPS, funcs=_MATH_FUNCS):
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
         return env[node.name]
     if isinstance(node, Neg):
-        return -_math_eval(node.child, env)
+        return -_math_eval(node.child, env, ops, funcs)
     if isinstance(node, BinOp):
-        return _MATH_OPS[node.op](_math_eval(node.left, env),
-                                  _math_eval(node.right, env))
-    return _MATH_FUNCS[node.func](_math_eval(node.arg, env))
+        return ops[node.op](_math_eval(node.left, env, ops, funcs),
+                            _math_eval(node.right, env, ops, funcs))
+    return funcs[node.func](_math_eval(node.arg, env, ops, funcs))
 
 
 @pytest.mark.parametrize("text", [
@@ -327,3 +337,46 @@ def test_compile_refuses_exactly_the_unbound_names(tree):
             compile_fn(tree, params)
         assert str(exc.value) == (f"unexpected variable(s) {missing}; "
                                   f"allowed: {params}")
+
+
+def _defined(tree, env):
+    """Whether every node of ``tree`` is defined and finite under the
+    scalar oracle at ``env``."""
+    pending = [tree]
+    while pending:
+        node = pending.pop()
+        try:
+            if not math.isfinite(_math_eval(node, env)):
+                return False
+        except (ValueError, ZeroDivisionError, OverflowError):
+            return False
+        pending.extend(kid for kid in node if isinstance(kid, tuple))
+    return True
+
+
+# numpy's exp, log, tan and pow differ from the math module's in the last
+# ulp at some points, and a node such as sin(332909.341796875^x) at
+# x = 0.99999 carries that past any relative tolerance, so the values are
+# compared on the same walk over numpy's scalar functions
+_NUMPY_OPS = _MATH_OPS | {"^": np.power}
+_NUMPY_FUNCS = {name: getattr(np, name) for name in FUNCTIONS}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees(), st.floats(min_value=-4.0, max_value=4.0))
+def test_compile_runs_any_tree_as_the_scalar_oracle(tree, value):
+    # the postfix program against the tree walk: both refuse the point (an
+    # undefined or overflowing node; numpy raises on the overflow the
+    # oracle would carry as inf), or both give the same value, bit for bit
+    names = sorted(_var_names(tree))
+    env = dict.fromkeys(names, np.float64(value))
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = compile_fn(tree, names)(*env.values())
+            want = _math_eval(tree, env, _NUMPY_OPS, _NUMPY_FUNCS)
+    except (DomainError, FloatingPointError):
+        got = None
+    if _defined(tree, dict.fromkeys(names, value)):
+        assert got is not None and float(got) == float(want)
+    else:
+        assert got is None or not np.isfinite(got)
