@@ -113,13 +113,6 @@ class GreenWeights:
             raise ValueError("the weights are computed, not stored")
         return np.asarray(discretize(self.problem, self.grid).matrix, dtype)
 
-    def sup_norm(self) -> float:
-        """||A||_inf, the largest row sum of |A[i, j]|: the product of a
-        field of ones with |g|, as every node in [0, 1] makes z_j and
-        1 - z_j non-negative."""
-        return float(np.max(self._apply(np.ones(self.grid.n),
-                                        np.abs(self._g))))
-
 
 def green_operator(spec: BvpSpec, grid: Grid1D) -> DiscreteOperator:
     """The operator of ``bvp_to_fie(spec)`` on ``grid``, a grid of [0, 1],
@@ -134,8 +127,10 @@ def green_operator(spec: BvpSpec, grid: Grid1D) -> DiscreteOperator:
     _sample(spec.h, (z,), "h", "node x[{i}]={v[0]!r}")
     problem = bvp_to_fie(spec)
     source = _sample(problem.source, (z,), "source", "node z[{i}]={v[0]!r}")
-    return DiscreteOperator(grid, GreenWeights(problem, grid, g),
-                            source.copy(), problem)
+    weights = GreenWeights(problem, grid, g)
+    # ||A||_inf in closed form, ones under |g|: z_j, 1 - z_j >= 0 on [0, 1]
+    norm = float(np.max(weights._apply(np.ones(grid.n), np.abs(g))))
+    return DiscreteOperator(grid, weights, source.copy(), problem, norm)
 
 
 def recover_solution(net: FixedPointNet, field: SolutionField, spec: BvpSpec,

@@ -49,11 +49,11 @@ _FD_BOUNDARY, _FD_EXACT = "1 + cos(2*phi)", "1 + r^2*cos(2*phi)"
 # indented JSON, ~225 B of CSV).  An error sweep adds per layer its
 # iterate in the (N, S) history and 9/8 per error (the P x S table and its
 # finite mask) and per G of the history under G.  Under tracemalloc an
-# N x N cell peaks at ~1.03 doubles (the matrix, filled and scanned for
-# q_est in 32-row blocks; a bvp holds none, yet keeps its N^2 charge here
-# and below); on 100 nodes at S = layers = 2000 error sweeps peak at
-# 0.70-0.75 of their charge, and bvp_p on 200 nodes at S = layers = 20000
-# with its JSON at 0.82 (0.92 when every update prints at full length).
+# N x N cell peaks at ~1.03 doubles (the matrix, whose 32-row fill records
+# q_est; a bvp holds none, yet keeps its N^2 charge here and below); on
+# 100 nodes at S = layers = 2000 error sweeps peak at 0.70-0.75 of their
+# charge, and bvp_p on 200 nodes at S = layers = 20000 with its JSON at
+# 0.82 (0.92 when every update prints at full length).
 # At 1.03 doubles the cap is ~390 MiB: N <= 7070.
 _MAX_CELLS = 50_000_000
 # Cap on the multiply-adds of one run, max(N^2, _LAYER_WORK) per matvec of
@@ -224,9 +224,10 @@ def _rows(points, values, exact=None):
             for *p, v, e in zip(*points, map(float, values), exact)]
 
 
-def _contraction(q, net, field) -> dict:
+def _contraction(net, field) -> dict:
     """``q_est`` = ||A||_inf and the bound Q/(1 - Q) delta_M on the last
     layer's ||h_M - h*||, Q = kappa_M q + 1 - kappa_M (None if >= 1)."""
+    q = estimate_contraction(net.op)
     kappa = net.schedule.at(len(field.deltas))
     lip = kappa * q + (1.0 - kappa)  # may be inf, which has no bound
     return {"q_est": q, "iteration_error_bound": (
@@ -238,16 +239,14 @@ def _fie(fn, grid, pts):
     problem = FieProblem(kernel=fn["kernel"], source=fn["source"],
                          nonlinearity=fn.get("nonlinearity"))
     op = discretize(problem, grid)
-    q = estimate_contraction(op) if problem.nonlinearity is None else None
     return op, lambda net, field: (
         (pts,), query(net, field, pts),
-        {} if q is None else _contraction(q, net, field))
+        _contraction(net, field) if problem.nonlinearity is None else {})
 
 
 def _bvp(fn, grid, pts):
     spec = BvpSpec(fn["g"], fn["h"], fn["alpha"], fn["beta"])
     op = green_operator(spec, grid)  # names g and h, not the FIE's kernel
-    q = estimate_contraction(op)
 
     def readout(net, field):
         y = recover_solution(net, field, spec, pts)
@@ -256,7 +255,7 @@ def _bvp(fn, grid, pts):
         except ValidationError:
             residual = None
         return (pts,), y, {
-            **_contraction(q, net, field),
+            **_contraction(net, field),
             "ode_residual": residual,
             "alpha": spec.alpha, "beta": spec.beta,
         }

@@ -18,6 +18,7 @@ non-expansive (q = 1) case converge.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -30,9 +31,9 @@ __all__ = [
     "discretize", "estimate_contraction", "residual_norm",
 ]
 
-# Rows per block when the kernel fills the matrix, when the matrix is scanned
-# and when the evaluation layers build their kernel rows: no other N x N or
-# P x N array is allocated, and row arithmetic is unchanged.
+# Rows per block when the kernel fills the matrix and when the evaluation
+# layers build their kernel rows: no other N x N or P x N array is
+# allocated, and row arithmetic is unchanged.
 _BLOCK = 32
 
 
@@ -86,13 +87,15 @@ class DiscreteOperator:
     are marked read-only so a network built on top can share them
     safely.  ``problem`` is the continuous problem discretized: its
     callables serve off-grid evaluation and its ``activation`` the hidden
-    layers of a net over the operator.
+    layers of a net over the operator.  ``sup_norm``, recorded as the
+    weights are built, is ||A||_inf = max_i sum_j |A[i, j]| (inf on overflow).
     """
 
     grid: Grid1D
     matrix: np.ndarray  # or, for a bvp, a GreenWeights map
     source: np.ndarray
     problem: FieProblem
+    sup_norm: float
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
@@ -140,20 +143,40 @@ class KMSchedule:
 
 
 def discretize(problem: FieProblem, grid: Grid1D) -> DiscreteOperator:
-    """Sample kernel and source on the grid.
+    """Sample kernel and source on the grid in one pass over the matrix.
 
     matrix[i, j] = K(z_i, z_j) * dz and source[i] = g(z_i).  Every sample
-    must be defined and finite; the first offending node (pair) is named
-    otherwise.
+    must be defined and finite, else the first bad node (pair) is named;
+    each block is judged by its |A| row sums, whose max is ``sup_norm``.
     """
-    z, n = grid.nodes, grid.n
-    a = np.empty((n, n))
-    for lo in range(0, n, _BLOCK):
-        _sample(problem.kernel, (z[lo:lo + _BLOCK, None], z[None, :]),
-                "kernel", "nodes (z[{i}]={v[0]!r}, z[{j}]={v[1]!r})", lo,
-                weight=grid.spacing, out=a[lo:lo + _BLOCK])
+    z, n, dz, col = grid.nodes, grid.n, grid.spacing, grid.nodes[None, :]
+    a, sums = np.empty((n, n)), np.empty(n)
+    # ufunc buffers of one row: wider ones copy each broadcast operand
+    old = np.setbufsize(max(16, min(n, np.getbufsize()) // 16 * 16))
+    try:
+        with np.errstate(all="ignore"):
+            for lo in range(0, n, _BLOCK):
+                rows, args = a[lo:lo + _BLOCK], (z[lo:lo + _BLOCK, None], col)
+                search = partial(_sample, problem.kernel, args, "kernel",
+                                 "nodes (z[{i}]={v[0]!r}, z[{j}]={v[1]!r})",
+                                 lo, weight=dz, out=rows)  # names a bad pair
+                try:
+                    k = np.asarray(problem.kernel(*args), dtype=float)
+                except DomainError:
+                    search()
+                    raise  # no single pair reproduces it
+                m = len(k) if k.ndim > 1 else 1  # K blind to x: rows alike
+                np.abs(np.multiply(k, dz, out=rows[:m]), out=rows[:m]).sum(
+                    axis=1, out=sums[lo:lo + m])  # |A| in the rows, then A
+                np.multiply(k, dz, out=rows)
+                del k  # not held while the next block is sampled
+                sums[lo + m:lo + _BLOCK] = sums[lo]
+                if not sums[lo:lo + _BLOCK].max() < np.inf:
+                    search()  # passes a block whose sum alone overflowed
+    finally:
+        np.setbufsize(old)
     g = _sample(problem.source, (z,), "source", "node z[{i}]={v[0]!r}")
-    return DiscreteOperator(grid, a, g.copy(), problem)
+    return DiscreteOperator(grid, a, g.copy(), problem, float(sums.max()))
 
 
 def _sample(fn, args, key, at, lo=0, nan_only=False, weight=1.0,
@@ -222,22 +245,8 @@ def _undefined_at(fn, args):
 
 
 def estimate_contraction(op: DiscreteOperator) -> float:
-    """Induced sup-norm of A: max over rows of sum |A[i, j]|.
-
-    This bounds the Lipschitz constant of f -> g + A f in the max norm.
-    A value below 1 certifies a strict contraction of the discrete map;
-    values can exceed 1 slightly for operators that are non-expansive in
-    the continuum, purely through quadrature.  A row sum that overflows
-    gives inf, without a warning.  Weights applied as a map bring their
-    own closed-form norm.
-    """
-    if not isinstance(op.matrix, np.ndarray):
-        return op.matrix.sup_norm()
-    buf = np.empty((min(_BLOCK, op.n), op.n))
-    blocks = np.split(op.matrix, range(_BLOCK, op.n, _BLOCK))
-    with np.errstate(over="ignore"):
-        return float(np.max([np.abs(rows, out=buf[:len(rows)]).sum(axis=1)
-                             .max() for rows in blocks]))
+    """The operator's recorded ``sup_norm``, ||A||_inf."""
+    return op.sup_norm
 
 
 def residual_norm(op: DiscreteOperator) -> float:

@@ -42,14 +42,15 @@ class ReportBundle:
 
 
 def _fmt(value) -> str:
+    # a float first, and the builtin by its type: most cells are one
+    if type(value) is float or isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
     return str(value)
 
 
@@ -74,10 +75,9 @@ def render_csv(bundle: ReportBundle) -> str:
         if len(row) != len(bundle.columns):
             raise ValidationError(
                 f"row width {len(row)} != {len(bundle.columns)} columns")
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(map(_fmt, row)))
     if bundle.sweep is not None:
-        lines.append("")
-        lines.append(f"layers,{bundle.sweep_column}")
+        lines += ["", f"layers,{bundle.sweep_column}"]
         for m, err in bundle.sweep:
             lines.append(f"{_fmt(int(m))},{_fmt(float(err))}")
     return "\n".join(lines) + "\n"
@@ -123,12 +123,9 @@ def write_report(bundle: ReportBundle, fmt: str, out_path: Optional[str],
                  stream=None) -> str:
     """Render and either write to ``out_path`` or print to ``stream``.
     Returns the rendered text."""
-    if fmt == "csv":
-        text = render_csv(bundle)
-    elif fmt == "json":
-        text = render_json(bundle)
-    else:
+    if fmt not in ("csv", "json"):
         raise ValidationError(f"unknown output format {fmt!r}")
+    text = render_csv(bundle) if fmt == "csv" else render_json(bundle)
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8", newline="\n") as fh:

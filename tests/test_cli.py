@@ -1326,7 +1326,7 @@ def test_nonlinear_sweep_reads_the_run_pass(monkeypatch):
 
 def test_nonlinear_and_disc_runs_scan_no_contraction(monkeypatch):
     # ||A|| is no contraction constant of u -> g + A G(u) or of the
-    # non-expansive BIE operator, so neither kind computes or reports it
+    # non-expansive BIE operator, so neither kind reads or reports it
     def scan(op):
         raise AssertionError("scanned for a contraction constant")
 

@@ -281,7 +281,8 @@ def test_dense_solve_two_node_oracle():
     grid = uniform_grid(0.0, 1.0, 2, scheme="left")
     op = DiscreteOperator(grid=grid,
                           matrix=np.array([[0.1, 0.2], [0.3, 0.4]]),
-                          source=np.array([1.0, 1.0]), problem=_NO_PROBLEM)
+                          source=np.array([1.0, 1.0]), problem=_NO_PROBLEM,
+                          sup_norm=0.3 + 0.4)
     field = dense_solve(op)
     assert np.allclose(field.values, [5.0 / 3.0, 2.5], rtol=1e-14, atol=0)
     # fixed point of f = g + A f
@@ -299,7 +300,7 @@ def test_dense_solve_zero_kernel_returns_source():
 def test_dense_solve_singular_system():
     grid = uniform_grid(0.0, 1.0, 3, scheme="left")
     op = DiscreteOperator(grid=grid, matrix=np.eye(3), source=np.ones(3),
-                          problem=_NO_PROBLEM)
+                          problem=_NO_PROBLEM, sup_norm=1.0)
     with pytest.raises(SingularSystemError):
         dense_solve(op)
 

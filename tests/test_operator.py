@@ -1,6 +1,7 @@
 """Operator discretization, damped stepping, contraction statistics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,12 +16,14 @@ from fredholm.network import build_network, dense_solve, forward
 
 
 def _two_node_op():
-    """A hand-set matrix; its linear problem gives the net its activation."""
+    """A hand-set matrix and its norm; its linear problem gives the net
+    its activation."""
     grid = uniform_grid(0.0, 1.0, 2, scheme="left")
     return DiscreteOperator(grid=grid,
                             matrix=np.array([[0.1, 0.2], [0.3, 0.4]]),
                             source=np.array([1.0, 1.0]),
-                            problem=FieProblem(kernel=None, source=None))
+                            problem=FieProblem(kernel=None, source=None),
+                            sup_norm=0.3 + 0.4)
 
 
 def _km_step(op, f, kappa):
@@ -92,11 +95,12 @@ def _dense_discretize(problem, grid):
         raise DomainError(f"source is not finite at node z[{i}]="
                           f"{float(z[i])!r}: {float(g[i])!r}")
     return DiscreteOperator(grid=grid, matrix=np.ascontiguousarray(a),
-                            source=g.copy(), problem=problem)
+                            source=g.copy(), problem=problem,
+                            sup_norm=_dense_contraction(a))
 
 
-def _dense_contraction(op):
-    return float(np.max(np.sum(np.abs(op.matrix), axis=1)))
+def _dense_contraction(a):
+    return float(np.max(np.sum(np.abs(a), axis=1)))
 
 
 _KERNELS = {
@@ -106,6 +110,8 @@ _KERNELS = {
         -1.0 / (2.0 * np.pi), np.broadcast_shapes(np.shape(x), np.shape(z))),
     "separable": lambda x, z: np.sin(x) * np.cos(z),
     "nonsymmetric": lambda x, z: np.exp(x - 2.0 * z) + x * z ** 2,
+    # a power and a quotient of broadcast operands
+    "compiled_power": compile_fn(parse("(x + 1)^z / (1 + x*z)"), ("x", "z")),
     # hands back the caller's own node array
     "aliasing": lambda x, z: z,
 }
@@ -124,7 +130,8 @@ def test_blocked_kernels_match_dense_reference(kernel, scheme, n):
     assert np.array_equal(grid.nodes, nodes)
     assert np.array_equal(op.matrix, ref.matrix)
     assert np.array_equal(op.source, ref.source)
-    assert estimate_contraction(op) == _dense_contraction(ref)
+    assert estimate_contraction(op) == _dense_contraction(ref.matrix)
+    assert estimate_contraction(ref) == _dense_contraction(ref.matrix)
 
 
 def test_bad_kernel_pair_in_a_later_block():
@@ -148,6 +155,75 @@ def test_bad_kernel_pair_in_a_later_block():
     assert messages[0] == (f"kernel is not finite at nodes (z[{row}]="
                            f"{float(z[row])!r}, z[{col}]={float(z[col])!r}): "
                            "inf")
+
+
+def test_row_of_both_infinities_is_named_at_its_first_pair():
+    # the row's signed sum would be nan; its |A| sum is inf: either way
+    # the block is searched, and the first pair row-major is named
+    grid = uniform_grid(0.0, 1.0, 2 * _BLOCK + 1)
+    z = grid.nodes
+    row = _BLOCK + 5
+
+    def kernel(x, zz):
+        return np.where(x == z[row], np.where(zz == z[3], -np.inf,
+                                              np.where(zz == z[9], np.inf,
+                                                       1.0)), 1.0)
+
+    with pytest.raises(DomainError) as exc:
+        discretize(FieProblem(kernel=kernel, source=lambda x: 1.0), grid)
+    assert str(exc.value) == (f"kernel is not finite at nodes (z[{row}]="
+                              f"{float(z[row])!r}, z[3]={float(z[3])!r}): "
+                              "-inf")
+
+
+# 1e308 dz summed over [0, 2] is 2e308: every row sum overflows, though
+# every entry is finite; one kernel ignores x (rows alike), one does not
+_HUGE = {"constant": lambda x, z: 1e308,
+         "with_x": lambda x, z: 1e308 + 0.0 * x * z}
+
+
+@pytest.mark.parametrize("kernel", sorted(_HUGE))
+def test_overflowing_row_sums_over_finite_entries_are_accepted(kernel):
+    grid = uniform_grid(0.0, 2.0, 2 * _BLOCK + 1)
+    problem = FieProblem(kernel=_HUGE[kernel], source=lambda x: 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        op = discretize(problem, grid)
+    assert op.sup_norm == estimate_contraction(op) == np.inf
+    assert np.all(op.matrix == 1e308 * grid.spacing)
+
+
+def test_nan_after_an_overflowing_block_is_named_at_its_pair():
+    grid = uniform_grid(0.0, 2.0, 2 * _BLOCK + 1)
+    z = grid.nodes
+    row, col = _BLOCK + 2, 4
+
+    def kernel(x, zz):
+        return np.where((x == z[row]) & (zz == z[col]), np.nan, 1e308)
+
+    with pytest.raises(DomainError) as exc:
+        discretize(FieProblem(kernel=kernel, source=lambda x: 1.0), grid)
+    assert str(exc.value) == (f"kernel is not finite at nodes (z[{row}]="
+                              f"{float(z[row])!r}, z[{col}]={float(z[col])!r}"
+                              "): nan")
+
+
+def test_discretize_restores_the_ufunc_buffer_size():
+    # the fill evaluates the kernel with one-row ufunc buffers
+    seen = []
+
+    def kernel(x, zz):
+        seen.append(np.getbufsize())
+        return np.where(x > 0.5, np.nan, x * zz)
+
+    before = np.getbufsize()
+    grid = uniform_grid(0.0, 1.0, 100)
+    discretize(FieProblem(kernel=lambda x, zz: x * zz, source=np.cos), grid)
+    assert np.getbufsize() == before
+    with pytest.raises(DomainError):
+        discretize(FieProblem(kernel=kernel, source=np.cos), grid)
+    assert np.getbufsize() == before
+    assert set(seen) == {96}
 
 
 def test_undefined_kernel_pair_in_a_later_block():

@@ -42,6 +42,15 @@ def test_csv_floats_round_trip_exactly():
         assert float(cell) == v
 
 
+def test_csv_cells_of_every_type():
+    cells = (None, True, np.bool_(False), 3, np.int64(-4), 0.1,
+             np.float64(2.5), np.float32(0.1), -np.inf, "s")
+    bundle = ReportBundle(kind="t", columns=tuple("abcdefghij"),
+                          rows=[cells])
+    assert render_csv(bundle).splitlines()[-1] == (
+        ",true,false,3,-4,0.10000000000000001,2.5,0.10000000149011612,-inf,s")
+
+
 def test_csv_empty_cells_for_missing_oracle():
     bundle = ReportBundle(kind="t", columns=("x", "value", "exact", "abs_err"),
                           rows=[(0.5, 2.0, None, None)])
